@@ -87,6 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/f16 -run='^$$' -fuzz='^FuzzFromFloat32$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/f16 -run='^$$' -fuzz='^FuzzArithmetic$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzDecodeInferRequest$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzDecodeInferRequestRef$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzOverloadConfig$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/faults -run='^$$' -fuzz='^FuzzFaultConfig$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/faults/netfaults -run='^$$' -fuzz='^FuzzNetFaultConfig$$' -fuzztime=$(FUZZTIME)

@@ -703,3 +703,41 @@ func TestBackendRejectionPassesThrough(t *testing.T) {
 		t.Fatalf("503 was retried onto another backend %d times", hits)
 	}
 }
+
+// TestFleetFullInputRow: the frontend forwards a full 1×3×224×224
+// mobilenet input row (≈1.6 MB of JSON) under the same body limit as the
+// backend, and answers 413 for a body over it.
+func TestFleetFullInputRow(t *testing.T) {
+	leakCheck(t)
+	m, err := models.MobileNetV1(models.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b := newBackend(t, server.Config{Models: map[string]*models.Model{"mobilenet": m}})
+	_, fts := newTestFrontend(t, Config{Backends: []string{b.URL}, ProbeEvery: 50 * time.Millisecond})
+
+	in := make([]float32, 3*224*224)
+	for i := range in {
+		in[i] = float32(i%255)/127.5 - 1
+	}
+	resp, data := postFleetInfer(t, fts.URL, server.InferRequest{Model: "mobilenet", Shape: []int{1, 3, 224, 224}, Input: in})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("full row: %d (%s)", resp.StatusCode, data)
+	}
+	if got, want := resp.Header.Get(server.ChecksumHeader), server.BodyChecksum(data); got != want {
+		t.Fatalf("reply checksum %q, body hashes to %q", got, want)
+	}
+	var rep server.InferResponse
+	if err := json.Unmarshal(data, &rep); err != nil || rep.Model != "mobilenet" {
+		t.Fatalf("reply %+v (%v)", rep, err)
+	}
+
+	r, err := http.Post(fts.URL+"/v1/infer", "application/json", bytes.NewReader(make([]byte, server.MaxBodyBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d", r.StatusCode)
+	}
+}

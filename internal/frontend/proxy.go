@@ -3,7 +3,6 @@ package frontend
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,10 +15,6 @@ import (
 	"mulayer/internal/dispatch"
 	"mulayer/internal/server"
 )
-
-// maxInferBody bounds a proxied request body; the frontend buffers it
-// once so failover and hedge legs can replay it.
-const maxInferBody = 1 << 20
 
 // proxy is the /v1/infer data path: admission, ranked routing with
 // transport-failure failover, and budgeted hedging.
@@ -77,22 +72,20 @@ func (r *legResult) decisive() bool {
 }
 
 func (p *proxy) handleInfer(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxInferBody+1))
+	// The body is buffered once so failover and hedge legs can replay it,
+	// under the same size limit the backends enforce.
+	body, err := server.ReadBody(w, r)
 	if err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body too large")
+			return
+		}
 		httpError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	if len(body) > maxInferBody {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		return
 	}
 	// The routing key and latency label come from the request; everything
 	// else in the body is the backend's business.
-	var peek struct {
-		Model string `json:"model"`
-	}
-	_ = json.Unmarshal(body, &peek)
-	model := peek.Model
+	model := server.PeekModel(body)
 
 	if err := p.cfg.Admission.Admit(dispatch.QueueState{
 		Depth: int(p.inflight.Load()),

@@ -3,9 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -117,7 +117,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return drainErr
 }
 
-// InferRequest is the body of POST /v1/infer.
+// InferRequest is the body of POST /v1/infer. The backend decodes it in
+// one pass (see unmarshalInferRequest) with encoding/json's semantics
+// for these json tags; clients may encode it with encoding/json.
 type InferRequest struct {
 	// Model names a loaded model (see /v1/models).
 	Model string `json:"model"`
@@ -151,59 +153,64 @@ const (
 	maxInputElems = 1 << 20
 	// maxShapeDims caps the rank of InferRequest.Shape.
 	maxShapeDims = 8
-	// maxBodyBytes bounds the request body read off the wire.
-	maxBodyBytes = 16 << 20
 )
 
 // decodeInferRequest parses and validates one /v1/infer body. Every
 // malformed input — bad JSON, wrong field types, negative or oversized
 // batches, degenerate or overflowing shapes, non-finite payload values,
 // shape/payload length mismatches — returns an error, never a panic (the
-// FuzzDecodeInferRequest target holds it to that).
+// FuzzDecodeInferRequest target holds it to that). Parsing accepts and
+// rejects exactly what json.Unmarshal does and fills the same fields
+// (FuzzDecodeInferRequestRef holds it to that).
 func decodeInferRequest(body []byte) (InferRequest, error) {
 	var req InferRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := unmarshalInferRequest(body, &req); err != nil {
 		return req, fmt.Errorf("bad JSON: %w", err)
 	}
+	return req, req.validate()
+}
+
+// validate checks a decoded request against the documented bounds.
+func (req *InferRequest) validate() error {
 	if req.TimeoutMS < 0 {
-		return req, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMS)
+		return fmt.Errorf("timeout_ms %d is negative", req.TimeoutMS)
 	}
 	if req.Batch < 0 {
-		return req, fmt.Errorf("batch %d is negative", req.Batch)
+		return fmt.Errorf("batch %d is negative", req.Batch)
 	}
 	if req.Batch > maxClientRows {
-		return req, fmt.Errorf("batch %d exceeds the per-request limit %d", req.Batch, maxClientRows)
+		return fmt.Errorf("batch %d exceeds the per-request limit %d", req.Batch, maxClientRows)
 	}
 	if _, err := ParsePriority(req.Priority); err != nil {
-		return req, err
+		return err
 	}
 	if len(req.Shape) == 0 && len(req.Input) > 0 {
-		return req, fmt.Errorf("input payload of %d values has no shape", len(req.Input))
+		return fmt.Errorf("input payload of %d values has no shape", len(req.Input))
 	}
 	if len(req.Shape) > 0 {
 		if len(req.Shape) > maxShapeDims {
-			return req, fmt.Errorf("shape rank %d exceeds %d", len(req.Shape), maxShapeDims)
+			return fmt.Errorf("shape rank %d exceeds %d", len(req.Shape), maxShapeDims)
 		}
 		elems := 1
 		for _, d := range req.Shape {
 			if d < 1 {
-				return req, fmt.Errorf("shape %v has a non-positive dimension", req.Shape)
+				return fmt.Errorf("shape %v has a non-positive dimension", req.Shape)
 			}
 			if d > maxInputElems/elems {
-				return req, fmt.Errorf("shape %v overflows the %d-element limit", req.Shape, maxInputElems)
+				return fmt.Errorf("shape %v overflows the %d-element limit", req.Shape, maxInputElems)
 			}
 			elems *= d
 		}
 		if len(req.Input) != elems {
-			return req, fmt.Errorf("input holds %d values, shape %v wants %d", len(req.Input), req.Shape, elems)
+			return fmt.Errorf("input holds %d values, shape %v wants %d", len(req.Input), req.Shape, elems)
 		}
 		for i, v := range req.Input {
 			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return req, fmt.Errorf("input[%d] is not finite", i)
+				return fmt.Errorf("input[%d] is not finite", i)
 			}
 		}
 	}
-	return req, nil
+	return nil
 }
 
 // InferResponse is the body of a 200 reply.
@@ -265,9 +272,13 @@ func writeJSONSum(w http.ResponseWriter, code int, v any) {
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := ReadBody(w, r)
 	if err != nil {
-		writeJSONSum(w, http.StatusBadRequest, errorBody{Error: "read body: " + err.Error()})
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSONSum(w, code, errorBody{Error: "read body: " + err.Error()})
 		return
 	}
 	req, err := decodeInferRequest(body)

@@ -201,6 +201,14 @@ func TestBadRequests(t *testing.T) {
 	if r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON: %d", r.StatusCode)
 	}
+	r, err = http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(make([]byte, MaxBodyBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d", r.StatusCode)
+	}
 }
 
 // TestQueueFullHTTP: a tiny queue on a paced device must answer 503 with
