@@ -184,22 +184,53 @@ func TestParseSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"fail=2",           // rate out of range
-		"fail=-0.1",        // negative
-		"fail=NaN",         // non-finite
-		"stallx=0.5",       // factor below 1
-		"stallx=+Inf",      // non-finite factor
-		"fail=0.6,die=0.6", // rates sum past 1
-		"bogus=1",          // unknown key
-		"fail",             // missing value
-		"proc=tpu",         // unknown processor
-		"max=-1",           // negative budget
-		"high:fail=0.1;high:fail=0.2", // duplicate class
-		":fail=0.1",        // empty class scope
-		"seed=1,seed=2",    // duplicate key
+		"fail=2",                       // rate out of range
+		"fail=-0.1",                    // negative
+		"fail=NaN",                     // non-finite
+		"stallx=0.5",                   // factor below 1
+		"stallx=+Inf",                  // non-finite factor
+		"fail=0.6,die=0.6",             // rates sum past 1
+		"bogus=1",                      // unknown key
+		"fail",                         // missing value
+		"proc=tpu",                     // unknown processor
+		"max=-1",                       // negative budget
+		"high:fail=0.1;high:fail=0.2",  // duplicate class
+		":fail=0.1",                    // empty class scope
+		"seed=1,seed=2",                // duplicate key
+		"fail=0.1,fail=0.2",            // duplicate key
+		"fail=",                        // empty value
+		"seed=",                        // empty value
+		"max=",                         // empty value
+		"high:fail=0.1;high:stall=0.1", // duplicate class, disjoint keys
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
+		}
+	}
+}
+
+// TestParseSpecAcceptSet pins what the grammar tolerates: blank
+// fields and blocks, whitespace around keys and values, and an empty
+// processor filter, which means every processor.
+func TestParseSpecAcceptSet(t *testing.T) {
+	for spec, want := range map[string]map[string]Config{
+		" fail = 0.1 , , stall=0.1 ": {"": {FailRate: 0.1, StallRate: 0.1}},
+		";;high: die=1 ;;":           {"high": {DieRate: 1}},
+		"proc=,fail=0.5":             {"": {FailRate: 0.5}},
+		"max=0,seed=-3":              {"": {Seed: -3}},
+	} {
+		got, err := ParseSpec(spec)
+		if err != nil {
+			t.Errorf("spec %q: %v", spec, err)
+			continue
+		}
+		if len(got) != len(want) {
+			t.Errorf("spec %q: %v, want %v", spec, got, want)
+		}
+		for class, cfg := range want {
+			if got[class] != cfg {
+				t.Errorf("spec %q class %q: %+v, want %+v", spec, class, got[class], cfg)
+			}
 		}
 	}
 }

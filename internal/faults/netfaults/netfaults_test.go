@@ -263,9 +263,20 @@ func TestParseSpec(t *testing.T) {
 		"drop=0.1;drop=0.2",
 		"target=a:1,reset=1;target=a:1,drop=1",
 		"reset",
+		"drop=0.1,drop=0.2", // duplicate key
+		"seed=1,seed=1",     // duplicate key
+		"drop=",             // empty value
+		"seed=",             // empty value
+		"latms=",            // empty value
+		"target=http://",    // empty once the scheme is stripped
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q parsed", bad)
 		}
+	}
+	// Blank fields and blocks and surrounding whitespace are tolerated.
+	cfgs, err = ParseSpec(" ; drop = 0.1 , , max=3 ;; ")
+	if err != nil || len(cfgs) != 1 || cfgs[""].DropRate != 0.1 || cfgs[""].MaxFaults != 3 {
+		t.Fatalf("lenient spec: %v %v", cfgs, err)
 	}
 }

@@ -50,9 +50,23 @@ func TestParseOverloadSpec(t *testing.T) {
 		"bogus=1",
 		"admit", // missing value
 		"queue-wait=fast",
+		"admit=",              // empty value
+		"watchdog=",           // empty value
+		"admit=on;watchdog=8", // no ';' blocks: "on;watchdog=8" is the value
 	} {
 		if _, err := ParseOverloadSpec(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
+		}
+	}
+	// Unlike the fault grammars, a repeated key is accepted and the last
+	// value wins; blank fields are skipped.
+	for spec, want := range map[string]OverloadConfig{
+		"admit=on,admit=off":         {},
+		"admit=off,,admit=on":        {DeadlineAdmission: true},
+		"watchdog=2 , watchdog = 4 ": {WatchdogFactor: 4},
+	} {
+		if cfg, err := ParseOverloadSpec(spec); err != nil || cfg != want {
+			t.Errorf("spec %q: %+v, %v; want %+v", spec, cfg, err, want)
 		}
 	}
 }
