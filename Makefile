@@ -29,6 +29,9 @@ GEMM_COVER_FLOOR ?= 88
 # internal/frontend statement coverage floor (measured 89.5% when the
 # gray-failure stack landed).
 FRONTEND_COVER_FLOOR ?= 80
+# internal/breaker statement coverage floor (measured 100.0% when the
+# shared circuit breaker was extracted).
+BREAKER_COVER_FLOOR ?= 90
 
 .PHONY: ci build vet test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-serving bench-gemm bench-gemm-smoke serve load
 
@@ -56,7 +59,7 @@ cover:
 			if (p + 0 < f + 0) { printf "cover: %s %.1f%% is below the %s%% floor\n", pkg, p, f; exit 1 } \
 			printf "cover: %s %.1f%% (floor %s%%)\n", pkg, p, f }'; \
 	}; \
-	check ./internal/server/ $(COVER_FLOOR) && check ./internal/gemm/ $(GEMM_COVER_FLOOR) && check ./internal/frontend/ $(FRONTEND_COVER_FLOOR)
+	check ./internal/server/ $(COVER_FLOOR) && check ./internal/gemm/ $(GEMM_COVER_FLOOR) && check ./internal/frontend/ $(FRONTEND_COVER_FLOOR) && check ./internal/breaker/ $(BREAKER_COVER_FLOOR)
 
 # Seeded chaos run: 160 requests against a faulty four-device pool under
 # the race detector. Fails on any escaped panic, untyped error, stranded

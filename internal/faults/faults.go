@@ -6,7 +6,7 @@
 // kernel hook; a nil hook costs nothing on the healthy path.
 //
 // Determinism: an Injector draws one uniform variate per kernel from its
-// own PRNG stream, seeded from (Config.Seed, device salt). Each pool
+// own Stream, seeded from (Config.Seed, device salt). Each pool
 // device is served by a single worker goroutine, so the kernel sequence —
 // and therefore every fault decision — is reproducible for a given seed
 // regardless of cross-device interleaving. The single draw per kernel
@@ -17,7 +17,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -124,16 +123,9 @@ func (c Config) Enabled() bool {
 
 // Validate checks rates and ranges.
 func (c Config) Validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"fail", c.FailRate}, {"stall", c.StallRate}, {"die", c.DieRate}, {"panic", c.PanicRate}} {
-		if !(r.v >= 0 && r.v <= 1) { // negated: also rejects NaN
-			return fmt.Errorf("faults: %s rate %v outside [0,1]", r.name, r.v)
-		}
-	}
-	if sum := c.FailRate + c.StallRate + c.DieRate + c.PanicRate; sum > 1 {
-		return fmt.Errorf("faults: rates sum to %v > 1", sum)
+	if err := ValidateRates("faults", Rate{"fail", c.FailRate}, Rate{"stall", c.StallRate},
+		Rate{"die", c.DieRate}, Rate{"panic", c.PanicRate}); err != nil {
+		return err
 	}
 	if !(c.StallFactor == 0 || (c.StallFactor >= 1 && !math.IsInf(c.StallFactor, 1))) {
 		return fmt.Errorf("faults: stall factor %v not in [1, ∞)", c.StallFactor)
@@ -181,23 +173,13 @@ type Injector struct {
 	cfg Config
 
 	mu     sync.Mutex
-	rng    *rand.Rand
+	stream Stream
 	dead   map[string]device.Type // processor name → class, for dead procs
 	stats  Stats
-	budget int // remaining fault budget; -1 = unbounded
 
 	// Observe, when set before the injector is used, is called once per
 	// injected (non-None) decision — the serving metrics hook.
 	Observe func(kind Kind, proc string)
-}
-
-// splitmix64 mixes the seed with a per-device salt so every device gets an
-// independent deterministic stream from one fleet seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // New returns an injector for cfg; salt distinguishes devices sharing one
@@ -206,16 +188,10 @@ func New(cfg Config, salt int64) *Injector {
 	if cfg.StallFactor == 0 {
 		cfg.StallFactor = 10
 	}
-	budget := -1
-	if cfg.MaxFaults > 0 {
-		budget = cfg.MaxFaults
-	}
-	seed := splitmix64(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(salt) + 1)
 	return &Injector{
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(int64(seed))),
+		stream: NewStream(cfg.Seed, uint64(salt), cfg.MaxFaults),
 		dead:   make(map[string]device.Type),
-		budget: budget,
 	}
 }
 
@@ -251,29 +227,16 @@ func (in *Injector) Kernel(p *device.Processor, kernel string, d time.Duration) 
 		in.mu.Unlock()
 		return d, &Fault{Proc: p.Name, ProcType: p.Type, Kernel: kernel, Kind: Die}
 	}
-	if !in.cfg.procMatches(p.Type) || in.budget == 0 {
+	if !in.cfg.procMatches(p.Type) {
 		in.mu.Unlock()
 		return d, nil
 	}
-	u := in.rng.Float64()
-	kind := None
-	switch {
-	case u < in.cfg.DieRate:
-		kind = Die
-	case u < in.cfg.DieRate+in.cfg.FailRate:
-		kind = Fail
-	case u < in.cfg.DieRate+in.cfg.FailRate+in.cfg.PanicRate:
-		kind = Panic
-	case u < in.cfg.DieRate+in.cfg.FailRate+in.cfg.PanicRate+in.cfg.StallRate:
-		kind = Stall
-	}
-	if kind == None {
+	i := in.stream.Pick(in.cfg.DieRate, in.cfg.FailRate, in.cfg.PanicRate, in.cfg.StallRate)
+	if i < 0 {
 		in.mu.Unlock()
 		return d, nil
 	}
-	if in.budget > 0 {
-		in.budget--
-	}
+	kind := [...]Kind{Die, Fail, Panic, Stall}[i]
 	switch kind {
 	case Stall:
 		in.stats.Stalls++

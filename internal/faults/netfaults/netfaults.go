@@ -3,11 +3,10 @@
 // between the frontend and a backend fail the way real networks fail —
 // added latency, dials that black-hole, connections reset mid-flight,
 // responses dropped after the backend did the work, and bodies that
-// arrive truncated or bit-flipped. It mirrors the device-level injector
-// (internal/faults): one uniform variate per request drawn from a
-// splitmix64-seeded stream, compared against stacked rate thresholds,
-// with an optional fault budget so chaos tests can fault a path and
-// then watch it recover.
+// arrive truncated or bit-flipped. Its decisions come from the
+// device-level injector's faults.Stream: one uniform variate per request
+// compared against stacked rate thresholds, with an optional fault
+// budget so chaos tests can fault a path and then watch it recover.
 //
 // Determinism: each targeted backend gets its own PRNG stream, seeded
 // from (Config.Seed, hash of the target), so the decision sequence for
@@ -23,11 +22,12 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"sync"
 	"time"
+
+	"mulayer/internal/faults"
 )
 
 // Kind classifies one injected network fault decision.
@@ -120,22 +120,12 @@ func (c Config) Enabled() bool {
 
 // Validate checks rates and ranges.
 func (c Config) Validate() error {
-	sum := 0.0
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
-		{"latency", c.LatencyRate}, {"dial-timeout", c.DialTimeoutRate},
-		{"reset", c.ResetRate}, {"drop", c.DropRate},
-		{"truncate", c.TruncateRate}, {"corrupt", c.CorruptRate},
-	} {
-		if !(r.v >= 0 && r.v <= 1) { // negated: also rejects NaN
-			return fmt.Errorf("netfaults: %s rate %v outside [0,1]", r.name, r.v)
-		}
-		sum += r.v
-	}
-	if sum > 1 {
-		return fmt.Errorf("netfaults: rates sum to %v > 1", sum)
+	if err := faults.ValidateRates("netfaults",
+		faults.Rate{Name: "latency", P: c.LatencyRate}, faults.Rate{Name: "dial-timeout", P: c.DialTimeoutRate},
+		faults.Rate{Name: "reset", P: c.ResetRate}, faults.Rate{Name: "drop", P: c.DropRate},
+		faults.Rate{Name: "truncate", P: c.TruncateRate}, faults.Rate{Name: "corrupt", P: c.CorruptRate},
+	); err != nil {
+		return err
 	}
 	if c.Latency < 0 || c.Latency > time.Hour {
 		return fmt.Errorf("netfaults: latency %v outside [0, 1h]", c.Latency)
@@ -192,18 +182,8 @@ type injector struct {
 	cfg Config
 
 	mu     sync.Mutex
-	rng    *rand.Rand
+	stream faults.Stream
 	stats  Stats
-	budget int // remaining fault budget; -1 = unbounded
-}
-
-// splitmix64 mixes the seed with a per-target salt, mirroring the
-// device-level injector's stream derivation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 func newInjector(cfg Config) *injector {
@@ -213,18 +193,9 @@ func newInjector(cfg Config) *injector {
 	if cfg.DialHang == 0 {
 		cfg.DialHang = time.Second
 	}
-	budget := -1
-	if cfg.MaxFaults > 0 {
-		budget = cfg.MaxFaults
-	}
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, cfg.Target)
-	seed := splitmix64(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + h.Sum64() + 1)
-	return &injector{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(int64(seed))),
-		budget: budget,
-	}
+	return &injector{cfg: cfg, stream: faults.NewStream(cfg.Seed, h.Sum64(), cfg.MaxFaults)}
 }
 
 // decide draws one request's fate. Parameter variates for body mutation
@@ -234,33 +205,12 @@ func (in *injector) decide() decision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.stats.Requests++
-	if in.budget == 0 {
+	c := in.cfg
+	i := in.stream.Pick(c.DialTimeoutRate, c.ResetRate, c.DropRate, c.TruncateRate, c.CorruptRate, c.LatencyRate)
+	if i < 0 {
 		return decision{kind: None}
 	}
-	u := in.rng.Float64()
-	c := in.cfg
-	d := decision{kind: None}
-	edge := 0.0
-	for _, step := range []struct {
-		rate float64
-		kind Kind
-	}{
-		{c.DialTimeoutRate, DialTimeout}, {c.ResetRate, Reset},
-		{c.DropRate, Drop}, {c.TruncateRate, Truncate},
-		{c.CorruptRate, Corrupt}, {c.LatencyRate, Latency},
-	} {
-		edge += step.rate
-		if u < edge {
-			d.kind = step.kind
-			break
-		}
-	}
-	if d.kind == None {
-		return d
-	}
-	if in.budget > 0 {
-		in.budget--
-	}
+	d := decision{kind: [...]Kind{DialTimeout, Reset, Drop, Truncate, Corrupt, Latency}[i]}
 	switch d.kind {
 	case Latency:
 		in.stats.Latencies++
@@ -272,11 +222,11 @@ func (in *injector) decide() decision {
 		in.stats.Drops++
 	case Truncate:
 		in.stats.Truncates++
-		d.frac = in.rng.Float64()
+		d.frac = in.stream.Float64()
 	case Corrupt:
 		in.stats.Corrupts++
-		d.frac = in.rng.Float64()
-		d.bit = uint(in.rng.Intn(8))
+		d.frac = in.stream.Float64()
+		d.bit = uint(in.stream.Intn(8))
 	}
 	return d
 }

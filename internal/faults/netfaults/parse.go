@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mulayer/internal/faults"
 )
 
 // ParseSpec decodes a network-fault flag value into per-target configs.
@@ -36,15 +38,7 @@ import (
 // holds it to that). An empty spec returns an empty, non-nil map.
 func ParseSpec(spec string) (map[string]Config, error) {
 	out := make(map[string]Config)
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return out, nil
-	}
-	for _, block := range strings.Split(spec, ";") {
-		block = strings.TrimSpace(block)
-		if block == "" {
-			continue
-		}
+	for _, block := range faults.SpecBlocks(spec) {
 		cfg, err := parseBlock(block)
 		if err != nil {
 			return nil, err
@@ -65,37 +59,14 @@ func targetLabel(target string) string {
 }
 
 func parseBlock(block string) (Config, error) {
-	var cfg Config
-	seen := map[string]bool{}
-	for _, pair := range strings.Split(block, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return cfg, fmt.Errorf("netfaults: want key=value, got %q", pair)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return cfg, fmt.Errorf("netfaults: duplicate key %q", key)
-		}
-		seen[key] = true
+	b, err := faults.ParseSpecBlock(block)
+	if err != nil {
+		return Config{}, fmt.Errorf("netfaults: %w", err)
+	}
+	cfg := Config{Seed: b.Seed, MaxFaults: b.Max}
+	for _, f := range b.Fields {
+		key, val := f.Key, f.Val
 		switch key {
-		case "seed", "max":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("netfaults: bad %s %q", key, val)
-			}
-			if key == "seed" {
-				cfg.Seed = n
-			} else {
-				if n < 0 || n > 1<<31 {
-					return cfg, fmt.Errorf("netfaults: fault budget %d out of range", n)
-				}
-				cfg.MaxFaults = int(n)
-			}
 		case "latms", "hangms":
 			ms, err := strconv.ParseFloat(val, 64)
 			if err != nil || ms < 0 || ms > 3.6e6 {
@@ -108,23 +79,23 @@ func parseBlock(block string) (Config, error) {
 				cfg.DialHang = d
 			}
 		case "lat", "dialto", "reset", "drop", "trunc", "corrupt":
-			f, err := strconv.ParseFloat(val, 64)
+			v, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				return cfg, fmt.Errorf("netfaults: bad %s %q", key, val)
 			}
 			switch key {
 			case "lat":
-				cfg.LatencyRate = f
+				cfg.LatencyRate = v
 			case "dialto":
-				cfg.DialTimeoutRate = f
+				cfg.DialTimeoutRate = v
 			case "reset":
-				cfg.ResetRate = f
+				cfg.ResetRate = v
 			case "drop":
-				cfg.DropRate = f
+				cfg.DropRate = v
 			case "trunc":
-				cfg.TruncateRate = f
+				cfg.TruncateRate = v
 			case "corrupt":
-				cfg.CorruptRate = f
+				cfg.CorruptRate = v
 			}
 		case "target":
 			// Accept a bare host:port or a full backend URL.
@@ -139,8 +110,5 @@ func parseBlock(block string) (Config, error) {
 			return cfg, fmt.Errorf("netfaults: unknown key %q", key)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }

@@ -31,15 +31,7 @@ import (
 // holds it to that). An empty spec returns an empty, non-nil map.
 func ParseSpec(spec string) (map[string]Config, error) {
 	out := make(map[string]Config)
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return out, nil
-	}
-	for _, block := range strings.Split(spec, ";") {
-		block = strings.TrimSpace(block)
-		if block == "" {
-			continue
-		}
+	for _, block := range SpecBlocks(spec) {
 		class := ""
 		if head, rest, ok := strings.Cut(block, ":"); ok {
 			class = strings.TrimSpace(head)
@@ -68,62 +60,113 @@ func classLabel(class string) string {
 }
 
 func parseBlock(block string) (Config, error) {
-	var cfg Config
-	seen := map[string]bool{}
+	b, err := ParseSpecBlock(block)
+	if err != nil {
+		return Config{}, err
+	}
+	cfg := Config{Seed: b.Seed, MaxFaults: b.Max}
+	for _, f := range b.Fields {
+		switch f.Key {
+		case "fail", "stall", "stallx", "die", "panic":
+			v, err := strconv.ParseFloat(f.Val, 64)
+			if err != nil {
+				return cfg, fmt.Errorf("bad %s %q", f.Key, f.Val)
+			}
+			switch f.Key {
+			case "fail":
+				cfg.FailRate = v
+			case "stall":
+				cfg.StallRate = v
+			case "stallx":
+				cfg.StallFactor = v
+			case "die":
+				cfg.DieRate = v
+			case "panic":
+				cfg.PanicRate = v
+			}
+		case "proc":
+			cfg.Proc = strings.ToLower(f.Val)
+		default:
+			return cfg, fmt.Errorf("unknown key %q", f.Key)
+		}
+	}
+	return cfg, cfg.Validate()
+}
+
+// The keyed-spec tokenizer below is shared by this package's ParseSpec,
+// netfaults.ParseSpec and the server's overload spec.
+
+// SpecBlocks splits a spec on ';' into its blocks, trimmed, skipping
+// blank ones.
+func SpecBlocks(spec string) []string {
+	var out []string
+	for _, block := range strings.Split(spec, ";") {
+		if block = strings.TrimSpace(block); block != "" {
+			out = append(out, block)
+		}
+	}
+	return out
+}
+
+// SpecField is one key=value pair of a spec block, both sides trimmed.
+type SpecField struct{ Key, Val string }
+
+// SpecFields splits a block on ',' into key=value fields, skipping blank
+// ones. A field without '=' is an error; repeated keys are returned as
+// given, in order.
+func SpecFields(block string) ([]SpecField, error) {
+	var out []SpecField
 	for _, pair := range strings.Split(block, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
+		if pair = strings.TrimSpace(pair); pair == "" {
 			continue
 		}
 		key, val, ok := strings.Cut(pair, "=")
 		if !ok {
-			return cfg, fmt.Errorf("want key=value, got %q", pair)
+			return nil, fmt.Errorf("want key=value, got %q", pair)
 		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return cfg, fmt.Errorf("duplicate key %q", key)
+		out = append(out, SpecField{strings.TrimSpace(key), strings.TrimSpace(val)})
+	}
+	return out, nil
+}
+
+// SpecBlock is one block of a fault spec: the seed and fault budget the
+// fault grammars share, and the block's other fields in order.
+type SpecBlock struct {
+	Seed   int64
+	Max    int // fault budget (0 = unbounded)
+	Fields []SpecField
+}
+
+// ParseSpecBlock tokenizes one fault-spec block: a key given twice is an
+// error, seed takes any int64 and max a budget in [0, 2³¹].
+func ParseSpecBlock(block string) (SpecBlock, error) {
+	var b SpecBlock
+	fields, err := SpecFields(block)
+	if err != nil {
+		return b, err
+	}
+	seen := make(map[string]bool, len(fields))
+	for _, f := range fields {
+		if seen[f.Key] {
+			return b, fmt.Errorf("duplicate key %q", f.Key)
 		}
-		seen[key] = true
-		switch key {
-		case "seed", "max":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("bad %s %q", key, val)
-			}
-			if key == "seed" {
-				cfg.Seed = n
-			} else {
-				if n < 0 || n > 1<<31 {
-					return cfg, fmt.Errorf("fault budget %d out of range", n)
-				}
-				cfg.MaxFaults = int(n)
-			}
-		case "fail", "stall", "stallx", "die", "panic":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("bad %s %q", key, val)
-			}
-			switch key {
-			case "fail":
-				cfg.FailRate = f
-			case "stall":
-				cfg.StallRate = f
-			case "stallx":
-				cfg.StallFactor = f
-			case "die":
-				cfg.DieRate = f
-			case "panic":
-				cfg.PanicRate = f
-			}
-		case "proc":
-			cfg.Proc = strings.ToLower(val)
+		seen[f.Key] = true
+		if f.Key != "seed" && f.Key != "max" {
+			b.Fields = append(b.Fields, f)
+			continue
+		}
+		n, err := strconv.ParseInt(f.Val, 10, 64)
+		if err != nil {
+			return b, fmt.Errorf("bad %s %q", f.Key, f.Val)
+		}
+		switch {
+		case f.Key == "seed":
+			b.Seed = n
+		case n < 0 || n > 1<<31:
+			return b, fmt.Errorf("fault budget %d out of range", n)
 		default:
-			return cfg, fmt.Errorf("unknown key %q", key)
+			b.Max = int(n)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return b, nil
 }

@@ -12,8 +12,9 @@
 //   - A backend registry holds the fleet, with live add/drain/remove via
 //     an admin endpoint and a reloadable backends file. Per-backend
 //     health is driven by periodic /readyz probes plus passive
-//     error/latency observations, with quarantine and half-open probing
-//     mirroring the node-level device circuit breaker.
+//     error/latency observations. Quarantine and half-open probing run
+//     on internal/breaker, the circuit the node's devices use too, and
+//     the latency outlier ejector trips the same circuit.
 //   - Per-model rendezvous hashing concentrates a model's requests on a
 //     stable few replicas (plan-cache and batch-fusion affinity),
 //     softened by least-predicted-load spill when the affinity choice is
@@ -34,6 +35,7 @@ import (
 	"net/http"
 	"time"
 
+	"mulayer/internal/breaker"
 	"mulayer/internal/dispatch"
 )
 
@@ -252,4 +254,15 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// breakerPolicy is every backend's circuit-breaker policy. Open periods
+// are jittered so backends quarantined together do not half-open
+// together.
+func (c Config) breakerPolicy() breaker.Policy {
+	return breaker.Policy{
+		Threshold: c.FailThreshold,
+		Backoff:   breaker.Backoff{Base: c.QuarantineBackoff, Max: c.QuarantineBackoffMax},
+		Jitter:    true,
+	}
 }

@@ -11,21 +11,6 @@ import (
 	"mulayer/internal/server"
 )
 
-func TestJitterBackoffBounds(t *testing.T) {
-	d := 100 * time.Millisecond
-	for _, u := range []float64{0, 0.25, 0.5, 0.999} {
-		j := jitterBackoff(d, u)
-		if j < 75*time.Millisecond || j >= 125*time.Millisecond {
-			t.Errorf("jitterBackoff(%v, %v) = %v, want [75ms, 125ms)", d, u, j)
-		}
-	}
-	// Tiny backoffs never jitter to zero (a zero until would half-open
-	// the circuit on the very next probe round).
-	if j := jitterBackoff(time.Microsecond, 0); j < time.Millisecond {
-		t.Errorf("floor: %v", j)
-	}
-}
-
 func TestVerifyIntegrity(t *testing.T) {
 	body := []byte(`{"model":"lenet5"}` + "\n")
 	resp := func(cl int64, sum string) *http.Response {

@@ -15,38 +15,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mulayer/internal/breaker"
 	"mulayer/internal/dispatch"
 	"mulayer/internal/server"
 )
-
-// backendState is the circuit-breaker state of one backend, mirroring
-// the node-level device breaker (internal/server health states).
-type backendState int
-
-const (
-	// bkOK: the backend takes traffic normally.
-	bkOK backendState = iota
-	// bkQuarantined: too many consecutive failures; no traffic until the
-	// backoff expires, then the prober half-opens the circuit.
-	bkQuarantined
-	// bkProbing: the half-open state — the prober has one /readyz probe
-	// in flight; success closes the circuit, failure re-quarantines with
-	// a doubled backoff.
-	bkProbing
-)
-
-// String implements fmt.Stringer.
-func (s backendState) String() string {
-	switch s {
-	case bkOK:
-		return "ok"
-	case bkQuarantined:
-		return "quarantined"
-	case bkProbing:
-		return "probing"
-	}
-	return fmt.Sprintf("backendState(%d)", int(s))
-}
 
 // backend is one serve replica in the registry. Health and load fields
 // are guarded by the registry mutex; counters are atomics so the hot
@@ -54,12 +26,10 @@ func (s backendState) String() string {
 type backend struct {
 	url string // normalized base URL; the backend's identity everywhere
 
-	// Guarded by Registry.mu.
-	state    backendState
+	// Guarded by Registry.mu. Probe and passive failures share the
+	// breaker's failure run.
+	br       breaker.Breaker
 	draining bool // admin drain: no new traffic, health still tracked
-	failures int  // consecutive failures (probe + passive combined)
-	backoff  time.Duration
-	until    time.Time // quarantine expiry
 
 	// Load signal from the last successful /statusz.json probe, plus the
 	// passive latency EWMA. Guarded by Registry.mu.
@@ -96,7 +66,7 @@ const latWindow = 64
 
 // Registry is the fleet's backend set: membership (add/drain/remove +
 // file reload), health (active probes + passive observations through the
-// shared circuit-breaker transitions), and the per-backend load signal
+// shared internal/breaker circuit), and the per-backend load signal
 // the placement policy ranks by.
 type Registry struct {
 	cfg    Config
@@ -311,7 +281,7 @@ func (r *Registry) HealthyCount() int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, b := range r.backends {
-		if b.state == bkOK && !b.draining {
+		if b.br.State() == breaker.OK && !b.draining {
 			n++
 		}
 	}
@@ -338,18 +308,16 @@ func (r *Registry) EjectedCount() int {
 func (r *Registry) Rank(model string, exclude map[string]bool) ([]*backend, []dispatch.Decision) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var pool []*backend
-	var cands []dispatch.Candidate
+	pool := make([]*backend, 0, len(r.backends))
 	for _, b := range r.backends {
-		if b.state != bkOK || b.draining || exclude[b.url] {
-			continue
+		if b.br.State() == breaker.OK && !b.draining && !exclude[b.url] {
+			pool = append(pool, b)
 		}
-		pool = append(pool, b)
-		cands = append(cands, dispatch.Candidate{ID: b.url, Done: b.predictedLoadLocked()})
 	}
 	// Map iteration order is random; candidates must be stable for the
 	// policy's deterministic tie-breaks.
 	sort.Slice(pool, func(i, j int) bool { return pool[i].url < pool[j].url })
+	cands := make([]dispatch.Candidate, len(pool))
 	for i, b := range pool {
 		cands[i] = dispatch.Candidate{ID: b.url, Done: b.predictedLoadLocked()}
 	}
@@ -375,16 +343,15 @@ func (b *backend) predictedLoadLocked() time.Duration {
 }
 
 // observeSuccess records a proxied reply: consecutive failures reset,
-// and — mirroring the node breaker, where a real served batch is
-// stronger evidence than a probe — a quarantined or probing backend
-// recovers. Only a served (2xx) reply updates the latency EWMA: an
-// instant 503 from a shedding backend is admission policy, not service
-// time, and folding it in would make the most overloaded backend look
-// like the fastest one.
+// and — as on the node, where a real served batch is stronger evidence
+// than a probe — a quarantined or probing backend recovers. Only a
+// served (2xx) reply updates the latency EWMA: an instant 503 from a
+// shedding backend is admission policy, not service time, and folding
+// it in would make the most overloaded backend look like the fastest
+// one.
 func (r *Registry) observeSuccess(b *backend, lat time.Duration, served bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b.failures = 0
 	if served {
 		if b.ewma == 0 {
 			b.ewma = lat
@@ -409,7 +376,8 @@ func (r *Registry) observeSuccess(b *backend, lat time.Duration, served bool) {
 	// it was ejected all land as 2xx moments later. Those must not
 	// short-circuit the ejection backoff; readmission is the half-open
 	// probe's decision once the backoff expires.
-	if b.ejected && b.state != bkOK {
+	if b.ejected {
+		b.br.ResetFailures()
 		return
 	}
 	r.recoverLocked(b)
@@ -419,12 +387,9 @@ func (r *Registry) observeSuccess(b *backend, lat time.Duration, served bool) {
 // distinguishing a readmitted ejection from an ordinary recovery.
 // Caller holds Registry.mu.
 func (r *Registry) recoverLocked(b *backend) {
-	if b.state == bkOK {
+	if !b.br.Succeed() {
 		return
 	}
-	b.state = bkOK
-	b.backoff = 0
-	b.until = time.Time{}
 	if b.ejected {
 		b.ejected = false
 		r.mets.health.With(b.url, "readmitted").Inc()
@@ -448,40 +413,15 @@ func (b *backend) latP95Locked() time.Duration {
 
 // observeFailure records one failure against the circuit breaker —
 // passive (a transport error proxying to it) and active (a failed
-// probe) share the counter. At FailThreshold consecutive failures, or
-// any failure while half-open, the backend quarantines with a doubling
-// backoff.
+// probe) share the failure run. At FailThreshold consecutive failures,
+// or any failure while half-open, the backend quarantines with a
+// doubling, jittered backoff.
 func (r *Registry) observeFailure(b *backend, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b.failures++
-	if b.state == bkProbing || b.failures >= r.cfg.FailThreshold {
-		if b.backoff <= 0 {
-			b.backoff = r.cfg.QuarantineBackoff
-		} else if b.state == bkProbing || b.state == bkQuarantined {
-			b.backoff *= 2
-			if b.backoff > r.cfg.QuarantineBackoffMax {
-				b.backoff = r.cfg.QuarantineBackoffMax
-			}
-		}
-		b.state = bkQuarantined
-		// ±25% jitter (the overload ladder's Retry-After trick) so
-		// backends quarantined together do not half-open together — the
-		// probe thundering herd against a recovering backend.
-		b.until = now.Add(jitterBackoff(b.backoff, rand.Float64()))
+	if b.br.Fail(r.cfg.breakerPolicy(), now, rand.Float64()) {
 		r.mets.health.With(b.url, "quarantined").Inc()
 	}
-}
-
-// jitterBackoff spreads a quarantine/ejection backoff across ±25% so
-// circuits opened together do not half-open together. u is a uniform
-// variate in [0, 1).
-func jitterBackoff(d time.Duration, u float64) time.Duration {
-	j := time.Duration(float64(d) * (0.75 + 0.5*u))
-	if j < time.Millisecond {
-		j = time.Millisecond
-	}
-	return j
 }
 
 // evaluateEjections is the outlier ejector, run once per probe round:
@@ -518,7 +458,7 @@ func (r *Registry) evaluateEjections(now time.Time) {
 		case b.draining:
 		case b.ejected:
 			ejected++
-		case b.state == bkOK:
+		case b.br.State() == breaker.OK:
 			routable++
 		}
 		if b.ejected || b.draining || b.latN < r.cfg.EjectMinSamples {
@@ -562,7 +502,7 @@ func (r *Registry) evaluateEjections(now time.Time) {
 		}
 		// Only a routable backend is ejected; one the breaker holds out
 		// keeps its hold timer and is judged again once it is back.
-		if b.state != bkOK || now.Sub(b.slowSince) < r.cfg.EjectHold {
+		if b.br.State() != breaker.OK || now.Sub(b.slowSince) < r.cfg.EjectHold {
 			continue
 		}
 		if ejected+1 > routable-1 {
@@ -574,24 +514,15 @@ func (r *Registry) evaluateEjections(now time.Time) {
 	}
 }
 
-// ejectLocked takes one gray-slow backend out of rotation through the
-// quarantine machinery, with its own doubling backoff. The latency
-// window resets so readmission starts from fresh evidence. Caller holds
-// Registry.mu.
+// ejectLocked takes one gray-slow backend out of rotation by tripping
+// its breaker for the next step of its own ejection backoff, which
+// doubles per re-ejection and is never reset. The latency window resets
+// so readmission starts from fresh evidence. Caller holds Registry.mu.
 func (r *Registry) ejectLocked(b *backend, now time.Time) {
-	if b.ejectBackoff <= 0 {
-		b.ejectBackoff = r.cfg.EjectBackoff
-	} else {
-		b.ejectBackoff *= 2
-		if b.ejectBackoff > r.cfg.QuarantineBackoffMax {
-			b.ejectBackoff = r.cfg.QuarantineBackoffMax
-		}
-	}
-	b.state = bkQuarantined
+	b.ejectBackoff = breaker.Backoff{Base: r.cfg.EjectBackoff, Max: r.cfg.QuarantineBackoffMax}.Next(b.ejectBackoff)
+	b.br.Trip(r.cfg.breakerPolicy(), now, b.ejectBackoff, rand.Float64())
 	b.ejected = true
 	b.ejections++
-	b.backoff = b.ejectBackoff
-	b.until = now.Add(jitterBackoff(b.ejectBackoff, rand.Float64()))
 	b.slowSince = time.Time{}
 	b.latN = 0
 	b.latNext = 0
@@ -623,17 +554,14 @@ func (r *Registry) probeRound(now time.Time) {
 	r.mu.Lock()
 	targets := make([]*backend, 0, len(r.backends))
 	for _, b := range r.backends {
-		switch b.state {
-		case bkOK:
-			targets = append(targets, b)
-		case bkQuarantined:
-			if !now.Before(b.until) {
-				// Half-open: this round's probe is the circuit's test.
-				b.state = bkProbing
-				r.mets.health.With(b.url, "probing").Inc()
-				targets = append(targets, b)
-			}
+		if !b.br.Ready(now) {
+			continue
 		}
+		// Half-open: this round's probe is the circuit's test.
+		if b.br.Claim() {
+			r.mets.health.With(b.url, "probing").Inc()
+		}
+		targets = append(targets, b)
 	}
 	r.mu.Unlock()
 
@@ -700,7 +628,6 @@ func (r *Registry) probeOne(b *backend, now time.Time) {
 func (r *Registry) observeProbeSuccess(b *backend) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b.failures = 0
 	r.recoverLocked(b)
 }
 
@@ -746,9 +673,9 @@ func (r *Registry) Snapshot() []BackendStatus {
 	for _, b := range r.backends {
 		st := BackendStatus{
 			URL:             b.url,
-			State:           b.state.String(),
+			State:           b.br.State().String(),
 			Draining:        b.draining,
-			Failures:        b.failures,
+			Failures:        b.br.Failures(),
 			Ejected:         b.ejected,
 			Ejections:       b.ejections,
 			Inflight:        b.inflight.Load(),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"mulayer/internal/breaker"
 	"mulayer/internal/core"
 	"mulayer/internal/device"
 	"mulayer/internal/exec"
@@ -52,36 +53,23 @@ func isDeviceFailure(err error) bool {
 	return errors.As(err, &de) || errors.As(err, &f) || errors.As(err, &wd)
 }
 
-// healthState is the circuit-breaker state of one pool device.
+// healthState is a device's health as /statusz reports it: its
+// circuit breaker's state, or healthDead once both CPU and GPU died —
+// terminal, so it lives outside the breaker.
 type healthState int
 
 const (
-	// healthOK: the device takes work normally.
-	healthOK healthState = iota
-	// healthQuarantined: too many consecutive failures; the device takes no
-	// work until its backoff expires, then becomes a probe candidate.
-	healthQuarantined
-	// healthProbing: the half-open state — exactly one probe batch is in
-	// flight; success closes the circuit, failure re-quarantines with a
-	// doubled backoff.
-	healthProbing
-	// healthDead: the device can serve nothing (both CPU and GPU died).
-	healthDead
+	healthOK          = healthState(breaker.OK)
+	healthQuarantined = healthState(breaker.Quarantined)
+	healthDead        = healthState(-1)
 )
 
 // String implements fmt.Stringer.
 func (h healthState) String() string {
-	switch h {
-	case healthOK:
-		return "ok"
-	case healthQuarantined:
-		return "quarantined"
-	case healthProbing:
-		return "probing"
-	case healthDead:
+	if h == healthDead {
 		return "dead"
 	}
-	return fmt.Sprintf("healthState(%d)", int(h))
+	return breaker.State(h).String()
 }
 
 // procSetOfType maps a device processor class to its core mask bit.
@@ -107,7 +95,11 @@ type healthSnapshot struct {
 func (d *poolDevice) health() healthSnapshot {
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
-	return healthSnapshot{State: d.state, Down: d.down, Failures: d.failures, Until: d.until}
+	state := healthState(d.br.State())
+	if d.dead {
+		state = healthDead
+	}
+	return healthSnapshot{State: state, Down: d.down, Failures: d.br.Failures(), Until: d.br.Until()}
 }
 
 // canServe reports whether the dispatcher may consider the device now:
@@ -117,13 +109,7 @@ func (d *poolDevice) health() healthSnapshot {
 func (d *poolDevice) canServe(now time.Time) bool {
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
-	switch d.state {
-	case healthOK:
-		return true
-	case healthQuarantined:
-		return !now.Before(d.until)
-	}
-	return false
+	return !d.dead && d.br.Ready(now)
 }
 
 // runCfg returns the device's run configuration for a mechanism — the
@@ -142,11 +128,7 @@ func (d *poolDevice) runCfg(mech core.Mechanism) core.RunConfig {
 func (d *poolDevice) noteDispatch() bool {
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
-	if d.state == healthQuarantined {
-		d.state = healthProbing
-		return true
-	}
-	return false
+	return !d.dead && d.br.Claim()
 }
 
 // revertProbe returns a claimed probe slot to quarantine when the probe
@@ -156,48 +138,30 @@ func (d *poolDevice) noteDispatch() bool {
 func (d *poolDevice) revertProbe() {
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
-	if d.state == healthProbing {
-		d.state = healthQuarantined
-	}
+	d.br.Revert()
 }
 
 // recordSuccess closes the circuit after a clean batch.
 func (d *poolDevice) recordSuccess() (recovered bool) {
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
-	recovered = d.state == healthProbing || d.state == healthQuarantined
-	if d.state != healthDead {
-		d.state = healthOK
-	}
-	d.failures = 0
-	d.backoff = 0
-	d.until = time.Time{}
-	return recovered
+	return d.br.Succeed() && !d.dead
 }
 
 // recordFailure applies one device failure to the circuit breaker:
 // permDown marks processors the fault killed permanently. It returns the
 // transition taken ("" when the failure stayed under the threshold).
+// Device open periods are not jittered.
 func (d *poolDevice) recordFailure(permDown core.ProcSet, threshold int, backoff, backoffMax time.Duration, now time.Time) string {
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
 	d.down |= permDown
 	if d.down.Has(core.ProcSetCPU) && d.down.Has(core.ProcSetGPU) {
-		d.state = healthDead
+		d.dead = true
 		return "dead"
 	}
-	d.failures++
-	if d.state == healthProbing || d.failures >= threshold {
-		d.state = healthQuarantined
-		if d.backoff <= 0 {
-			d.backoff = backoff
-		} else {
-			d.backoff *= 2
-			if d.backoff > backoffMax {
-				d.backoff = backoffMax
-			}
-		}
-		d.until = now.Add(d.backoff)
+	p := breaker.Policy{Threshold: threshold, Backoff: breaker.Backoff{Base: backoff, Max: backoffMax}}
+	if d.br.Fail(p, now, 0) {
 		return "quarantined"
 	}
 	if permDown != 0 {

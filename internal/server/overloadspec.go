@@ -3,8 +3,9 @@ package server
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
+
+	"mulayer/internal/faults"
 )
 
 // ParseOverloadSpec parses an overload-protection spec of the form
@@ -26,21 +27,16 @@ import (
 // config has passed Validate.
 func ParseOverloadSpec(spec string) (OverloadConfig, error) {
 	var cfg OverloadConfig
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return cfg, nil
+	fields, err := faults.SpecFields(spec)
+	if err != nil {
+		return cfg, fmt.Errorf("overload spec: %w", err)
 	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
+	// A repeated key is not an error here: the last value wins.
+	for _, f := range fields {
+		key, val := f.Key, f.Val
+		if val == "" {
+			return OverloadConfig{}, fmt.Errorf("overload spec: %s: empty value", key)
 		}
-		key, val, ok := strings.Cut(field, "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if !ok || val == "" {
-			return OverloadConfig{}, fmt.Errorf("overload spec: %q is not key=value", field)
-		}
-		var err error
 		switch key {
 		case "admit":
 			switch val {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mulayer/internal/breaker"
 	"mulayer/internal/core"
 	"mulayer/internal/faults"
 )
@@ -40,12 +41,10 @@ type poolDevice struct {
 
 	// Circuit-breaker state, guarded by hmu. Lock order: s.mu may be held
 	// when taking hmu, never the reverse.
-	hmu      sync.Mutex
-	state    healthState
-	down     core.ProcSet // processors that died permanently
-	failures int          // consecutive device failures
-	backoff  time.Duration
-	until    time.Time // quarantine expiry
+	hmu  sync.Mutex
+	br   breaker.Breaker
+	down core.ProcSet // processors that died permanently
+	dead bool         // both CPU and GPU died: terminal, whatever br says
 }
 
 // buildPool instantiates the device pool: Workers independent runtimes
