@@ -1,6 +1,6 @@
 # Tier-1 verification for the μLayer reproduction.
 #
-#   make ci          build + vet + race tests + coverage gate + chaos + fuzz smoke
+#   make ci          build + vet (with gofmt gate) + race tests + coverage gate + chaos + fuzz smoke
 #   make test        fast test run (no race detector)
 #   make race        race-enabled test run
 #   make cover       coverage gate for the serving subsystem
@@ -9,7 +9,8 @@
 #   make overload-smoke saturation run with the full overload stack armed
 #   make fleet-smoke three-backend fleet with a mid-run backend kill/restart
 #   make chaos-fleet-smoke four-backend fleet under injected network gray faults
-#   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus
+#   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus, plus
+#                    the SWAR lane-bound test at its k-chunk boundary
 #   make bench-serving 1-vs-4-backend goodput benchmark -> BENCH_serving.json
 #   make bench-gemm  packed-vs-reference kernel benchmark -> BENCH_gemm.json
 #   make bench-gemm-smoke CI-sized gemm bench run + schema validation
@@ -42,6 +43,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -97,6 +99,8 @@ fuzz-smoke:
 	$(GO) test ./internal/gemm -run='^$$' -fuzz='^FuzzF32$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gemm -run='^$$' -fuzz='^FuzzF16GEMM$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gemm -run='^$$' -fuzz='^FuzzQGEMM$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gemm -run='^$$' -fuzz='^FuzzConvPack$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gemm -count=1 -run='^TestQGEMMSWARLaneBound$$'
 
 # Fleet chaos smoke: three live backends behind the frontend under
 # sustained load and the race detector; one backend is crash-killed

@@ -6,18 +6,20 @@ import (
 	"testing"
 
 	"mulayer/internal/f16"
+	"mulayer/internal/quant"
 )
 
 // Differential fuzzing of the packed/tiled kernels against the naive
 // *Ref oracles. The fuzzer drives the shape (m,k,n), the zero points,
 // and the data seed; each execution checks both the one-shot entry
 // point (packs per call) and the pre-packed path, so operand packing,
-// tail kernels, and the zero-point decomposition are all under test.
+// the odd byte column, and the zero-point decomposition are all under test.
 // Seed corpus pins the degenerate shapes: 1×1×1, m below a single
 // panel, k=1, and n off the tile width.
 
 // fuzzShape folds fuzzer bytes into a shape that exercises panel
-// boundaries: sizes span 1..48, crossing mr/nrF/nrQ/blockM edges.
+// boundaries: sizes span 1..48, crossing mr/blockM edges and both
+// parities of n (the QUInt8 kernel pairs columns).
 func fuzzShape(ms, ks, ns uint8) (m, k, n int) {
 	return int(ms%48) + 1, int(ks%48) + 1, int(ns%48) + 1
 }
@@ -26,7 +28,7 @@ func FuzzF32(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), int64(1))    // 1×1×1
 	f.Add(uint8(2), uint8(16), uint8(4), int64(2))   // m < blockM panel
 	f.Add(uint8(32), uint8(0), uint8(31), int64(3))  // k = 1
-	f.Add(uint8(37), uint8(21), uint8(6), int64(4))  // n % nrF != 0
+	f.Add(uint8(37), uint8(21), uint8(6), int64(4))  // m % mr != 0
 	f.Add(uint8(47), uint8(47), uint8(47), int64(5)) // near-max everything
 	f.Fuzz(func(t *testing.T, ms, ks, ns uint8, seed int64) {
 		m, k, n := fuzzShape(ms, ks, ns)
@@ -87,7 +89,7 @@ func FuzzQGEMM(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(2), uint8(16), uint8(4), uint8(128), uint8(128), int64(2))
 	f.Add(uint8(32), uint8(0), uint8(31), uint8(255), uint8(0), int64(3))
-	f.Add(uint8(37), uint8(21), uint8(7), uint8(1), uint8(254), int64(4)) // n % nrQ != 0
+	f.Add(uint8(37), uint8(21), uint8(7), uint8(1), uint8(254), int64(4)) // odd n: SWAR words plus a byte column
 	f.Add(uint8(47), uint8(47), uint8(47), uint8(100), uint8(200), int64(5))
 	f.Fuzz(func(t *testing.T, ms, ks, ns, zas, zbs uint8, seed int64) {
 		m, k, n := fuzzShape(ms, ks, ns)
@@ -111,5 +113,80 @@ func FuzzQGEMM(f *testing.F) {
 		got2 := make([]int32, m*n)
 		QGEMMPacked(PackAU8(a, m, k), b, got2, n, za, zb)
 		check("QGEMMPacked", got2)
+	})
+}
+
+// FuzzConvPack checks the fused pack-from-input entry points against the
+// unfused chain: Im2ColU8 + QGEMMRef for the CPU half, and the input
+// dequantized to binary16 + Im2ColF16 + F16Ref for the GPU half, bit for bit,
+// over random geometry, stride, padding, zero point and output-channel
+// range [c0,c1) of the packed weights.
+func FuzzConvPack(f *testing.F) {
+	f.Add(uint8(3), uint8(9), uint8(9), uint8(3), uint8(3), uint8(0), uint8(1), uint8(128), uint8(0), uint8(5), int64(1)) // padded 3×3
+	f.Add(uint8(2), uint8(11), uint8(10), uint8(7), uint8(7), uint8(1), uint8(3), uint8(3), uint8(2), uint8(4), int64(2)) // strided 7×7
+	f.Add(uint8(5), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(1), uint8(2), int64(3)) // pointwise
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), int64(4))   // all padding but one tap
+	f.Fuzz(func(t *testing.T, cs, hs, ws, khs, kws, ss, ps, zs, c0s, c1s uint8, seed int64) {
+		g := ConvGeom{
+			InC: int(cs%6) + 1, InH: int(hs%12) + 1, InW: int(ws%12) + 1,
+			KH: int(khs%7) + 1, KW: int(kws%7) + 1,
+			StrideH: int(ss%3) + 1, StrideW: int(ss/3%3) + 1,
+			PadH: int(ps % 4), PadW: int(ps / 4 % 4),
+		}
+		if g.OutH() <= 0 || g.OutW() <= 0 {
+			return
+		}
+		outC := 9
+		c0, c1 := int(c0s)%outC, int(c1s)%outC
+		if c0 > c1 {
+			c0, c1 = c1, c0
+		}
+		c1++
+		m, k, n := c1-c0, g.PatchRows(), g.PatchCols()
+		rng := rand.New(rand.NewSource(seed))
+		in, w := randU8(g.InC*g.InH*g.InW, rng), randU8(outC*k, rng)
+		zb, za := zs, int32(rng.Intn(256))
+
+		// CPU half.
+		patches := make([]uint8, k*n)
+		Im2ColU8(in, g, patches, zb)
+		want := make([]int32, m*n)
+		QGEMMRef(w[c0*k:c1*k], patches, want, m, k, n, za, int32(zb))
+		got := make([]int32, m*n)
+		ConvQ(PackAU8(w[c0*k:c1*k], m, k), in, g, za, int32(zb), func(r, j0 int, acc []int32) {
+			copy(got[r*n+j0:], acc)
+		})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("ConvQ %+v [%d,%d) zp(%d,%d) elem %d: %d vs %d", g, c0, c1, za, zb, i, got[i], want[i])
+			}
+		}
+
+		// GPU half: the table is the input grid's binary16 dequantization.
+		p := quant.Params{Scale: float32(rng.Float64()*0.1 + 1e-3), ZeroPoint: zb}
+		var lut [256]float32
+		for q := range lut {
+			lut[q] = f16.FromFloat32(p.Dequantize(uint8(q))).Float32()
+		}
+		hin := make([]f16.F16, len(in))
+		for i, v := range in {
+			hin[i] = f16.FromFloat32(p.Dequantize(v))
+		}
+		hpatches := make([]f16.F16, k*n)
+		Im2ColF16(hin, g, hpatches)
+		wh := f16.FromSlice32(randF32(outC*k, rng))
+		wantH := make([]f16.F16, m*n)
+		F16Ref(wh[c0*k:c1*k], hpatches, wantH, m, k, n)
+		gotH := make([]f16.F16, m*n)
+		ConvQViaF16(PackAF16(wh[c0*k:c1*k], m, k), in, g, &lut, zb, func(r, j0 int, acc []float32) {
+			for j, v := range acc {
+				gotH[r*n+j0+j] = f16.FromFloat32(v)
+			}
+		})
+		for i := range wantH {
+			if gotH[i] != wantH[i] {
+				t.Fatalf("ConvQViaF16 %+v [%d,%d) zp %d elem %d: %#04x vs %#04x", g, c0, c1, zb, i, gotH[i], wantH[i])
+			}
+		}
 	})
 }

@@ -11,9 +11,11 @@
 // All matrices are dense row-major. The fast path packs both operands
 // into panel-contiguous blocks and computes register tiles (pack.go,
 // tiled.go); weight panels can be packed once per layer and reused via
-// the *Packed entry points. The naive triple loops are kept as *Ref
-// kernels — the differential oracle for the fuzz and golden tests, and
-// the baseline the BENCH_gemm.json trajectory is measured against.
+// the *Packed entry points, and ConvQ/ConvQViaF16 pack the right operand
+// straight from a convolution's uint8 input. The naive triple loops are
+// kept as *Ref kernels — the differential oracle for the fuzz and golden
+// tests, and the baseline the BENCH_gemm.json trajectory is measured
+// against.
 package gemm
 
 import (
@@ -78,7 +80,7 @@ func F32(a, b, c []float32, m, k, n int) {
 		F32Ref(a, b, c, m, k, n)
 		return
 	}
-	f32MulPacked(PackAF32(a, m, k), b, c, n)
+	F32Packed(PackAF32(a, m, k), b, c, n)
 }
 
 // F32Packed computes c = pa·b for a pre-packed left operand.
@@ -88,7 +90,14 @@ func F32Packed(pa *PackedAF32, b, c []float32, n int) {
 		F32Ref(pa.Unpack(), b, c, pa.M, pa.K, n)
 		return
 	}
-	f32MulPacked(pa, b, c, n)
+	s := operands.Get().(*scratch)
+	defer operands.Put(s)
+	g := MatrixGeom(pa.K, n)
+	fMul(s, pa.data, pa.M, pa.K, n, func(j int, col []float32) {
+		patchCol(b, g, j, 0, col)
+	}, func(r, j0 int, row []float32) {
+		copy(c[r*n+j0:], row)
+	})
 }
 
 // F32Ref is the textbook triple loop, used as the differential-testing
@@ -118,7 +127,7 @@ func F16GEMM(a, b, c []f16.F16, m, k, n int) {
 		F16Ref(a, b, c, m, k, n)
 		return
 	}
-	f16MulPacked(PackAF16(a, m, k), b, c, n)
+	F16GEMMPacked(PackAF16(a, m, k), b, c, n)
 }
 
 // F16GEMMPacked computes c = pa·b for a pre-packed left operand.
@@ -128,7 +137,20 @@ func F16GEMMPacked(pa *PackedAF16, b, c []f16.F16, n int) {
 		F16Ref(pa.Unpack(), b, c, pa.M, pa.K, n)
 		return
 	}
-	f16MulPacked(pa, b, c, n)
+	s := operands.Get().(*scratch)
+	defer operands.Put(s)
+	g, tmp := MatrixGeom(pa.K, n), grow(&s.h, pa.K)
+	fMul(s, pa.data, pa.M, pa.K, n, func(j int, col []float32) {
+		patchCol(b, g, j, 0, tmp)
+		for l, v := range tmp {
+			col[l] = v.Float32()
+		}
+	}, func(r, j0 int, row []float32) {
+		d := c[r*n+j0:]
+		for j, v := range row {
+			d[j] = f16.FromFloat32(v)
+		}
+	})
 }
 
 // F16Ref is the naive reference for F16GEMM.
@@ -159,7 +181,7 @@ func QGEMM(a, b []uint8, acc []int32, m, k, n int, za, zb int32) {
 		QGEMMRef(a, b, acc, m, k, n, za, zb)
 		return
 	}
-	qMulPacked(PackAU8(a, m, k), b, acc, n, za, zb)
+	QGEMMPacked(PackAU8(a, m, k), b, acc, n, za, zb)
 }
 
 // QGEMMPacked computes the accumulator matrix for a pre-packed left
@@ -170,7 +192,73 @@ func QGEMMPacked(pa *PackedAU8, b []uint8, acc []int32, n int, za, zb int32) {
 		QGEMMRef(pa.Unpack(), b, acc, pa.M, pa.K, n, za, zb)
 		return
 	}
-	qMulPacked(pa, b, acc, n, za, zb)
+	qMul(pa, b, MatrixGeom(pa.K, n), za, zb, func(r, j0 int, row []int32) {
+		copy(acc[r*n+j0:], row)
+	})
+}
+
+// ConvQ is QGEMMPacked against the im2col patch matrix of one uint8 batch
+// element in (geometry g, zero point zb, which also fills padding taps),
+// packed straight from the input: no patch matrix is materialized. The
+// (pa.M × g.PatchCols()) accumulator matrix is handed to epi in finished
+// row segments — acc holds row r's columns [j0, j0+len(acc)) — called
+// concurrently for distinct rows; acc is only valid during the call.
+// Results are bit-identical to Im2ColU8 + QGEMMRef.
+func ConvQ(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 int, acc []int32)) {
+	checkConv(pa.M, pa.K, len(in), g)
+	if ForceRef {
+		patches := make([]uint8, g.PatchRows()*g.PatchCols())
+		Im2ColU8(in, g, patches, uint8(zb))
+		n := g.PatchCols()
+		acc := make([]int32, pa.M*n)
+		QGEMMRef(pa.Unpack(), patches, acc, pa.M, pa.K, n, za, zb)
+		for r := 0; r < pa.M; r++ {
+			epi(r, 0, acc[r*n:(r+1)*n])
+		}
+		return
+	}
+	qMul(pa, in, g, za, zb, epi)
+}
+
+// ConvQViaF16 is the F16 GEMM of the GPU half of processor-friendly
+// quantization against one uint8 batch element in: every input byte is
+// widened through lut (lut[q] = the binary16 dequantization of q, as a
+// float32) while the column operand is packed straight from the input.
+// Padding taps read lut[zb]; for the input zero point zb that is +0, the
+// same as Im2ColF16's padding. epi receives finished row segments of
+// float32 sums as ConvQ's does, and rounds them to binary16 itself
+// (F16Ref's single rounding). Results are bit-identical to Im2ColF16 of
+// the widened input + F16Ref.
+func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb uint8, epi func(r, j0 int, acc []float32)) {
+	checkConv(pa.M, pa.K, len(in), g)
+	n := g.PatchCols()
+	if ForceRef {
+		hin := make([]f16.F16, len(in))
+		for i, v := range in {
+			hin[i] = f16.FromFloat32(lut[v])
+		}
+		patches := make([]f16.F16, g.PatchRows()*n)
+		Im2ColF16(hin, g, patches)
+		c := make([]f16.F16, pa.M*n)
+		F16Ref(pa.Unpack(), patches, c, pa.M, pa.K, n)
+		row := make([]float32, n)
+		for r := 0; r < pa.M; r++ {
+			for j, v := range c[r*n : (r+1)*n] {
+				row[j] = v.Float32()
+			}
+			epi(r, 0, row)
+		}
+		return
+	}
+	s := operands.Get().(*scratch)
+	defer operands.Put(s)
+	tmp := grow(&s.u8[0], pa.K)
+	fMul(s, pa.data, pa.M, pa.K, n, func(j int, col []float32) {
+		patchCol(in, g, j, zb, tmp)
+		for l, v := range tmp {
+			col[l] = lut[v]
+		}
+	}, epi)
 }
 
 // QGEMMRef is the naive reference for QGEMM.
@@ -184,6 +272,18 @@ func QGEMMRef(a, b []uint8, acc []int32, m, k, n int, za, zb int32) {
 			}
 			acc[i*n+j] = s
 		}
+	}
+}
+
+func checkConv(m, k, lin int, g ConvGeom) {
+	if k != g.PatchRows() {
+		panic("gemm: packed operand width != conv patch rows")
+	}
+	if m <= 0 || g.OutH() <= 0 || g.OutW() <= 0 {
+		panic("gemm: non-positive dimension")
+	}
+	if lin < g.InC*g.InH*g.InW {
+		panic("gemm: buffer too small for dimensions")
 	}
 }
 

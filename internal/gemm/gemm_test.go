@@ -165,13 +165,116 @@ func TestQGEMMPropertyAgainstRef(t *testing.T) {
 	}
 }
 
-func TestDimensionChecks(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("short buffer must panic")
+// The SWAR kernel carries two columns per uint64 accumulator; its low
+// lane stays exact only while k·255² < 2³² (k ≤ swarMaxK = 66051), so
+// longer dot products are chunked. All-255 operands maximize every lane
+// at, just past, and well past the bound, and zero points 0/255 drive the
+// decomposition's corrections to both extremes.
+func TestQGEMMSWARLaneBound(t *testing.T) {
+	if swarMaxK != 66051 {
+		t.Fatalf("swarMaxK = %d, want 66051", swarMaxK)
+	}
+	const m, n = 5, 3 // one word column plus an odd byte column; a partial panel
+	for _, k := range []int{66051, 66052, 140000} {
+		a, b := make([]uint8, m*k), make([]uint8, k*n)
+		for i := range a {
+			a[i] = 255
 		}
-	}()
-	F32(make([]float32, 3), make([]float32, 4), make([]float32, 4), 2, 2, 2)
+		for i := range b {
+			b[i] = 255
+		}
+		for _, zp := range [][2]int32{{0, 0}, {255, 255}, {0, 255}, {255, 0}} {
+			want, got := make([]int32, m*n), make([]int32, m*n)
+			QGEMMRef(a, b, want, m, k, n, zp[0], zp[1])
+			QGEMM(a, b, got, m, k, n, zp[0], zp[1])
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d zp%v elem %d: %d vs %d", k, zp, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// Right operands wider than one column block (colBlock) are packed and
+// multiplied block by block; results must not depend on where the block
+// edges fall, including an odd last column in the last block.
+func TestColumnBlocksMatchRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	m, k := 6, 2000
+	n := 2*colBlock(k) + 1
+	af, bf := randF32(m*k, rng), randF32(k*n, rng)
+	ah, bh := f16.FromSlice32(af), f16.FromSlice32(bf)
+	gotH, wantH := make([]f16.F16, m*n), make([]f16.F16, m*n)
+	F16GEMM(ah, bh, gotH, m, k, n)
+	F16Ref(ah, bh, wantH, m, k, n)
+	au, bu := randU8(m*k, rng), randU8(k*n, rng)
+	gotQ, wantQ := make([]int32, m*n), make([]int32, m*n)
+	QGEMM(au, bu, gotQ, m, k, n, 7, 200)
+	QGEMMRef(au, bu, wantQ, m, k, n, 7, 200)
+	for i := range wantH {
+		if gotH[i] != wantH[i] || gotQ[i] != wantQ[i] {
+			t.Fatalf("elem %d (col %d): f16 %#04x vs %#04x, q %d vs %d", i, i%n, gotH[i], wantH[i], gotQ[i], wantQ[i])
+		}
+	}
+
+	// A padded conv whose patch columns span two blocks, both halves.
+	g := ConvGeom{InC: 64, InH: 30, InW: 30, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	k, n = g.PatchRows(), g.PatchCols()
+	if n <= colBlock(k) {
+		t.Fatalf("conv case has %d columns, want more than one block of %d", n, colBlock(k))
+	}
+	in, w := randU8(g.InC*g.InH*g.InW, rng), randU8(m*k, rng)
+	patches := make([]uint8, k*n)
+	Im2ColU8(in, g, patches, 9)
+	wantQ, gotQ = make([]int32, m*n), make([]int32, m*n)
+	QGEMMRef(w, patches, wantQ, m, k, n, 130, 9)
+	ConvQ(PackAU8(w, m, k), in, g, 130, 9, func(r, j0 int, acc []int32) { copy(gotQ[r*n+j0:], acc) })
+	var lut [256]float32
+	for q := range lut {
+		lut[q] = f16.FromFloat32(float32(q-9) / 64).Float32()
+	}
+	hin := make([]f16.F16, len(in))
+	for i, v := range in {
+		hin[i] = f16.FromFloat32(lut[v])
+	}
+	hp := make([]f16.F16, k*n)
+	Im2ColF16(hin, g, hp)
+	wh := f16.FromSlice32(randF32(m*k, rng))
+	wantH, gotH = make([]f16.F16, m*n), make([]f16.F16, m*n)
+	F16Ref(wh, hp, wantH, m, k, n)
+	ConvQViaF16(PackAF16(wh, m, k), in, g, &lut, 9, func(r, j0 int, acc []float32) {
+		for j, v := range acc {
+			gotH[r*n+j0+j] = f16.FromFloat32(v)
+		}
+	})
+	for i := range wantQ {
+		if gotQ[i] != wantQ[i] || gotH[i] != wantH[i] {
+			t.Fatalf("conv elem %d (col %d): q %d vs %d, f16 %#04x vs %#04x", i, i%n, gotQ[i], wantQ[i], gotH[i], wantH[i])
+		}
+	}
+}
+
+func TestDimensionChecks(t *testing.T) {
+	g := ConvGeom{InC: 2, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	pa := PackAU8(make([]uint8, 4*g.PatchRows()), 4, g.PatchRows())
+	for name, fn := range map[string]func(){
+		"short F32 operand": func() { F32(make([]float32, 3), make([]float32, 4), make([]float32, 4), 2, 2, 2) },
+		"pack width != K":   func() { ConvQ(PackAU8(make([]uint8, 4), 2, 2), make([]uint8, 18), g, 0, 0, nil) },
+		"short conv input":  func() { ConvQ(pa, make([]uint8, 17), g, 0, 0, nil) },
+		"empty conv output": func() {
+			ConvQ(pa, make([]uint8, 18), ConvGeom{InC: 2, InH: 2, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1}, 0, 0, nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestConvGeomOutputSizes(t *testing.T) {
@@ -286,17 +389,18 @@ func TestIm2ColF16MatchesF32(t *testing.T) {
 
 // degenerateShapes are the panel-boundary cases the tiled kernels must
 // get right: single elements, row counts below one panel, k=1, and
-// widths straddling the nrF/nrQ tile widths and the GEMV special case.
+// widths with and without the QUInt8 operand's odd byte column (the
+// SWAR kernel pairs columns), and the GEMV case.
 func degenerateShapes() [][3]int {
 	return [][3]int{
 		{1, 1, 1},
 		{3, 5, 1},    // m < mr, GEMV
-		{2, 1, 9},    // k = 1, n % nrQ = 1
-		{4, 7, 3},    // n < nrF
-		{5, 9, 7},    // n between nrF and nrQ, ragged everything
-		{8, 16, 12},  // n % nrQ = 4 (full f32 panels, q tail)
+		{2, 1, 9},    // k = 1, odd n
+		{4, 7, 3},    // one word column plus the byte column
+		{5, 9, 7},    // ragged everything
+		{8, 16, 12},  // even n: word columns only
 		{33, 2, 17},  // m just past blockM
-		{31, 3, 2},   // m just below blockM, tiny tail width
+		{31, 3, 2},   // m just below blockM, a single word column
 		{65, 64, 63}, // every dimension off its block size
 	}
 }
@@ -339,8 +443,10 @@ func TestTiledDegenerateShapesMatchRef(t *testing.T) {
 	}
 }
 
-// ForceRef must route every entry point, including the packed ones,
-// through the oracle loops.
+// Under ForceRef every entry point, including the packed and conv ones,
+// takes its oracle-loop branch and must still return the reference
+// result (exec's golden test compares whole models through these
+// branches).
 func TestForceRefRoutesToReference(t *testing.T) {
 	defer func() { ForceRef = false }()
 	rng := rand.New(rand.NewSource(41))
@@ -348,15 +454,51 @@ func TestForceRefRoutesToReference(t *testing.T) {
 	a, b := randF32(m*k, rng), randF32(k*n, rng)
 	want := make([]float32, m*n)
 	F32Ref(a, b, want, m, k, n)
+	ah, bh := f16.FromSlice32(a), f16.FromSlice32(b)
+	wantH := make([]f16.F16, m*n)
+	F16Ref(ah, bh, wantH, m, k, n)
+	au, bu := randU8(m*k, rng), randU8(k*n, rng)
+	wantQ := make([]int32, m*n)
+	QGEMMRef(au, bu, wantQ, m, k, n, 5, 77)
+	var lut [256]float32
+	for q := range lut {
+		lut[q] = f16.FromFloat32(float32(q-77) / 32).Float32()
+	}
+	wantLUT := make([]f16.F16, m*n)
+	for i, v := range bu {
+		bh[i] = f16.FromFloat32(lut[v])
+	}
+	F16Ref(ah, bh, wantLUT, m, k, n)
+	bh = f16.FromSlice32(b)
+
 	ForceRef = true
 	got := make([]float32, m*n)
 	F32(a, b, got, m, k, n)
 	gotP := make([]float32, m*n)
 	F32Packed(PackAF32(a, m, k), b, gotP, n)
+	gotH, gotHP := make([]f16.F16, m*n), make([]f16.F16, m*n)
+	F16GEMM(ah, bh, gotH, m, k, n)
+	F16GEMMPacked(PackAF16(ah, m, k), bh, gotHP, n)
+	gotQ, gotQP, gotQC := make([]int32, m*n), make([]int32, m*n), make([]int32, m*n)
+	QGEMM(au, bu, gotQ, m, k, n, 5, 77)
+	QGEMMPacked(PackAU8(au, m, k), bu, gotQP, n, 5, 77)
+	ConvQ(PackAU8(au, m, k), bu, MatrixGeom(k, n), 5, 77, func(r, j0 int, acc []int32) { copy(gotQC[r*n+j0:], acc) })
+	gotLUT := make([]f16.F16, m*n)
+	ConvQViaF16(PackAF16(ah, m, k), bu, MatrixGeom(k, n), &lut, 77, func(r, j0 int, acc []float32) {
+		for j, v := range acc {
+			gotLUT[r*n+j0+j] = f16.FromFloat32(v)
+		}
+	})
 	for i := range want {
 		// The reference is deterministic: forced results are identical.
 		if got[i] != want[i] || gotP[i] != want[i] {
 			t.Fatalf("elem %d: ForceRef results %v/%v differ from ref %v", i, got[i], gotP[i], want[i])
+		}
+		if gotH[i] != wantH[i] || gotHP[i] != wantH[i] || gotLUT[i] != wantLUT[i] {
+			t.Fatalf("elem %d: ForceRef f16 results differ from ref", i)
+		}
+		if gotQ[i] != wantQ[i] || gotQP[i] != wantQ[i] || gotQC[i] != wantQ[i] {
+			t.Fatalf("elem %d: ForceRef q results differ from ref", i)
 		}
 	}
 }

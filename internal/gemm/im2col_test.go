@@ -91,7 +91,7 @@ func TestIm2ColU8EdgeGeometries(t *testing.T) {
 func TestIm2ColF16EdgeGeometriesMatchF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, g := range edgeGeoms() {
-		inF := randF32(g.InC * g.InH * g.InW, rng)
+		inF := randF32(g.InC*g.InH*g.InW, rng)
 		inH := f16.FromSlice32(inF)
 		pf := make([]float32, g.PatchRows()*g.PatchCols())
 		ph := make([]f16.F16, g.PatchRows()*g.PatchCols())

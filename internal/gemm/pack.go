@@ -18,58 +18,62 @@ import (
 // call inside the tiled drivers.
 //
 // Layout: rows are grouped into panels of mr; within a panel the elements
-// are stored k-major, mr values per k step:
+// are stored k-major as one [mr] array per k step:
 //
-//	data[panel*mr*K + l*mr + r] == A[(panel*mr+r)*K + l]
+//	data[panel*K + l][r] == A[(panel*mr+r)*K + l]
 //
 // so the micro-kernel reads one contiguous stream of mr values per k
-// iteration. The row count is padded up to a multiple of mr with zeros
-// (never written back), which lets every row tile run at full height.
+// iteration, and ranging over a panel's arrays needs no per-element
+// bounds checks. The row count is padded up to a multiple of mr with
+// zeros (never written back), which lets every row tile run at full
+// height.
 
-// PackedAF32 is a float32 weight matrix packed into mr-row panels.
-type PackedAF32 struct {
-	M, K int
-	data []float32
-}
-
-// PackAF32 packs row-major a (m×k) into panel form.
-func PackAF32(a []float32, m, k int) *PackedAF32 {
+// packPanels packs row-major a (m×k) into mr-row panels, converting each
+// element with conv.
+func packPanels[T, U any](a []T, m, k int, conv func(T) U) [][mr]U {
 	if m <= 0 || k <= 0 {
 		panic("gemm: non-positive dimension")
 	}
 	if len(a) < m*k {
 		panic("gemm: buffer too small for dimensions")
 	}
-	mp := (m + mr - 1) / mr * mr
-	data := make([]float32, mp*k)
-	for r0 := 0; r0 < m; r0 += mr {
-		rows := m - r0
-		if rows > mr {
-			rows = mr
-		}
-		dst := data[r0*k:]
-		for r := 0; r < rows; r++ {
-			src := a[(r0+r)*k : (r0+r+1)*k]
-			for l, v := range src {
-				dst[l*mr+r] = v
-			}
+	data := make([][mr]U, (m+mr-1)/mr*k)
+	for i := 0; i < m; i++ {
+		panel := data[i/mr*k : (i/mr+1)*k]
+		for l, v := range a[i*k : (i+1)*k] {
+			panel[l][i%mr] = conv(v)
 		}
 	}
-	return &PackedAF32{M: m, K: k, data: data}
+	return data
 }
 
-// Unpack reconstructs the original row-major matrix exactly.
-func (p *PackedAF32) Unpack() []float32 {
-	out := make([]float32, p.M*p.K)
-	for i := 0; i < p.M; i++ {
-		base := (i / mr * mr) * p.K
-		r := i % mr
-		for l := 0; l < p.K; l++ {
-			out[i*p.K+l] = p.data[base+l*mr+r]
+// unpackPanels reconstructs the row-major matrix packPanels packed.
+func unpackPanels[U, T any](data [][mr]U, m, k int, conv func(U) T) []T {
+	out := make([]T, m*k)
+	for i := 0; i < m; i++ {
+		panel := data[i/mr*k : (i/mr+1)*k]
+		for l := range panel {
+			out[i*k+l] = conv(panel[l][i%mr])
 		}
 	}
 	return out
 }
+
+func same[T any](v T) T { return v }
+
+// PackedAF32 is a float32 weight matrix packed into mr-row panels.
+type PackedAF32 struct {
+	M, K int
+	data [][mr]float32
+}
+
+// PackAF32 packs row-major a (m×k) into panel form.
+func PackAF32(a []float32, m, k int) *PackedAF32 {
+	return &PackedAF32{M: m, K: k, data: packPanels(a, m, k, same[float32])}
+}
+
+// Unpack reconstructs the original row-major matrix exactly.
+func (p *PackedAF32) Unpack() []float32 { return unpackPanels(p.data, p.M, p.K, same[float32]) }
 
 // PackedAU8 is a uint8 weight matrix packed into mr-row panels, plus the
 // per-row operand sums used by the gemmlowp zero-point decomposition:
@@ -81,52 +85,24 @@ func (p *PackedAF32) Unpack() []float32 {
 // decomposition is bit-identical to the naive reference mod 2³².
 type PackedAU8 struct {
 	M, K    int
-	data    []uint8
+	data    [][mr]uint8
 	rowSums []int32
 }
 
 // PackAU8 packs row-major a (m×k) into panel form with row sums.
 func PackAU8(a []uint8, m, k int) *PackedAU8 {
-	if m <= 0 || k <= 0 {
-		panic("gemm: non-positive dimension")
-	}
-	if len(a) < m*k {
-		panic("gemm: buffer too small for dimensions")
-	}
-	mp := (m + mr - 1) / mr * mr
-	data := make([]uint8, mp*k)
-	sums := make([]int32, mp)
-	for r0 := 0; r0 < m; r0 += mr {
-		rows := m - r0
-		if rows > mr {
-			rows = mr
-		}
-		dst := data[r0*k:]
-		for r := 0; r < rows; r++ {
-			src := a[(r0+r)*k : (r0+r+1)*k]
-			var s int32
-			for l, v := range src {
-				dst[l*mr+r] = v
-				s += int32(v)
-			}
-			sums[r0+r] = s
+	data := packPanels(a, m, k, same[uint8])
+	sums := make([]int32, len(data)/k*mr)
+	for i := 0; i < m; i++ {
+		for _, v := range a[i*k : (i+1)*k] {
+			sums[i] += int32(v)
 		}
 	}
 	return &PackedAU8{M: m, K: k, data: data, rowSums: sums}
 }
 
 // Unpack reconstructs the original row-major matrix exactly.
-func (p *PackedAU8) Unpack() []uint8 {
-	out := make([]uint8, p.M*p.K)
-	for i := 0; i < p.M; i++ {
-		base := (i / mr * mr) * p.K
-		r := i % mr
-		for l := 0; l < p.K; l++ {
-			out[i*p.K+l] = p.data[base+l*mr+r]
-		}
-	}
-	return out
-}
+func (p *PackedAU8) Unpack() []uint8 { return unpackPanels(p.data, p.M, p.K, same[uint8]) }
 
 // PackedAF16 is a binary16 weight matrix packed into mr-row panels. The
 // elements are stored widened to float32 — the conversion is exact, the
@@ -135,48 +111,17 @@ func (p *PackedAU8) Unpack() []uint8 {
 // loop into the O(m·k) pack.
 type PackedAF16 struct {
 	M, K int
-	data []float32
+	data [][mr]float32
 }
 
 // PackAF16 packs row-major a (m×k) into widened panel form.
 func PackAF16(a []f16.F16, m, k int) *PackedAF16 {
-	if m <= 0 || k <= 0 {
-		panic("gemm: non-positive dimension")
-	}
-	if len(a) < m*k {
-		panic("gemm: buffer too small for dimensions")
-	}
-	mp := (m + mr - 1) / mr * mr
-	data := make([]float32, mp*k)
-	for r0 := 0; r0 < m; r0 += mr {
-		rows := m - r0
-		if rows > mr {
-			rows = mr
-		}
-		dst := data[r0*k:]
-		for r := 0; r < rows; r++ {
-			src := a[(r0+r)*k : (r0+r+1)*k]
-			for l, v := range src {
-				dst[l*mr+r] = v.Float32()
-			}
-		}
-	}
-	return &PackedAF16{M: m, K: k, data: data}
+	return &PackedAF16{M: m, K: k, data: packPanels(a, m, k, f16.F16.Float32)}
 }
 
 // Unpack reconstructs the original row-major matrix exactly (every
 // binary16 value round-trips through float32 unchanged).
-func (p *PackedAF16) Unpack() []f16.F16 {
-	out := make([]f16.F16, p.M*p.K)
-	for i := 0; i < p.M; i++ {
-		base := (i / mr * mr) * p.K
-		r := i % mr
-		for l := 0; l < p.K; l++ {
-			out[i*p.K+l] = f16.FromFloat32(p.data[base+l*mr+r])
-		}
-	}
-	return out
-}
+func (p *PackedAF16) Unpack() []f16.F16 { return unpackPanels(p.data, p.M, p.K, f16.FromFloat32) }
 
 // PackCache memoizes packed weight panels per output-channel range
 // [c0,c1). Layers keep one cache per weight form; split execution hits it

@@ -111,6 +111,11 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 	a, b := randU8(m*k, rng), randU8(k*n, rng)
 	want := make([]int32, m*n)
 	QGEMMRef(a, b, want, m, k, n, 3, 250)
+	// The float kernels draw from the same scratch pools concurrently.
+	ah, bh := f16.FromSlice32(randF32(m*k, rng)), f16.FromSlice32(randF32(k*n, rng))
+	pah := PackAF16(ah, m, k)
+	wantH := make([]f16.F16, m*n)
+	F16Ref(ah, bh, wantH, m, k, n)
 
 	var cache PackCache[PackedAU8]
 	var builds sync.Map
@@ -127,9 +132,11 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 			packs[g] = pa
 			got := make([]int32, m*n)
 			QGEMMPacked(pa, b, got, n, 3, 250)
+			gotH := make([]f16.F16, m*n)
+			F16GEMMPacked(pah, bh, gotH, n)
 			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("goroutine %d elem %d: %d vs %d", g, i, got[i], want[i])
+				if got[i] != want[i] || gotH[i] != wantH[i] {
+					t.Errorf("goroutine %d elem %d: %d vs %d, f16 %#04x vs %#04x", g, i, got[i], want[i], gotH[i], wantH[i])
 					return
 				}
 			}

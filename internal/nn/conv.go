@@ -234,7 +234,7 @@ func (l *Conv2D) ForwardF32(ins []*tensor.Tensor, out *tensor.Tensor, c0, c1 int
 		})
 		patches := make([]float32, k*g.PatchCols())
 		for n := 0; n < in.Shape.N; n++ {
-			gemm.Im2ColF32(in.Data[n*l.InC*in.Shape.H*in.Shape.W:(n+1)*l.InC*in.Shape.H*in.Shape.W], g, patches)
+			gemm.Im2ColF32(batchElem(in.Data, in.Shape, n), g, patches)
 			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
 			gemm.F32Packed(pw, patches, out.Data[lo:lo+(c1-c0)*plane], plane)
 		}
@@ -294,40 +294,41 @@ func (l *Conv2D) directF32(in *tensor.Tensor, out *tensor.Tensor, c0, c1 int) {
 // ForwardQ computes output channels [c0,c1) of the CPU integer pipeline:
 // uint8 operands, int32 accumulation, fixed-point requantization with the
 // fused activation clamp — the gemmlowp path of processor-friendly
-// quantization (Figure 9a).
+// quantization (Figure 9a). Dense convolutions pack the patch operand
+// straight from the input and requantize each accumulator strip as the
+// kernel finishes it.
 func (l *Conv2D) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, l.OutC, l.LayerName)
 	l.mustQuantReady()
 	req := quant.NewRequantizer(in.Params, l.QI.W, out.Params, l.Act)
-	g := l.geom(in.Shape)
-	oh, ow := g.OutH(), g.OutW()
-	plane := oh * ow
-	za, zw := int32(in.Params.ZeroPoint), int32(l.QI.W.ZeroPoint)
-	if l.groups() == 1 {
-		k := g.PatchRows()
-		pw := l.packQ.Get(c0, c1, func() *gemm.PackedAU8 {
-			return gemm.PackAU8(l.wq.Data[c0*k:c1*k], c1-c0, k)
-		})
-		patches := make([]uint8, k*g.PatchCols())
-		acc := make([]int32, (c1-c0)*plane)
-		for n := 0; n < in.Shape.N; n++ {
-			gemm.Im2ColU8(in.Data[n*l.InC*in.Shape.H*in.Shape.W:(n+1)*l.InC*in.Shape.H*in.Shape.W], g, patches, in.Params.ZeroPoint)
-			gemm.QGEMMPacked(pw, patches, acc, plane, zw, za)
-			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
-			for r := 0; r < c1-c0; r++ {
-				rq := l.requantizerFor(in.Params, out.Params, c0+r, &req)
-				bq := l.biasQ[c0+r]
-				row := acc[r*plane : (r+1)*plane]
-				dst := out.Data[lo+r*plane : lo+(r+1)*plane]
-				for i, a := range row {
-					dst[i] = rq.Requantize(a + bq)
-				}
-			}
-		}
-	} else {
+	if l.groups() != 1 {
 		l.directQ(in, out, c0, c1, req)
+		return
 	}
+	g := l.geom(in.Shape)
+	k, plane := g.PatchRows(), g.PatchCols()
+	pw := l.packQ.Get(c0, c1, func() *gemm.PackedAU8 {
+		return gemm.PackAU8(l.wq.Data[c0*k:c1*k], c1-c0, k)
+	})
+	za, zw := int32(in.Params.ZeroPoint), int32(l.QI.W.ZeroPoint)
+	for n := 0; n < in.Shape.N; n++ {
+		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
+		gemm.ConvQ(pw, batchElem(in.Data, in.Shape, n), g, zw, za, func(r, j0 int, acc []int32) {
+			rq := l.requantizerFor(in.Params, out.Params, c0+r, &req)
+			bq := l.biasQ[c0+r]
+			dst := out.Data[lo+r*plane+j0:]
+			for i, a := range acc {
+				dst[i] = rq.Requantize(a + bq)
+			}
+		})
+	}
+}
+
+// batchElem returns batch element n of an NCHW tensor's data.
+func batchElem[T any](data []T, s tensor.Shape, n int) []T {
+	size := s.C * s.H * s.W
+	return data[n*size : (n+1)*size]
 }
 
 // directQ handles grouped/depthwise quantized convolutions.
@@ -384,12 +385,14 @@ func (l *Conv2D) ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 i
 		pw := l.packedHalfWeights(fromQ, c0, c1, k)
 		patches := make([]f16.F16, k*g.PatchCols())
 		for n := 0; n < in.Shape.N; n++ {
-			gemm.Im2ColF16(in.Data[n*l.InC*in.Shape.H*in.Shape.W:(n+1)*l.InC*in.Shape.H*in.Shape.W], g, patches)
+			gemm.Im2ColF16(batchElem(in.Data, in.Shape, n), g, patches)
 			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
 			gemm.F16GEMMPacked(pw, patches, out.Data[lo:lo+(c1-c0)*plane], plane)
 		}
 	} else {
-		l.directF16(in, out, c0, c1, w)
+		l.directHalf(in.Shape, out.Shape, c0, c1, w, func(i int) float32 { return in.Data[i].Float32() }, func(i, _ int, s float32) {
+			out.Data[i] = f16.FromFloat32(s)
+		})
 	}
 	for n := 0; n < out.Shape.N; n++ {
 		for oc := c0; oc < c1; oc++ {
@@ -419,36 +422,37 @@ func (l *Conv2D) packedHalfWeights(fromQ bool, c0, c1, k int) *gemm.PackedAF16 {
 	})
 }
 
-// directF16 handles grouped/depthwise half-precision convolutions,
-// accumulating in float32 like the GEMM kernel.
-func (l *Conv2D) directF16(in *tensor.HTensor, out *tensor.HTensor, c0, c1 int, w []f16.F16) {
+// directHalf handles grouped/depthwise half-precision convolutions with
+// straight loops, accumulating in float32 like the GEMM kernel. at widens
+// flat input element i; emit receives flat output index i of channel oc
+// with its float32 sum, which the caller rounds to binary16.
+func (l *Conv2D) directHalf(inS, outS tensor.Shape, c0, c1 int, w []f16.F16, at func(i int) float32, emit func(i, oc int, s float32)) {
 	gr := l.groups()
 	icg := l.InC / gr
 	ocg := l.OutC / gr
-	oh, ow := out.Shape.H, out.Shape.W
-	for n := 0; n < in.Shape.N; n++ {
+	for n := 0; n < inS.N; n++ {
 		for oc := c0; oc < c1; oc++ {
 			gidx := oc / ocg
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
+			for y := 0; y < outS.H; y++ {
+				for x := 0; x < outS.W; x++ {
 					var s float32
 					for ic := 0; ic < icg; ic++ {
 						cin := gidx*icg + ic
 						for kh := 0; kh < l.KH; kh++ {
 							sy := y*l.StrideH - l.PadH + kh
-							if sy < 0 || sy >= in.Shape.H {
+							if sy < 0 || sy >= inS.H {
 								continue
 							}
 							for kw := 0; kw < l.KW; kw++ {
 								sx := x*l.StrideW - l.PadW + kw
-								if sx < 0 || sx >= in.Shape.W {
+								if sx < 0 || sx >= inS.W {
 									continue
 								}
-								s += w[((oc*icg+ic)*l.KH+kh)*l.KW+kw].Float32() * in.At(n, cin, sy, sx).Float32()
+								s += w[((oc*icg+ic)*l.KH+kh)*l.KW+kw].Float32() * at(inS.Index(n, cin, sy, sx))
 							}
 						}
 					}
-					out.Set(n, oc, y, x, f16.FromFloat32(s))
+					emit(outS.Index(n, oc, y, x), oc, s)
 				}
 			}
 		}
@@ -458,49 +462,58 @@ func (l *Conv2D) directF16(in *tensor.HTensor, out *tensor.HTensor, c0, c1 int, 
 // ForwardQViaF16 is the GPU side of processor-friendly quantization
 // (Figure 9b): load QUInt8 activations, dequantize on the fly to binary16,
 // convolve in half precision against the dequantized-half weights, and
-// requantize the result back onto the QUInt8 output grid.
+// requantize the result back onto the QUInt8 output grid. The
+// dequantization is a 256-entry table (halfLUT) applied while the kernel
+// packs its operand, and the epilogue — round to half, add the half bias,
+// activate, quantize — runs on each strip as the kernel finishes it.
 func (l *Conv2D) ForwardQViaF16(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, l.OutC, l.LayerName)
 	l.mustQuantReady()
-	hin := tensor.DequantizeToHalf(in)
-	hout := tensor.NewH(out.Shape)
-	l.forwardF16NoBias(hin, hout, c0, c1)
-	// Epilogue in half precision: add bias (the dequantized integer bias,
-	// matching what the CPU path adds), apply activation, requantize.
-	for n := 0; n < out.Shape.N; n++ {
-		for oc := c0; oc < c1; oc++ {
-			ws := float64(l.QI.W.Scale)
-			if l.QI.PerChannel() {
-				ws = float64(l.QI.WPerChannel[oc].Scale)
-			}
-			b := f16.FromFloat32(float32(float64(l.biasQ[oc]) * float64(in.Params.Scale) * ws))
-			lo, hi := out.Shape.ChannelSpan(n, oc, oc+1)
-			for i := lo; i < hi; i++ {
-				v := f16.Add(hout.Data[i], b)
-				out.Data[i] = out.Params.Quantize(l.Act.Apply(v.Float32()))
-			}
+	lut := halfLUT(in.Params)
+	// The bias is the dequantized integer bias, matching what the CPU
+	// path adds, rounded to half.
+	bias := func(oc int) f16.F16 {
+		ws := float64(l.QI.W.Scale)
+		if l.QI.PerChannel() {
+			ws = float64(l.QI.WPerChannel[oc].Scale)
 		}
+		return f16.FromFloat32(float32(float64(l.biasQ[oc]) * float64(in.Params.Scale) * ws))
+	}
+	quantizeHalf := func(s float32, b f16.F16) uint8 {
+		return out.Params.Quantize(l.Act.Apply(f16.Add(f16.FromFloat32(s), b).Float32()))
+	}
+	if l.groups() != 1 {
+		l.directHalf(in.Shape, out.Shape, c0, c1, l.halfWeights(true), func(i int) float32 { return lut[in.Data[i]] }, func(i, oc int, s float32) {
+			out.Data[i] = quantizeHalf(s, bias(oc))
+		})
+		return
+	}
+	g := l.geom(in.Shape)
+	plane := g.PatchCols()
+	pw := l.packedHalfWeights(true, c0, c1, g.PatchRows())
+	for n := 0; n < in.Shape.N; n++ {
+		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
+		gemm.ConvQViaF16(pw, batchElem(in.Data, in.Shape, n), g, &lut, in.Params.ZeroPoint, func(r, j0 int, acc []float32) {
+			b := bias(c0 + r)
+			dst := out.Data[lo+r*plane+j0:]
+			for i, s := range acc {
+				dst[i] = quantizeHalf(s, b)
+			}
+		})
 	}
 }
 
-// forwardF16NoBias runs only the multiply-accumulate portion with the
-// dequantized-from-QUInt8 weights.
-func (l *Conv2D) forwardF16NoBias(in *tensor.HTensor, out *tensor.HTensor, c0, c1 int) {
-	g := l.geom(in.Shape)
-	plane := g.OutH() * g.OutW()
-	if l.groups() == 1 {
-		k := g.PatchRows()
-		pw := l.packedHalfWeights(true, c0, c1, k)
-		patches := make([]f16.F16, k*g.PatchCols())
-		for n := 0; n < in.Shape.N; n++ {
-			gemm.Im2ColF16(in.Data[n*l.InC*in.Shape.H*in.Shape.W:(n+1)*l.InC*in.Shape.H*in.Shape.W], g, patches)
-			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
-			gemm.F16GEMMPacked(pw, patches, out.Data[lo:lo+(c1-c0)*plane], plane)
-		}
-	} else {
-		l.directF16(in, out, c0, c1, l.halfWeights(true))
+// halfLUT is the GPU half's load conversion for one input grid: entry q
+// is q dequantized and rounded to binary16, widened back to float32. A
+// grid has only 256 values, so one table replaces a per-element
+// dequantize-and-round; entry ZeroPoint is +0, the binary16 padding value.
+func halfLUT(p quant.Params) [256]float32 {
+	var lut [256]float32
+	for q := range lut {
+		lut[q] = f16.FromFloat32(p.Dequantize(uint8(q))).Float32()
 	}
+	return lut
 }
 
 func (l *Conv2D) halfWeights(fromQ bool) []f16.F16 {

@@ -143,13 +143,11 @@ func (l *FullyConnected) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0
 	pw := l.packQ.Get(c0, c1, func() *gemm.PackedAU8 {
 		return gemm.PackAU8(l.wq.Data[c0*k:c1*k], c1-c0, k)
 	})
-	acc := make([]int32, c1-c0)
 	for n := 0; n < in.Shape.N; n++ {
-		vec := in.Data[n*k : (n+1)*k]
-		gemm.QGEMMPacked(pw, vec, acc, 1, zw, za)
-		for i, a := range acc {
-			out.Data[n*l.OutC+c0+i] = req.Requantize(a + l.biasQ[c0+i])
-		}
+		dst := out.Data[n*l.OutC+c0 : n*l.OutC+c1]
+		gemm.ConvQ(pw, in.Data[n*k:(n+1)*k], gemm.MatrixGeom(k, 1), zw, za, func(r, _ int, acc []int32) {
+			dst[r] = req.Requantize(acc[0] + l.biasQ[c0+r])
+		})
 	}
 }
 
@@ -174,27 +172,26 @@ func (l *FullyConnected) ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, 
 	}
 }
 
-// ForwardQViaF16 is the GPU processor-friendly path: dequantize the input
-// to halves, run the half GEMV with dequantized-half weights, requantize.
+// ForwardQViaF16 is the GPU processor-friendly path: widen the input
+// through the grid's binary16 table straight into the GEMV operand, run
+// the half GEMV with dequantized-half weights, requantize.
 func (l *FullyConnected) ForwardQViaF16(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, l.OutC, l.LayerName)
 	if !l.QI.Ready {
 		panic("nn: quantized forward before SetQuant on " + l.LayerName)
 	}
-	hin := tensor.DequantizeToHalf(in)
+	lut := halfLUT(in.Params)
 	k := l.InFeatures
 	pw := l.packedHalfWeights(true, c0, c1, k)
 	biasScale := float64(in.Params.Scale) * float64(l.QI.W.Scale)
-	dst := make([]f16.F16, c1-c0)
 	for n := 0; n < in.Shape.N; n++ {
-		vec := hin.Data[n*k : (n+1)*k]
-		gemm.F16GEMMPacked(pw, vec, dst, 1)
-		for i := range dst {
-			b := f16.FromFloat32(float32(float64(l.biasQ[c0+i]) * biasScale))
-			v := f16.Add(dst[i], b)
-			out.Data[n*l.OutC+c0+i] = out.Params.Quantize(l.Act.Apply(v.Float32()))
-		}
+		dst := out.Data[n*l.OutC+c0 : n*l.OutC+c1]
+		gemm.ConvQViaF16(pw, in.Data[n*k:(n+1)*k], gemm.MatrixGeom(k, 1), &lut, in.Params.ZeroPoint, func(r, _ int, acc []float32) {
+			b := f16.FromFloat32(float32(float64(l.biasQ[c0+r]) * biasScale))
+			v := f16.Add(f16.FromFloat32(acc[0]), b)
+			dst[r] = out.Params.Quantize(l.Act.Apply(v.Float32()))
+		})
 	}
 }
 

@@ -1,0 +1,275 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"mulayer/internal/f16"
+	"mulayer/internal/gemm"
+	"mulayer/internal/quant"
+	"mulayer/internal/tensor"
+)
+
+// forwardQViaF16Chain is the GPU-half pipeline as a chain of whole-tensor
+// passes: dequantize the input to binary16, lower it with Im2ColF16 (or
+// convolve it directly when grouped), multiply with F16GEMMPacked into a
+// binary16 tensor, then add the half bias, activate and quantize element
+// by element. ForwardQViaF16 fuses all of it into the kernel's pack and
+// strip writeback and must agree bit for bit.
+func forwardQViaF16Chain(l *Conv2D, in *tensor.QTensor, out *tensor.QTensor, c0, c1 int) {
+	hin := tensor.NewH(in.Shape)
+	for i, v := range in.Data {
+		hin.Data[i] = f16.FromFloat32(in.Params.Dequantize(v))
+	}
+	hout := tensor.NewH(out.Shape)
+	g := l.geom(in.Shape)
+	plane := g.PatchCols()
+	if l.groups() == 1 {
+		k := g.PatchRows()
+		pw := gemm.PackAF16(l.hwFromQ[c0*k:c1*k], c1-c0, k)
+		patches := make([]f16.F16, k*plane)
+		for n := 0; n < in.Shape.N; n++ {
+			gemm.Im2ColF16(batchElem(hin.Data, in.Shape, n), g, patches)
+			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
+			gemm.F16GEMMPacked(pw, patches, hout.Data[lo:lo+(c1-c0)*plane], plane)
+		}
+	} else {
+		icg, ocg := l.InC/l.groups(), l.OutC/l.groups()
+		for n := 0; n < in.Shape.N; n++ {
+			for oc := c0; oc < c1; oc++ {
+				for y := 0; y < out.Shape.H; y++ {
+					for x := 0; x < out.Shape.W; x++ {
+						var s float32
+						for ic := 0; ic < icg; ic++ {
+							for kh := 0; kh < l.KH; kh++ {
+								for kw := 0; kw < l.KW; kw++ {
+									sy, sx := y*l.StrideH-l.PadH+kh, x*l.StrideW-l.PadW+kw
+									if sy < 0 || sy >= in.Shape.H || sx < 0 || sx >= in.Shape.W {
+										continue
+									}
+									s += l.hwFromQ[((oc*icg+ic)*l.KH+kh)*l.KW+kw].Float32() * hin.At(n, oc/ocg*icg+ic, sy, sx).Float32()
+								}
+							}
+						}
+						hout.Set(n, oc, y, x, f16.FromFloat32(s))
+					}
+				}
+			}
+		}
+	}
+	for n := 0; n < out.Shape.N; n++ {
+		for oc := c0; oc < c1; oc++ {
+			ws := float64(l.QI.W.Scale)
+			if l.QI.PerChannel() {
+				ws = float64(l.QI.WPerChannel[oc].Scale)
+			}
+			b := f16.FromFloat32(float32(float64(l.biasQ[oc]) * float64(in.Params.Scale) * ws))
+			lo, hi := out.Shape.ChannelSpan(n, oc, oc+1)
+			for i := lo; i < hi; i++ {
+				v := f16.Add(hout.Data[i], b)
+				out.Data[i] = out.Params.Quantize(l.Act.Apply(v.Float32()))
+			}
+		}
+	}
+}
+
+// fusedCases are the layer shapes the fused pipelines are pinned on:
+// padded 3×3, strided and padded 7×7, an unpadded 1×1, and a depthwise
+// layer (the grouped direct path), each per-tensor and per-channel.
+func fusedCases(t *testing.T) map[string]*Conv2D {
+	t.Helper()
+	cases := map[string]*Conv2D{}
+	for _, perCh := range []bool{false, true} {
+		for name, c := range map[string]struct{ inC, outC, k, stride, pad, groups int }{
+			"3x3pad": {5, 9, 3, 1, 1, 1},
+			"7x7s2":  {3, 6, 7, 2, 3, 1},
+			"1x1":    {7, 5, 1, 1, 0, 1},
+			"dw3x3":  {6, 6, 3, 2, 1, 6},
+		} {
+			l, _ := newTestConv(t, c.inC, c.outC, c.k, c.stride, c.pad, c.groups, quant.ActReLU)
+			if perCh {
+				l.PerChannelW = true
+				l.SetQuant(l.QI.In, l.QI.Out)
+				name += "/perchannel"
+			}
+			cases[name] = l
+		}
+	}
+	return cases
+}
+
+func quantInput(l *Conv2D, n int, seed uint64) *tensor.QTensor {
+	in := tensor.New(tensor.Shape{N: n, C: l.InC, H: 9, W: 9})
+	in.FillRandom(seed, 1)
+	return tensor.Quantize(in, l.QI.In)
+}
+
+func TestForwardQViaF16MatchesUnfusedChain(t *testing.T) {
+	for name, l := range fusedCases(t) {
+		t.Run(name, func(t *testing.T) {
+			in := quantInput(l, 2, 77)
+			outShape, err := l.OutShape([]tensor.Shape{in.Shape})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range [][2]int{{0, l.OutC}, {1, l.OutC - 1}} {
+				got, want := tensor.NewQ(outShape, l.QI.Out), tensor.NewQ(outShape, l.QI.Out)
+				l.ForwardQViaF16([]*tensor.QTensor{in}, got, r[0], r[1])
+				forwardQViaF16Chain(l, in, want, r[0], r[1])
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("channels %v elem %d: fused %d, chain %d", r, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// The CPU half's fused pack + strip requantize must equal Im2ColU8 +
+// QGEMMRef + per-element requantize.
+func TestForwardQMatchesUnfusedChain(t *testing.T) {
+	for name, l := range fusedCases(t) {
+		if l.groups() != 1 {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			in := quantInput(l, 2, 78)
+			outShape, _ := l.OutShape([]tensor.Shape{in.Shape})
+			got := tensor.NewQ(outShape, l.QI.Out)
+			l.ForwardQ([]*tensor.QTensor{in}, got, 0, l.OutC)
+			g := l.geom(in.Shape)
+			k, plane := g.PatchRows(), g.PatchCols()
+			req := quant.NewRequantizer(in.Params, l.QI.W, l.QI.Out, l.Act)
+			patches := make([]uint8, k*plane)
+			acc := make([]int32, l.OutC*plane)
+			for n := 0; n < in.Shape.N; n++ {
+				gemm.Im2ColU8(batchElem(in.Data, in.Shape, n), g, patches, in.Params.ZeroPoint)
+				gemm.QGEMMRef(l.wq.Data, patches, acc, l.OutC, k, plane, int32(l.QI.W.ZeroPoint), int32(in.Params.ZeroPoint))
+				for i, a := range acc {
+					oc := i / plane
+					want := l.requantizerFor(in.Params, l.QI.Out, oc, &req).Requantize(a + l.biasQ[oc])
+					if g := got.Data[n*l.OutC*plane+i]; g != want {
+						t.Fatalf("batch %d elem %d: fused %d, chain %d", n, i, g, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector, which makes
+// sync.Pool drop pooled objects at random.
+var raceEnabled bool
+
+// Warm quantized forwards draw their kernel scratch from the gemm pools;
+// what is left is the few closures each call hands the kernel driver,
+// independent of the layer's size. A regression to per-call patch,
+// operand or accumulator buffers shows up here first.
+func TestConvForwardAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop objects at random")
+	}
+	l, _ := newTestConv(t, 16, 32, 3, 1, 1, 1, quant.ActReLU)
+	in := quantInput(l, 1, 79)
+	outShape, _ := l.OutShape([]tensor.Shape{in.Shape})
+	out := tensor.NewQ(outShape, l.QI.Out)
+	ins := []*tensor.QTensor{in}
+	for name, c := range map[string]struct {
+		fwd   func()
+		limit float64
+	}{
+		"ForwardQ":       {func() { l.ForwardQ(ins, out, 0, l.OutC) }, 3},
+		"ForwardQViaF16": {func() { l.ForwardQViaF16(ins, out, 0, l.OutC) }, 4},
+	} {
+		c.fwd() // fill the packed-weight cache and the scratch pools
+		if a := testing.AllocsPerRun(20, c.fwd); a > c.limit {
+			t.Errorf("%s: %.1f allocations per warm call, want ≤ %.0f", name, a, c.limit)
+		}
+	}
+}
+
+// poolTaps lists the valid taps of output (oy,ox) as flat input indices
+// in row-major window order, with the average's divisor: the per-tap
+// bounds-checked walk that the clamped row-slice walk replaced.
+func poolTaps(l *Pool, in tensor.Shape, n, c, oy, ox int) (taps []int, denom int) {
+	kh, kw, sh, sw := l.window(in)
+	for y := 0; y < kh; y++ {
+		for x := 0; x < kw; x++ {
+			sy, sx := oy*sh-l.PadH+y, ox*sw-l.PadW+x
+			if sy >= 0 && sy < in.H && sx >= 0 && sx < in.W {
+				taps = append(taps, in.Index(n, c, sy, sx))
+			}
+		}
+	}
+	if l.CountIncludePad {
+		return taps, kh * kw
+	}
+	return taps, len(taps)
+}
+
+func TestPoolMatchesPerTapWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	for it := 0; it < 200; it++ {
+		k := 1 + rng.Intn(4)
+		l := &Pool{
+			LayerName: "p", Max: rng.Intn(2) == 0, KH: k, KW: 1 + rng.Intn(4),
+			StrideH: 1 + rng.Intn(3), StrideW: 1 + rng.Intn(3),
+			PadH: rng.Intn(k), PadW: rng.Intn(2), CountIncludePad: rng.Intn(2) == 0,
+			Global: rng.Intn(10) == 0,
+		}
+		if l.PadW >= l.KW || l.Global {
+			l.PadW = 0
+		}
+		if l.Global {
+			l.PadH = 0
+		}
+		in := tensor.New(tensor.Shape{N: 1 + rng.Intn(2), C: 1 + rng.Intn(3), H: 1 + rng.Intn(9), W: 1 + rng.Intn(9)})
+		in.FillRandom(uint64(it), 1)
+		outShape, err := l.OutShape([]tensor.Shape{in.Shape})
+		if err != nil {
+			continue
+		}
+		p := quant.ChooseParams(-1, 1)
+		qin, hin := tensor.Quantize(in, p), tensor.ToHalf(in)
+		fout, qout, hout := tensor.New(outShape), tensor.NewQ(outShape, p), tensor.NewH(outShape)
+		l.ForwardF32([]*tensor.Tensor{in}, fout, 0, in.Shape.C)
+		l.ForwardQ([]*tensor.QTensor{qin}, qout, 0, in.Shape.C)
+		l.ForwardF16([]*tensor.HTensor{hin}, hout, 0, in.Shape.C)
+		for n := 0; n < outShape.N; n++ {
+			for c := 0; c < outShape.C; c++ {
+				for oy := 0; oy < outShape.H; oy++ {
+					for ox := 0; ox < outShape.W; ox++ {
+						taps, d := poolTaps(l, in.Shape, n, c, oy, ox)
+						mf, mh := float32(math.Inf(-1)), float32(math.Inf(-1))
+						var sf, sh float32
+						var mq uint8
+						var sq int32
+						for _, i := range taps {
+							v, h, q := in.Data[i], hin.Data[i].Float32(), qin.Data[i]
+							if v > mf {
+								mf = v
+							}
+							if h > mh {
+								mh = h
+							}
+							mq = max(mq, q)
+							sf, sh, sq = sf+v, sh+h, sq+int32(q)
+						}
+						sq += int32(d-len(taps)) * int32(p.ZeroPoint)
+						wantF, wantH, wantQ := sf/float32(d), f16.FromFloat32(sh/float32(d)), uint8((sq+int32(d)/2)/int32(d))
+						if l.Max {
+							wantF, wantH, wantQ = mf, f16.FromFloat32(mh), mq
+						}
+						i := outShape.Index(n, c, oy, ox)
+						if fout.Data[i] != wantF || hout.Data[i] != wantH || qout.Data[i] != wantQ {
+							t.Fatalf("case %d %+v in %v out %d: f32 %v/%v f16 %v/%v q %d/%d", it, *l, in.Shape, i,
+								fout.Data[i], wantF, hout.Data[i], wantH, qout.Data[i], wantQ)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -82,61 +82,71 @@ func (l *Pool) SplitChannels(ins []tensor.Shape) int {
 	return ins[0].C
 }
 
-// forEachWindow visits every output position of channels [c0,c1) and
-// yields the valid input taps, letting each dtype share the window walk.
-func (l *Pool) forEachWindow(in, out tensor.Shape, c0, c1 int, visit func(n, c, oy, ox int, taps []int, denom int)) {
+// poolWalk is the window geometry of one forward: output (oy,ox) reads
+// input rows rows(oy) and columns cols(ox), the kh×kw window clamped to
+// the input, so padding taps are never visited.
+type poolWalk struct {
+	kh, kw, sh, sw, padH, padW, inH, inW int
+}
+
+func (l *Pool) walk(in tensor.Shape) poolWalk {
 	kh, kw, sh, sw := l.window(in)
-	taps := make([]int, 0, kh*kw)
-	for n := 0; n < in.N; n++ {
-		for c := c0; c < c1; c++ {
-			for oy := 0; oy < out.H; oy++ {
-				for ox := 0; ox < out.W; ox++ {
-					taps = taps[:0]
-					for y := 0; y < kh; y++ {
-						sy := oy*sh - l.PadH + y
-						if sy < 0 || sy >= in.H {
-							continue
-						}
-						for x := 0; x < kw; x++ {
-							sx := ox*sw - l.PadW + x
-							if sx < 0 || sx >= in.W {
-								continue
-							}
-							taps = append(taps, in.Index(n, c, sy, sx))
-						}
-					}
-					denom := len(taps)
-					if l.CountIncludePad {
-						denom = kh * kw
-					}
-					visit(n, c, oy, ox, taps, denom)
-				}
-			}
-		}
-	}
+	return poolWalk{kh, kw, sh, sw, l.PadH, l.PadW, in.H, in.W}
+}
+
+func (w poolWalk) rows(oy int) (y0, y1 int) { return clampSpan(oy*w.sh-w.padH, w.kh, w.inH) }
+func (w poolWalk) cols(ox int) (x0, x1 int) { return clampSpan(ox*w.sw-w.padW, w.kw, w.inW) }
+
+// clampSpan clamps [o, o+k) to [0, size).
+func clampSpan(o, k, size int) (lo, hi int) {
+	lo, hi = max(o, 0), min(o+k, size)
+	return lo, max(hi, lo)
+}
+
+// planes returns the input and output planes of batch element n, channel c.
+func planes[T any](in, out []T, inS, outS tensor.Shape, n, c int) (src, dst []T) {
+	i, o := (n*inS.C+c)*inS.H*inS.W, (n*outS.C+c)*outS.H*outS.W
+	return in[i : i+inS.H*inS.W], out[o : o+outS.H*outS.W]
 }
 
 // ForwardF32 pools channels [c0,c1) in single precision.
 func (l *Pool) ForwardF32(ins []*tensor.Tensor, out *tensor.Tensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, in.Shape.C, l.LayerName)
-	l.forEachWindow(in.Shape, out.Shape, c0, c1, func(n, c, oy, ox int, taps []int, denom int) {
-		if l.Max {
-			m := float32(math.Inf(-1))
-			for _, t := range taps {
-				if v := in.Data[t]; v > m {
-					m = v
+	w := l.walk(in.Shape)
+	for n := 0; n < in.Shape.N; n++ {
+		for c := c0; c < c1; c++ {
+			src, dst := planes(in.Data, out.Data, in.Shape, out.Shape, n, c)
+			for oy := 0; oy < out.Shape.H; oy++ {
+				y0, y1 := w.rows(oy)
+				for ox := 0; ox < out.Shape.W; ox++ {
+					x0, x1 := w.cols(ox)
+					m, s := float32(math.Inf(-1)), float32(0)
+					for y := y0; y < y1; y++ {
+						for _, v := range src[y*w.inW+x0 : y*w.inW+x1] {
+							if l.Max && v > m {
+								m = v
+							}
+							s += v
+						}
+					}
+					if l.Max {
+						dst[oy*out.Shape.W+ox] = m
+					} else {
+						dst[oy*out.Shape.W+ox] = s / float32(l.denom(w, (y1-y0)*(x1-x0)))
+					}
 				}
 			}
-			out.Set(n, c, oy, ox, m)
-			return
 		}
-		var s float32
-		for _, t := range taps {
-			s += in.Data[t]
-		}
-		out.Set(n, c, oy, ox, s/float32(denom))
-	})
+	}
+}
+
+// denom is the average's divisor for a window with taps valid taps.
+func (l *Pool) denom(w poolWalk, taps int) int {
+	if l.CountIncludePad {
+		return w.kh * w.kw
+	}
+	return taps
 }
 
 // ForwardQ pools channels [c0,c1) on the quantized grid. Max pooling is
@@ -149,28 +159,40 @@ func (l *Pool) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) 
 	if in.Params != out.Params {
 		panic("nn: pooling requires matching input/output quantization params on " + l.LayerName)
 	}
-	l.forEachWindow(in.Shape, out.Shape, c0, c1, func(n, c, oy, ox int, taps []int, denom int) {
-		if l.Max {
-			var m uint8
-			for _, t := range taps {
-				if v := in.Data[t]; v > m {
-					m = v
+	w := l.walk(in.Shape)
+	zp := int32(in.Params.ZeroPoint)
+	for n := 0; n < in.Shape.N; n++ {
+		for c := c0; c < c1; c++ {
+			src, dst := planes(in.Data, out.Data, in.Shape, out.Shape, n, c)
+			for oy := 0; oy < out.Shape.H; oy++ {
+				y0, y1 := w.rows(oy)
+				for ox := 0; ox < out.Shape.W; ox++ {
+					x0, x1 := w.cols(ox)
+					if l.Max {
+						var m uint8
+						for y := y0; y < y1; y++ {
+							for _, v := range src[y*w.inW+x0 : y*w.inW+x1] {
+								m = max(m, v)
+							}
+						}
+						dst[oy*out.Shape.W+ox] = m
+						continue
+					}
+					var s int32
+					for y := y0; y < y1; y++ {
+						for _, v := range src[y*w.inW+x0 : y*w.inW+x1] {
+							s += int32(v)
+						}
+					}
+					taps := (y1 - y0) * (x1 - x0)
+					d := int32(l.denom(w, taps))
+					// Padding taps contribute the zero point when included in the count.
+					s += (d - int32(taps)) * zp
+					dst[oy*out.Shape.W+ox] = uint8((s + d/2) / d) // rounded integer mean
 				}
 			}
-			out.Set(n, c, oy, ox, m)
-			return
 		}
-		var s int32
-		for _, t := range taps {
-			s += int32(in.Data[t])
-		}
-		// Padding taps contribute the zero point when included in the count.
-		if l.CountIncludePad {
-			s += int32(denom-len(taps)) * int32(in.Params.ZeroPoint)
-		}
-		q := (s + int32(denom)/2) / int32(denom) // rounded integer mean
-		out.Set(n, c, oy, ox, uint8(q))
-	})
+	}
 }
 
 // ForwardF16 pools channels [c0,c1) in half precision; the average
@@ -178,21 +200,31 @@ func (l *Pool) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) 
 func (l *Pool) ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, in.Shape.C, l.LayerName)
-	l.forEachWindow(in.Shape, out.Shape, c0, c1, func(n, c, oy, ox int, taps []int, denom int) {
-		if l.Max {
-			m := float32(math.Inf(-1))
-			for _, t := range taps {
-				if v := in.Data[t].Float32(); v > m {
-					m = v
+	w := l.walk(in.Shape)
+	for n := 0; n < in.Shape.N; n++ {
+		for c := c0; c < c1; c++ {
+			src, dst := planes(in.Data, out.Data, in.Shape, out.Shape, n, c)
+			for oy := 0; oy < out.Shape.H; oy++ {
+				y0, y1 := w.rows(oy)
+				for ox := 0; ox < out.Shape.W; ox++ {
+					x0, x1 := w.cols(ox)
+					m, s := float32(math.Inf(-1)), float32(0)
+					for y := y0; y < y1; y++ {
+						for _, h := range src[y*w.inW+x0 : y*w.inW+x1] {
+							v := h.Float32()
+							if l.Max && v > m {
+								m = v
+							}
+							s += v
+						}
+					}
+					if l.Max {
+						dst[oy*out.Shape.W+ox] = f16.FromFloat32(m)
+					} else {
+						dst[oy*out.Shape.W+ox] = f16.FromFloat32(s / float32(l.denom(w, (y1-y0)*(x1-x0))))
+					}
 				}
 			}
-			out.Set(n, c, oy, ox, f16.FromFloat32(m))
-			return
 		}
-		var s float32
-		for _, t := range taps {
-			s += in.Data[t].Float32()
-		}
-		out.Set(n, c, oy, ox, f16.FromFloat32(s/float32(denom)))
-	})
+	}
 }

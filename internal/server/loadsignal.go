@@ -53,11 +53,11 @@ type LoadSignalDevice struct {
 func (s *Server) LoadSignal() LoadSignal {
 	draining := !s.healthy.Load() || s.sched.Draining()
 	sig := LoadSignal{
-		Ready:          !draining && !s.sched.AllDead(),
-		Draining:       draining,
-		QueueDepth:     s.sched.QueueDepth(),
-		QueueCap:       s.cfg.QueueDepth,
-		OverloadLevel:  s.sched.OverloadLevel(),
+		Ready:           !draining && !s.sched.AllDead(),
+		Draining:        draining,
+		QueueDepth:      s.sched.QueueDepth(),
+		QueueCap:        s.cfg.QueueDepth,
+		OverloadLevel:   s.sched.OverloadLevel(),
 		QueueWaitP95MS:  s.sched.queueWaitP95MS(),
 		PredictedWaitMS: s.sched.predictedWaitMS(),
 		BacklogMS:       s.sched.minBacklogMS(),
