@@ -11,7 +11,6 @@
 #   make chaos-fleet-smoke four-backend fleet under injected network gray faults
 #   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus, plus
 #                    the SWAR lane-bound test at its k-chunk boundary
-#   make bench-serving 1-vs-4-backend goodput benchmark -> BENCH_serving.json
 #   make bench-gemm  packed-vs-reference kernel benchmark -> BENCH_gemm.json
 #   make bench-gemm-smoke CI-sized gemm bench run + schema validation
 #   make serve       run the inference server on :8080
@@ -34,7 +33,7 @@ FRONTEND_COVER_FLOOR ?= 80
 # shared circuit breaker was extracted).
 BREAKER_COVER_FLOOR ?= 90
 
-.PHONY: ci build vet test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-serving bench-gemm bench-gemm-smoke serve load
+.PHONY: ci build vet test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm bench-gemm-smoke serve load
 
 ci: build vet race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm-smoke
 
@@ -118,11 +117,6 @@ fleet-smoke:
 # heals.
 chaos-fleet-smoke:
 	$(GO) test ./internal/frontend -race -count=1 -run='^TestChaosFleetGrayFailures$$' -v
-
-# Saturation goodput of 1 backend vs a 4-backend fleet through the
-# frontend, over real processes and loopback HTTP; writes BENCH_serving.json.
-bench-serving:
-	bash scripts/bench_serving.sh
 
 # Single-thread packed/tiled kernel throughput vs the naive reference
 # loops on model-zoo GEMM shapes; writes BENCH_gemm.json.

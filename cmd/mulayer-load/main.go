@@ -13,7 +13,7 @@
 //	mulayer-load -model googlenet,squeezenet -mech mulayer -qps 200 -duration 30s -timeout 1s
 //	mulayer-load -model lenet5 -qps 2000 -batch 4        # batched traffic: 4 rows per request
 //	mulayer-load -addr :8081,:8082,:8083 -qps 300        # fleet: round-robin targets
-//	mulayer-load -json BENCH_serving.json                # machine-readable summary
+//	mulayer-load -json summary.json                      # machine-readable summary
 //
 // With -batch N each request carries N input rows, exercising the
 // server's fused micro-batching; goodput is then reported in rows/s as
@@ -28,8 +28,7 @@
 // With -addr A,B,C requests round-robin across several targets (backends
 // directly, or frontends) and the summary adds a per-target table with
 // each target's availability and latency — the view of fleet balance.
-// With -json FILE the whole summary is also written as one JSON object
-// (the bench-serving artifact).
+// With -json FILE the whole summary is also written as one JSON object.
 package main
 
 import (

@@ -742,9 +742,6 @@ type f32Forwarder interface {
 type hForwarder interface {
 	ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 int)
 }
-type hWeightedForwarder interface {
-	ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 int, fromQ bool)
-}
 type qForwarder interface {
 	ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int)
 }
@@ -775,14 +772,11 @@ func (r *runner) forward(id graph.NodeID, out any, c0, c1 int, side partition.Pr
 		for i, inID := range n.Inputs {
 			ins[i] = vals[inID].(*tensor.HTensor)
 		}
-		switch l := layer.(type) {
-		case hWeightedForwarder:
-			l.ForwardF16(ins, out.(*tensor.HTensor), c0, c1, false)
-		case hForwarder:
-			l.ForwardF16(ins, out.(*tensor.HTensor), c0, c1)
-		default:
+		l, ok := layer.(hForwarder)
+		if !ok {
 			return fmt.Errorf("exec: layer %s has no F16 pipeline", layer.Name())
 		}
+		l.ForwardF16(ins, out.(*tensor.HTensor), c0, c1)
 	case tensor.QUInt8:
 		ins := make([]*tensor.QTensor, len(n.Inputs))
 		for i, inID := range n.Inputs {

@@ -10,14 +10,15 @@ import (
 )
 
 // TestGoldenTiledKernelsMatchRefKernels extends the golden-output gate
-// to the packed/tiled GEMM kernels: for every bundled model and split
-// ratio p ∈ {0, .25, .5, .75, 1} under the uniform QUInt8 pipeline, a
-// forward pass through the default kernels (packed weights, register
+// to the packed/tiled GEMM kernels: for every bundled model, split ratio
+// p ∈ {0, .25, .5, .75, 1} and uniform storage type (QUInt8, F32, F16),
+// a forward pass through the default kernels (packed weights, register
 // tiles) must be bit-identical to the same pass forced through the naive
-// *Ref oracle loops. The QUInt8 pipeline is exactly integer arithmetic
-// on the CPU side and order-preserving float32 accumulation on the F16
-// GPU side, so any tiling, packing, or zero-point-decomposition bug
-// shows up as a hard diff — there is no tolerance to hide behind.
+// *Ref oracle loops. The QUInt8 pipeline is exactly integer arithmetic,
+// and the float kernels accumulate every element in the reference's
+// ascending-k order, so any tiling, packing, or
+// zero-point-decomposition bug shows up as a hard diff — there is no
+// tolerance to hide behind.
 //
 // Not parallel: it toggles gemm.ForceRef, which is process-global.
 func TestGoldenTiledKernelsMatchRefKernels(t *testing.T) {
@@ -52,28 +53,29 @@ func TestGoldenTiledKernelsMatchRefKernels(t *testing.T) {
 			if err := m.Calibrate(cal); err != nil {
 				t.Fatal(err)
 			}
-			pipe := partition.Uniform(tensor.QUInt8)
-			cfg := runCfg(m, pipe, true)
 			in := tensor.New(m.InputShape)
 			in.FillRandom(9000, 1)
 
-			for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-				plan := splitPlan(t, m, p)
+			for _, dt := range []tensor.DataType{tensor.QUInt8, tensor.F32, tensor.F16} {
+				cfg := runCfg(m, partition.Uniform(dt), true)
+				for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
+					plan := splitPlan(t, m, p)
 
-				tiled, err := Run(m.Graph, plan, in, cfg)
-				if err != nil {
-					t.Fatalf("p=%v tiled: %v", p, err)
-				}
+					tiled, err := Run(m.Graph, plan, in, cfg)
+					if err != nil {
+						t.Fatalf("%v p=%v tiled: %v", dt, p, err)
+					}
 
-				gemm.ForceRef = true
-				ref, errRef := Run(m.Graph, plan, in, cfg)
-				gemm.ForceRef = false
-				if errRef != nil {
-					t.Fatalf("p=%v ref: %v", p, errRef)
-				}
+					gemm.ForceRef = true
+					ref, errRef := Run(m.Graph, plan, in, cfg)
+					gemm.ForceRef = false
+					if errRef != nil {
+						t.Fatalf("%v p=%v ref: %v", dt, p, errRef)
+					}
 
-				if d := tiled.Output.MaxAbsDiff(ref.Output); d != 0 {
-					t.Fatalf("p=%v: tiled output differs from ref kernels by %v", p, d)
+					if d := tiled.Output.MaxAbsDiff(ref.Output); d != 0 {
+						t.Fatalf("%v p=%v: tiled output differs from ref kernels by %v", dt, p, d)
+					}
 				}
 			}
 		})

@@ -11,9 +11,9 @@ import (
 
 // Differential fuzzing of the packed/tiled kernels against the naive
 // *Ref oracles. The fuzzer drives the shape (m,k,n), the zero points,
-// and the data seed; each execution checks both the one-shot entry
-// point (packs per call) and the pre-packed path, so operand packing,
-// the odd byte column, and the zero-point decomposition are all under test.
+// and the data seed; each execution multiplies through the conv entry
+// points at MatrixGeom, so operand packing, the odd byte column, and the
+// zero-point decomposition are all under test, bit for bit.
 // Seed corpus pins the degenerate shapes: 1×1×1, m below a single
 // panel, k=1, and n off the tile width.
 
@@ -36,21 +36,15 @@ func FuzzF32(f *testing.F) {
 		a, b := randF32(m*k, rng), randF32(k*n, rng)
 		want := make([]float32, m*n)
 		F32Ref(a, b, want, m, k, n)
-		check := func(path string, got []float32) {
-			// Error scales with the dot length; operands are in [-1,1).
-			tol := 1e-5 * float64(k)
-			for i := range got {
-				if d := math.Abs(float64(got[i] - want[i])); d > tol || got[i] != got[i] {
-					t.Fatalf("%s shape (%d,%d,%d) elem %d: %v vs %v", path, m, k, n, i, got[i], want[i])
-				}
+		// The tile accumulates in the reference's order, so F32 results
+		// must be bit-identical, not merely close.
+		got := make([]float32, m*n)
+		f32GEMM(PackAF32(a, m, k), b, got, n)
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("shape (%d,%d,%d) elem %d: %v vs %v", m, k, n, i, got[i], want[i])
 			}
 		}
-		got := make([]float32, m*n)
-		F32(a, b, got, m, k, n)
-		check("F32", got)
-		got2 := make([]float32, m*n)
-		F32Packed(PackAF32(a, m, k), b, got2, n)
-		check("F32Packed", got2)
 	})
 }
 
@@ -69,19 +63,13 @@ func FuzzF16GEMM(f *testing.F) {
 		F16Ref(a, b, want, m, k, n)
 		// The tiled kernel accumulates in the reference's order, so F16
 		// results must be bit-identical, not merely close.
-		check := func(path string, got []f16.F16) {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s shape (%d,%d,%d) elem %d: %#04x vs %#04x", path, m, k, n, i, got[i], want[i])
-				}
-			}
-		}
 		got := make([]f16.F16, m*n)
 		F16GEMM(a, b, got, m, k, n)
-		check("F16GEMM", got)
-		got2 := make([]f16.F16, m*n)
-		F16GEMMPacked(PackAF16(a, m, k), b, got2, n)
-		check("F16GEMMPacked", got2)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("shape (%d,%d,%d) elem %d: %#04x vs %#04x", m, k, n, i, got[i], want[i])
+			}
+		}
 	})
 }
 
@@ -100,25 +88,20 @@ func FuzzQGEMM(f *testing.F) {
 		QGEMMRef(a, b, want, m, k, n, za, zb)
 		// Integer accumulation wraps, so the decomposed tiled kernel
 		// must agree bit-for-bit with the oracle.
-		check := func(path string, got []int32) {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s shape (%d,%d,%d) zp(%d,%d) elem %d: %d vs %d", path, m, k, n, za, zb, i, got[i], want[i])
-				}
-			}
-		}
 		got := make([]int32, m*n)
 		QGEMM(a, b, got, m, k, n, za, zb)
-		check("QGEMM", got)
-		got2 := make([]int32, m*n)
-		QGEMMPacked(PackAU8(a, m, k), b, got2, n, za, zb)
-		check("QGEMMPacked", got2)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("shape (%d,%d,%d) zp(%d,%d) elem %d: %d vs %d", m, k, n, za, zb, i, got[i], want[i])
+			}
+		}
 	})
 }
 
 // FuzzConvPack checks the fused pack-from-input entry points against the
-// unfused chain: Im2ColU8 + QGEMMRef for the CPU half, and the input
-// dequantized to binary16 + Im2ColF16 + F16Ref for the GPU half, bit for bit,
+// unfused chain: Im2ColU8 + QGEMMRef for the CPU half, the input
+// dequantized to binary16 + Im2ColF16 + F16Ref for the GPU half, and
+// im2col + F32Ref / F16Ref for the pure float pipelines, bit for bit,
 // over random geometry, stride, padding, zero point and output-channel
 // range [c0,c1) of the packed weights.
 func FuzzConvPack(f *testing.F) {
@@ -186,6 +169,30 @@ func FuzzConvPack(f *testing.F) {
 		for i := range wantH {
 			if gotH[i] != wantH[i] {
 				t.Fatalf("ConvQViaF16 %+v [%d,%d) zp %d elem %d: %#04x vs %#04x", g, c0, c1, zb, i, gotH[i], wantH[i])
+			}
+		}
+
+		// Pure float pipelines: +0 padding, float32 or binary16 operands.
+		inF, wf := randF32(len(in), rng), randF32(outC*k, rng)
+		fpatches := make([]float32, k*n)
+		im2col(inF, g, fpatches, 0)
+		wantF := make([]float32, m*n)
+		F32Ref(wf[c0*k:c1*k], fpatches, wantF, m, k, n)
+		gotF := make([]float32, m*n)
+		ConvF32(PackAF32(wf[c0*k:c1*k], m, k), inF, g, func(r, j0 int, row []float32) {
+			copy(gotF[r*n+j0:], row)
+		})
+		inH := f16.FromSlice32(inF)
+		im2col(inH, g, hpatches, 0)
+		F16Ref(wh[c0*k:c1*k], hpatches, wantH, m, k, n)
+		ConvF16(PackAF16(wh[c0*k:c1*k], m, k), inH, g, func(r, j0 int, row []float32) {
+			for j, v := range row {
+				gotH[r*n+j0+j] = f16.FromFloat32(v)
+			}
+		})
+		for i := range wantF {
+			if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) || gotH[i] != wantH[i] {
+				t.Fatalf("ConvF32/ConvF16 %+v [%d,%d) elem %d: %v vs %v, %#04x vs %#04x", g, c0, c1, i, gotF[i], wantF[i], gotH[i], wantH[i])
 			}
 		}
 	})

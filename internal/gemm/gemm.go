@@ -8,14 +8,16 @@
 //   - QUInt8: the gemmlowp integer pipeline — uint8 operands with zero
 //     points, int32 accumulation, fixed-point requantization downstream.
 //
-// All matrices are dense row-major. The fast path packs both operands
-// into panel-contiguous blocks and computes register tiles (pack.go,
-// tiled.go); weight panels can be packed once per layer and reused via
-// the *Packed entry points, and ConvQ/ConvQViaF16 pack the right operand
-// straight from a convolution's uint8 input. The naive triple loops are
-// kept as *Ref kernels — the differential oracle for the fuzz and golden
-// tests, and the baseline the BENCH_gemm.json trajectory is measured
-// against.
+// Every pipeline has one conv-shaped entry point — ConvF32, ConvF16,
+// ConvQ and ConvQViaF16 — that multiplies a weight matrix packed once per
+// layer (pack.go) by the im2col patch matrix of one input, packing that
+// operand straight from the input and handing finished result strips to
+// the caller's epilogue (tiled.go). A plain matrix is the patch matrix of
+// MatrixGeom, so the matrix forms QGEMM and F16GEMM are thin wrappers and
+// a fully-connected layer is the 1×1 convolution of §2.1. The naive
+// triple loops are kept as *Ref kernels — the differential oracle for the
+// fuzz and golden tests, and the baseline the BENCH_gemm.json trajectory
+// is measured against.
 package gemm
 
 import (
@@ -25,8 +27,9 @@ import (
 	"mulayer/internal/f16"
 )
 
-// ForceRef routes every kernel — including the *Packed entry points —
-// through the naive reference loops. It exists for differential tests
+// ForceRef routes every kernel through the naive reference loops: the
+// Conv* entry points check it, and the matrix wrappers reach it through
+// them. It exists for differential tests
 // and benchmarks only; it is not synchronized, so set it before any
 // concurrent kernel use and restore it after.
 var ForceRef bool
@@ -71,37 +74,67 @@ func parallelRows(m int, fn func(i0, i1 int)) {
 	wg.Wait()
 }
 
-// F32 computes c = a·b for row-major a (m×k), b (k×n), c (m×n),
-// overwriting c. The left operand is packed per call; callers that reuse
-// a (layer weights) should pack once and use F32Packed.
-func F32(a, b, c []float32, m, k, n int) {
-	checkDims(len(a), len(b), len(c), m, k, n)
+// ConvF32 multiplies pa by the im2col patch matrix of one float32 batch
+// element in (geometry g), packed straight from the input with +0 for
+// padding taps: no patch matrix is materialized. The (pa.M ×
+// g.PatchCols()) result is handed to epi in finished row segments — row
+// holds row r's columns [j0, j0+len(row)) — called concurrently for
+// distinct rows; row is only valid during the call. The tile accumulates
+// each element in the reference's ascending-k order, so results are
+// bit-identical to im2col + F32Ref.
+func ConvF32(pa *PackedAF32, in []float32, g ConvGeom, epi func(r, j0 int, row []float32)) {
+	checkConv(pa.M, pa.K, len(in), g)
 	if ForceRef {
-		F32Ref(a, b, c, m, k, n)
-		return
-	}
-	F32Packed(PackAF32(a, m, k), b, c, n)
-}
-
-// F32Packed computes c = pa·b for a pre-packed left operand.
-func F32Packed(pa *PackedAF32, b, c []float32, n int) {
-	checkDims(pa.M*pa.K, len(b), len(c), pa.M, pa.K, n)
-	if ForceRef {
-		F32Ref(pa.Unpack(), b, c, pa.M, pa.K, n)
+		patches := make([]float32, g.PatchRows()*g.PatchCols())
+		im2col(in, g, patches, 0)
+		refRows(pa.M, g.PatchCols(), epi, func(c []float32) { F32Ref(pa.Unpack(), patches, c, pa.M, pa.K, g.PatchCols()) })
 		return
 	}
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
-	g := MatrixGeom(pa.K, n)
-	fMul(s, pa.data, pa.M, pa.K, n, func(j int, col []float32) {
-		patchCol(b, g, j, 0, col)
-	}, func(r, j0 int, row []float32) {
-		copy(c[r*n+j0:], row)
+	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j int, col []float32) {
+		patchCol(in, g, j, 0, col)
+	}, epi)
+}
+
+// ConvF16 is ConvF32 over binary16 operands: products and the running sum
+// are kept in float32, and epi receives the float32 sums, which it rounds
+// to binary16 itself. A single rounding of a wider accumulator matches
+// GPU half-precision kernels that accumulate dot products in a wider
+// register before writing back a half result — the configuration under
+// which the paper observes no accuracy loss for F16 (Figure 10). Results
+// are bit-identical to im2col + F16Ref.
+func ConvF16(pa *PackedAF16, in []f16.F16, g ConvGeom, epi func(r, j0 int, row []float32)) {
+	checkConv(pa.M, pa.K, len(in), g)
+	if ForceRef {
+		refF16(pa, in, g, epi)
+		return
+	}
+	s := operands.Get().(*scratch)
+	defer operands.Put(s)
+	tmp := grow(&s.h, pa.K)
+	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j int, col []float32) {
+		patchCol(in, g, j, 0, tmp)
+		for l, v := range tmp {
+			col[l] = v.Float32()
+		}
+	}, epi)
+}
+
+// F16GEMM computes c = a·b over row-major binary16 operands (m×k times
+// k×n): ConvF16 on the matrix itself, rounding each sum to binary16.
+// Results are bit-identical to F16Ref.
+func F16GEMM(a, b, c []f16.F16, m, k, n int) {
+	checkDims(len(a), len(b), len(c), m, k, n)
+	ConvF16(PackAF16(a, m, k), b, MatrixGeom(k, n), func(r, j0 int, row []float32) {
+		for j, v := range row {
+			c[r*n+j0+j] = f16.FromFloat32(v)
+		}
 	})
 }
 
-// F32Ref is the textbook triple loop, used as the differential-testing
-// reference for F32.
+// F32Ref is the textbook triple loop, the differential-testing reference
+// for ConvF32.
 func F32Ref(a, b, c []float32, m, k, n int) {
 	checkDims(len(a), len(b), len(c), m, k, n)
 	for i := 0; i < m; i++ {
@@ -115,45 +148,7 @@ func F32Ref(a, b, c []float32, m, k, n int) {
 	}
 }
 
-// F16GEMM computes c = a·b over binary16 operands. Products and the running
-// sum are kept in float32 and the final element is rounded once to
-// binary16. This matches GPU half-precision kernels that accumulate dot
-// products in a wider register before writing back a half result — the
-// configuration under which the paper observes no accuracy loss for F16
-// (Figure 10). Results are bit-identical to F16Ref.
-func F16GEMM(a, b, c []f16.F16, m, k, n int) {
-	checkDims(len(a), len(b), len(c), m, k, n)
-	if ForceRef {
-		F16Ref(a, b, c, m, k, n)
-		return
-	}
-	F16GEMMPacked(PackAF16(a, m, k), b, c, n)
-}
-
-// F16GEMMPacked computes c = pa·b for a pre-packed left operand.
-func F16GEMMPacked(pa *PackedAF16, b, c []f16.F16, n int) {
-	checkDims(pa.M*pa.K, len(b), len(c), pa.M, pa.K, n)
-	if ForceRef {
-		F16Ref(pa.Unpack(), b, c, pa.M, pa.K, n)
-		return
-	}
-	s := operands.Get().(*scratch)
-	defer operands.Put(s)
-	g, tmp := MatrixGeom(pa.K, n), grow(&s.h, pa.K)
-	fMul(s, pa.data, pa.M, pa.K, n, func(j int, col []float32) {
-		patchCol(b, g, j, 0, tmp)
-		for l, v := range tmp {
-			col[l] = v.Float32()
-		}
-	}, func(r, j0 int, row []float32) {
-		d := c[r*n+j0:]
-		for j, v := range row {
-			d[j] = f16.FromFloat32(v)
-		}
-	})
-}
-
-// F16Ref is the naive reference for F16GEMM.
+// F16Ref is the naive reference for ConvF16 and F16GEMM.
 func F16Ref(a, b, c []f16.F16, m, k, n int) {
 	checkDims(len(a), len(b), len(c), m, k, n)
 	for i := 0; i < m; i++ {
@@ -171,50 +166,29 @@ func F16Ref(a, b, c []f16.F16, m, k, n int) {
 //
 //	acc[i,j] = Σ_l (a[i,l] − za) · (b[l,j] − zb)
 //
-// for uint8 operands with zero points za and zb. The caller feeds acc
-// through a quant.Requantizer (plus bias) to obtain uint8 outputs.
-// Results are bit-identical to QGEMMRef (int32 addition wraps, so the
-// tiled kernel's zero-point decomposition is exact mod 2³²).
+// for uint8 operands with zero points za and zb: ConvQ on the matrix
+// itself. The caller feeds acc through a quant.Requantizer (plus bias) to
+// obtain uint8 outputs. Results are bit-identical to QGEMMRef (int32
+// addition wraps, so the tiled kernel's zero-point decomposition is exact
+// mod 2³²).
 func QGEMM(a, b []uint8, acc []int32, m, k, n int, za, zb int32) {
 	checkDims(len(a), len(b), len(acc), m, k, n)
-	if ForceRef {
-		QGEMMRef(a, b, acc, m, k, n, za, zb)
-		return
-	}
-	QGEMMPacked(PackAU8(a, m, k), b, acc, n, za, zb)
+	ConvQ(PackAU8(a, m, k), b, MatrixGeom(k, n), za, zb, func(r, j0 int, row []int32) { copy(acc[r*n+j0:], row) })
 }
 
-// QGEMMPacked computes the accumulator matrix for a pre-packed left
-// operand (za is the packed operand's zero point, zb the right one's).
-func QGEMMPacked(pa *PackedAU8, b []uint8, acc []int32, n int, za, zb int32) {
-	checkDims(pa.M*pa.K, len(b), len(acc), pa.M, pa.K, n)
-	if ForceRef {
-		QGEMMRef(pa.Unpack(), b, acc, pa.M, pa.K, n, za, zb)
-		return
-	}
-	qMul(pa, b, MatrixGeom(pa.K, n), za, zb, func(r, j0 int, row []int32) {
-		copy(acc[r*n+j0:], row)
-	})
-}
-
-// ConvQ is QGEMMPacked against the im2col patch matrix of one uint8 batch
-// element in (geometry g, zero point zb, which also fills padding taps),
-// packed straight from the input: no patch matrix is materialized. The
-// (pa.M × g.PatchCols()) accumulator matrix is handed to epi in finished
-// row segments — acc holds row r's columns [j0, j0+len(acc)) — called
-// concurrently for distinct rows; acc is only valid during the call.
-// Results are bit-identical to Im2ColU8 + QGEMMRef.
+// ConvQ is the QUInt8 GEMM of pa (za is its zero point) against the im2col
+// patch matrix of one uint8 batch element in (geometry g, zero point zb,
+// which also fills padding taps), packed straight from the input. The
+// accumulators reach epi as ConvF32's results do. Results are
+// bit-identical to Im2ColU8 + QGEMMRef.
 func ConvQ(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 int, acc []int32)) {
 	checkConv(pa.M, pa.K, len(in), g)
 	if ForceRef {
 		patches := make([]uint8, g.PatchRows()*g.PatchCols())
 		Im2ColU8(in, g, patches, uint8(zb))
-		n := g.PatchCols()
-		acc := make([]int32, pa.M*n)
-		QGEMMRef(pa.Unpack(), patches, acc, pa.M, pa.K, n, za, zb)
-		for r := 0; r < pa.M; r++ {
-			epi(r, 0, acc[r*n:(r+1)*n])
-		}
+		refRows(pa.M, g.PatchCols(), epi, func(acc []int32) {
+			QGEMMRef(pa.Unpack(), patches, acc, pa.M, pa.K, g.PatchCols(), za, zb)
+		})
 		return
 	}
 	qMul(pa, in, g, za, zb, epi)
@@ -225,35 +199,22 @@ func ConvQ(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 i
 // widened through lut (lut[q] = the binary16 dequantization of q, as a
 // float32) while the column operand is packed straight from the input.
 // Padding taps read lut[zb]; for the input zero point zb that is +0, the
-// same as Im2ColF16's padding. epi receives finished row segments of
-// float32 sums as ConvQ's does, and rounds them to binary16 itself
-// (F16Ref's single rounding). Results are bit-identical to Im2ColF16 of
-// the widened input + F16Ref.
+// same as ConvF16's padding. epi receives float32 sums as ConvF16's does.
+// Results are bit-identical to Im2ColF16 of the widened input + F16Ref.
 func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb uint8, epi func(r, j0 int, acc []float32)) {
 	checkConv(pa.M, pa.K, len(in), g)
-	n := g.PatchCols()
 	if ForceRef {
 		hin := make([]f16.F16, len(in))
 		for i, v := range in {
 			hin[i] = f16.FromFloat32(lut[v])
 		}
-		patches := make([]f16.F16, g.PatchRows()*n)
-		Im2ColF16(hin, g, patches)
-		c := make([]f16.F16, pa.M*n)
-		F16Ref(pa.Unpack(), patches, c, pa.M, pa.K, n)
-		row := make([]float32, n)
-		for r := 0; r < pa.M; r++ {
-			for j, v := range c[r*n : (r+1)*n] {
-				row[j] = v.Float32()
-			}
-			epi(r, 0, row)
-		}
+		refF16(pa, hin, g, epi)
 		return
 	}
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
 	tmp := grow(&s.u8[0], pa.K)
-	fMul(s, pa.data, pa.M, pa.K, n, func(j int, col []float32) {
+	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j int, col []float32) {
 		patchCol(in, g, j, zb, tmp)
 		for l, v := range tmp {
 			col[l] = lut[v]
@@ -261,7 +222,33 @@ func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb u
 	}, epi)
 }
 
-// QGEMMRef is the naive reference for QGEMM.
+// refRows runs a reference kernel into an m×n result and hands it to epi
+// row by row: the ForceRef branch of every Conv* entry point.
+func refRows[T any](m, n int, epi func(r, j0 int, row []T), ref func(c []T)) {
+	c := make([]T, m*n)
+	ref(c)
+	for r := 0; r < m; r++ {
+		epi(r, 0, c[r*n:(r+1)*n])
+	}
+}
+
+// refF16 is the ForceRef branch of the F16 entry points: im2col and
+// F16Ref, with the binary16 results widened to the float32 rows the F16
+// epilogues round (exactly) back.
+func refF16(pa *PackedAF16, in []f16.F16, g ConvGeom, epi func(r, j0 int, row []float32)) {
+	n := g.PatchCols()
+	patches := make([]f16.F16, g.PatchRows()*n)
+	im2col(in, g, patches, 0)
+	refRows(pa.M, n, epi, func(c []float32) {
+		h := make([]f16.F16, len(c))
+		F16Ref(pa.Unpack(), patches, h, pa.M, pa.K, n)
+		for i, v := range h {
+			c[i] = v.Float32()
+		}
+	})
+}
+
+// QGEMMRef is the naive reference for ConvQ and QGEMM.
 func QGEMMRef(a, b []uint8, acc []int32, m, k, n int, za, zb int32) {
 	checkDims(len(a), len(b), len(acc), m, k, n)
 	for i := 0; i < m; i++ {

@@ -25,6 +25,25 @@ func randU8(n int, rng *rand.Rand) []uint8 {
 	return s
 }
 
+// f32GEMM, f16GEMM and qGEMM multiply a pre-packed left operand by a
+// row-major K×n matrix through the conv entry points at MatrixGeom, the
+// way a layer reuses its cached weight panels.
+func f32GEMM(pa *PackedAF32, b, c []float32, n int) {
+	ConvF32(pa, b, MatrixGeom(pa.K, n), func(r, j0 int, row []float32) { copy(c[r*n+j0:], row) })
+}
+
+func f16GEMM(pa *PackedAF16, b, c []f16.F16, n int) {
+	ConvF16(pa, b, MatrixGeom(pa.K, n), func(r, j0 int, row []float32) {
+		for j, v := range row {
+			c[r*n+j0+j] = f16.FromFloat32(v)
+		}
+	})
+}
+
+func qGEMM(pa *PackedAU8, b []uint8, acc []int32, n int, za, zb int32) {
+	ConvQ(pa, b, MatrixGeom(pa.K, n), za, zb, func(r, j0 int, row []int32) { copy(acc[r*n+j0:], row) })
+}
+
 func TestF32MatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 9}, {33, 17, 40}, {64, 64, 64}, {100, 3, 1}}
@@ -32,10 +51,10 @@ func TestF32MatchesRef(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randF32(m*k, rng), randF32(k*n, rng)
 		got, want := make([]float32, m*n), make([]float32, m*n)
-		F32(a, b, got, m, k, n)
+		f32GEMM(PackAF32(a, m, k), b, got, n)
 		F32Ref(a, b, want, m, k, n)
 		for i := range got {
-			if d := math.Abs(float64(got[i] - want[i])); d > 1e-4 {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("shape %v elem %d: %v vs %v", s, i, got[i], want[i])
 			}
 		}
@@ -46,7 +65,7 @@ func TestF32OverwritesStaleOutput(t *testing.T) {
 	a := []float32{1, 2}
 	b := []float32{3, 4}
 	c := []float32{999} // stale garbage must not leak into the result
-	F32(a, b, c, 1, 2, 1)
+	f32GEMM(PackAF32(a, 1, 2), b, c, 1)
 	if c[0] != 11 {
 		t.Fatalf("c = %v, want 11", c[0])
 	}
@@ -58,10 +77,10 @@ func TestF32PropertyAgainstRef(t *testing.T) {
 		m, k, n := int(ms%20)+1, int(ks%20)+1, int(ns%20)+1
 		a, b := randF32(m*k, rng), randF32(k*n, rng)
 		got, want := make([]float32, m*n), make([]float32, m*n)
-		F32(a, b, got, m, k, n)
+		f32GEMM(PackAF32(a, m, k), b, got, n)
 		F32Ref(a, b, want, m, k, n)
 		for i := range got {
-			if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				return false
 			}
 		}
@@ -259,9 +278,9 @@ func TestDimensionChecks(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 3, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
 	pa := PackAU8(make([]uint8, 4*g.PatchRows()), 4, g.PatchRows())
 	for name, fn := range map[string]func(){
-		"short F32 operand": func() { F32(make([]float32, 3), make([]float32, 4), make([]float32, 4), 2, 2, 2) },
-		"pack width != K":   func() { ConvQ(PackAU8(make([]uint8, 4), 2, 2), make([]uint8, 18), g, 0, 0, nil) },
-		"short conv input":  func() { ConvQ(pa, make([]uint8, 17), g, 0, 0, nil) },
+		"short matrix operand": func() { QGEMM(make([]uint8, 3), make([]uint8, 4), make([]int32, 4), 2, 2, 2, 0, 0) },
+		"pack width != K":      func() { ConvQ(PackAU8(make([]uint8, 4), 2, 2), make([]uint8, 18), g, 0, 0, nil) },
+		"short conv input":     func() { ConvQ(pa, make([]uint8, 17), g, 0, 0, nil) },
 		"empty conv output": func() {
 			ConvQ(pa, make([]uint8, 18), ConvGeom{InC: 2, InH: 2, InW: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1}, 0, 0, nil)
 		},
@@ -340,7 +359,7 @@ func TestIm2ColF32ConvEquivalence(t *testing.T) {
 		in := randF32(g.InC*g.InH*g.InW, rng)
 		w := randF32(outC*g.InC*g.KH*g.KW, rng)
 		patches := make([]float32, g.PatchRows()*g.PatchCols())
-		Im2ColF32(in, g, patches)
+		im2col(in, g, patches, 0)
 		got := make([]float32, outC*g.PatchCols())
 		F32Ref(w, patches, got, outC, g.PatchRows(), g.PatchCols())
 		want := directConv(in, g, w, outC)
@@ -378,7 +397,7 @@ func TestIm2ColF16MatchesF32(t *testing.T) {
 	inH := f16.FromSlice32(inF)
 	pf := make([]float32, g.PatchRows()*g.PatchCols())
 	ph := make([]f16.F16, g.PatchRows()*g.PatchCols())
-	Im2ColF32(inF, g, pf)
+	im2col(inF, g, pf, 0)
 	Im2ColF16(inH, g, ph)
 	for i := range pf {
 		if ph[i] != f16.FromFloat32(pf[i]) {
@@ -412,17 +431,17 @@ func TestTiledDegenerateShapesMatchRef(t *testing.T) {
 
 		af, bf := randF32(m*k, rng), randF32(k*n, rng)
 		gotF, wantF := make([]float32, m*n), make([]float32, m*n)
-		F32Packed(PackAF32(af, m, k), bf, gotF, n)
+		f32GEMM(PackAF32(af, m, k), bf, gotF, n)
 		F32Ref(af, bf, wantF, m, k, n)
 		for i := range gotF {
-			if d := math.Abs(float64(gotF[i] - wantF[i])); d > 1e-4 {
+			if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
 				t.Fatalf("f32 shape %v elem %d: %v vs %v", s, i, gotF[i], wantF[i])
 			}
 		}
 
 		ah, bh := f16.FromSlice32(af), f16.FromSlice32(bf)
 		gotH, wantH := make([]f16.F16, m*n), make([]f16.F16, m*n)
-		F16GEMMPacked(PackAF16(ah, m, k), bh, gotH, n)
+		f16GEMM(PackAF16(ah, m, k), bh, gotH, n)
 		F16Ref(ah, bh, wantH, m, k, n)
 		for i := range gotH {
 			if gotH[i] != wantH[i] {
@@ -433,7 +452,7 @@ func TestTiledDegenerateShapesMatchRef(t *testing.T) {
 		au, bu := randU8(m*k, rng), randU8(k*n, rng)
 		za, zb := int32(rng.Intn(256)), int32(rng.Intn(256))
 		gotQ, wantQ := make([]int32, m*n), make([]int32, m*n)
-		QGEMMPacked(PackAU8(au, m, k), bu, gotQ, n, za, zb)
+		qGEMM(PackAU8(au, m, k), bu, gotQ, n, za, zb)
 		QGEMMRef(au, bu, wantQ, m, k, n, za, zb)
 		for i := range gotQ {
 			if gotQ[i] != wantQ[i] {
@@ -443,10 +462,10 @@ func TestTiledDegenerateShapesMatchRef(t *testing.T) {
 	}
 }
 
-// Under ForceRef every entry point, including the packed and conv ones,
-// takes its oracle-loop branch and must still return the reference
-// result (exec's golden test compares whole models through these
-// branches).
+// Under ForceRef every entry point takes its oracle-loop branch — the
+// matrix wrappers through the conv entries — and must still return the
+// reference result (exec's golden test compares whole models through
+// these branches).
 func TestForceRefRoutesToReference(t *testing.T) {
 	defer func() { ForceRef = false }()
 	rng := rand.New(rand.NewSource(41))
@@ -473,16 +492,11 @@ func TestForceRefRoutesToReference(t *testing.T) {
 
 	ForceRef = true
 	got := make([]float32, m*n)
-	F32(a, b, got, m, k, n)
-	gotP := make([]float32, m*n)
-	F32Packed(PackAF32(a, m, k), b, gotP, n)
-	gotH, gotHP := make([]f16.F16, m*n), make([]f16.F16, m*n)
+	f32GEMM(PackAF32(a, m, k), b, got, n)
+	gotH := make([]f16.F16, m*n)
 	F16GEMM(ah, bh, gotH, m, k, n)
-	F16GEMMPacked(PackAF16(ah, m, k), bh, gotHP, n)
-	gotQ, gotQP, gotQC := make([]int32, m*n), make([]int32, m*n), make([]int32, m*n)
+	gotQ := make([]int32, m*n)
 	QGEMM(au, bu, gotQ, m, k, n, 5, 77)
-	QGEMMPacked(PackAU8(au, m, k), bu, gotQP, n, 5, 77)
-	ConvQ(PackAU8(au, m, k), bu, MatrixGeom(k, n), 5, 77, func(r, j0 int, acc []int32) { copy(gotQC[r*n+j0:], acc) })
 	gotLUT := make([]f16.F16, m*n)
 	ConvQViaF16(PackAF16(ah, m, k), bu, MatrixGeom(k, n), &lut, 77, func(r, j0 int, acc []float32) {
 		for j, v := range acc {
@@ -491,13 +505,13 @@ func TestForceRefRoutesToReference(t *testing.T) {
 	})
 	for i := range want {
 		// The reference is deterministic: forced results are identical.
-		if got[i] != want[i] || gotP[i] != want[i] {
-			t.Fatalf("elem %d: ForceRef results %v/%v differ from ref %v", i, got[i], gotP[i], want[i])
+		if got[i] != want[i] {
+			t.Fatalf("elem %d: ForceRef result %v differs from ref %v", i, got[i], want[i])
 		}
-		if gotH[i] != wantH[i] || gotHP[i] != wantH[i] || gotLUT[i] != wantLUT[i] {
+		if gotH[i] != wantH[i] || gotLUT[i] != wantLUT[i] {
 			t.Fatalf("elem %d: ForceRef f16 results differ from ref", i)
 		}
-		if gotQ[i] != wantQ[i] || gotQP[i] != wantQ[i] || gotQC[i] != wantQ[i] {
+		if gotQ[i] != wantQ[i] {
 			t.Fatalf("elem %d: ForceRef q results differ from ref", i)
 		}
 	}
@@ -511,7 +525,7 @@ func BenchmarkF32GEMM128(b *testing.B) {
 	b.SetBytes(int64(m * k * n * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		F32(a, bb, c, m, k, n)
+		f32GEMM(PackAF32(a, m, k), bb, c, n)
 	}
 }
 
@@ -563,7 +577,7 @@ func BenchmarkQGEMMConvShapedRef(b *testing.B) {
 
 func BenchmarkQGEMMConvShapedPacked(b *testing.B) {
 	benchQ(b, 96, 1152, 784, func(_, bb []uint8, acc []int32, pa *PackedAU8) {
-		QGEMMPacked(pa, bb, acc, 784, 128, 3)
+		qGEMM(pa, bb, acc, 784, 128, 3)
 	})
 }
 
@@ -575,6 +589,6 @@ func BenchmarkQGEMMFCShapedRef(b *testing.B) {
 
 func BenchmarkQGEMMFCShapedPacked(b *testing.B) {
 	benchQ(b, 1024, 4096, 1, func(_, bb []uint8, acc []int32, pa *PackedAU8) {
-		QGEMMPacked(pa, bb, acc, 1, 128, 3)
+		qGEMM(pa, bb, acc, 1, 128, 3)
 	})
 }

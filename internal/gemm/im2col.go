@@ -41,12 +41,9 @@ func (g ConvGeom) pointwise() bool {
 	return g.KH == 1 && g.KW == 1 && g.StrideH == 1 && g.StrideW == 1 && g.PadH == 0 && g.PadW == 0
 }
 
-// Im2ColF32 lowers one batch element (chw layout, len = inC·inH·inW) into
-// the K×N patch matrix expected by the GEMM kernels. Out-of-bounds taps
-// contribute 0. dst must have length ≥ PatchRows()·PatchCols().
-func Im2ColF32(in []float32, g ConvGeom, dst []float32) { im2col(in, g, dst, 0) }
-
-// Im2ColF16 lowers one binary16 batch element; padding taps are +0.
+// Im2ColF16 lowers one binary16 batch element (chw layout, len =
+// inC·inH·inW) into its K×N patch matrix; padding taps are +0. dst must
+// have length ≥ PatchRows()·PatchCols().
 func Im2ColF16(in []f16.F16, g ConvGeom, dst []f16.F16) { im2col(in, g, dst, 0) }
 
 // Im2ColU8 lowers one quantized batch element. Padding taps are filled with

@@ -12,7 +12,8 @@ import (
 // rather than through internal/nn: padding wider than the kernel,
 // strides larger than the input extent, 1×1 convolutions, and
 // combinations thereof. Each is validated by running the lowered GEMM
-// against the im2col-free direct convolution.
+// against the im2col-free direct convolution, and ConvF32's fused pack
+// against the lowered GEMM.
 func edgeGeoms() []ConvGeom {
 	return []ConvGeom{
 		// Padding > kernel: every border output is entirely padding taps.
@@ -42,13 +43,19 @@ func TestIm2ColF32EdgeGeometries(t *testing.T) {
 		in := randF32(g.InC*g.InH*g.InW, rng)
 		w := randF32(outC*g.InC*g.KH*g.KW, rng)
 		patches := make([]float32, g.PatchRows()*g.PatchCols())
-		Im2ColF32(in, g, patches)
+		im2col(in, g, patches, 0)
 		got := make([]float32, outC*g.PatchCols())
 		F32Ref(w, patches, got, outC, g.PatchRows(), g.PatchCols())
 		want := directConv(in, g, w, outC)
+		n := g.PatchCols()
+		fused := make([]float32, outC*n)
+		ConvF32(PackAF32(w, outC, g.PatchRows()), in, g, func(r, j0 int, row []float32) { copy(fused[r*n+j0:], row) })
 		for i := range got {
 			if math.Abs(float64(got[i]-want[i])) > 1e-4 {
 				t.Fatalf("geom %+v elem %d: %v vs %v", g, i, got[i], want[i])
+			}
+			if fused[i] != got[i] {
+				t.Fatalf("geom %+v elem %d: ConvF32 %v vs im2col + F32Ref %v", g, i, fused[i], got[i])
 			}
 		}
 	}
@@ -95,7 +102,7 @@ func TestIm2ColF16EdgeGeometriesMatchF32(t *testing.T) {
 		inH := f16.FromSlice32(inF)
 		pf := make([]float32, g.PatchRows()*g.PatchCols())
 		ph := make([]f16.F16, g.PatchRows()*g.PatchCols())
-		Im2ColF32(inF, g, pf)
+		im2col(inF, g, pf, 0)
 		Im2ColF16(inH, g, ph)
 		for i := range pf {
 			if ph[i] != f16.FromFloat32(pf[i]) {
@@ -112,7 +119,7 @@ func TestIm2Col1x1IsReshape(t *testing.T) {
 	g := ConvGeom{InC: 3, InH: 4, InW: 6, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	in := randF32(g.InC*g.InH*g.InW, rng)
 	dst := make([]float32, g.PatchRows()*g.PatchCols())
-	Im2ColF32(in, g, dst)
+	im2col(in, g, dst, 0)
 	if g.PatchRows() != g.InC || g.PatchCols() != g.InH*g.InW {
 		t.Fatalf("1x1 patch dims %dx%d", g.PatchRows(), g.PatchCols())
 	}
@@ -129,7 +136,7 @@ func TestIm2ColAllPaddingTaps(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
 	in := []float32{5, 6, 7, 8}
 	dst := make([]float32, g.PatchRows()*g.PatchCols())
-	Im2ColF32(in, g, dst)
+	im2col(in, g, dst, 0)
 	oh, ow := g.OutH(), g.OutW()
 	for y := 0; y < oh; y++ {
 		for x := 0; x < ow; x++ {

@@ -106,7 +106,7 @@ func (p *PackedAU8) Unpack() []uint8 { return unpackPanels(p.data, p.M, p.K, sam
 
 // PackedAF16 is a binary16 weight matrix packed into mr-row panels. The
 // elements are stored widened to float32 — the conversion is exact, the
-// F16 kernels accumulate in float32 anyway (see F16GEMM), and widening at
+// F16 kernels accumulate in float32 anyway (see ConvF16), and widening at
 // pack time moves the per-element conversion out of the O(m·k·n) inner
 // loop into the O(m·k) pack.
 type PackedAF16 struct {

@@ -83,10 +83,10 @@ func TestPackedReuseIdenticalResults(t *testing.T) {
 	a, b := randU8(m*k, rng), randU8(k*n, rng)
 	pa := PackAU8(a, m, k)
 	first := make([]int32, m*n)
-	QGEMMPacked(pa, b, first, n, 7, 200)
+	qGEMM(pa, b, first, n, 7, 200)
 	for call := 0; call < 3; call++ {
 		got := make([]int32, m*n)
-		QGEMMPacked(pa, b, got, n, 7, 200)
+		qGEMM(pa, b, got, n, 7, 200)
 		for i := range got {
 			if got[i] != first[i] {
 				t.Fatalf("call %d elem %d: %d vs %d", call, i, got[i], first[i])
@@ -131,9 +131,9 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 			})
 			packs[g] = pa
 			got := make([]int32, m*n)
-			QGEMMPacked(pa, b, got, n, 3, 250)
+			qGEMM(pa, b, got, n, 3, 250)
 			gotH := make([]f16.F16, m*n)
-			F16GEMMPacked(pah, bh, gotH, n)
+			f16GEMM(pah, bh, gotH, n)
 			for i := range got {
 				if got[i] != want[i] || gotH[i] != wantH[i] {
 					t.Errorf("goroutine %d elem %d: %d vs %d, f16 %#04x vs %#04x", g, i, got[i], want[i], gotH[i], wantH[i])
@@ -175,12 +175,11 @@ func TestPackCacheRangeKeys(t *testing.T) {
 			return PackAF32(a[c0*k:c1*k], c1-c0, k)
 		})
 		got := make([]float32, (c1-c0)*n)
-		F32Packed(pa, b, got, n)
+		f32GEMM(pa, b, got, n)
 		want := make([]float32, (c1-c0)*n)
 		F32Ref(a[c0*k:c1*k], b, want, c1-c0, k, n)
 		for i := range got {
-			d := got[i] - want[i]
-			if d < -1e-4 || d > 1e-4 {
+			if got[i] != want[i] {
 				t.Fatalf("range %v elem %d: %v vs %v", r, i, got[i], want[i])
 			}
 		}

@@ -30,8 +30,8 @@ import (
 // 4×8 int32, two-pass 4×2 forms) spill inside it.
 //
 // Float kernels accumulate each c[i,j] in one float32 accumulator in
-// ascending-k order — exactly the reference kernels' order — so F16
-// results stay bit-identical to F16Ref.
+// ascending-k order — exactly the reference kernels' order — so F32 and
+// F16 results stay bit-identical to F32Ref and F16Ref.
 
 const (
 	// mr is the register-tile height (packed A panel height).

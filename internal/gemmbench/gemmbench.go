@@ -252,19 +252,23 @@ func Run(cfg Config) (*Report, error) {
 		cf := make([]float32, m*n)
 		paf := gemm.PackAF32(af, m, k)
 
+		// The packed kernels multiply the (k × n) operand as the patch
+		// matrix of MatrixGeom, writing results back row-major as the
+		// Ref loops do.
+		g := gemm.MatrixGeom(k, n)
 		r := Result{Shape: s}
 		r.QRefGOPS = measure(cfg.MinTime, ops, func() {
 			gemm.QGEMMRef(aq, bq, acc, m, k, n, za, zb)
 		}) / 1e9
 		r.QPackedGOPS = measure(cfg.MinTime, ops, func() {
-			gemm.QGEMMPacked(paq, bq, acc, n, za, zb)
+			gemm.ConvQ(paq, bq, g, za, zb, func(i, j0 int, row []int32) { copy(acc[i*n+j0:], row) })
 		}) / 1e9
 		r.QSpeedup = r.QPackedGOPS / r.QRefGOPS
 		r.F32RefGFLOPS = measure(cfg.MinTime, ops, func() {
 			gemm.F32Ref(af, bf, cf, m, k, n)
 		}) / 1e9
 		r.F32PackedGFLOPS = measure(cfg.MinTime, ops, func() {
-			gemm.F32Packed(paf, bf, cf, n)
+			gemm.ConvF32(paf, bf, g, func(i, j0 int, row []float32) { copy(cf[i*n+j0:], row) })
 		}) / 1e9
 		r.F32Speedup = r.F32PackedGFLOPS / r.F32RefGFLOPS
 		rep.Shapes = append(rep.Shapes, r)

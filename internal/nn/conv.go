@@ -11,16 +11,15 @@ import (
 
 // Conv2D is a 2-D convolutional layer (OIHW filters, NCHW activations)
 // with optional grouping (Groups=InC gives a depthwise convolution) and a
-// fused activation. A fully-connected layer is expressible as a 1×1
-// convolution over a 1×1 spatial extent (§2.1), but the dedicated FC layer
-// in fc.go is cheaper for flattened inputs.
+// fused activation. A fully-connected layer is a 1×1 convolution over a
+// 1×1 spatial extent (§2.1), and FullyConnected runs as one.
 //
-// The layer carries float32 master weights plus caches for the other
-// pipelines: QUInt8 weights and int32 bias for the CPU integer path, and
-// two binary16 weight sets — one rounded from the F32 master (pure-F16
-// execution) and one dequantized from the QUInt8 weights (the GPU path of
-// processor-friendly quantization, which uploads filters as dequantized
-// halves, §6).
+// The layer carries float32 master weights plus the QUInt8 weights and
+// int32 bias of the CPU integer path. Its two binary16 weight sets — one
+// rounded from the F32 master (pure-F16 execution) and one dequantized
+// from the QUInt8 weights (the GPU path of processor-friendly
+// quantization, which uploads filters as dequantized halves, §6) — are
+// derived element by element (halfF, halfQ) into the packed caches.
 type Conv2D struct {
 	LayerName        string
 	InC, OutC        int
@@ -43,17 +42,16 @@ type Conv2D struct {
 
 	QI QuantInfo
 
-	wq      *tensor.QTensor
-	biasQ   []int32
-	reqs    []quant.Requantizer // per-channel output stages (PerChannelW)
-	hwFromF []f16.F16
-	hwFromQ []f16.F16
+	wq    *tensor.QTensor
+	biasQ []int32
+	reqs  []quant.Requantizer // per-channel output stages (PerChannelW)
 
 	// Packed-weight caches, one per weight form, keyed by the output
 	// channel range [c0,c1) a split plan assigns to a processor. Filters
-	// are reused on every request, so the im2col GEMMs run against
-	// panels packed once per (range, form) and shared across calls —
-	// including concurrent CPU/GPU halves of a split layer.
+	// are reused on every request, so the kernels run against panels
+	// packed once per (range, form) and shared across calls — including
+	// concurrent CPU/GPU halves of a split layer. Each build derives its
+	// weight form under the cache's lock.
 	packF32 gemm.PackCache[gemm.PackedAF32]
 	packQ   gemm.PackCache[gemm.PackedAU8]
 	packHF  gemm.PackCache[gemm.PackedAF16]
@@ -61,7 +59,8 @@ type Conv2D struct {
 }
 
 // resetPacks drops the packed-weight caches after the underlying weight
-// forms change (SetQuant rebuilds the QUInt8 and binary16 sets).
+// forms change (SetQuant rebuilds the QUInt8 weights and the grids the
+// dequantized halves come from).
 func (l *Conv2D) resetPacks() {
 	l.packF32.Reset()
 	l.packQ.Reset()
@@ -140,8 +139,8 @@ func (l *Conv2D) Cost(ins []tensor.Shape) Cost {
 func (l *Conv2D) SplitChannels(ins []tensor.Shape) int { return l.OutC }
 
 // SetQuant installs the calibrated input/output activation grids, derives
-// the weight grid from the master weights, and builds the cached QUInt8 /
-// binary16 weight forms. Must be called before any quantized or
+// the weight grid from the master weights, and builds the QUInt8 weights
+// and integer bias. Must be called before any quantized or
 // processor-friendly forward.
 func (l *Conv2D) SetQuant(in, out quant.Params) {
 	if l.W == nil {
@@ -165,11 +164,6 @@ func (l *Conv2D) SetQuant(in, out quant.Params) {
 		}
 		l.biasQ[i] = int32(math.Round(b / biasScale))
 	}
-	l.hwFromF = f16.FromSlice32(l.W.Data)
-	l.hwFromQ = make([]f16.F16, len(l.wq.Data))
-	for i, q := range l.wq.Data {
-		l.hwFromQ[i] = f16.FromFloat32(wp.Dequantize(q))
-	}
 }
 
 // setQuantPerChannel installs symmetric per-output-channel weight grids:
@@ -182,7 +176,6 @@ func (l *Conv2D) setQuantPerChannel(in, out quant.Params) {
 	l.wq = tensor.NewQ(l.W.Shape, quant.Params{Scale: 1, ZeroPoint: 128})
 	l.biasQ = make([]int32, l.OutC)
 	l.reqs = make([]quant.Requantizer, l.OutC)
-	l.hwFromQ = make([]f16.F16, len(l.W.Data))
 	for oc := 0; oc < l.OutC; oc++ {
 		row := l.W.Data[oc*rows : (oc+1)*rows]
 		var amax float64
@@ -198,7 +191,6 @@ func (l *Conv2D) setQuantPerChannel(in, out quant.Params) {
 		perCh[oc] = wp
 		for i, v := range row {
 			l.wq.Data[oc*rows+i] = wp.Quantize(v)
-			l.hwFromQ[oc*rows+i] = f16.FromFloat32(wp.Dequantize(l.wq.Data[oc*rows+i]))
 		}
 		var b float64
 		if l.Bias != nil {
@@ -209,82 +201,84 @@ func (l *Conv2D) setQuantPerChannel(in, out quant.Params) {
 	}
 	l.QI = QuantInfo{In: in, W: perCh[0], Out: out, WPerChannel: perCh, Ready: true}
 	l.wq.Params = quant.Params{Scale: perCh[0].Scale, ZeroPoint: 128}
-	l.hwFromF = f16.FromSlice32(l.W.Data)
 }
 
 // requantizerFor returns the output stage for one output channel.
-func (l *Conv2D) requantizerFor(in quant.Params, outP quant.Params, oc int, fallback *quant.Requantizer) quant.Requantizer {
+func (l *Conv2D) requantizerFor(oc int, fallback *quant.Requantizer) quant.Requantizer {
 	if l.QI.PerChannel() {
 		return l.reqs[oc]
 	}
 	return *fallback
 }
 
-// ForwardF32 computes output channels [c0,c1) of the F32 pipeline.
+// biasAt returns output channel oc's float32 bias (0 without biases).
+func (l *Conv2D) biasAt(oc int) float32 {
+	if l.Bias == nil {
+		return 0
+	}
+	return l.Bias[oc]
+}
+
+// ForwardF32 computes output channels [c0,c1) of the F32 pipeline. Bias
+// and activation run on each result strip as the kernel finishes it.
 func (l *Conv2D) ForwardF32(ins []*tensor.Tensor, out *tensor.Tensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, l.OutC, l.LayerName)
-	g := l.geom(in.Shape)
-	oh, ow := g.OutH(), g.OutW()
-	plane := oh * ow
-	if l.groups() == 1 {
-		k := g.PatchRows()
-		pw := l.packF32.Get(c0, c1, func() *gemm.PackedAF32 {
-			return gemm.PackAF32(l.W.Data[c0*k:c1*k], c1-c0, k)
+	l.mustHaveWeights()
+	if l.groups() != 1 {
+		l.directFloat(in.Shape, out.Shape, c0, c1, func(i int) float32 { return l.W.Data[i] }, func(i int) float32 { return in.Data[i] }, func(i, oc int, s float32) {
+			out.Data[i] = l.Act.Apply(s + l.biasAt(oc))
 		})
-		patches := make([]float32, k*g.PatchCols())
-		for n := 0; n < in.Shape.N; n++ {
-			gemm.Im2ColF32(batchElem(in.Data, in.Shape, n), g, patches)
-			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
-			gemm.F32Packed(pw, patches, out.Data[lo:lo+(c1-c0)*plane], plane)
-		}
-	} else {
-		l.directF32(in, out, c0, c1)
+		return
 	}
-	// Bias + activation epilogue.
-	for n := 0; n < out.Shape.N; n++ {
-		for oc := c0; oc < c1; oc++ {
-			var b float32
-			if l.Bias != nil {
-				b = l.Bias[oc]
+	g := l.geom(in.Shape)
+	k, plane := g.PatchRows(), g.PatchCols()
+	pw := l.packF32.Get(c0, c1, func() *gemm.PackedAF32 {
+		return gemm.PackAF32(l.W.Data[c0*k:c1*k], c1-c0, k)
+	})
+	for n := 0; n < in.Shape.N; n++ {
+		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
+		gemm.ConvF32(pw, batchElem(in.Data, in.Shape, n), g, func(r, j0 int, row []float32) {
+			b := l.biasAt(c0 + r)
+			dst := out.Data[lo+r*plane+j0:]
+			for i, s := range row {
+				dst[i] = l.Act.Apply(s + b)
 			}
-			lo, hi := out.Shape.ChannelSpan(n, oc, oc+1)
-			for i := lo; i < hi; i++ {
-				out.Data[i] = l.Act.Apply(out.Data[i] + b)
-			}
-		}
+		})
 	}
 }
 
-// directF32 handles grouped/depthwise convolutions with straight loops.
-func (l *Conv2D) directF32(in *tensor.Tensor, out *tensor.Tensor, c0, c1 int) {
+// directFloat handles grouped/depthwise float convolutions with straight
+// loops, accumulating in float32 like the GEMM kernels. w widens flat
+// weight element i and at flat input element i; emit receives flat output
+// index i of channel oc with its float32 sum and finishes it.
+func (l *Conv2D) directFloat(inS, outS tensor.Shape, c0, c1 int, w, at func(i int) float32, emit func(i, oc int, s float32)) {
 	gr := l.groups()
 	icg := l.InC / gr
 	ocg := l.OutC / gr
-	oh, ow := out.Shape.H, out.Shape.W
-	for n := 0; n < in.Shape.N; n++ {
+	for n := 0; n < inS.N; n++ {
 		for oc := c0; oc < c1; oc++ {
 			gidx := oc / ocg
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
+			for y := 0; y < outS.H; y++ {
+				for x := 0; x < outS.W; x++ {
 					var s float32
 					for ic := 0; ic < icg; ic++ {
 						cin := gidx*icg + ic
 						for kh := 0; kh < l.KH; kh++ {
 							sy := y*l.StrideH - l.PadH + kh
-							if sy < 0 || sy >= in.Shape.H {
+							if sy < 0 || sy >= inS.H {
 								continue
 							}
 							for kw := 0; kw < l.KW; kw++ {
 								sx := x*l.StrideW - l.PadW + kw
-								if sx < 0 || sx >= in.Shape.W {
+								if sx < 0 || sx >= inS.W {
 									continue
 								}
-								s += l.W.Data[((oc*icg+ic)*l.KH+kh)*l.KW+kw] * in.At(n, cin, sy, sx)
+								s += w(((oc*icg+ic)*l.KH+kh)*l.KW+kw) * at(inS.Index(n, cin, sy, sx))
 							}
 						}
 					}
-					out.Set(n, oc, y, x, s)
+					emit(outS.Index(n, oc, y, x), oc, s)
 				}
 			}
 		}
@@ -315,7 +309,7 @@ func (l *Conv2D) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int
 	for n := 0; n < in.Shape.N; n++ {
 		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
 		gemm.ConvQ(pw, batchElem(in.Data, in.Shape, n), g, zw, za, func(r, j0 int, acc []int32) {
-			rq := l.requantizerFor(in.Params, out.Params, c0+r, &req)
+			rq := l.requantizerFor(c0+r, &req)
 			bq := l.biasQ[c0+r]
 			dst := out.Data[lo+r*plane+j0:]
 			for i, a := range acc {
@@ -342,7 +336,7 @@ func (l *Conv2D) directQ(in *tensor.QTensor, out *tensor.QTensor, c0, c1 int, re
 		for oc := c0; oc < c1; oc++ {
 			gidx := oc / ocg
 			for y := 0; y < oh; y++ {
-				rq := l.requantizerFor(in.Params, out.Params, oc, &req)
+				rq := l.requantizerFor(oc, &req)
 				for x := 0; x < ow; x++ {
 					acc := l.biasQ[oc]
 					for ic := 0; ic < icg; ic++ {
@@ -369,93 +363,35 @@ func (l *Conv2D) directQ(in *tensor.QTensor, out *tensor.QTensor, c0, c1 int, re
 	}
 }
 
-// ForwardF16 computes output channels [c0,c1) in half precision. fromQ
-// selects the weight set: false uses halves rounded from the F32 master
-// (pure-F16 execution, Figure 8), true uses halves dequantized from the
-// QUInt8 weights (the GPU side of processor-friendly quantization).
-func (l *Conv2D) ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 int, fromQ bool) {
+// ForwardF16 computes output channels [c0,c1) in half precision with the
+// weights rounded from the F32 master (pure-F16 execution, Figure 8).
+// Each sum is rounded to half, widened, biased, activated and rounded
+// again, on each result strip as the kernel finishes it.
+func (l *Conv2D) ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, l.OutC, l.LayerName)
-	w := l.halfWeights(fromQ)
-	g := l.geom(in.Shape)
-	oh, ow := g.OutH(), g.OutW()
-	plane := oh * ow
-	if l.groups() == 1 {
-		k := g.PatchRows()
-		pw := l.packedHalfWeights(fromQ, c0, c1, k)
-		patches := make([]f16.F16, k*g.PatchCols())
-		for n := 0; n < in.Shape.N; n++ {
-			gemm.Im2ColF16(batchElem(in.Data, in.Shape, n), g, patches)
-			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
-			gemm.F16GEMMPacked(pw, patches, out.Data[lo:lo+(c1-c0)*plane], plane)
-		}
-	} else {
-		l.directHalf(in.Shape, out.Shape, c0, c1, w, func(i int) float32 { return in.Data[i].Float32() }, func(i, _ int, s float32) {
-			out.Data[i] = f16.FromFloat32(s)
+	l.mustHaveWeights()
+	finish := func(s, b float32) f16.F16 {
+		return f16.FromFloat32(l.Act.Apply(f16.FromFloat32(s).Float32() + b))
+	}
+	if l.groups() != 1 {
+		l.directFloat(in.Shape, out.Shape, c0, c1, func(i int) float32 { return l.halfF(i).Float32() }, func(i int) float32 { return in.Data[i].Float32() }, func(i, oc int, s float32) {
+			out.Data[i] = finish(s, l.biasAt(oc))
 		})
+		return
 	}
-	for n := 0; n < out.Shape.N; n++ {
-		for oc := c0; oc < c1; oc++ {
-			var b float32
-			if l.Bias != nil {
-				b = l.Bias[oc]
+	g := l.geom(in.Shape)
+	k, plane := g.PatchRows(), g.PatchCols()
+	pw := l.packHF.Get(c0, c1, func() *gemm.PackedAF16 { return packHalf(c0, c1, k, l.halfF) })
+	for n := 0; n < in.Shape.N; n++ {
+		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
+		gemm.ConvF16(pw, batchElem(in.Data, in.Shape, n), g, func(r, j0 int, row []float32) {
+			b := l.biasAt(c0 + r)
+			dst := out.Data[lo+r*plane+j0:]
+			for i, s := range row {
+				dst[i] = finish(s, b)
 			}
-			lo, hi := out.Shape.ChannelSpan(n, oc, oc+1)
-			for i := lo; i < hi; i++ {
-				out.Data[i] = f16.FromFloat32(l.Act.Apply(out.Data[i].Float32() + b))
-			}
-		}
-	}
-}
-
-// packedHalfWeights returns the cached packed binary16 weight panels for
-// output channels [c0,c1); fromQ selects the weight set as in
-// halfWeights.
-func (l *Conv2D) packedHalfWeights(fromQ bool, c0, c1, k int) *gemm.PackedAF16 {
-	w := l.halfWeights(fromQ)
-	cache := &l.packHF
-	if fromQ {
-		cache = &l.packHQ
-	}
-	return cache.Get(c0, c1, func() *gemm.PackedAF16 {
-		return gemm.PackAF16(w[c0*k:c1*k], c1-c0, k)
-	})
-}
-
-// directHalf handles grouped/depthwise half-precision convolutions with
-// straight loops, accumulating in float32 like the GEMM kernel. at widens
-// flat input element i; emit receives flat output index i of channel oc
-// with its float32 sum, which the caller rounds to binary16.
-func (l *Conv2D) directHalf(inS, outS tensor.Shape, c0, c1 int, w []f16.F16, at func(i int) float32, emit func(i, oc int, s float32)) {
-	gr := l.groups()
-	icg := l.InC / gr
-	ocg := l.OutC / gr
-	for n := 0; n < inS.N; n++ {
-		for oc := c0; oc < c1; oc++ {
-			gidx := oc / ocg
-			for y := 0; y < outS.H; y++ {
-				for x := 0; x < outS.W; x++ {
-					var s float32
-					for ic := 0; ic < icg; ic++ {
-						cin := gidx*icg + ic
-						for kh := 0; kh < l.KH; kh++ {
-							sy := y*l.StrideH - l.PadH + kh
-							if sy < 0 || sy >= inS.H {
-								continue
-							}
-							for kw := 0; kw < l.KW; kw++ {
-								sx := x*l.StrideW - l.PadW + kw
-								if sx < 0 || sx >= inS.W {
-									continue
-								}
-								s += w[((oc*icg+ic)*l.KH+kh)*l.KW+kw].Float32() * at(inS.Index(n, cin, sy, sx))
-							}
-						}
-					}
-					emit(outS.Index(n, oc, y, x), oc, s)
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -484,14 +420,14 @@ func (l *Conv2D) ForwardQViaF16(ins []*tensor.QTensor, out *tensor.QTensor, c0, 
 		return out.Params.Quantize(l.Act.Apply(f16.Add(f16.FromFloat32(s), b).Float32()))
 	}
 	if l.groups() != 1 {
-		l.directHalf(in.Shape, out.Shape, c0, c1, l.halfWeights(true), func(i int) float32 { return lut[in.Data[i]] }, func(i, oc int, s float32) {
+		l.directFloat(in.Shape, out.Shape, c0, c1, func(i int) float32 { return l.halfQ(i).Float32() }, func(i int) float32 { return lut[in.Data[i]] }, func(i, oc int, s float32) {
 			out.Data[i] = quantizeHalf(s, bias(oc))
 		})
 		return
 	}
 	g := l.geom(in.Shape)
-	plane := g.PatchCols()
-	pw := l.packedHalfWeights(true, c0, c1, g.PatchRows())
+	k, plane := g.PatchRows(), g.PatchCols()
+	pw := l.packHQ.Get(c0, c1, func() *gemm.PackedAF16 { return packHalf(c0, c1, k, l.halfQ) })
 	for n := 0; n < in.Shape.N; n++ {
 		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
 		gemm.ConvQViaF16(pw, batchElem(in.Data, in.Shape, n), g, &lut, in.Params.ZeroPoint, func(r, j0 int, acc []float32) {
@@ -516,18 +452,33 @@ func halfLUT(p quant.Params) [256]float32 {
 	return lut
 }
 
-func (l *Conv2D) halfWeights(fromQ bool) []f16.F16 {
-	if fromQ {
-		l.mustQuantReady()
-		return l.hwFromQ
+// halfF is flat weight i rounded from the F32 master to binary16.
+func (l *Conv2D) halfF(i int) f16.F16 { return f16.FromFloat32(l.W.Data[i]) }
+
+// halfQ is flat weight i dequantized from its QUInt8 grid and rounded to
+// binary16: the filter the GPU half uploads.
+func (l *Conv2D) halfQ(i int) f16.F16 {
+	wp := l.QI.W
+	if l.QI.PerChannel() {
+		wp = l.QI.WPerChannel[i/(len(l.wq.Data)/l.OutC)]
 	}
-	if l.hwFromF == nil {
-		if l.W == nil {
-			panic("nn: forward on spec-only Conv2D " + l.LayerName)
-		}
-		l.hwFromF = f16.FromSlice32(l.W.Data)
+	return f16.FromFloat32(wp.Dequantize(l.wq.Data[i]))
+}
+
+// packHalf packs output channels [c0,c1) of the binary16 weight set whose
+// flat element i is half(i), k weights per channel.
+func packHalf(c0, c1, k int, half func(i int) f16.F16) *gemm.PackedAF16 {
+	w := make([]f16.F16, (c1-c0)*k)
+	for i := range w {
+		w[i] = half(c0*k + i)
 	}
-	return l.hwFromF
+	return gemm.PackAF16(w, c1-c0, k)
+}
+
+func (l *Conv2D) mustHaveWeights() {
+	if l.W == nil {
+		panic("nn: forward on spec-only Conv2D " + l.LayerName)
+	}
 }
 
 func (l *Conv2D) mustQuantReady() {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -165,7 +166,7 @@ func TestConvF16CloseToF32(t *testing.T) {
 	l.ForwardF32([]*tensor.Tensor{in}, ref, 0, l.OutC)
 	hin := tensor.ToHalf(in)
 	hout := tensor.NewH(outShape)
-	l.ForwardF16([]*tensor.HTensor{hin}, hout, 0, l.OutC, false)
+	l.ForwardF16([]*tensor.HTensor{hin}, hout, 0, l.OutC)
 	got := tensor.HalfToFloat(hout)
 	if d := got.MaxAbsDiff(ref); d > 0.02 {
 		t.Fatalf("F16 error vs F32: %v", d)
@@ -356,5 +357,64 @@ func TestConvSpecOnlyPanicsOnForward(t *testing.T) {
 			t.Error("spec-only forward must panic")
 		}
 	}()
-	l.ForwardF16([]*tensor.HTensor{tensor.ToHalf(in)}, tensor.NewH(out.Shape), 0, 2, false)
+	l.ForwardF16([]*tensor.HTensor{tensor.ToHalf(in)}, tensor.NewH(out.Shape), 0, 2)
+}
+
+// The CPU and GPU halves of a split layer may run on two goroutines. A
+// layer that was never calibrated derives its binary16 weights on first
+// use, so concurrent first forwards over disjoint channel ranges must not
+// race (run under -race by `make race`) and must together write exactly
+// the whole-layer output. The FC case also builds its convolution lazily.
+func TestConcurrentHalvesOfUncalibratedLayers(t *testing.T) {
+	type halfLayer interface {
+		Layer
+		ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 int)
+	}
+	weights := func(s tensor.Shape) *tensor.Tensor {
+		w := tensor.New(s)
+		w.FillRandom(92, 0.5)
+		return w
+	}
+	layers := map[string]func() halfLayer{
+		"dense": func() halfLayer {
+			return &Conv2D{LayerName: "dense", InC: 6, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
+				Act: quant.ActReLU, W: weights(tensor.Shape{N: 8, C: 6, H: 3, W: 3}), Bias: make([]float32, 8)}
+		},
+		"grouped": func() halfLayer {
+			return &Conv2D{LayerName: "dw", InC: 6, OutC: 6, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1, Groups: 6,
+				Act: quant.ActReLU, W: weights(tensor.Shape{N: 6, C: 1, H: 3, W: 3}), Bias: make([]float32, 6)}
+		},
+		"fc": func() halfLayer {
+			return &FullyConnected{LayerName: "fc", InFeatures: 6 * 7 * 7, OutC: 10, Act: quant.ActReLU,
+				W: weights(tensor.Shape{N: 10, C: 6 * 7 * 7, H: 1, W: 1})}
+		},
+	}
+	in := tensor.New(tensor.Shape{N: 2, C: 6, H: 7, W: 7})
+	in.FillRandom(91, 1)
+	ins := []*tensor.HTensor{tensor.ToHalf(in)}
+	for name, build := range layers {
+		whole := build()
+		outShape, err := whole.OutShape([]tensor.Shape{in.Shape})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tensor.NewH(outShape)
+		whole.ForwardF16(ins, want, 0, outShape.C)
+
+		split, got := build(), tensor.NewH(outShape)
+		var wg sync.WaitGroup
+		for _, r := range [][2]int{{0, outShape.C / 2}, {outShape.C / 2, outShape.C}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				split.ForwardF16(ins, got, r[0], r[1])
+			}()
+		}
+		wg.Wait()
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%s elem %d: concurrent halves %#04x, whole layer %#04x", name, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
 }

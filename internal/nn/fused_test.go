@@ -11,9 +11,52 @@ import (
 	"mulayer/internal/tensor"
 )
 
+// dequantizedHalves is the GPU half's weight set computed from scratch:
+// every QUInt8 weight dequantized on its grid and rounded to binary16.
+func dequantizedHalves(l *Conv2D) []f16.F16 {
+	rows := len(l.wq.Data) / l.OutC
+	w := make([]f16.F16, len(l.wq.Data))
+	for i, q := range l.wq.Data {
+		wp := l.QI.W
+		if l.QI.PerChannel() {
+			wp = l.QI.WPerChannel[i/rows]
+		}
+		w[i] = f16.FromFloat32(wp.Dequantize(q))
+	}
+	return w
+}
+
+// directChain convolves channels [c0,c1) of a grouped layer with straight
+// loops over widened weights and inputs, storing each float32 sum through
+// round: the grouped half of the unfused chains below.
+func directChain[T any](l *Conv2D, inS, outS tensor.Shape, in, w, out []T, c0, c1 int, widen func(T) float32, round func(float32) T) {
+	icg, ocg := l.InC/l.groups(), l.OutC/l.groups()
+	for n := 0; n < inS.N; n++ {
+		for oc := c0; oc < c1; oc++ {
+			for y := 0; y < outS.H; y++ {
+				for x := 0; x < outS.W; x++ {
+					var s float32
+					for ic := 0; ic < icg; ic++ {
+						for kh := 0; kh < l.KH; kh++ {
+							for kw := 0; kw < l.KW; kw++ {
+								sy, sx := y*l.StrideH-l.PadH+kh, x*l.StrideW-l.PadW+kw
+								if sy < 0 || sy >= inS.H || sx < 0 || sx >= inS.W {
+									continue
+								}
+								s += widen(w[((oc*icg+ic)*l.KH+kh)*l.KW+kw]) * widen(in[inS.Index(n, oc/ocg*icg+ic, sy, sx)])
+							}
+						}
+					}
+					out[outS.Index(n, oc, y, x)] = round(s)
+				}
+			}
+		}
+	}
+}
+
 // forwardQViaF16Chain is the GPU-half pipeline as a chain of whole-tensor
 // passes: dequantize the input to binary16, lower it with Im2ColF16 (or
-// convolve it directly when grouped), multiply with F16GEMMPacked into a
+// convolve it directly when grouped), multiply with F16Ref into a
 // binary16 tensor, then add the half bias, activate and quantize element
 // by element. ForwardQViaF16 fuses all of it into the kernel's pack and
 // strip writeback and must agree bit for bit.
@@ -23,40 +66,19 @@ func forwardQViaF16Chain(l *Conv2D, in *tensor.QTensor, out *tensor.QTensor, c0,
 		hin.Data[i] = f16.FromFloat32(in.Params.Dequantize(v))
 	}
 	hout := tensor.NewH(out.Shape)
+	w := dequantizedHalves(l)
 	g := l.geom(in.Shape)
 	plane := g.PatchCols()
 	if l.groups() == 1 {
 		k := g.PatchRows()
-		pw := gemm.PackAF16(l.hwFromQ[c0*k:c1*k], c1-c0, k)
 		patches := make([]f16.F16, k*plane)
 		for n := 0; n < in.Shape.N; n++ {
 			gemm.Im2ColF16(batchElem(hin.Data, in.Shape, n), g, patches)
 			lo, _ := out.Shape.ChannelSpan(n, c0, c1)
-			gemm.F16GEMMPacked(pw, patches, hout.Data[lo:lo+(c1-c0)*plane], plane)
+			gemm.F16Ref(w[c0*k:c1*k], patches, hout.Data[lo:lo+(c1-c0)*plane], c1-c0, k, plane)
 		}
 	} else {
-		icg, ocg := l.InC/l.groups(), l.OutC/l.groups()
-		for n := 0; n < in.Shape.N; n++ {
-			for oc := c0; oc < c1; oc++ {
-				for y := 0; y < out.Shape.H; y++ {
-					for x := 0; x < out.Shape.W; x++ {
-						var s float32
-						for ic := 0; ic < icg; ic++ {
-							for kh := 0; kh < l.KH; kh++ {
-								for kw := 0; kw < l.KW; kw++ {
-									sy, sx := y*l.StrideH-l.PadH+kh, x*l.StrideW-l.PadW+kw
-									if sy < 0 || sy >= in.Shape.H || sx < 0 || sx >= in.Shape.W {
-										continue
-									}
-									s += l.hwFromQ[((oc*icg+ic)*l.KH+kh)*l.KW+kw].Float32() * hin.At(n, oc/ocg*icg+ic, sy, sx).Float32()
-								}
-							}
-						}
-						hout.Set(n, oc, y, x, f16.FromFloat32(s))
-					}
-				}
-			}
-		}
+		directChain(l, in.Shape, out.Shape, hin.Data, w, hout.Data, c0, c1, f16.F16.Float32, f16.FromFloat32)
 	}
 	for n := 0; n < out.Shape.N; n++ {
 		for oc := c0; oc < c1; oc++ {
@@ -127,6 +149,82 @@ func TestForwardQViaF16MatchesUnfusedChain(t *testing.T) {
 	}
 }
 
+// patchMatrix lowers one batch element to its K×N patch matrix tap by
+// tap, +0 for padding: the F32 chain's im2col.
+func patchMatrix[T any](in []T, g gemm.ConvGeom) []T {
+	oh, ow := g.OutH(), g.OutW()
+	p := make([]T, g.PatchRows()*oh*ow)
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				row := p[((c*g.KH+kh)*g.KW+kw)*oh*ow:]
+				for y := 0; y < oh; y++ {
+					for x := 0; x < ow; x++ {
+						sy, sx := y*g.StrideH-g.PadH+kh, x*g.StrideW-g.PadW+kw
+						if sy >= 0 && sy < g.InH && sx >= 0 && sx < g.InW {
+							row[y*ow+x] = in[(c*g.InH+sy)*g.InW+sx]
+						}
+					}
+				}
+			}
+		}
+	}
+	return p
+}
+
+// forwardFloatChain is the pure-float pipeline as a chain of whole-tensor
+// passes: lower with im2col and multiply with ref (or convolve directly
+// when grouped) into the output tensor, rounding each sum, then add the
+// bias and activate element by element in a second pass. ForwardF32 and
+// ForwardF16 run the bias and activation in the kernel's strip epilogue
+// and must agree bit for bit.
+func forwardFloatChain[T any](l *Conv2D, inS, outS tensor.Shape, in, w, out []T, c0, c1 int,
+	ref func(a, b, c []T, m, k, n int), widen func(T) float32, round func(float32) T) {
+	if l.groups() == 1 {
+		g := l.geom(inS)
+		k, plane := g.PatchRows(), g.PatchCols()
+		for n := 0; n < inS.N; n++ {
+			lo, _ := outS.ChannelSpan(n, c0, c1)
+			ref(w[c0*k:c1*k], patchMatrix(batchElem(in, inS, n), g), out[lo:lo+(c1-c0)*plane], c1-c0, k, plane)
+		}
+	} else {
+		directChain(l, inS, outS, in, w, out, c0, c1, widen, round)
+	}
+	for n := 0; n < outS.N; n++ {
+		for oc := c0; oc < c1; oc++ {
+			lo, hi := outS.ChannelSpan(n, oc, oc+1)
+			for i := lo; i < hi; i++ {
+				out[i] = round(l.Act.Apply(widen(out[i]) + l.Bias[oc]))
+			}
+		}
+	}
+}
+
+func TestForwardFloatMatchesUnfusedChain(t *testing.T) {
+	same := func(v float32) float32 { return v }
+	for name, l := range fusedCases(t) {
+		t.Run(name, func(t *testing.T) {
+			in := tensor.New(tensor.Shape{N: 2, C: l.InC, H: 9, W: 9})
+			in.FillRandom(81, 1)
+			hin := tensor.ToHalf(in)
+			outShape, _ := l.OutShape([]tensor.Shape{in.Shape})
+			for _, r := range [][2]int{{0, l.OutC}, {1, l.OutC - 1}} {
+				got, want := tensor.New(outShape), tensor.New(outShape)
+				l.ForwardF32([]*tensor.Tensor{in}, got, r[0], r[1])
+				forwardFloatChain(l, in.Shape, outShape, in.Data, l.W.Data, want.Data, r[0], r[1], gemm.F32Ref, same, same)
+				hgot, hwant := tensor.NewH(outShape), tensor.NewH(outShape)
+				l.ForwardF16([]*tensor.HTensor{hin}, hgot, r[0], r[1])
+				forwardFloatChain(l, in.Shape, outShape, hin.Data, f16.FromSlice32(l.W.Data), hwant.Data, r[0], r[1], gemm.F16Ref, f16.F16.Float32, f16.FromFloat32)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) || hgot.Data[i] != hwant.Data[i] {
+						t.Fatalf("channels %v elem %d: fused %v/%#04x, chain %v/%#04x", r, i, got.Data[i], hgot.Data[i], want.Data[i], hwant.Data[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // The CPU half's fused pack + strip requantize must equal Im2ColU8 +
 // QGEMMRef + per-element requantize.
 func TestForwardQMatchesUnfusedChain(t *testing.T) {
@@ -149,7 +247,7 @@ func TestForwardQMatchesUnfusedChain(t *testing.T) {
 				gemm.QGEMMRef(l.wq.Data, patches, acc, l.OutC, k, plane, int32(l.QI.W.ZeroPoint), int32(in.Params.ZeroPoint))
 				for i, a := range acc {
 					oc := i / plane
-					want := l.requantizerFor(in.Params, l.QI.Out, oc, &req).Requantize(a + l.biasQ[oc])
+					want := l.requantizerFor(oc, &req).Requantize(a + l.biasQ[oc])
 					if g := got.Data[n*l.OutC*plane+i]; g != want {
 						t.Fatalf("batch %d elem %d: fused %d, chain %d", n, i, g, want)
 					}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"mulayer/internal/f16"
+	"mulayer/internal/gemm"
 	"mulayer/internal/quant"
 	"mulayer/internal/tensor"
 )
@@ -77,9 +79,129 @@ func TestFCSplitMergeAllPipelines(t *testing.T) {
 	// F16 path near F32.
 	hin := tensor.ToHalf(in)
 	hout := tensor.NewH(outShape)
-	l.ForwardF16([]*tensor.HTensor{hin}, hout, 0, 10, false)
+	l.ForwardF16([]*tensor.HTensor{hin}, hout, 0, 10)
 	if d := tensor.HalfToFloat(hout).MaxAbsDiff(ref); d > 0.02 {
 		t.Fatalf("FC F16 error %v", d)
+	}
+}
+
+// FullyConnected runs as a 1×1 convolution over its input viewed as
+// (N, InFeatures, 1, 1); on a spatial (N, C, H>1, W>1) input every
+// pipeline must still equal the plain matrix oracles on the flattened
+// feature vector, bit for bit, for whole and split neuron ranges.
+func TestFCMatchesMatrixOracles(t *testing.T) {
+	in := tensor.New(tensor.Shape{N: 2, C: 3, H: 4, W: 5})
+	in.FillRandom(93, 1)
+	const k, outC = 3 * 4 * 5, 7
+	w := tensor.New(tensor.Shape{N: outC, C: k, H: 1, W: 1})
+	w.FillRandom(94, 0.3)
+	bias := make([]float32, outC)
+	for i := range bias {
+		bias[i] = float32(i%3)*0.2 - 0.2
+	}
+	l := &FullyConnected{LayerName: "fc", InFeatures: k, OutC: outC, W: w, Bias: bias, Act: quant.ActReLU}
+	outShape, _ := l.OutShape([]tensor.Shape{in.Shape})
+	ref := tensor.New(outShape)
+	l.ForwardF32([]*tensor.Tensor{in}, ref, 0, outC)
+	oMin, oMax := ref.Range()
+	l.SetQuant(quant.ChooseParams(in.Range()), quant.ChooseParams(oMin, oMax))
+	qi := l.QI
+	qin, hin := tensor.Quantize(in, qi.In), tensor.ToHalf(in)
+
+	// The oracles, per batch element n and neuron oc.
+	wq := tensor.Quantize(w, qi.W)
+	wh, whq := f16.FromSlice32(w.Data), make([]f16.F16, len(wq.Data))
+	for i, q := range wq.Data {
+		whq[i] = f16.FromFloat32(qi.W.Dequantize(q))
+	}
+	req := quant.NewRequantizer(qi.In, qi.W, qi.Out, l.Act)
+	wantF, wantH := tensor.New(outShape), tensor.NewH(outShape)
+	wantQ, wantG := tensor.NewQ(outShape, qi.Out), tensor.NewQ(outShape, qi.Out)
+	for n := 0; n < in.Shape.N; n++ {
+		vec := func(i int) int { return n*k + i }
+		f, h := make([]float32, outC), make([]f16.F16, outC)
+		gemm.F32Ref(w.Data, in.Data[vec(0):vec(k)], f, outC, k, 1)
+		gemm.F16Ref(wh, hin.Data[vec(0):vec(k)], h, outC, k, 1)
+		acc := make([]int32, outC)
+		gemm.QGEMMRef(wq.Data, qin.Data[vec(0):vec(k)], acc, outC, k, 1, int32(qi.W.ZeroPoint), int32(qi.In.ZeroPoint))
+		deq := make([]f16.F16, k)
+		for i, q := range qin.Data[vec(0):vec(k)] {
+			deq[i] = f16.FromFloat32(qi.In.Dequantize(q))
+		}
+		g := make([]f16.F16, outC)
+		gemm.F16Ref(whq, deq, g, outC, k, 1)
+		for oc := 0; oc < outC; oc++ {
+			bq := int32(math.Round(float64(bias[oc]) / (float64(qi.In.Scale) * float64(qi.W.Scale))))
+			bh := f16.FromFloat32(float32(float64(bq) * float64(qi.In.Scale) * float64(qi.W.Scale)))
+			i := n*outC + oc
+			wantF.Data[i] = l.Act.Apply(f[oc] + bias[oc])
+			wantH.Data[i] = f16.FromFloat32(l.Act.Apply(h[oc].Float32() + bias[oc]))
+			wantQ.Data[i] = req.Requantize(acc[oc] + bq)
+			wantG.Data[i] = qi.Out.Quantize(l.Act.Apply(f16.Add(g[oc], bh).Float32()))
+		}
+	}
+
+	for _, r := range [][2]int{{0, outC}, {0, 3}, {3, outC}} {
+		gotF, gotH := tensor.New(outShape), tensor.NewH(outShape)
+		gotQ, gotG := tensor.NewQ(outShape, qi.Out), tensor.NewQ(outShape, qi.Out)
+		l.ForwardF32([]*tensor.Tensor{in}, gotF, r[0], r[1])
+		l.ForwardF16([]*tensor.HTensor{hin}, gotH, r[0], r[1])
+		l.ForwardQ([]*tensor.QTensor{qin}, gotQ, r[0], r[1])
+		l.ForwardQViaF16([]*tensor.QTensor{qin}, gotG, r[0], r[1])
+		for n := 0; n < in.Shape.N; n++ {
+			for oc := r[0]; oc < r[1]; oc++ {
+				i := n*outC + oc
+				if math.Float32bits(gotF.Data[i]) != math.Float32bits(wantF.Data[i]) || gotH.Data[i] != wantH.Data[i] ||
+					gotQ.Data[i] != wantQ.Data[i] || gotG.Data[i] != wantG.Data[i] {
+					t.Fatalf("neurons %v out %d: f32 %v/%v f16 %#04x/%#04x q %d/%d q-via-f16 %d/%d", r, i,
+						gotF.Data[i], wantF.Data[i], gotH.Data[i], wantH.Data[i], gotQ.Data[i], wantQ.Data[i], gotG.Data[i], wantG.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// Replacing an FC layer's weights or bias after it has run must not leave
+// its convolution computing with the old ones: every pipeline then
+// matches a fresh layer built on the new weights with the same grids.
+func TestFCFollowsReplacedWeights(t *testing.T) {
+	in := tensor.New(tensor.Shape{N: 1, C: 4, H: 2, W: 2})
+	in.FillRandom(95, 1)
+	build := func(seed uint64) (*tensor.Tensor, []float32) {
+		w := tensor.New(tensor.Shape{N: 5, C: 16, H: 1, W: 1})
+		w.FillRandom(seed, 0.4)
+		return w, []float32{0.1, -0.2, 0.3, 0, 0.05}
+	}
+	inP, outP := quant.ChooseParams(-1, 1), quant.ChooseParams(-2, 2)
+	w1, b1 := build(96)
+	l := &FullyConnected{LayerName: "fc", InFeatures: 16, OutC: 5, W: w1, Bias: b1}
+	l.SetQuant(inP, outP)
+	outShape, _ := l.OutShape([]tensor.Shape{in.Shape})
+	qin := tensor.Quantize(in, inP)
+	l.ForwardQ([]*tensor.QTensor{qin}, tensor.NewQ(outShape, outP), 0, 5)
+
+	w2, b2 := build(97)
+	for name, swap := range map[string]func(){
+		"weights and bias": func() { l.W, l.Bias = w2, b2 },
+		"bias alone":       func() { l.Bias = []float32{-0.3, 0.2, 0, 0.1, 0.4} },
+	} {
+		swap()
+		fresh := &FullyConnected{LayerName: "fc", InFeatures: 16, OutC: 5, W: l.W, Bias: l.Bias}
+		fresh.SetQuant(inP, outP)
+		got, want := tensor.New(outShape), tensor.New(outShape)
+		l.ForwardF32([]*tensor.Tensor{in}, got, 0, 5)
+		fresh.ForwardF32([]*tensor.Tensor{in}, want, 0, 5)
+		qgot, qwant := tensor.NewQ(outShape, outP), tensor.NewQ(outShape, outP)
+		l.ForwardQ([]*tensor.QTensor{qin}, qgot, 0, 5)
+		fresh.ForwardQ([]*tensor.QTensor{qin}, qwant, 0, 5)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] || qgot.Data[i] != qwant.Data[i] {
+				t.Fatalf("%s: out %d: %v/%d, fresh layer %v/%d", name, i, got.Data[i], qgot.Data[i], want.Data[i], qwant.Data[i])
+			}
+		}
+		if l.QI.W != fresh.QI.W {
+			t.Fatalf("%s: weight grid %+v, fresh layer %+v", name, l.QI.W, fresh.QI.W)
+		}
 	}
 }
 
