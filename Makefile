@@ -9,8 +9,10 @@
 #   make overload-smoke saturation run with the full overload stack armed
 #   make fleet-smoke three-backend fleet with a mid-run backend kill/restart
 #   make chaos-fleet-smoke four-backend fleet under injected network gray faults
+#   make cross       the gemm and nn tests on 386 (the portable Go tiles)
+#                    and vet on arm64
 #   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus, plus
-#                    the SWAR lane-bound test at its k-chunk boundary
+#                    the QUInt8 tiles' int32 wrap test at k past 2³²/255²
 #   make bench-gemm  packed-vs-reference kernel benchmark -> BENCH_gemm.json
 #   make bench-gemm-smoke CI-sized gemm bench run + schema validation
 #   make serve       run the inference server on :8080
@@ -33,9 +35,9 @@ FRONTEND_COVER_FLOOR ?= 80
 # shared circuit breaker was extracted).
 BREAKER_COVER_FLOOR ?= 90
 
-.PHONY: ci build vet test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm bench-gemm-smoke serve load
+.PHONY: ci build vet cross test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm bench-gemm-smoke serve load
 
-ci: build vet race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm-smoke
+ci: build vet cross race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm-smoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +45,15 @@ build:
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
+
+# amd64 runs the SSE2 tiles (internal/gemm/tile_amd64.s); every other
+# architecture runs the portable Go tiles the amd64 tests compare them
+# against. 386 binaries run on an amd64 host, so that build's tests run
+# those tiles for real; arm64 (which would fuse an unconverted a*b into
+# FMADDS) is type- and vet-checked.
+cross:
+	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn
+	GOARCH=arm64 $(GO) vet ./internal/gemm ./internal/nn
 
 test:
 	$(GO) test ./...

@@ -12,14 +12,14 @@ import (
 // Differential fuzzing of the packed/tiled kernels against the naive
 // *Ref oracles. The fuzzer drives the shape (m,k,n), the zero points,
 // and the data seed; each execution multiplies through the conv entry
-// points at MatrixGeom, so operand packing, the odd byte column, and the
-// zero-point decomposition are all under test, bit for bit.
-// Seed corpus pins the degenerate shapes: 1×1×1, m below a single
-// panel, k=1, and n off the tile width.
+// points at MatrixGeom, so operand packing, the column tails narrower
+// than a tile, the odd-k pair padding, and the zero-point decomposition
+// are all under test, bit for bit. Seed corpus pins the degenerate
+// shapes: 1×1×1, m below a single panel, k=1, and n off the tile width.
 
 // fuzzShape folds fuzzer bytes into a shape that exercises panel
 // boundaries: sizes span 1..48, crossing mr/blockM edges and both
-// parities of n (the QUInt8 kernel pairs columns).
+// parities of k (the QUInt8 pack pairs k steps) and every n mod nr.
 func fuzzShape(ms, ks, ns uint8) (m, k, n int) {
 	return int(ms%48) + 1, int(ks%48) + 1, int(ns%48) + 1
 }
@@ -77,8 +77,12 @@ func FuzzQGEMM(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(2), uint8(16), uint8(4), uint8(128), uint8(128), int64(2))
 	f.Add(uint8(32), uint8(0), uint8(31), uint8(255), uint8(0), int64(3))
-	f.Add(uint8(37), uint8(21), uint8(7), uint8(1), uint8(254), int64(4)) // odd n: SWAR words plus a byte column
+	f.Add(uint8(37), uint8(21), uint8(7), uint8(1), uint8(254), int64(4)) // n = 8: two full tiles
 	f.Add(uint8(47), uint8(47), uint8(47), uint8(100), uint8(200), int64(5))
+	f.Add(uint8(5), uint8(2), uint8(0), uint8(0), uint8(255), int64(6))    // odd k, n = 1 (a GEMV)
+	f.Add(uint8(8), uint8(6), uint8(1), uint8(255), uint8(0), int64(7))    // odd k, n = 2
+	f.Add(uint8(3), uint8(10), uint8(2), uint8(255), uint8(255), int64(8)) // odd k, n = 3
+	f.Add(uint8(12), uint8(20), uint8(4), uint8(9), uint8(77), int64(9))   // odd k, n = 5: a tile plus one column
 	f.Fuzz(func(t *testing.T, ms, ks, ns, zas, zbs uint8, seed int64) {
 		m, k, n := fuzzShape(ms, ks, ns)
 		za, zb := int32(zas), int32(zbs)
@@ -109,6 +113,10 @@ func FuzzConvPack(f *testing.F) {
 	f.Add(uint8(2), uint8(11), uint8(10), uint8(7), uint8(7), uint8(1), uint8(3), uint8(3), uint8(2), uint8(4), int64(2)) // strided 7×7
 	f.Add(uint8(5), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(1), uint8(2), int64(3)) // pointwise
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), int64(4))   // all padding but one tap
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(77), uint8(0), uint8(8), int64(5))  // k = 9, n = 1
+	f.Add(uint8(2), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(3), uint8(3), int64(6)) // k = 3, n = 2
+	f.Add(uint8(0), uint8(2), uint8(4), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(2), uint8(6), int64(7))   // k = 9, n = 3
+	f.Add(uint8(2), uint8(0), uint8(4), uint8(0), uint8(2), uint8(0), uint8(4), uint8(200), uint8(1), uint8(7), int64(8)) // k = 9, n = 5, padded
 	f.Fuzz(func(t *testing.T, cs, hs, ws, khs, kws, ss, ps, zs, c0s, c1s uint8, seed int64) {
 		g := ConvGeom{
 			InC: int(cs%6) + 1, InH: int(hs%12) + 1, InW: int(ws%12) + 1,

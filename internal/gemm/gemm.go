@@ -134,28 +134,31 @@ func F16GEMM(a, b, c []f16.F16, m, k, n int) {
 }
 
 // F32Ref is the textbook triple loop, the differential-testing reference
-// for ConvF32.
+// for ConvF32. Each product is rounded to float32 before it is added: the
+// explicit conversion forbids fusing the two into an FMA, which arm64
+// would otherwise emit, so every architecture computes the same bits.
 func F32Ref(a, b, c []float32, m, k, n int) {
 	checkDims(len(a), len(b), len(c), m, k, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s float32
 			for l := 0; l < k; l++ {
-				s += a[i*k+l] * b[l*n+j]
+				s += float32(a[i*k+l] * b[l*n+j])
 			}
 			c[i*n+j] = s
 		}
 	}
 }
 
-// F16Ref is the naive reference for ConvF16 and F16GEMM.
+// F16Ref is the naive reference for ConvF16 and F16GEMM, with F32Ref's
+// unfused products.
 func F16Ref(a, b, c []f16.F16, m, k, n int) {
 	checkDims(len(a), len(b), len(c), m, k, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s float32
 			for l := 0; l < k; l++ {
-				s += a[i*k+l].Float32() * b[l*n+j].Float32()
+				s += float32(a[i*k+l].Float32() * b[l*n+j].Float32())
 			}
 			c[i*n+j] = f16.FromFloat32(s)
 		}
@@ -213,7 +216,7 @@ func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb u
 	}
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
-	tmp := grow(&s.u8[0], pa.K)
+	tmp := grow(&s.u8, pa.K)
 	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j int, col []float32) {
 		patchCol(in, g, j, zb, tmp)
 		for l, v := range tmp {

@@ -184,16 +184,13 @@ func TestQGEMMPropertyAgainstRef(t *testing.T) {
 	}
 }
 
-// The SWAR kernel carries two columns per uint64 accumulator; its low
-// lane stays exact only while k·255² < 2³² (k ≤ swarMaxK = 66051), so
-// longer dot products are chunked. All-255 operands maximize every lane
-// at, just past, and well past the bound, and zero points 0/255 drive the
-// decomposition's corrections to both extremes.
+// Long dot products past the int32 wrap: all-255 operands maximize every
+// PMADDWD pair sum and every accumulator, whose raw sums k·255² pass 2³¹
+// from k = 33026 and 2³² from k = 66052; zero points 0/255 drive the
+// decomposition's corrections to both extremes. The tiles' int32
+// accumulators must wrap exactly as the reference's do.
 func TestQGEMMSWARLaneBound(t *testing.T) {
-	if swarMaxK != 66051 {
-		t.Fatalf("swarMaxK = %d, want 66051", swarMaxK)
-	}
-	const m, n = 5, 3 // one word column plus an odd byte column; a partial panel
+	const m, n = 5, 5 // one full tile plus a one-column tail; a partial panel
 	for _, k := range []int{66051, 66052, 140000} {
 		a, b := make([]uint8, m*k), make([]uint8, k*n)
 		for i := range a {
@@ -217,7 +214,7 @@ func TestQGEMMSWARLaneBound(t *testing.T) {
 
 // Right operands wider than one column block (colBlock) are packed and
 // multiplied block by block; results must not depend on where the block
-// edges fall, including an odd last column in the last block.
+// edges fall, including a one-column tail in the last block.
 func TestColumnBlocksMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m, k := 6, 2000

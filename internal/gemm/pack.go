@@ -31,12 +31,7 @@ import (
 // packPanels packs row-major a (m×k) into mr-row panels, converting each
 // element with conv.
 func packPanels[T, U any](a []T, m, k int, conv func(T) U) [][mr]U {
-	if m <= 0 || k <= 0 {
-		panic("gemm: non-positive dimension")
-	}
-	if len(a) < m*k {
-		panic("gemm: buffer too small for dimensions")
-	}
+	checkPack(len(a), m, k)
 	data := make([][mr]U, (m+mr-1)/mr*k)
 	for i := 0; i < m; i++ {
 		panel := data[i/mr*k : (i/mr+1)*k]
@@ -45,6 +40,15 @@ func packPanels[T, U any](a []T, m, k int, conv func(T) U) [][mr]U {
 		}
 	}
 	return data
+}
+
+func checkPack(la, m, k int) {
+	if m <= 0 || k <= 0 {
+		panic("gemm: non-positive dimension")
+	}
+	if la < m*k {
+		panic("gemm: buffer too small for dimensions")
+	}
 }
 
 // unpackPanels reconstructs the row-major matrix packPanels packed.
@@ -75,34 +79,61 @@ func PackAF32(a []float32, m, k int) *PackedAF32 {
 // Unpack reconstructs the original row-major matrix exactly.
 func (p *PackedAF32) Unpack() []float32 { return unpackPanels(p.data, p.M, p.K, same[float32]) }
 
-// PackedAU8 is a uint8 weight matrix packed into mr-row panels, plus the
-// per-row operand sums used by the gemmlowp zero-point decomposition:
+// PackedAU8 is a uint8 weight matrix packed into mr-row panels for the
+// QUInt8 tiles, plus the per-row operand sums used by the gemmlowp
+// zero-point decomposition:
 //
 //	Σ_l (a-za)(b-zb) = Σ_l a·b − zb·Σ_l a − za·Σ_l b + k·za·zb
 //
 // The row sums make the za/zb corrections an O(m+n) epilogue instead of
 // two subtractions per multiply-accumulate. int32 addition wraps, so the
 // decomposition is bit-identical to the naive reference mod 2³².
+//
+// A panel walks k in pairs, one byte per weight: each row's (a[2l],
+// a[2l+1]) are adjacent,
+//
+//	data[panel*kp + l][r][h] == A[(panel*mr+r)*K + 2l+h],  kp = ⌈K/2⌉
+//
+// and an odd K's last pair is padded with 0, which adds nothing to any
+// sum. The tile widens the bytes to int16 in-register, so the pack stays
+// one byte per weight.
 type PackedAU8 struct {
 	M, K    int
-	data    [][mr]uint8
+	data    [][mr][2]uint8
 	rowSums []int32
 }
 
-// PackAU8 packs row-major a (m×k) into panel form with row sums.
+// PackAU8 packs row-major a (m×k) into k-pair panel form with row sums.
 func PackAU8(a []uint8, m, k int) *PackedAU8 {
-	data := packPanels(a, m, k, same[uint8])
-	sums := make([]int32, len(data)/k*mr)
+	checkPack(len(a), m, k)
+	kp := (k + 1) / 2
+	data := make([][mr][2]uint8, (m+mr-1)/mr*kp)
+	sums := make([]int32, len(data)/kp*mr)
 	for i := 0; i < m; i++ {
-		for _, v := range a[i*k : (i+1)*k] {
-			sums[i] += int32(v)
+		panel, r := data[i/mr*kp:(i/mr+1)*kp], i%mr
+		var sum int32
+		for l, v := range a[i*k : (i+1)*k] {
+			panel[l/2][r][l%2] = v
+			sum += int32(v)
 		}
+		sums[i] = sum
 	}
 	return &PackedAU8{M: m, K: k, data: data, rowSums: sums}
 }
 
 // Unpack reconstructs the original row-major matrix exactly.
-func (p *PackedAU8) Unpack() []uint8 { return unpackPanels(p.data, p.M, p.K, same[uint8]) }
+func (p *PackedAU8) Unpack() []uint8 {
+	kp := (p.K + 1) / 2
+	out := make([]uint8, p.M*p.K)
+	for i := 0; i < p.M; i++ {
+		panel := p.data[i/mr*kp : (i/mr+1)*kp]
+		row := out[i*p.K : (i+1)*p.K]
+		for l := range row {
+			row[l] = panel[l/2][i%mr][l%2]
+		}
+	}
+	return out
+}
 
 // PackedAF16 is a binary16 weight matrix packed into mr-row panels. The
 // elements are stored widened to float32 — the conversion is exact, the

@@ -2,9 +2,11 @@ package gemm
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mulayer/internal/f16"
 )
@@ -54,6 +56,36 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The QUInt8 weight pack holds one byte per weight: at most
+// ⌈m/4⌉·4·(k+1) bytes of panels (an odd k pads one byte per row) plus the
+// row sums. A layout that widened the weights to int16 would double it,
+// which otherwise first shows as a live-heap regression of a whole
+// inference. Both what the pack holds and what PackAU8 allocates are
+// checked, so a second copy kept on the side is caught too.
+func TestPackAU8OneBytePerWeight(t *testing.T) {
+	for _, s := range [][2]int{{1, 1}, {5, 7}, {9, 64}, {64, 4095}, {64, 4096}} {
+		m, k := s[0], s[1]
+		a := make([]uint8, m*k)
+		rows := (m + mr - 1) / mr * mr
+		limit := rows*(k+1) + rows*4 // panels + int32 row sums
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p := PackAU8(a, m, k)
+		runtime.ReadMemStats(&after)
+		held := cap(p.data)*int(unsafe.Sizeof(p.data[0])) + cap(p.rowSums)*4
+		if held > limit {
+			t.Errorf("m=%d k=%d: pack holds %d bytes, want at most %d", m, k, held, limit)
+		}
+		// Small objects are counted a span at a time, so allow 16 KiB of
+		// accounting slack; an int16 copy of the large packs adds 256 KiB.
+		if m*k >= 1<<18 {
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(limit+16<<10) {
+				t.Errorf("m=%d k=%d: PackAU8 allocated %d bytes, want at most %d", m, k, alloc, limit+16<<10)
+			}
+		}
 	}
 }
 

@@ -274,7 +274,8 @@ func (l *Conv2D) directFloat(inS, outS tensor.Shape, c0, c1 int, w, at func(i in
 								if sx < 0 || sx >= inS.W {
 									continue
 								}
-								s += w(((oc*icg+ic)*l.KH+kh)*l.KW+kw) * at(inS.Index(n, cin, sy, sx))
+								// float32(...) keeps the product unfused (DESIGN §8).
+								s += float32(w(((oc*icg+ic)*l.KH+kh)*l.KW+kw) * at(inS.Index(n, cin, sy, sx)))
 							}
 						}
 					}

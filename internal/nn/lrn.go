@@ -72,9 +72,9 @@ func (l *LRN) normalize(at func(c int) float32, c, maxC int) float32 {
 			continue
 		}
 		v := float64(at(cc))
-		sum += v * v
+		sum += float64(v * v) // the conversions keep products unfused (DESIGN §8)
 	}
-	denom := math.Pow(float64(l.K)+float64(l.Alpha)/float64(l.Size)*sum, float64(l.Beta))
+	denom := math.Pow(float64(l.K)+float64(float64(l.Alpha)/float64(l.Size)*sum), float64(l.Beta))
 	return float32(float64(at(c)) / denom)
 }
 

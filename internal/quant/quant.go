@@ -82,9 +82,11 @@ func (p Params) Quantize(r float32) uint8 {
 	return uint8(q)
 }
 
-// Dequantize maps a quantized value back to its real representative.
+// Dequantize maps a quantized value back to its real representative. The
+// product is converted explicitly so a caller's add cannot fuse with it
+// into an FMA: the result is the rounded product on every architecture.
 func (p Params) Dequantize(q uint8) float32 {
-	return p.Scale * float32(int32(q)-int32(p.ZeroPoint))
+	return float32(p.Scale * float32(int32(q)-int32(p.ZeroPoint)))
 }
 
 // QuantizeSlice quantizes src into a freshly allocated byte slice.
