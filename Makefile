@@ -9,8 +9,8 @@
 #   make overload-smoke saturation run with the full overload stack armed
 #   make fleet-smoke three-backend fleet with a mid-run backend kill/restart
 #   make chaos-fleet-smoke four-backend fleet under injected network gray faults
-#   make cross       the gemm and nn tests on 386 (the portable Go tiles)
-#                    and vet on arm64
+#   make cross       the gemm and nn tests on 386 (the portable Go tiles),
+#                    vet on arm64, and no fused multiply-add in arm64 code
 #   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus, plus
 #                    the QUInt8 tiles' int32 wrap test at k past 2³²/255²
 #   make bench-gemm  packed-vs-reference kernel benchmark -> BENCH_gemm.json
@@ -49,11 +49,18 @@ vet:
 # amd64 runs the SSE2 tiles (internal/gemm/tile_amd64.s); every other
 # architecture runs the portable Go tiles the amd64 tests compare them
 # against. 386 binaries run on an amd64 host, so that build's tests run
-# those tiles for real; arm64 (which would fuse an unconverted a*b into
-# FMADDS) is type- and vet-checked.
+# those tiles for real; arm64 is type- and vet-checked. The arm64
+# compiler fuses an unconverted a*b + c into one FMADD, skipping the
+# product's rounding, so kernels, plans and sim_* figures would differ
+# from amd64's in the last bits: every float product feeding an add is
+# written float32(a*b) or float64(a*b), and the last step fails when the
+# arm64 assembly of any package holds a fused multiply-add.
 cross:
 	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn
 	GOARCH=arm64 $(GO) vet ./internal/gemm ./internal/nn
+	GOARCH=arm64 $(GO) build ./...
+	@if GOARCH=arm64 $(GO) build -gcflags=-S ./... 2>&1 | grep -E '\s(FMADD|FMSUB|FNMADD|FNMSUB)'; then \
+		echo 'cross: arm64 fuses the multiply-adds above; convert each product (DESIGN.md §8)' >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -110,6 +117,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gemm -run='^$$' -fuzz='^FuzzF16GEMM$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gemm -run='^$$' -fuzz='^FuzzQGEMM$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gemm -run='^$$' -fuzz='^FuzzConvPack$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/nn -run='^$$' -fuzz='^FuzzOutputStage$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gemm -count=1 -run='^TestQGEMMSWARLaneBound$$'
 
 # Fleet chaos smoke: three live backends behind the frontend under

@@ -64,7 +64,7 @@ func (b Backoff) Next(cur time.Duration) time.Duration {
 // peer). u is a uniform variate in [0, 1). The result is never below 1ms:
 // a zero open period would half-open the circuit at once.
 func Jitter(d time.Duration, u float64) time.Duration {
-	return max(time.Duration(float64(d)*(0.75+0.5*u)), time.Millisecond)
+	return max(time.Duration(float64(d)*(0.75+float64(0.5*u))), time.Millisecond)
 }
 
 // Policy is the owner's breaker configuration, passed to every call that

@@ -52,7 +52,7 @@ func (e *Env) AblationSplitGranularity() (*Table, error) {
 func fineGrid() []float64 {
 	var g []float64
 	for p := 0.05; p < 0.999; p += 0.05 {
-		g = append(g, float64(int(p*100+0.5))/100)
+		g = append(g, float64(int(float64(p*100)+0.5))/100)
 	}
 	return g
 }

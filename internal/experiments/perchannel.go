@@ -83,7 +83,7 @@ func weightRMS(l *nn.Conv2D) float64 {
 			q := wp.Quantize(l.W.Data[oc*rows+i])
 			back := float64(wp.Dequantize(q))
 			d := back - orig
-			sum += d * d
+			sum += float64(d * d)
 		}
 	}
 	return math.Sqrt(sum / float64(l.OutC*rows))

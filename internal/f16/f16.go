@@ -79,32 +79,44 @@ func FromFloat32(f float32) F16 {
 }
 
 // Float32 converts the binary16 value to float32. The conversion is exact:
-// every binary16 value is representable as a float32.
+// every binary16 value is representable as a float32. A normal number
+// only moves into place: the sign-extended bits shifted left 13 put the
+// significand and exponent in the float32 fields, the spare sign copies
+// are cleared, and 0x38000000 rebiases the exponent by 127−15 = 112. The
+// rare cases are loop-free patches of that word — a zero or subnormal is
+// its 10-bit significand times 2⁻²⁴ (exact in float32), an Inf or NaN
+// gets the all-ones exponent and a NaN the quiet bit — so the whole
+// conversion stays within the inliner's budget (a call to an out-of-line
+// helper would not: the inliner charges 57 for any call it cannot
+// inline).
 func (h F16) Float32() float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1f
-	coef := uint32(h & 0x03ff)
-
-	switch exp {
-	case 0x1f: // Inf or NaN
-		if coef == 0 {
-			return math.Float32frombits(sign | 0x7f800000)
-		}
-		return math.Float32frombits(sign | 0x7fc00000 | coef<<13)
+	u := uint32(int16(h))<<13&^0x70000000 + 0x38000000
+	switch h & 0x7c00 {
 	case 0:
-		if coef == 0 {
-			return math.Float32frombits(sign) // ±0
+		u = uint32(h&0x8000)<<16 | math.Float32bits(float32(h&0x3ff)*0x1p-24)
+	case 0x7c00:
+		u += 0x38000000
+		if h&0x3ff != 0 {
+			u |= 0x00400000
 		}
-		// Subnormal: renormalize into the float32 format.
-		e := uint32(127 - 15 + 1)
-		for coef&0x0400 == 0 {
-			coef <<= 1
-			e--
-		}
-		return math.Float32frombits(sign | e<<23 | (coef&0x03ff)<<13)
-	default:
-		return math.Float32frombits(sign | (exp+112)<<23 | coef<<13)
 	}
+	return math.Float32frombits(u)
+}
+
+// RoundNormal returns FromFloat32(f).Float32() without leaving the
+// float32 format, and ok = false where that shortcut does not hold. For
+// ±0 and 2⁻¹⁴ ≤ |f| < 65520 the binary16 result is zero or normal, so
+// rounding to binary16 is rounding f's 23-bit significand to 10 bits,
+// nearest-even at bit 13: add 0xfff plus the kept part's lowest bit and
+// clear the 13 dropped bits (a carry out of the significand correctly
+// bumps the exponent). Subnormal results, overflow to ±Inf and NaNs are
+// left to FromFloat32.
+func RoundNormal(f float32) (r float32, ok bool) {
+	u := math.Float32bits(f)
+	if a := u &^ 0x80000000; a-0x38800000 >= 0x477ff000-0x38800000 && a != 0 {
+		return 0, false
+	}
+	return math.Float32frombits((u + 0xfff + (u>>13)&1) &^ 0x1fff), true
 }
 
 // FromFloat64 converts a float64 to binary16. The double rounding through
@@ -166,7 +178,10 @@ func Div(a, b F16) F16 { return FromFloat32(a.Float32() / b.Float32()) }
 // float32, which is wide enough to make the fused semantics exact for
 // binary16 operands.
 func MulAdd(a, b, c F16) F16 {
-	return FromFloat32(a.Float32()*b.Float32() + c.Float32())
+	// The product of two binary16 values needs at most 22 significand
+	// bits, so its float32 rounding is exact and converting it (which
+	// keeps arm64 from emitting FMADDS) changes nothing.
+	return FromFloat32(float32(a.Float32()*b.Float32()) + c.Float32())
 }
 
 // Less reports whether a < b under IEEE 754 ordering (NaN compares false).

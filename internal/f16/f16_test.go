@@ -321,3 +321,58 @@ func BenchmarkMulAdd(b *testing.B) {
 	}
 	_ = acc
 }
+
+// Float32 must decode every bit pattern exactly as the IEEE definition
+// does: finite values to ±significand·2^exponent, infinities to ±Inf and
+// each NaN to the quiet NaN carrying its sign and payload.
+func TestFloat32AllBitPatterns(t *testing.T) {
+	for b := 0; b <= 0xffff; b++ {
+		h := FromBits(uint16(b))
+		sign, exp, coef := uint32(b>>15), b>>10&0x1f, b&0x3ff
+		want := sign << 31
+		switch exp {
+		case 0x1f:
+			want |= 0x7f800000 | uint32(coef)<<13
+			if coef != 0 {
+				want |= 0x00400000
+			}
+		case 0:
+			want |= math.Float32bits(float32(math.Ldexp(float64(coef), -24)))
+		default:
+			want |= math.Float32bits(float32(math.Ldexp(float64(1024+coef), exp-25)))
+		}
+		if got := math.Float32bits(h.Float32()); got != want {
+			t.Fatalf("bits %#04x: Float32 %#08x, want %#08x", b, got, want)
+		}
+	}
+}
+
+// RoundNormal must agree with FromFloat32 wherever it reports ok, and
+// report ok on ±0 and exactly the magnitudes [2⁻¹⁴, 65520).
+func TestRoundNormalMatchesFromFloat32(t *testing.T) {
+	check := func(f float32) {
+		r, ok := RoundNormal(f)
+		a := math.Abs(float64(f))
+		if wantOK := a == 0 || (a >= 0x1p-14 && a < 65520); ok != wantOK {
+			t.Fatalf("RoundNormal(%g): ok %v, want %v", f, ok, wantOK)
+		}
+		if want := FromFloat32(f).Float32(); ok && math.Float32bits(r) != math.Float32bits(want) {
+			t.Fatalf("RoundNormal(%g) = %g, want %g", f, r, want)
+		}
+	}
+	for _, f := range []float32{0, float32(math.Copysign(0, -1)), 0x1p-14, math.Nextafter32(0x1p-14, 0), 65504, 65519.996, 65520,
+		float32(math.Inf(1)), float32(math.NaN()), 1e-45, math.MaxFloat32} {
+		check(f)
+		check(-f)
+	}
+	// Every float32 whose dropped 13 bits sit at and around the rounding
+	// boundary, across the whole normal-half range.
+	for e := uint32(0x38000000); e <= 0x47800000; e += 1 << 23 {
+		for m := uint32(0); m < 1<<23; m += 0x1fff - 3 {
+			for d := uint32(0); d < 8; d++ {
+				check(math.Float32frombits(e | (m+d)&0x7fffff))
+				check(-math.Float32frombits(e | (m+d)&0x7fffff))
+			}
+		}
+	}
+}

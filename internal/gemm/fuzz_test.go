@@ -109,14 +109,16 @@ func FuzzQGEMM(f *testing.F) {
 // over random geometry, stride, padding, zero point and output-channel
 // range [c0,c1) of the packed weights.
 func FuzzConvPack(f *testing.F) {
-	f.Add(uint8(3), uint8(9), uint8(9), uint8(3), uint8(3), uint8(0), uint8(1), uint8(128), uint8(0), uint8(5), int64(1)) // padded 3×3
-	f.Add(uint8(2), uint8(11), uint8(10), uint8(7), uint8(7), uint8(1), uint8(3), uint8(3), uint8(2), uint8(4), int64(2)) // strided 7×7
-	f.Add(uint8(5), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(1), uint8(2), int64(3)) // pointwise
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), int64(4))   // all padding but one tap
-	f.Add(uint8(0), uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(77), uint8(0), uint8(8), int64(5))  // k = 9, n = 1
-	f.Add(uint8(2), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(3), uint8(3), int64(6)) // k = 3, n = 2
-	f.Add(uint8(0), uint8(2), uint8(4), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(2), uint8(6), int64(7))   // k = 9, n = 3
-	f.Add(uint8(2), uint8(0), uint8(4), uint8(0), uint8(2), uint8(0), uint8(4), uint8(200), uint8(1), uint8(7), int64(8)) // k = 9, n = 5, padded
+	f.Add(uint8(3), uint8(9), uint8(9), uint8(3), uint8(3), uint8(0), uint8(1), uint8(128), uint8(0), uint8(5), int64(1))  // padded 3×3
+	f.Add(uint8(2), uint8(11), uint8(10), uint8(7), uint8(7), uint8(1), uint8(3), uint8(3), uint8(2), uint8(4), int64(2))  // strided 7×7
+	f.Add(uint8(5), uint8(4), uint8(6), uint8(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(1), uint8(2), int64(3))  // pointwise
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), int64(4))    // all padding but one tap
+	f.Add(uint8(0), uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), uint8(0), uint8(77), uint8(0), uint8(8), int64(5))   // k = 9, n = 1
+	f.Add(uint8(2), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(3), uint8(3), int64(6))  // k = 3, n = 2
+	f.Add(uint8(0), uint8(2), uint8(4), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(2), uint8(6), int64(7))    // k = 9, n = 3
+	f.Add(uint8(2), uint8(0), uint8(4), uint8(0), uint8(2), uint8(0), uint8(4), uint8(200), uint8(1), uint8(7), int64(8))  // k = 9, n = 5, padded
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(4), uint8(0), uint8(9), uint8(0), uint8(3), int64(9))    // 3×3 window over a 2×2 input
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(3), uint8(3), uint8(4), uint8(5), uint8(250), uint8(2), uint8(5), int64(10)) // 4×4 window over a padded 3×3
 	f.Fuzz(func(t *testing.T, cs, hs, ws, khs, kws, ss, ps, zs, c0s, c1s uint8, seed int64) {
 		g := ConvGeom{
 			InC: int(cs%6) + 1, InH: int(hs%12) + 1, InW: int(ws%12) + 1,

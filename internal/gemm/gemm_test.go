@@ -589,3 +589,36 @@ func BenchmarkQGEMMFCShapedPacked(b *testing.B) {
 		qGEMM(pa, bb, acc, 1, 128, 3)
 	})
 }
+
+// BenchmarkConvPack times the two quantized entry points on GoogLeNet
+// layer geometries with a single row panel, so the patch gather that
+// packs the right operand is about half of the time.
+func BenchmarkConvPack(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	var lut [256]float32
+	for i := range lut {
+		lut[i] = float32(i-3) / 64
+	}
+	for _, c := range []struct {
+		name string
+		g    ConvGeom
+	}{
+		{"1x1/7x7x256", ConvGeom{InC: 256, InH: 7, InW: 7, KH: 1, KW: 1, StrideH: 1, StrideW: 1}},
+		{"3x3p1/14x14x48", ConvGeom{InC: 48, InH: 14, InW: 14, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+		{"7x7s2p3/112x112x3", ConvGeom{InC: 3, InH: 112, InW: 112, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}},
+	} {
+		k := c.g.PatchRows()
+		in := randU8(c.g.InC*c.g.InH*c.g.InW, rng)
+		pq, pf := PackAU8(randU8(mr*k, rng), mr, k), PackAF16(f16.FromSlice32(randF32(mr*k, rng)), mr, k)
+		b.Run("Q/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ConvQ(pq, in, c.g, 128, 3, func(int, int, []int32) {})
+			}
+		})
+		b.Run("QViaF16/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ConvQViaF16(pf, in, c.g, &lut, 3, func(int, int, []float32) {})
+			}
+		})
+	}
+}

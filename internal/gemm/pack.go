@@ -154,20 +154,21 @@ func PackAF16(a []f16.F16, m, k int) *PackedAF16 {
 // binary16 value round-trips through float32 unchanged).
 func (p *PackedAF16) Unpack() []f16.F16 { return unpackPanels(p.data, p.M, p.K, f16.FromFloat32) }
 
-// PackCache memoizes packed weight panels per output-channel range
-// [c0,c1). Layers keep one cache per weight form; split execution hits it
+// PackCache memoizes what a layer derives once from its weights or grids:
+// packed weight panels keyed by the output-channel range [c0,c1) a split
+// plan assigns to a processor, or an output stage keyed by its grid.
+// Layers keep one cache per derived form; split execution hits it
 // concurrently from the CPU and GPU sides of a plan, so it is safe for
 // concurrent readers. build runs under the lock: concurrent first lookups
-// of the same range pack exactly once and share the result.
-type PackCache[T any] struct {
+// of the same key build exactly once and share the result.
+type PackCache[K comparable, T any] struct {
 	mu sync.RWMutex
-	m  map[[2]int]*T
+	m  map[K]*T
 }
 
-// Get returns the cached pack for [c0,c1), building and caching it on the
+// Get returns the cached value for key, building and caching it on the
 // first lookup.
-func (c *PackCache[T]) Get(c0, c1 int, build func() *T) *T {
-	key := [2]int{c0, c1}
+func (c *PackCache[K, T]) Get(key K, build func() *T) *T {
 	c.mu.RLock()
 	p := c.m[key]
 	c.mu.RUnlock()
@@ -180,22 +181,22 @@ func (c *PackCache[T]) Get(c0, c1 int, build func() *T) *T {
 		return p
 	}
 	if c.m == nil {
-		c.m = make(map[[2]int]*T)
+		c.m = make(map[K]*T)
 	}
 	p = build()
 	c.m[key] = p
 	return p
 }
 
-// Reset drops every cached pack (weights changed, e.g. requantization).
-func (c *PackCache[T]) Reset() {
+// Reset drops every cached value (weights changed, e.g. requantization).
+func (c *PackCache[K, T]) Reset() {
 	c.mu.Lock()
 	c.m = nil
 	c.mu.Unlock()
 }
 
-// Len reports the number of cached ranges.
-func (c *PackCache[T]) Len() int {
+// Len reports the number of cached keys.
+func (c *PackCache[K, T]) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)

@@ -149,7 +149,7 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 	wantH := make([]f16.F16, m*n)
 	F16Ref(ah, bh, wantH, m, k, n)
 
-	var cache PackCache[PackedAU8]
+	var cache PackCache[[2]int, PackedAU8]
 	var builds sync.Map
 	var wg sync.WaitGroup
 	packs := make([]*PackedAU8, 16)
@@ -157,7 +157,7 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			pa := cache.Get(0, m, func() *PackedAU8 {
+			pa := cache.Get([2]int{0, m}, func() *PackedAU8 {
 				builds.Store(g, true)
 				return PackAU8(a, m, k)
 			})
@@ -200,10 +200,10 @@ func TestPackCacheRangeKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m, k, n := 20, 13, 9
 	a, b := randF32(m*k, rng), randF32(k*n, rng)
-	var cache PackCache[PackedAF32]
+	var cache PackCache[[2]int, PackedAF32]
 	for _, r := range [][2]int{{0, m}, {0, 7}, {7, m}, {0, 7}} {
 		c0, c1 := r[0], r[1]
-		pa := cache.Get(c0, c1, func() *PackedAF32 {
+		pa := cache.Get([2]int{c0, c1}, func() *PackedAF32 {
 			return PackAF32(a[c0*k:c1*k], c1-c0, k)
 		})
 		got := make([]float32, (c1-c0)*n)

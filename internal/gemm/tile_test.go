@@ -51,7 +51,8 @@ func TestTilesMatchPortable(t *testing.T) {
 			pq, pf := PackAU8(aq, m, k), PackAF32(af, mr, k)
 			for nc := 1; nc <= 2*nr+1; nc++ {
 				b := u8(k * nc)
-				words, _ := new(scratch).packQ(b, MatrixGeom(k, nc), 0, 0, 0, nc)
+				s := new(scratch)
+				words, _ := s.packQ(newPatches(s, b, MatrixGeom(k, nc), 0, &s.pu8), 0, 0, nc)
 				panel := pq.data[:(k+1)/2]
 				got, want := make([]int32, mr*nc), make([]int32, mr*nc)
 				tileStrip(panel, words, got, qTile, qTileGo)

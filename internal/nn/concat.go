@@ -62,22 +62,31 @@ func (l *Concat) ForwardF32(ins []*tensor.Tensor, out *tensor.Tensor, c0, c1 int
 }
 
 // ForwardQ stacks quantized inputs. Inputs whose parameters match the
-// output are copied byte-for-byte; mismatched inputs are requantized
-// elementwise onto the output grid (the runtime analogue of TFLite's
-// concat rescaling).
+// output are copied byte-for-byte; mismatched inputs are requantized onto
+// the output grid (the runtime analogue of TFLite's concat rescaling).
+// The requantized code depends only on the input byte, so each
+// mismatched input is mapped through a 256-entry table built once per
+// call.
 func (l *Concat) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) {
 	off := 0
 	for _, in := range ins {
-		same := in.Params == out.Params
+		var lut *[256]uint8
+		if in.Params != out.Params {
+			lut = new([256]uint8)
+			for q := range lut {
+				lut[q] = out.Params.Quantize(in.Params.Dequantize(uint8(q)))
+			}
+		}
 		for n := 0; n < out.Shape.N; n++ {
 			slo, shi := in.Shape.ChannelSpan(n, 0, in.Shape.C)
 			dlo, _ := out.Shape.ChannelSpan(n, off, off+in.Shape.C)
-			if same {
-				copy(out.Data[dlo:dlo+(shi-slo)], in.Data[slo:shi])
+			dst := out.Data[dlo : dlo+(shi-slo)]
+			if lut == nil {
+				copy(dst, in.Data[slo:shi])
 				continue
 			}
-			for i := slo; i < shi; i++ {
-				out.Data[dlo+i-slo] = out.Params.Quantize(in.Params.Dequantize(in.Data[i]))
+			for i, v := range in.Data[slo:shi] {
+				dst[i] = lut[v]
 			}
 		}
 		off += in.Shape.C

@@ -52,20 +52,48 @@ type Conv2D struct {
 	// packed once per (range, form) and shared across calls — including
 	// concurrent CPU/GPU halves of a split layer. Each build derives its
 	// weight form under the cache's lock.
-	packF32 gemm.PackCache[gemm.PackedAF32]
-	packQ   gemm.PackCache[gemm.PackedAU8]
-	packHF  gemm.PackCache[gemm.PackedAF16]
-	packHQ  gemm.PackCache[gemm.PackedAF16]
+	packF32 gemm.PackCache[[2]int, gemm.PackedAF32]
+	packQ   gemm.PackCache[[2]int, gemm.PackedAU8]
+	packHF  gemm.PackCache[[2]int, gemm.PackedAF16]
+	packHQ  gemm.PackCache[[2]int, gemm.PackedAF16]
+
+	// stages holds the GPU half's output stage per (output grid,
+	// activation), about 1 KiB each, built on first use.
+	stages gemm.PackCache[stageKey, halfStage]
 }
 
-// resetPacks drops the packed-weight caches after the underlying weight
-// forms change (SetQuant rebuilds the QUInt8 weights and the grids the
-// dequantized halves come from).
+// stageKey identifies one output stage: the grid a forward quantizes onto
+// and the activation applied before it.
+type stageKey struct {
+	out quant.Params
+	act quant.Activation
+}
+
+// halfStage is the GPU half's output stage for one stageKey: steps is the
+// step table of t ↦ out.Quantize(act.Apply(half(t))), where t is a float32
+// sum of two binary16 values and half rounds it to binary16 — that is,
+// f16.Add's rounding, the activation and the quantization in one
+// monotone map.
+type halfStage struct {
+	stageKey
+	steps *quant.StepTable
+}
+
+func newHalfStage(k stageKey) *halfStage {
+	return &halfStage{k, quant.NewStepTable(k.out, func(t float32) uint8 {
+		return k.out.Quantize(k.act.Apply(f16.FromFloat32(t).Float32()))
+	})}
+}
+
+// resetPacks drops the packed-weight and output-stage caches after the
+// underlying weight forms or grids change (SetQuant rebuilds the QUInt8
+// weights and the grids the dequantized halves come from).
 func (l *Conv2D) resetPacks() {
 	l.packF32.Reset()
 	l.packQ.Reset()
 	l.packHF.Reset()
 	l.packHQ.Reset()
+	l.stages.Reset()
 }
 
 // Name implements Layer.
@@ -233,7 +261,7 @@ func (l *Conv2D) ForwardF32(ins []*tensor.Tensor, out *tensor.Tensor, c0, c1 int
 	}
 	g := l.geom(in.Shape)
 	k, plane := g.PatchRows(), g.PatchCols()
-	pw := l.packF32.Get(c0, c1, func() *gemm.PackedAF32 {
+	pw := l.packF32.Get([2]int{c0, c1}, func() *gemm.PackedAF32 {
 		return gemm.PackAF32(l.W.Data[c0*k:c1*k], c1-c0, k)
 	})
 	for n := 0; n < in.Shape.N; n++ {
@@ -303,7 +331,7 @@ func (l *Conv2D) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int
 	}
 	g := l.geom(in.Shape)
 	k, plane := g.PatchRows(), g.PatchCols()
-	pw := l.packQ.Get(c0, c1, func() *gemm.PackedAU8 {
+	pw := l.packQ.Get([2]int{c0, c1}, func() *gemm.PackedAU8 {
 		return gemm.PackAU8(l.wq.Data[c0*k:c1*k], c1-c0, k)
 	})
 	za, zw := int32(in.Params.ZeroPoint), int32(l.QI.W.ZeroPoint)
@@ -383,7 +411,7 @@ func (l *Conv2D) ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 i
 	}
 	g := l.geom(in.Shape)
 	k, plane := g.PatchRows(), g.PatchCols()
-	pw := l.packHF.Get(c0, c1, func() *gemm.PackedAF16 { return packHalf(c0, c1, k, l.halfF) })
+	pw := l.packHF.Get([2]int{c0, c1}, func() *gemm.PackedAF16 { return packHalf(c0, c1, k, l.halfF) })
 	for n := 0; n < in.Shape.N; n++ {
 		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
 		gemm.ConvF16(pw, batchElem(in.Data, in.Shape, n), g, func(r, j0 int, row []float32) {
@@ -402,7 +430,8 @@ func (l *Conv2D) ForwardF16(ins []*tensor.HTensor, out *tensor.HTensor, c0, c1 i
 // requantize the result back onto the QUInt8 output grid. The
 // dequantization is a 256-entry table (halfLUT) applied while the kernel
 // packs its operand, and the epilogue — round to half, add the half bias,
-// activate, quantize — runs on each strip as the kernel finishes it.
+// activate, quantize (halfStage.quantize) — runs on each strip as the kernel
+// finishes it.
 func (l *Conv2D) ForwardQViaF16(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) {
 	in := ins[0]
 	checkRange(c0, c1, l.OutC, l.LayerName)
@@ -417,27 +446,43 @@ func (l *Conv2D) ForwardQViaF16(ins []*tensor.QTensor, out *tensor.QTensor, c0, 
 		}
 		return f16.FromFloat32(float32(float64(l.biasQ[oc]) * float64(in.Params.Scale) * ws))
 	}
-	quantizeHalf := func(s float32, b f16.F16) uint8 {
-		return out.Params.Quantize(l.Act.Apply(f16.Add(f16.FromFloat32(s), b).Float32()))
-	}
+	key := stageKey{out.Params, l.Act}
+	st := l.stages.Get(key, func() *halfStage { return newHalfStage(key) })
 	if l.groups() != 1 {
 		l.directFloat(in.Shape, out.Shape, c0, c1, func(i int) float32 { return l.halfQ(i).Float32() }, func(i int) float32 { return lut[in.Data[i]] }, func(i, oc int, s float32) {
-			out.Data[i] = quantizeHalf(s, bias(oc))
+			st.quantize(out.Data[i:i+1], []float32{s}, bias(oc))
 		})
 		return
 	}
 	g := l.geom(in.Shape)
 	k, plane := g.PatchRows(), g.PatchCols()
-	pw := l.packHQ.Get(c0, c1, func() *gemm.PackedAF16 { return packHalf(c0, c1, k, l.halfQ) })
+	pw := l.packHQ.Get([2]int{c0, c1}, func() *gemm.PackedAF16 { return packHalf(c0, c1, k, l.halfQ) })
 	for n := 0; n < in.Shape.N; n++ {
 		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
 		gemm.ConvQViaF16(pw, batchElem(in.Data, in.Shape, n), g, &lut, in.Params.ZeroPoint, func(r, j0 int, acc []float32) {
-			b := bias(c0 + r)
-			dst := out.Data[lo+r*plane+j0:]
-			for i, s := range acc {
-				dst[i] = quantizeHalf(s, b)
-			}
+			st.quantize(out.Data[lo+r*plane+j0:], acc, bias(c0+r))
 		})
+	}
+}
+
+// quantize is the output stage over one strip row: each float32 sum
+// acc[i] is rounded to binary16, gets the half bias b added with one
+// binary16 rounding (f16.Add), is activated and is quantized into dst[i].
+// The first rounding runs in the float32 domain (f16.RoundNormal), and
+// the float32 sum with the bias goes straight into the step table, which
+// holds the second rounding, the activation and the quantization. A sum
+// whose first rounding leaves the zero-or-normal binary16 range, or a NaN
+// bias, takes the f16 chain itself. Either way the code is the chain's,
+// bit for bit.
+func (st *halfStage) quantize(dst []uint8, acc []float32, b f16.F16) {
+	bf, nan := b.Float32(), b.IsNaN()
+	dst = dst[:len(acc)]
+	for i, s := range acc {
+		if h, ok := f16.RoundNormal(s); ok && !nan {
+			dst[i] = st.steps.Quantize(h + bf)
+		} else {
+			dst[i] = st.out.Quantize(st.act.Apply(f16.Add(f16.FromFloat32(s), b).Float32()))
+		}
 	}
 }
 

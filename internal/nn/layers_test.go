@@ -499,6 +499,32 @@ func TestConcatQRequantizes(t *testing.T) {
 			t.Fatalf("elem %d: %v want %v", i, got, w)
 		}
 	}
+
+	// Every input code of a mismatched input, in both batch elements, maps
+	// to the element-wise requantization; a matching input is copied.
+	all := tensor.NewQ(tensor.Shape{N: 2, C: 2, H: 8, W: 8}, pa)
+	same := tensor.NewQ(tensor.Shape{N: 2, C: 1, H: 8, W: 8}, pout)
+	for i := range all.Data {
+		all.Data[i] = uint8(i * 7) // 256 elements: every code once
+	}
+	for i := range same.Data {
+		same.Data[i] = uint8(255 - i)
+	}
+	big := tensor.NewQ(tensor.Shape{N: 2, C: 3, H: 8, W: 8}, pout)
+	l.ForwardQ([]*tensor.QTensor{same, all}, big, 0, 3)
+	for n := 0; n < 2; n++ {
+		for i := 0; i < 64; i++ {
+			if got, want := big.Data[n*192+i], same.Data[n*64+i]; got != want {
+				t.Fatalf("copied input n=%d elem %d: %d want %d", n, i, got, want)
+			}
+		}
+		for i := 0; i < 128; i++ {
+			q := all.Data[n*128+i]
+			if got, want := big.Data[n*192+64+i], pout.Quantize(pa.Dequantize(q)); got != want {
+				t.Fatalf("requantized code %d (n=%d): %d want %d", q, n, got, want)
+			}
+		}
+	}
 }
 
 func TestOpKindStrings(t *testing.T) {

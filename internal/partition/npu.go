@@ -45,8 +45,8 @@ func splitChannels3(s shares3, splitCh int) (cpu, gpu, npu int) {
 // counts summing to splitCh (the GPU takes the remainder). The executor
 // uses the same rounding so plans and simulation agree exactly.
 func SplitChannels3(cpuShare, npuShare float64, splitCh int) (cpu, gpu, npu int) {
-	cpu = int(cpuShare*float64(splitCh) + 0.5)
-	npu = int(npuShare*float64(splitCh) + 0.5)
+	cpu = int(float64(cpuShare*float64(splitCh)) + 0.5)
+	npu = int(float64(npuShare*float64(splitCh)) + 0.5)
 	if cpu > splitCh {
 		cpu = splitCh
 	}

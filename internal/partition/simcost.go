@@ -75,7 +75,7 @@ func (o Options) simPlannedLayer(kind nn.OpKind, c nn.Cost, splitCh int) time.Du
 }
 
 func clampSplit(p float64, splitCh int) int {
-	c := int(p*float64(splitCh) + 0.5)
+	c := int(float64(p*float64(splitCh)) + 0.5)
 	if c < 1 {
 		c = 1
 	}

@@ -74,15 +74,15 @@ func fit(points []trainPoint) linModel {
 		y := math.Log(float64(p.latency) / float64(time.Second))
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return linModel{}
 	}
-	b := (n*sxy - sx*sy) / den
-	a := (sy - b*sx) / n
+	b := (float64(n*sxy) - float64(sx*sy)) / den
+	a := (sy - float64(b*sx)) / n
 	return linModel{A: a, B: b, ok: true}
 }
 
@@ -252,7 +252,7 @@ func (pr *Predictor) Predict(proc string, kind nn.OpKind, dt tensor.DataType, co
 		}
 	}
 	f := feature(kind, c)
-	lat := math.Exp(m.A + m.B*math.Log(f))
+	lat := math.Exp(m.A + float64(m.B*math.Log(f)))
 	return time.Duration(lat * float64(time.Second))
 }
 

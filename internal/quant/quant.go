@@ -357,3 +357,101 @@ func (o *Observer) Params() Params {
 	}
 	return ChooseParams(o.Min, o.Max)
 }
+
+// StepTable is a monotone non-decreasing map from float32 onto the 256
+// codes of a grid — the output stage of a float pipeline, such as
+// x ↦ p.Quantize(act.Apply(x)) — stored as its step points: such a map is
+// fully described by the least float32 at which it reaches each code.
+// That is the multi-threshold activation of streamlined quantized
+// inference. The points are found by bisecting the map itself over
+// ordered float32 keys, so the table is exact by construction: it returns
+// the map's code for every non-NaN input, including ±Inf, and replaces a
+// float64 division and a math.Round per element with a multiply, a
+// conversion and two comparisons.
+type StepTable struct {
+	// x·inv + off is the estimate of x's code, rounded half up.
+	inv, off float32
+	// lo and hi are the codes of -Inf and +Inf: every input lands in
+	// [lo, hi] (an activation may keep hi below 255).
+	lo, hi int64
+	// steps[q] is the least input reaching code q, for lo < q ≤ hi;
+	// steps[lo] is -Inf and steps[hi+1] NaN, so every code's interval is
+	// [steps[q], steps[q+1]) and no comparison needs a range check.
+	steps [257]float32
+}
+
+// NewStepTable builds the step table of f, which must be monotone
+// non-decreasing over non-NaN float32 and land on grid p (whose
+// x/Scale + ZeroPoint is the lookup's first estimate). Apply and Quantize
+// are both monotone for Scale > 0, and so is any composition with a
+// round-to-nearest conversion. The build costs about 8k calls of f, so
+// callers build a table once per output grid.
+func NewStepTable(p Params, f func(x float32) uint8) *StepTable {
+	code := func(k uint32) int64 { return int64(f(fromOrderedKey(k))) }
+	t := &StepTable{off: float32(p.ZeroPoint) + 0.5}
+	// A subnormal Scale would make 1/Scale infinite and 0·(1/Scale) NaN;
+	// any finite estimate is fine, the lookup corrects it.
+	t.inv = float32(min(1/float64(p.Scale), math.MaxFloat32))
+	lo, hi := orderedKey(float32(math.Inf(-1))), orderedKey(float32(math.Inf(1)))
+	t.lo, t.hi = code(lo), code(hi)
+	t.steps[t.lo] = float32(math.Inf(-1))
+	t.steps[t.hi+1] = float32(math.NaN())
+	for q := t.lo + 1; q <= t.hi; q++ {
+		// Invariant: code(lo) < q ≤ code(hi); the steps rise with q, so
+		// each search starts at the previous step.
+		for a, b := lo, hi; ; {
+			if b-a == 1 {
+				lo = b
+				break
+			}
+			if m := a + (b-a)/2; code(m) >= q {
+				b = m
+			} else {
+				a = m
+			}
+		}
+		t.steps[q] = fromOrderedKey(lo)
+		lo-- // keep code(lo) < q+1 for the next search's invariant
+	}
+	return t
+}
+
+// Quantize returns the map's code for any non-NaN x. The estimate,
+// clamped to [lo, hi], is the code almost always; the table confirms it
+// with two comparisons, and otherwise walks it to the code whose interval
+// holds x (the sentinels end both walks).
+func (t *StepTable) Quantize(x float32) uint8 {
+	// The clamp to [lo, hi] is arithmetic, not branches: with ReLU,
+	// landing on lo is a coin flip. Past int32 the conversion's result
+	// is the platform's (amd64 gives MinInt32); any start in [lo, hi] is
+	// walked to the right code.
+	q := int64(int32(float32(x*t.inv) + t.off))
+	d := q - t.lo
+	q = t.lo + d&^(d>>63) // max(q, lo)
+	d = q - t.hi
+	q = t.hi + d&(d>>63) // min(q, hi)
+	for x >= t.steps[q+1] {
+		q++
+	}
+	for x < t.steps[q] {
+		q--
+	}
+	return uint8(q)
+}
+
+// orderedKey maps a non-NaN float32 to a uint32 whose unsigned order is
+// the float order (-0 sorts just below +0); fromOrderedKey inverts it.
+func orderedKey(f float32) uint32 {
+	u := math.Float32bits(f)
+	if u&(1<<31) != 0 {
+		return ^u
+	}
+	return u | 1<<31
+}
+
+func fromOrderedKey(k uint32) float32 {
+	if k&(1<<31) != 0 {
+		return math.Float32frombits(k &^ (1 << 31))
+	}
+	return math.Float32frombits(^k)
+}

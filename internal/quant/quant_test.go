@@ -293,3 +293,52 @@ func BenchmarkRequantize(b *testing.B) {
 	}
 	_ = sink
 }
+
+// stepGrids are the output grids the step tables are checked on: zero
+// points at both ends and in the middle, scales from coarse to tiny (a
+// tiny scale puts the codes within a few float32 ULPs of each other near
+// 0, and makes ReLU6 cap the codes below 255).
+func stepGrids() []Params {
+	var grids []Params
+	for _, zp := range []uint8{0, 117, 255} {
+		for _, scale := range []float32{4, 0.0235, 1.0 / 255, 3e-5, 1e-38} {
+			grids = append(grids, Params{Scale: scale, ZeroPoint: zp})
+		}
+	}
+	return grids
+}
+
+func TestStepTableMatchesQuantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, p := range stepGrids() {
+		for _, act := range []Activation{ActNone, ActReLU, ActReLU6} {
+			st := NewStepTable(p, func(x float32) uint8 { return p.Quantize(act.Apply(x)) })
+			check := func(x float32) {
+				if got, want := st.Quantize(x), p.Quantize(act.Apply(x)); got != want {
+					t.Fatalf("%v %v x=%g (%#08x): step table %d, chain %d", p, act, x, math.Float32bits(x), got, want)
+				}
+			}
+			// Each step point, its float32 neighbours, and the values the
+			// table's estimate rounds at.
+			for q := st.lo + 1; q <= st.hi; q++ {
+				s := st.steps[q]
+				check(s)
+				check(math.Nextafter32(s, float32(math.Inf(-1))))
+				check(math.Nextafter32(s, float32(math.Inf(1))))
+				check(float32((float64(q-int64(p.ZeroPoint)) - 0.5) * float64(p.Scale)))
+			}
+			for _, x := range []float32{0, float32(math.Copysign(0, -1)), 6, -6, 1e-45, -1e-45,
+				float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32} {
+				check(x)
+			}
+			for i := 0; i < 20000; i++ {
+				x := math.Float32frombits(rng.Uint32())
+				if x != x {
+					continue
+				}
+				check(x)
+				check(float32(rng.NormFloat64()) * 256 * p.Scale)
+			}
+		}
+	}
+}

@@ -364,7 +364,7 @@ func (rb *retryBudget) allow(model string, now time.Time) bool {
 		rb.buckets[model] = b
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(rb.burst, b.tokens+dt*rb.rate)
+		b.tokens = math.Min(rb.burst, b.tokens+float64(dt*rb.rate))
 		b.last = now
 	}
 	if b.tokens < 1 {
@@ -383,7 +383,7 @@ func (rb *retryBudget) tokens(now time.Time) map[string]float64 {
 	defer rb.mu.Unlock()
 	out := make(map[string]float64, len(rb.buckets))
 	for model, b := range rb.buckets {
-		out[model] = math.Min(rb.burst, b.tokens+now.Sub(b.last).Seconds()*rb.rate)
+		out[model] = math.Min(rb.burst, b.tokens+float64(now.Sub(b.last).Seconds()*rb.rate))
 	}
 	return out
 }
@@ -392,7 +392,7 @@ func (rb *retryBudget) tokens(now time.Time) map[string]float64 {
 // rejected together do not return together (the thundering herd against a
 // recovering server). u is a uniform variate in [0, 1).
 func jitterRetryAfter(n int, u float64) int {
-	j := int(math.Round(float64(n) * (0.75 + 0.5*u)))
+	j := int(math.Round(float64(n) * (0.75 + float64(0.5*u))))
 	if j < 1 {
 		j = 1
 	}
