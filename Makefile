@@ -10,7 +10,8 @@
 #   make fleet-smoke three-backend fleet with a mid-run backend kill/restart
 #   make chaos-fleet-smoke four-backend fleet under injected network gray faults
 #   make cross       the gemm and nn tests on 386 (the portable Go tiles),
-#                    vet on arm64, and no fused multiply-add in arm64 code
+#                    vet on arm64, and no fused multiply-add in the amd64
+#                    assembly or in arm64 or GOAMD64=v3 compiler output
 #   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus, plus
 #                    the QUInt8 tiles' int32 wrap test at k past 2³²/255²
 #   make bench-gemm  packed-vs-reference kernel benchmark -> BENCH_gemm.json
@@ -46,21 +47,28 @@ vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 
-# amd64 runs the SSE2 tiles (internal/gemm/tile_amd64.s); every other
-# architecture runs the portable Go tiles the amd64 tests compare them
-# against. 386 binaries run on an amd64 host, so that build's tests run
-# those tiles for real; arm64 is type- and vet-checked. The arm64
-# compiler fuses an unconverted a*b + c into one FMADD, skipping the
+# amd64 runs the AVX2 or SSE2 tiles (internal/gemm/tile_amd64.s); every
+# other architecture runs the portable Go tiles the amd64 tests compare
+# them against. 386 binaries run on an amd64 host, so that build's tests
+# run those tiles for real; arm64 is type- and vet-checked. The arm64
+# compiler fuses an unconverted a*b + c into one FMADD, and the amd64
+# compiler into one VFMADD once GOAMD64=v3 allows FMA, skipping the
 # product's rounding, so kernels, plans and sim_* figures would differ
-# from amd64's in the last bits: every float product feeding an add is
-# written float32(a*b) or float64(a*b), and the last step fails when the
-# arm64 assembly of any package holds a fused multiply-add.
+# between builds in the last bits: every float product feeding an add is
+# written float32(a*b) or float64(a*b). The last three steps fail when
+# the hand-written amd64 assembly, the arm64 compiler's output or the
+# GOAMD64=v3 compiler's output holds a fused multiply-add.
+FUSED_AMD64 = VFMADD|VFMSUB|VFNMADD|VFNMSUB
 cross:
 	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn
 	GOARCH=arm64 $(GO) vet ./internal/gemm ./internal/nn
 	GOARCH=arm64 $(GO) build ./...
+	@if grep -rnE '$(FUSED_AMD64)' --include='*.s' internal; then \
+		echo 'cross: the amd64 assembly above fuses multiply-adds; keep one multiply and one add (DESIGN.md §8)' >&2; exit 1; fi
 	@if GOARCH=arm64 $(GO) build -gcflags=-S ./... 2>&1 | grep -E '\s(FMADD|FMSUB|FNMADD|FNMSUB)'; then \
 		echo 'cross: arm64 fuses the multiply-adds above; convert each product (DESIGN.md §8)' >&2; exit 1; fi
+	@if GOARCH=amd64 GOAMD64=v3 $(GO) build -gcflags=-S ./... 2>&1 | grep -E '\s($(FUSED_AMD64))'; then \
+		echo 'cross: GOAMD64=v3 fuses the multiply-adds above; convert each product (DESIGN.md §8)' >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -106,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzChooseParams$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzRequantize$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzRoundingDivideByPOT$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzRequantizeStrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/f16 -run='^$$' -fuzz='^FuzzFromFloat32$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/f16 -run='^$$' -fuzz='^FuzzArithmetic$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzDecodeInferRequest$$' -fuzztime=$(FUZZTIME)

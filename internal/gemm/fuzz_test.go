@@ -91,14 +91,16 @@ func FuzzQGEMM(f *testing.F) {
 		want := make([]int32, m*n)
 		QGEMMRef(a, b, want, m, k, n, za, zb)
 		// Integer accumulation wraps, so the decomposed tiled kernel
-		// must agree bit-for-bit with the oracle.
-		got := make([]int32, m*n)
-		QGEMM(a, b, got, m, k, n, za, zb)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shape (%d,%d,%d) zp(%d,%d) elem %d: %d vs %d", m, k, n, za, zb, i, got[i], want[i])
+		// must agree bit-for-bit with the oracle at every tile level.
+		eachTileLevel(func(lv tileLevel) {
+			got := make([]int32, m*n)
+			QGEMM(a, b, got, m, k, n, za, zb)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s shape (%d,%d,%d) zp(%d,%d) elem %d: %d vs %d", lv.name, m, k, n, za, zb, i, got[i], want[i])
+				}
 			}
-		}
+		})
 	})
 }
 
@@ -107,7 +109,7 @@ func FuzzQGEMM(f *testing.F) {
 // dequantized to binary16 + Im2ColF16 + F16Ref for the GPU half, and
 // im2col + F32Ref / F16Ref for the pure float pipelines, bit for bit,
 // over random geometry, stride, padding, zero point and output-channel
-// range [c0,c1) of the packed weights.
+// range [c0,c1) of the packed weights, at every tile level the host runs.
 func FuzzConvPack(f *testing.F) {
 	f.Add(uint8(3), uint8(9), uint8(9), uint8(3), uint8(3), uint8(0), uint8(1), uint8(128), uint8(0), uint8(5), int64(1))  // padded 3×3
 	f.Add(uint8(2), uint8(11), uint8(10), uint8(7), uint8(7), uint8(1), uint8(3), uint8(3), uint8(2), uint8(4), int64(2))  // strided 7×7
@@ -140,21 +142,11 @@ func FuzzConvPack(f *testing.F) {
 		in, w := randU8(g.InC*g.InH*g.InW, rng), randU8(outC*k, rng)
 		zb, za := zs, int32(rng.Intn(256))
 
-		// CPU half.
+		// The unfused chains, computed once.
 		patches := make([]uint8, k*n)
 		Im2ColU8(in, g, patches, zb)
 		want := make([]int32, m*n)
 		QGEMMRef(w[c0*k:c1*k], patches, want, m, k, n, za, int32(zb))
-		got := make([]int32, m*n)
-		ConvQ(PackAU8(w[c0*k:c1*k], m, k), in, g, za, int32(zb), func(r, j0 int, acc []int32) {
-			copy(got[r*n+j0:], acc)
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("ConvQ %+v [%d,%d) zp(%d,%d) elem %d: %d vs %d", g, c0, c1, za, zb, i, got[i], want[i])
-			}
-		}
-
 		// GPU half: the table is the input grid's binary16 dequantization.
 		p := quant.Params{Scale: float32(rng.Float64()*0.1 + 1e-3), ZeroPoint: zb}
 		var lut [256]float32
@@ -168,42 +160,54 @@ func FuzzConvPack(f *testing.F) {
 		hpatches := make([]f16.F16, k*n)
 		Im2ColF16(hin, g, hpatches)
 		wh := f16.FromSlice32(randF32(outC*k, rng))
-		wantH := make([]f16.F16, m*n)
-		F16Ref(wh[c0*k:c1*k], hpatches, wantH, m, k, n)
-		gotH := make([]f16.F16, m*n)
-		ConvQViaF16(PackAF16(wh[c0*k:c1*k], m, k), in, g, &lut, zb, func(r, j0 int, acc []float32) {
-			for j, v := range acc {
-				gotH[r*n+j0+j] = f16.FromFloat32(v)
-			}
-		})
-		for i := range wantH {
-			if gotH[i] != wantH[i] {
-				t.Fatalf("ConvQViaF16 %+v [%d,%d) zp %d elem %d: %#04x vs %#04x", g, c0, c1, zb, i, gotH[i], wantH[i])
-			}
-		}
-
+		wantQH := make([]f16.F16, m*n)
+		F16Ref(wh[c0*k:c1*k], hpatches, wantQH, m, k, n)
 		// Pure float pipelines: +0 padding, float32 or binary16 operands.
 		inF, wf := randF32(len(in), rng), randF32(outC*k, rng)
 		fpatches := make([]float32, k*n)
 		im2col(inF, g, fpatches, 0)
 		wantF := make([]float32, m*n)
 		F32Ref(wf[c0*k:c1*k], fpatches, wantF, m, k, n)
-		gotF := make([]float32, m*n)
-		ConvF32(PackAF32(wf[c0*k:c1*k], m, k), inF, g, func(r, j0 int, row []float32) {
-			copy(gotF[r*n+j0:], row)
-		})
 		inH := f16.FromSlice32(inF)
 		im2col(inH, g, hpatches, 0)
+		wantH := make([]f16.F16, m*n)
 		F16Ref(wh[c0*k:c1*k], hpatches, wantH, m, k, n)
-		ConvF16(PackAF16(wh[c0*k:c1*k], m, k), inH, g, func(r, j0 int, row []float32) {
-			for j, v := range row {
-				gotH[r*n+j0+j] = f16.FromFloat32(v)
+
+		eachTileLevel(func(lv tileLevel) {
+			got := make([]int32, m*n)
+			ConvQ(PackAU8(w[c0*k:c1*k], m, k), in, g, za, int32(zb), func(r, j0 int, acc []int32) {
+				copy(got[r*n+j0:], acc)
+			})
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s ConvQ %+v [%d,%d) zp(%d,%d) elem %d: %d vs %d", lv.name, g, c0, c1, za, zb, i, got[i], want[i])
+				}
+			}
+			gotH := make([]f16.F16, m*n)
+			ConvQViaF16(PackAF16(wh[c0*k:c1*k], m, k), in, g, &lut, zb, func(r, j0 int, acc []float32) {
+				for j, v := range acc {
+					gotH[r*n+j0+j] = f16.FromFloat32(v)
+				}
+			})
+			for i := range wantQH {
+				if gotH[i] != wantQH[i] {
+					t.Fatalf("%s ConvQViaF16 %+v [%d,%d) zp %d elem %d: %#04x vs %#04x", lv.name, g, c0, c1, zb, i, gotH[i], wantQH[i])
+				}
+			}
+			gotF := make([]float32, m*n)
+			ConvF32(PackAF32(wf[c0*k:c1*k], m, k), inF, g, func(r, j0 int, row []float32) {
+				copy(gotF[r*n+j0:], row)
+			})
+			ConvF16(PackAF16(wh[c0*k:c1*k], m, k), inH, g, func(r, j0 int, row []float32) {
+				for j, v := range row {
+					gotH[r*n+j0+j] = f16.FromFloat32(v)
+				}
+			})
+			for i := range wantF {
+				if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) || gotH[i] != wantH[i] {
+					t.Fatalf("%s ConvF32/ConvF16 %+v [%d,%d) elem %d: %v vs %v, %#04x vs %#04x", lv.name, g, c0, c1, i, gotF[i], wantF[i], gotH[i], wantH[i])
+				}
 			}
 		})
-		for i := range wantF {
-			if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) || gotH[i] != wantH[i] {
-				t.Fatalf("ConvF32/ConvF16 %+v [%d,%d) elem %d: %v vs %v, %#04x vs %#04x", g, c0, c1, i, gotF[i], wantF[i], gotH[i], wantH[i])
-			}
-		}
 	})
 }

@@ -39,15 +39,19 @@ var ForceRef bool
 // always own whole panels of the packed grid.
 const blockM = 32
 
-// parallelRows runs fn over [0,m) in row panels on up to GOMAXPROCS
-// goroutines. fn must be safe to call concurrently for disjoint panels.
-func parallelRows(m int, fn func(i0, i1 int)) {
+// rowJob is work that parallelRows shards by row panels: rows must be
+// safe to call concurrently for disjoint panels [i0,i1).
+type rowJob interface{ rows(i0, i1 int) }
+
+// parallelRows runs job over [0,m) in row panels on up to GOMAXPROCS
+// goroutines.
+func parallelRows(m int, job rowJob) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > (m+blockM-1)/blockM {
 		workers = (m + blockM - 1) / blockM
 	}
 	if workers <= 1 {
-		fn(0, m)
+		job.rows(0, m)
 		return
 	}
 	var wg sync.WaitGroup
@@ -63,11 +67,7 @@ func parallelRows(m int, fn func(i0, i1 int)) {
 		go func() {
 			defer wg.Done()
 			for i0 := range next {
-				i1 := i0 + blockM
-				if i1 > m {
-					i1 = m
-				}
-				fn(i0, i1)
+				job.rows(i0, min(i0+blockM, m))
 			}
 		}()
 	}

@@ -60,7 +60,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 // The QUInt8 weight pack holds one byte per weight: at most
-// ⌈m/4⌉·4·(k+1) bytes of panels (an odd k pads one byte per row) plus the
+// ⌈m/mr⌉·mr·(k+1) bytes of panels (an odd k pads one byte per row) plus the
 // row sums. A layout that widened the weights to int16 would double it,
 // which otherwise first shows as a live-heap regression of a whole
 // inference. Both what the pack holds and what PackAU8 allocates are

@@ -1,19 +1,36 @@
 package gemm
 
-// The SSE2 bodies of the full-width tiles (tile_amd64.s). SSE2 is part
-// of the amd64 baseline, so they run on every amd64 CPU without feature
-// detection. Each computes exactly what its Go body (fTileGo, qTileGo)
-// computes for nr columns, and the tests hold them to it bit for bit.
-// The callers guarantee len(cols) == nr·len(panel), len(words) ==
-// nr·len(panel) and len(out) ≥ (mr−1)·w + nr; the assembly does no
-// bounds checks of its own.
-
-// fTile is fTileGo for exactly nr columns.
+// The assembly bodies of the full-width tiles (tile_amd64.s). Each
+// computes exactly what its Go body (fTileGo, qTileGo) computes for nr
+// columns, and the tests hold every level to it bit for bit. The callers
+// guarantee len(cols) == nr·len(panel), len(words) == nr·len(panel) and
+// len(out) ≥ (mr−1)·w + nr; the assembly does no bounds checks of its
+// own.
 //
-//go:noescape
-func fTile(panel [][mr]float32, cols []float32, out []float32, w int)
+// SSE2 is part of the amd64 baseline, so its tiles run on every amd64
+// CPU; the AVX2 tiles run where cpuHasAVX2 reports both the instructions
+// and the operating system's support for the YMM registers.
 
-// qTile is qTileGo for exactly nr columns.
-//
 //go:noescape
-func qTile(panel [][mr][2]uint8, words []uint32, out []int32, w int)
+func fTileAVX2(panel [][mr]float32, cols []float32, out []float32, w int)
+
+//go:noescape
+func qTileAVX2(panel [][mr][2]uint8, words []uint32, out []int32, w int)
+
+//go:noescape
+func fTileSSE2(panel [][mr]float32, cols []float32, out []float32, w int)
+
+//go:noescape
+func qTileSSE2(panel [][mr][2]uint8, words []uint32, out []int32, w int)
+
+// cpuHasAVX2 reports whether this CPU and OS can run the AVX2 tiles.
+func cpuHasAVX2() bool
+
+// hostTiles lists the tile levels this host runs, fastest first.
+func hostTiles() []tileLevel {
+	sse2 := tileLevel{"sse2", fTileSSE2, qTileSSE2}
+	if cpuHasAVX2() {
+		return []tileLevel{{"avx2", fTileAVX2, qTileAVX2}, sse2, goTiles}
+	}
+	return []tileLevel{sse2, goTiles}
+}

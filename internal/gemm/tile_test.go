@@ -16,12 +16,25 @@ var floatSpecials = []float32{
 	1, -1, 0.1,
 }
 
-// The full-width tiles (SSE2 assembly on amd64) must equal the portable
-// Go tiles bit for bit on the same packs, for every k the lane arguments
-// care about (odd k pads a pair; 66051/66052 straddle k·255² = 2³²) and
-// every column count from a lone tail column to two tiles plus one, run
-// through tileStrip as the drivers run them. Off amd64 the full tile is
-// the Go tile and the comparison is trivially true.
+// eachTileLevel runs fn once per tile level the host supports, with that
+// level installed as the kernels' tiles, and then reinstalls the level
+// chosen at init. It is how the tests reach the levels the init-time
+// choice passes over; it is not safe alongside concurrent kernel calls.
+func eachTileLevel(fn func(lv tileLevel)) {
+	defer func(chosen tileLevel) { tiles = chosen }(tiles)
+	for _, lv := range hostTiles() {
+		tiles = lv
+		fn(lv)
+	}
+}
+
+// Every tile level the host runs (AVX2 and SSE2 assembly on amd64) must
+// equal the portable Go tiles bit for bit on the same 8-row packs, for
+// every k the lane arguments care about (odd k pads a pair; 66051/66052
+// straddle k·255² = 2³²) and every column count from a lone tail column
+// to two tiles plus one, run through tileStrip as the drivers run them
+// over a full panel and a partial one. Off amd64 the only level is the
+// Go tiles and the comparison is trivially true.
 func TestTilesMatchPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, k := range []int{1, 2, 3, 7, 66051, 66052, 140000} {
@@ -46,44 +59,54 @@ func TestTilesMatchPortable(t *testing.T) {
 				}
 				return s
 			}
-			const m = mr + 1 // a full panel and a partial one
-			aq, af := u8(m*k), f32(mr*k)
-			pq, pf := PackAU8(aq, m, k), PackAF32(af, mr, k)
+			const m = mr + 3 // a full panel and a partial one
+			kp := (k + 1) / 2
+			aq := u8(m * k)
+			pq, pf := PackAU8(aq, m, k), PackAF32(f32(m*k), m, k)
 			for nc := 1; nc <= 2*nr+1; nc++ {
 				b := u8(k * nc)
 				s := new(scratch)
 				words, _ := s.packQ(newPatches(s, b, MatrixGeom(k, nc), 0, &s.pu8), 0, 0, nc)
-				panel := pq.data[:(k+1)/2]
-				got, want := make([]int32, mr*nc), make([]int32, mr*nc)
-				tileStrip(panel, words, got, qTile, qTileGo)
-				tileStrip(panel, words, want, qTileGo, qTileGo)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("QUInt8 %s k=%d nc=%d elem %d: %d vs %d", operand, k, nc, i, got[i], want[i])
-					}
+				cols := f32(k * nc) // column-major, as fMul packs them
+				var wantQ [2][]int32
+				for i, zp := range []int32{0, 255} {
+					wantQ[i] = make([]int32, m*nc)
+					QGEMMRef(aq, b, wantQ[i], m, k, nc, zp, zp)
 				}
-				for _, zp := range []int32{0, 255} {
-					gotQ, wantQ := make([]int32, m*nc), make([]int32, m*nc)
-					qGEMM(pq, b, gotQ, nc, zp, zp)
-					QGEMMRef(aq, b, wantQ, m, k, nc, zp, zp)
-					for i := range wantQ {
-						if gotQ[i] != wantQ[i] {
-							t.Fatalf("QGEMM %s k=%d nc=%d zp %d elem %d: %d vs %d", operand, k, nc, zp, i, gotQ[i], wantQ[i])
+				for p := 0; p*mr < m; p++ {
+					panelQ, panelF := pq.data[p*kp:(p+1)*kp], pf.data[p*k:(p+1)*k]
+					want, wantF := make([]int32, mr*nc), make([]float32, mr*nc)
+					tileStrip(panelQ, words, want, qTileGo, qTileGo)
+					tileStrip(panelF, cols, wantF, fTileGo, fTileGo)
+					eachTileLevel(func(lv tileLevel) {
+						got, gotF := make([]int32, mr*nc), make([]float32, mr*nc)
+						tileStrip(panelQ, words, got, lv.q, qTileGo)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s QUInt8 %s k=%d nc=%d panel %d elem %d: %d vs %d", lv.name, operand, k, nc, p, i, got[i], want[i])
+							}
+						}
+						tileStrip(panelF, cols, gotF, lv.f, fTileGo)
+						for i := range wantF {
+							g, w := gotF[i], wantF[i]
+							if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+								t.Fatalf("%s float %s k=%d nc=%d panel %d elem %d: %v (%#08x) vs %v (%#08x)",
+									lv.name, operand, k, nc, p, i, g, math.Float32bits(g), w, math.Float32bits(w))
+							}
+						}
+					})
+				}
+				eachTileLevel(func(lv tileLevel) {
+					for i, zp := range []int32{0, 255} {
+						got := make([]int32, m*nc)
+						qGEMM(pq, b, got, nc, zp, zp)
+						for j := range got {
+							if got[j] != wantQ[i][j] {
+								t.Fatalf("%s QGEMM %s k=%d nc=%d zp %d elem %d: %d vs %d", lv.name, operand, k, nc, zp, j, got[j], wantQ[i][j])
+							}
 						}
 					}
-				}
-
-				cols := f32(k * nc) // column-major, as fMul packs them
-				gotF, wantF := make([]float32, mr*nc), make([]float32, mr*nc)
-				tileStrip(pf.data, cols, gotF, fTile, fTileGo)
-				tileStrip(pf.data, cols, wantF, fTileGo, fTileGo)
-				for i := range wantF {
-					g, w := gotF[i], wantF[i]
-					if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
-						t.Fatalf("float %s k=%d nc=%d elem %d: %v (%#08x) vs %v (%#08x)",
-							operand, k, nc, i, g, math.Float32bits(g), w, math.Float32bits(w))
-					}
-				}
+				})
 			}
 		}
 	}

@@ -22,33 +22,55 @@ import (
 // bias, activation and requantization run on a strip that is still in
 // cache instead of on a second pass over a full result.
 //
-// The full-width tiles are SSE2 assembly on amd64 (tile_amd64.s):
+// The full-width tiles compute mr = 8 rows × nr = 4 columns. On amd64
+// they are assembly (tile_amd64.s), AVX2 where the host has it and SSE2
+// otherwise, chosen once at package init; both read the same packs:
 //
-//   - float32 (ConvF32, ConvF16, ConvQViaF16): per k step one 16-byte
-//     load of the panel's [mr]float32, and per column a broadcast b[l], a
-//     MULPS and an ADDPS into that column's accumulator. Each lane is one
-//     IEEE binary32 multiply and one add, in ascending k — the operations
-//     of F32Ref's and F16Ref's scalar loops — so results are
-//     bit-identical to them.
+//   - float32 (ConvF32, ConvF16, ConvQViaF16): per k step one load of the
+//     panel's [mr]float32, and per column a broadcast b[l], a multiply
+//     and an add into that column's accumulator. Each lane is one IEEE
+//     binary32 multiply and one add, in ascending k — the operations of
+//     F32Ref's and F16Ref's scalar loops — so results are bit-identical
+//     to them. Nothing fuses the two: a fused multiply-add would skip the
+//     product's rounding.
 //   - QUInt8 (ConvQ): the weight panel holds k in pairs, one byte per
 //     weight (pack.go), and the column operand holds each pair as one
-//     uint32 word b[2l] | b[2l+1]<<16. Per pair step the panel's 8 bytes
+//     uint32 word b[2l] | b[2l+1]<<16. Per pair step the panel's bytes
 //     are widened to int16 in-register, each column's word is broadcast,
 //     and PMADDWD leaves a[2l]·b[2l] + a[2l+1]·b[2l+1] ≤ 2·255² < 2³¹ in
 //     each row's lane, exactly; PADDD then wraps mod 2³² as Go's int32
 //     does, so no k is too long and the sums equal the reference's.
 //
-// Column tails narrower than nr — including a GEMV's single column — run
-// the portable Go tiles fTileGo and qTileGo on the same packs. They are
-// also the whole kernel on other architectures (tile_other.go) and the
-// oracle the amd64 tiles are tested against.
+// The AVX2 tiles hold a panel step's eight rows in one register; the
+// SSE2 tiles hold four and sweep the panel twice, once per half. Column
+// tails narrower than nr — including a GEMV's single column — run the
+// portable Go tiles fTileGo and qTileGo on the same packs. They are also
+// the whole kernel on other architectures (tile_other.go) and the oracle
+// every assembly level is tested against.
 
 const (
 	// mr is the register-tile height (packed A panel height).
-	mr = 4
+	mr = 8
 	// nr is the register-tile width in columns.
 	nr = 4
 )
+
+// tileLevel is one implementation of the full-width tiles.
+type tileLevel struct {
+	name string
+	f    func(panel [][mr]float32, cols []float32, out []float32, w int)
+	q    func(panel [][mr][2]uint8, words []uint32, out []int32, w int)
+}
+
+// goTiles is the portable level every host runs.
+var goTiles = tileLevel{"go", fTileGo, qTileGo}
+
+// tiles is the level the kernels run: the fastest the host supports,
+// chosen once.
+var tiles = hostTiles()[0]
+
+// Tiles names the tile level the kernels run: "avx2", "sse2" or "go".
+func Tiles() string { return tiles.name }
 
 // fTileGo computes the mr×(len(cols)/len(panel)) float tile of panel
 // against the column-major columns cols (each len(panel) long) and stores
@@ -56,11 +78,12 @@ const (
 func fTileGo(panel [][mr]float32, cols []float32, out []float32, w int) {
 	k := len(panel)
 	for c := 0; c*k < len(cols); c++ {
-		out[c], out[w+c], out[2*w+c], out[3*w+c] = f32Dot(panel, cols[c*k:(c+1)*k])
+		out[c], out[w+c], out[2*w+c], out[3*w+c],
+			out[4*w+c], out[5*w+c], out[6*w+c], out[7*w+c] = f32Dot(panel, cols[c*k:(c+1)*k])
 	}
 }
 
-// f32Dot computes one mr×1 tile: the dot products of the panel's four
+// f32Dot computes one mr×1 tile: the dot products of the panel's eight
 // rows with one packed column, each in a single ascending-k accumulator.
 // The float32 conversion of each product forbids fusing it into the add
 // (arm64 would otherwise emit FMADDS, skipping the product's rounding).
@@ -68,7 +91,7 @@ func fTileGo(panel [][mr]float32, cols []float32, out []float32, w int) {
 // its index on every step.
 //
 //go:noinline
-func f32Dot(panel [][mr]float32, col []float32) (c0, c1, c2, c3 float32) {
+func f32Dot(panel [][mr]float32, col []float32) (c0, c1, c2, c3, c4, c5, c6, c7 float32) {
 	panel = panel[:len(col)]
 	for l, b := range col {
 		a := &panel[l]
@@ -76,6 +99,10 @@ func f32Dot(panel [][mr]float32, col []float32) (c0, c1, c2, c3 float32) {
 		c1 += float32(a[1] * b)
 		c2 += float32(a[2] * b)
 		c3 += float32(a[3] * b)
+		c4 += float32(a[4] * b)
+		c5 += float32(a[5] * b)
+		c6 += float32(a[6] * b)
+		c7 += float32(a[7] * b)
 	}
 	return
 }
@@ -84,16 +111,17 @@ func f32Dot(panel [][mr]float32, col []float32) (c0, c1, c2, c3 float32) {
 // the word columns words (each len(panel) long) and stores row r's sums
 // at out[r*w:]. Each pair's two products are summed exactly before the
 // int32 accumulation, as PMADDWD does, and int32 addition wraps, so the
-// sums are bit-identical to the SSE2 tile's and to the reference's.
+// sums are bit-identical to the assembly tiles' and to the reference's.
 func qTileGo(panel [][mr][2]uint8, words []uint32, out []int32, w int) {
 	kp := len(panel)
 	for c := 0; c*kp < len(words); c++ {
-		out[c], out[w+c], out[2*w+c], out[3*w+c] = pairDot(panel, words[c*kp:(c+1)*kp])
+		out[c], out[w+c], out[2*w+c], out[3*w+c],
+			out[4*w+c], out[5*w+c], out[6*w+c], out[7*w+c] = pairDot(panel, words[c*kp:(c+1)*kp])
 	}
 }
 
 // pairDot computes one mr×1 QUInt8 tile over k pairs.
-func pairDot(panel [][mr][2]uint8, words []uint32) (s0, s1, s2, s3 int32) {
+func pairDot(panel [][mr][2]uint8, words []uint32) (s0, s1, s2, s3, s4, s5, s6, s7 int32) {
 	panel = panel[:len(words)]
 	for l, b := range words {
 		a, lo, hi := &panel[l], int32(b&0xffff), int32(b>>16)
@@ -101,6 +129,10 @@ func pairDot(panel [][mr][2]uint8, words []uint32) (s0, s1, s2, s3 int32) {
 		s1 += int32(a[1][0])*lo + int32(a[1][1])*hi
 		s2 += int32(a[2][0])*lo + int32(a[2][1])*hi
 		s3 += int32(a[3][0])*lo + int32(a[3][1])*hi
+		s4 += int32(a[4][0])*lo + int32(a[4][1])*hi
+		s5 += int32(a[5][0])*lo + int32(a[5][1])*hi
+		s6 += int32(a[6][0])*lo + int32(a[6][1])*hi
+		s7 += int32(a[7][0])*lo + int32(a[7][1])*hi
 	}
 	return
 }
@@ -136,6 +168,8 @@ type scratch struct {
 	words []uint32
 	f32   []float32
 	i32   []int32
+	fb    fBlock
+	qb    qBlock
 }
 
 // operands holds packed right operands; strips holds the per-worker
@@ -210,17 +244,32 @@ func fMul(s *scratch, pa [][mr]float32, m, k, n int, fill func(j int, col []floa
 		for j := 0; j < w; j++ {
 			fill(j0+j, cols[j*k:(j+1)*k])
 		}
-		parallelRows(m, func(i0, i1 int) {
-			st := strips.Get().(*scratch)
-			defer strips.Put(st)
-			strip := grow(&st.f32, mr*w)
-			for r0 := i0; r0 < i1; r0 += mr {
-				tileStrip(pa[r0/mr*k:(r0/mr+1)*k], cols, strip, fTile, fTileGo)
-				for r := 0; r < min(mr, i1-r0); r++ {
-					epi(r0+r, j0, strip[r*w:(r+1)*w])
-				}
-			}
-		})
+		s.fb = fBlock{pa: pa, cols: cols, k: k, j0: j0, epi: epi}
+		parallelRows(m, &s.fb)
+	}
+	s.fb = fBlock{}
+}
+
+// fBlock is one packed column block of fMul and where its strips go. It
+// lives in the call's scratch, so handing it to parallelRows allocates
+// nothing.
+type fBlock struct {
+	pa    [][mr]float32
+	cols  []float32
+	k, j0 int
+	epi   func(r, j0 int, row []float32)
+}
+
+func (b *fBlock) rows(i0, i1 int) {
+	st := strips.Get().(*scratch)
+	defer strips.Put(st)
+	w := len(b.cols) / b.k
+	strip := grow(&st.f32, mr*w)
+	for r0 := i0; r0 < i1; r0 += mr {
+		tileStrip(b.pa[r0/mr*b.k:(r0/mr+1)*b.k], b.cols, strip, tiles.f, fTileGo)
+		for r := 0; r < min(mr, i1-r0); r++ {
+			b.epi(r0+r, b.j0, strip[r*w:(r+1)*w])
+		}
 	}
 }
 
@@ -233,29 +282,43 @@ func fMul(s *scratch, pa [][mr]float32, m, k, n int, fill func(j int, col []floa
 // to each finished strip row, and hands it to epi as row r's columns
 // [j0,j0+len(acc)). epi runs concurrently for distinct rows.
 func qMul(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 int, acc []int32)) {
-	k, n, kp := pa.K, g.PatchCols(), (pa.K+1)/2
+	k, n := pa.K, g.PatchCols()
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
-	base := int32(k) * za * zb
 	p := newPatches(s, in, g, uint8(zb), &s.pu8)
 	nb := colBlock(k)
 	for j0 := 0; j0 < n; j0 += nb {
-		w := min(nb, n-j0)
-		words, cAdj := s.packQ(p, za, j0, j0+w)
-		parallelRows(pa.M, func(i0, i1 int) {
-			st := strips.Get().(*scratch)
-			defer strips.Put(st)
-			strip := grow(&st.i32, mr*w)
-			for r0 := i0; r0 < i1; r0 += mr {
-				tileStrip(pa.data[r0/mr*kp:(r0/mr+1)*kp], words, strip, qTile, qTileGo)
-				for r := 0; r < min(mr, i1-r0); r++ {
-					adj, row := base-zb*pa.rowSums[r0+r], strip[r*w:(r+1)*w]
-					for j, v := range row {
-						row[j] = v + adj - cAdj[j]
-					}
-					epi(r0+r, j0, row)
-				}
+		words, cAdj := s.packQ(p, za, j0, min(j0+nb, n))
+		s.qb = qBlock{pa: pa, words: words, cAdj: cAdj, base: int32(k) * za * zb, zb: zb, j0: j0, epi: epi}
+		parallelRows(pa.M, &s.qb)
+	}
+	s.qb = qBlock{}
+}
+
+// qBlock is one packed column block of qMul and where its strips go,
+// held in the call's scratch like fBlock.
+type qBlock struct {
+	pa       *PackedAU8
+	words    []uint32
+	cAdj     []int32 // za·colSum[j]
+	base, zb int32   // k·za·zb, and zb for the row sums
+	j0       int
+	epi      func(r, j0 int, acc []int32)
+}
+
+func (b *qBlock) rows(i0, i1 int) {
+	st := strips.Get().(*scratch)
+	defer strips.Put(st)
+	kp, w := (b.pa.K+1)/2, len(b.cAdj)
+	strip := grow(&st.i32, mr*w)
+	for r0 := i0; r0 < i1; r0 += mr {
+		tileStrip(b.pa.data[r0/mr*kp:(r0/mr+1)*kp], b.words, strip, tiles.q, qTileGo)
+		for r := 0; r < min(mr, i1-r0); r++ {
+			adj, row := b.base-b.zb*b.pa.rowSums[r0+r], strip[r*w:(r+1)*w]
+			for j, v := range row {
+				row[j] = v + adj - b.cAdj[j]
 			}
-		})
+			b.epi(r0+r, b.j0, row)
+		}
 	}
 }

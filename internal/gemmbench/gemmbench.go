@@ -173,11 +173,13 @@ func SmokeConfig() Config {
 
 // Report is the BENCH_gemm.json document.
 type Report struct {
-	Benchmark string   `json:"benchmark"`
-	Config    Config   `json:"config"`
-	GoMaxProc int      `json:"gomaxprocs"`
-	Shapes    []Result `json:"shapes"`
-	Summary   Summary  `json:"summary"`
+	Benchmark string `json:"benchmark"`
+	Config    Config `json:"config"`
+	GoMaxProc int    `json:"gomaxprocs"`
+	// Tiles names the tile level the packed kernels ran (gemm.Tiles).
+	Tiles   string   `json:"tiles"`
+	Shapes  []Result `json:"shapes"`
+	Summary Summary  `json:"summary"`
 }
 
 // Summary aggregates the speedups the ROADMAP tracks.
@@ -216,6 +218,7 @@ func Run(cfg Config) (*Report, error) {
 		Benchmark: "packed register-tiled GEMM vs naive reference kernels, single-thread, model-zoo shapes",
 		Config:    cfg,
 		GoMaxProc: 1,
+		Tiles:     gemm.Tiles(),
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, s := range shapes {
@@ -298,8 +301,9 @@ func summarize(rs []Result) Summary {
 }
 
 // Validate checks a BENCH_gemm.json document for structural sanity: at
-// least one conv-shaped and one fc-shaped entry, positive throughputs
-// and dimensions throughout, and a consistent summary.
+// least one conv-shaped and one fc-shaped entry, a named tile level,
+// positive throughputs and dimensions throughout, and a consistent
+// summary.
 func Validate(data []byte) error {
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
@@ -310,6 +314,11 @@ func Validate(data []byte) error {
 	}
 	if rep.GoMaxProc != 1 {
 		return fmt.Errorf("gomaxprocs = %d, want single-thread measurements", rep.GoMaxProc)
+	}
+	switch rep.Tiles {
+	case "avx2", "sse2", "go":
+	default:
+		return fmt.Errorf("tiles = %q, want avx2, sse2 or go", rep.Tiles)
 	}
 	if len(rep.Shapes) == 0 {
 		return fmt.Errorf("no shapes recorded")

@@ -62,6 +62,7 @@ func TestValidateRejectsBrokenReports(t *testing.T) {
 	}{
 		{"no shapes", func(r *Report) { r.Shapes = nil }, "no shapes"},
 		{"multithreaded", func(r *Report) { r.GoMaxProc = 8 }, "gomaxprocs"},
+		{"no tile level", func(r *Report) { r.Tiles = "" }, "tiles"},
 		{"zero throughput", func(r *Report) { r.Shapes[0].QPackedGOPS = 0 }, "want > 0"},
 		{"bad kind", func(r *Report) { r.Shapes[0].Kind = "rnn" }, "unknown kind"},
 		{"fc only", func(r *Report) {

@@ -244,6 +244,40 @@ func (r Requantizer) Requantize(acc int32) uint8 {
 	return uint8(v)
 }
 
+// Strip requantizes a whole accumulator strip:
+//
+//	dst[i] = r.Requantize(acc[i] + bias)
+//
+// with the int32 sum wrapping as it does there, bit for bit, and no
+// branch per element. Each of Apply's steps becomes straight-line
+// integer arithmetic: the saturating left shift a min/max clamp, SRDHM's
+// sign-dependent nudge a mask of the product's sign bit (its Go division
+// by 2³¹ compiles to a shift with the same sign correction), and
+// RoundingDivideByPOT a precomputed mask and threshold whose "round up"
+// is the sign bit of threshold − remainder. SRDHM's one saturating case
+// needs both operands MinInt32, and a Requantizer's M0 is in [2³⁰, 2³¹),
+// so it never arises. dst must hold len(acc) bytes.
+func (r Requantizer) Strip(dst []uint8, acc []int32, bias int32) {
+	left, right := max(r.mult.Shift, 0), max(-r.mult.Shift, 0)
+	if right > 31 {
+		panic(fmt.Sprintf("quant: bad POT exponent %d", right))
+	}
+	m0 := int64(r.mult.M0)
+	mask := int32(1)<<right - 1
+	threshold := mask >> 1
+	zero, lo, hi := r.outZero, r.actMin, r.actMax
+	dst = dst[:len(acc)]
+	for i, a := range acc {
+		x := min(max(int64(a+bias)<<left, math.MinInt32), math.MaxInt32)
+		ab := x * m0
+		nudge := 1<<30 - ab>>63&(1<<31-1) // 1−2³⁰ for a negative product
+		h := int32((ab + nudge) / (1 << 31))
+		th := threshold + h>>31&1 // ties away from zero
+		v := h>>right + int32(uint32(th-h&mask)>>31)
+		dst[i] = uint8(min(max(v+zero, lo), hi))
+	}
+}
+
 // Activation selects the fused activation applied during requantization.
 type Activation int
 

@@ -600,19 +600,30 @@ func (s *Scheduler) serveBatchSafe(d *poolDevice, g *batchGroup) {
 // returns false when someone settled the request already. Caller holds
 // s.mu.
 func (s *Scheduler) settleLocked(p *pending, out outcome) bool {
+	if !s.claimLocked(p) {
+		return false
+	}
+	p.done <- out
+	return true
+}
+
+// claimLocked marks p settled and leaves the queue count; it returns
+// false when someone settled p already. Caller holds s.mu.
+func (s *Scheduler) claimLocked(p *pending) bool {
 	if p.settled {
 		return false
 	}
 	p.settled = true
 	s.queued--
-	p.done <- out
 	return true
 }
 
-// settleFinal settles p and records its terminal request metrics.
+// settleFinal settles p and records its terminal request metrics. The
+// metrics are recorded before the outcome is delivered, so a client
+// holding its reply is already counted in them (in /statusz too).
 func (s *Scheduler) settleFinal(d *poolDevice, p *pending, out outcome) {
 	s.mu.Lock()
-	ok := s.settleLocked(p, out)
+	ok := s.claimLocked(p)
 	s.mu.Unlock()
 	if !ok {
 		return
@@ -623,6 +634,7 @@ func (s *Scheduler) settleFinal(d *poolDevice, p *pending, out outcome) {
 		s.mets.simLat.With(p.modelName, d.class, p.mech.String()).Observe(out.simLat.Seconds())
 		s.mets.wallLat.With(p.modelName, d.class).Observe(time.Since(p.enqueued).Seconds())
 	}
+	p.done <- out
 }
 
 // releaseGroup returns a dispatched group's backlog and depth charges to

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -272,5 +273,36 @@ func TestPlanCacheIsPerClass(t *testing.T) {
 	}
 	if after.Plans != 1 || after.Makespans != 2 {
 		t.Fatalf("want 1 plan with 2 memoized makespans, got %+v", after)
+	}
+}
+
+// settleFinal records a request's terminal metrics before it delivers
+// the outcome: a client that holds its reply must already find itself
+// counted, or its next /statusz can read fewer wall samples than
+// queue-wait samples. The outcome channel here is unbuffered, so the
+// receive below completes exactly when settleFinal delivers, and the
+// metrics are read at that point. Its pass needs no timing: the metrics
+// happen before the send. The yield only makes a regression show every
+// time, since a receiver that takes the value from a parked sender runs
+// on before the sender resumes to record.
+func TestSettleFinalRecordsBeforeDelivering(t *testing.T) {
+	s := newSched(t, Config{SoCs: []SoCSpec{{Name: "high", SoC: soc.Exynos7420, Workers: 1}}})
+	wallCount := func() (n int64) {
+		for _, row := range summarizeLatency(s.mets.wallLat) {
+			n += row.Count
+		}
+		return n
+	}
+	for i := int64(1); i <= 3; i++ {
+		p := &pending{modelName: "lenet5", mech: core.MechMuLayer, enqueued: time.Now(), done: make(chan outcome)}
+		s.mu.Lock()
+		s.queued++
+		s.mu.Unlock()
+		go s.settleFinal(s.devices[0], p, outcome{simLat: time.Millisecond})
+		runtime.Gosched() // let settleFinal reach the delivery first
+		<-p.done
+		if n := wallCount(); n != i {
+			t.Fatalf("outcome %d delivered with %d wall samples recorded", i, n)
+		}
 	}
 }
