@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"mulayer/internal/exec"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
-	"mulayer/internal/tensor"
 )
 
 // RunBatch plans and executes one fused micro-batch: every item's rows are
@@ -52,28 +49,9 @@ func (rt *Runtime) RunBatchPlan(m *models.Model, plan *partition.Plan, items []e
 
 // RunBatchPlanOpts is RunBatchPlan with execution hooks attached.
 func (rt *Runtime) RunBatchPlanOpts(m *models.Model, plan *partition.Plan, items []exec.FusedItem, rc RunConfig, opts ExecOpts) (*exec.FusedResult, error) {
-	o, err := rt.options(rc)
+	cfg, err := rt.execConfig(m, rc, opts)
 	if err != nil {
 		return nil, err
-	}
-	if rc.Numeric {
-		if m.SpecOnly {
-			return nil, fmt.Errorf("core: model %s is spec-only; build it with Config.Numeric", m.Name)
-		}
-		if o.Pipe.Storage == tensor.QUInt8 && !m.Calibrated {
-			return nil, fmt.Errorf("core: model %s is not calibrated; run Calibrate first", m.Name)
-		}
-	}
-	cfg := exec.Config{
-		SoC:            rt.soc,
-		Pipe:           o.Pipe,
-		Numeric:        rc.Numeric,
-		InputParams:    m.InputParams,
-		AsyncIssue:     !rc.DisableAsyncIssue,
-		ZeroCopy:       !rc.DisableZeroCopy,
-		FaultHook:      opts.Faults,
-		TraceHook:      opts.Trace,
-		WatchdogFactor: opts.WatchdogFactor,
 	}
 	return exec.RunFused(m.Graph, plan, items, cfg)
 }

@@ -182,30 +182,43 @@ func (rt *Runtime) RunContext(ctx context.Context, m *models.Model, input *tenso
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	o, err := rt.options(rc)
+	plan, err := rt.Plan(m, rc)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := partition.Build(m.Graph, o)
+	cfg, err := rt.execConfig(m, rc, ExecOpts{})
 	if err != nil {
 		return nil, err
+	}
+	cfg.Ctx = ctx
+	return exec.Run(m.Graph, plan, input, cfg)
+}
+
+// execConfig checks that m can run under rc and builds the executor
+// configuration: numeric runs need a numeric model, calibrated when the
+// pipeline stores QUInt8.
+func (rt *Runtime) execConfig(m *models.Model, rc RunConfig, opts ExecOpts) (exec.Config, error) {
+	o, err := rt.options(rc)
+	if err != nil {
+		return exec.Config{}, err
 	}
 	if rc.Numeric {
 		if m.SpecOnly {
-			return nil, fmt.Errorf("core: model %s is spec-only; build it with Config.Numeric", m.Name)
+			return exec.Config{}, fmt.Errorf("core: model %s is spec-only; build it with Config.Numeric", m.Name)
 		}
 		if o.Pipe.Storage == tensor.QUInt8 && !m.Calibrated {
-			return nil, fmt.Errorf("core: model %s is not calibrated; run Calibrate first", m.Name)
+			return exec.Config{}, fmt.Errorf("core: model %s is not calibrated; run Calibrate first", m.Name)
 		}
 	}
-	cfg := exec.Config{
-		SoC:         rt.soc,
-		Ctx:         ctx,
-		Pipe:        o.Pipe,
-		Numeric:     rc.Numeric,
-		InputParams: m.InputParams,
-		AsyncIssue:  !rc.DisableAsyncIssue,
-		ZeroCopy:    !rc.DisableZeroCopy,
-	}
-	return exec.Run(m.Graph, plan, input, cfg)
+	return exec.Config{
+		SoC:            rt.soc,
+		Pipe:           o.Pipe,
+		Numeric:        rc.Numeric,
+		InputParams:    m.InputParams,
+		AsyncIssue:     !rc.DisableAsyncIssue,
+		ZeroCopy:       !rc.DisableZeroCopy,
+		FaultHook:      opts.Faults,
+		TraceHook:      opts.Trace,
+		WatchdogFactor: opts.WatchdogFactor,
+	}, nil
 }

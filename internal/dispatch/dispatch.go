@@ -36,16 +36,11 @@ type QueueState struct {
 	Draining bool
 }
 
-// Admission decides whether one unit of work may enter the queue.
-type Admission interface {
-	Admit(QueueState) error
-}
-
 // BoundedQueue is the shared admission policy: refuse while draining,
 // refuse at capacity, admit otherwise.
 type BoundedQueue struct{}
 
-// Admit implements Admission.
+// Admit decides whether one unit of work may enter the queue.
 func (BoundedQueue) Admit(q QueueState) error {
 	if q.Draining {
 		return ErrDraining

@@ -19,7 +19,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"mulayer/internal/device"
@@ -340,13 +339,7 @@ func (r *runner) execute(plan *partition.Plan) error {
 		r.checkMembers()
 		switch {
 		case st.Layer != nil:
-			if st.Layer.PNPU > 0 && st.Layer.PNPU < 1 {
-				r.runLayer3(st.Layer.Node, st.Layer.P, st.Layer.PNPU)
-			} else if st.Layer.PNPU >= 1 {
-				r.runSingle(st.Layer.Node, partition.ProcNPU)
-			} else {
-				r.runLayer(st.Layer.Node, st.Layer.P)
-			}
+			r.runLayer(st.Layer)
 		case st.Branch != nil:
 			r.runBranch(st.Branch)
 		}
@@ -357,72 +350,14 @@ func (r *runner) execute(plan *partition.Plan) error {
 	return nil
 }
 
-// Run executes plan over g with the given float32 input.
+// Run executes plan over g with the given float32 input (nil in cost-only
+// mode): RunFused of one single-row item.
 func Run(g *graph.Graph, plan *partition.Plan, input *tensor.Tensor, cfg Config) (*Result, error) {
-	if cfg.SoC == nil {
-		return nil, fmt.Errorf("exec: SoC is required")
-	}
-	if err := checkStorage(cfg.Pipe.Storage); err != nil {
-		return nil, err
-	}
-	shapes, err := g.InferShapes()
+	res, err := RunFused(g, plan, []FusedItem{{Input: input}}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Numeric {
-		if input == nil {
-			return nil, fmt.Errorf("exec: numeric mode requires an input tensor")
-		}
-		if input.Shape != shapes[g.Input()] {
-			return nil, fmt.Errorf("exec: input shape %v, graph wants %v", input.Shape, shapes[g.Input()])
-		}
-	}
-	cover := plan.Covered()
-	for i := 0; i < g.Len(); i++ {
-		id := graph.NodeID(i)
-		if g.Node(id).Layer.Kind() == nn.OpInput {
-			continue
-		}
-		if cover[id] != 1 {
-			return nil, fmt.Errorf("exec: plan covers node %d %dx, want exactly once", id, cover[id])
-		}
-	}
-
-	r := newRunner(g, cfg, shapes, sim.NewTimeline(), 0)
-	it := &fusedMember{}
-	if cfg.Numeric {
-		in, err := r.convertInput(input)
-		if err != nil {
-			return nil, err
-		}
-		it.vals = map[graph.NodeID]any{g.Input(): in}
-	}
-	r.items = []*fusedMember{it}
-	if err := r.execute(plan); err != nil {
-		return nil, err
-	}
-
-	if err := r.tl.Validate(); err != nil {
-		return nil, err
-	}
-	makespan := r.tl.Makespan()
-	rep := sim.Report{
-		Latency:        makespan,
-		DynamicJ:       r.tl.DynamicEnergyPJ() * 1e-12,
-		DRAMJ:          float64(r.dramBytes) * cfg.SoC.DRAMPicoJPerByte * 1e-12,
-		StaticJ:        cfg.SoC.StaticPowerW * makespan.Seconds(),
-		CPUBusy:        r.tl.BusyTime(cfg.SoC.CPU.Name),
-		GPUBusy:        r.tl.BusyTime(cfg.SoC.GPU.Name),
-		KernelLaunches: r.launches,
-	}
-	if cfg.SoC.NPU != nil {
-		rep.NPUBusy = r.tl.BusyTime(cfg.SoC.NPU.Name)
-	}
-	res := &Result{Report: rep, Timeline: r.tl}
-	if cfg.Numeric {
-		res.Output = outputF32(it.vals, g.Output())
-	}
-	return res, nil
+	return &Result{Output: res.Items[0].Output, Report: res.Report, Timeline: res.Timeline}, nil
 }
 
 // checkStorage rejects a pipeline whose storage type the executor has no
@@ -530,20 +465,13 @@ func (r *runner) sideWork(p partition.Proc, kind nn.OpKind, c nn.Cost, sideCh in
 	}
 }
 
-// runSingle schedules one whole layer on one processor as its own plan
-// step (serialized against the previous step).
-func (r *runner) runSingle(id graph.NodeID, p partition.Proc) {
-	r.runWhole(id, p, true, r.seq)
-	r.seq = r.ready[id]
-}
-
-// runWhole schedules one whole layer on one processor, starting no earlier
-// than floor. chargeLaunch=false models back-to-back command enqueueing
-// within a branch: consecutive GPU kernels of the same branch need no CPU
-// round-trip, so only the branch's first kernel pays the dispatch latency.
-func (r *runner) runWhole(id graph.NodeID, p partition.Proc, chargeLaunch bool, floor time.Duration) {
+// runWhole schedules one whole layer, whose input shapes are ins, on one
+// processor, starting no earlier than floor. chargeLaunch=false models
+// back-to-back command enqueueing within a branch: consecutive GPU kernels
+// of the same branch need no CPU round-trip, so only the branch's first
+// kernel pays the dispatch latency.
+func (r *runner) runWhole(id graph.NodeID, ins []tensor.Shape, p partition.Proc, chargeLaunch bool, floor time.Duration) {
 	n := r.g.Node(id)
-	ins := r.g.InputShapes(id, r.shapes)
 	cost := r.scaleBatch(n.Layer.Cost(ins))
 	ready := r.inputsReady(id, maskOf(p))
 	if floor > ready {
@@ -569,7 +497,7 @@ func (r *runner) runWhole(id graph.NodeID, p partition.Proc, chargeLaunch bool, 
 		if err != nil {
 			return err
 		}
-		if err := r.forward(id, out, 0, r.fullRange(id), p, vals); err != nil {
+		if err := r.forward(id, out, 0, max(n.Layer.SplitChannels(ins), 1), p, vals); err != nil {
 			return err
 		}
 		vals[id] = out
@@ -577,82 +505,85 @@ func (r *runner) runWhole(id graph.NodeID, p partition.Proc, chargeLaunch bool, 
 	})
 }
 
-// runLayer executes one plan layer step with split ratio p.
-func (r *runner) runLayer(id graph.NodeID, p float64) {
-	if p >= 1 {
-		r.runSingle(id, partition.ProcCPU)
-		return
-	}
-	if p <= 0 {
-		r.runSingle(id, partition.ProcGPU)
-		return
-	}
+// sideLabel suffixes the kernel label of each processor's share of a
+// split layer.
+var sideLabel = [3]string{"[cpu]", "[gpu]", "[npu]"}
+
+// runLayer executes one plan layer step. partition.Channels turns the
+// step's shares into whole output-channel counts; a step on one processor
+// runs the whole layer there, and otherwise each active processor computes
+// its contiguous channel range (CPU, then GPU, then NPU) concurrently and
+// the partial outputs merge through one synchronization (§3.2, §8.3).
+func (r *runner) runLayer(st *partition.LayerStep) {
+	id := st.Node
 	n := r.g.Node(id)
 	ins := r.g.InputShapes(id, r.shapes)
-	c := n.Layer.SplitChannels(ins)
-	if c < 2 {
-		// Degenerate: cannot split a single channel; run on the CPU.
-		r.runSingle(id, partition.ProcCPU)
+	ch := partition.Channels(st.P, st.PNPU, n.Layer.SplitChannels(ins))
+	var need procMask
+	var last partition.Proc
+	for i, k := range ch {
+		if k > 0 {
+			last = partition.Proc(i)
+			need |= maskOf(last)
+		}
+	}
+	if need == maskOf(last) {
+		r.runWhole(id, ins, last, true, r.seq)
+		r.seq = r.ready[id]
 		return
 	}
-	splitC := int(math.Round(p * float64(c)))
-	if splitC < 1 {
-		splitC = 1
-	}
-	if splitC > c-1 {
-		splitC = c - 1
-	}
-	pEff := float64(splitC) / float64(c)
 
+	share := partition.Shares(ch)
 	cost := r.scaleBatch(n.Layer.Cost(ins))
 	kind := n.Layer.Kind()
-	ready := r.inputsReady(id, onCPU|onGPU)
-	if r.seq > ready {
-		ready = r.seq
-	}
+	ready := max(r.inputsReady(id, need), r.seq)
 
-	cpu, gpu := r.cfg.SoC.CPU, r.cfg.SoC.GPU
-	cw := r.sideWork(partition.ProcCPU, kind, cost.Scale(pEff), splitC)
-	gw := r.sideWork(partition.ProcGPU, kind, cost.Scale(1-pEff), c-splitC)
-	cpuK := cpu.KernelTime(cw)
-	gpuK := gpu.KernelTime(gw)
-
-	var cpuDur, gpuDur time.Duration
-	var gpuReady time.Duration
-	if r.cfg.AsyncIssue {
-		// The CPU enqueues the GPU command asynchronously and proceeds with
-		// its own share; the dispatch latency runs on the GPU side (§6).
-		cpuDur = cpu.LaunchOverhead + cpuK
-		gpuDur = gpu.LaunchOverhead + gpuK
-		gpuReady = ready
-	} else {
-		// Blocking issue: the CPU stalls for the GPU dispatch first.
-		cpuDur = gpu.LaunchOverhead + cpu.LaunchOverhead + cpuK
-		gpuDur = gpuK
-		gpuReady = ready + gpu.LaunchOverhead
+	// Accelerator commands are enqueued asynchronously and their dispatch
+	// latency runs on the accelerator (§6). Under blocking issue the CPU
+	// stalls for every accelerator's dispatch before its own share, and
+	// each accelerator starts its kernel once its dispatch completes.
+	var stall time.Duration
+	if !r.cfg.AsyncIssue {
+		for _, p := range [...]partition.Proc{partition.ProcGPU, partition.ProcNPU} {
+			if ch[p] > 0 {
+				stall += r.proc(p).LaunchOverhead
+			}
+		}
 	}
-	cpuStart, cpuEnd := r.schedule(cpu, n.Layer.Name()+"[cpu]", ready, cpuDur, cpu.KernelEnergyPJ(cw))
-	gpuStart, gpuEnd := r.schedule(gpu, n.Layer.Name()+"[gpu]", gpuReady, gpuDur, gpu.KernelEnergyPJ(gw))
-	if r.cfg.TraceHook != nil {
-		r.traceKernel(cpu, partition.ProcCPU, n.Layer.Name()+"[cpu]", kind, id, cpuStart, cpuEnd, cpuK, pEff, cost)
-		r.traceKernel(gpu, partition.ProcGPU, n.Layer.Name()+"[gpu]", kind, id, gpuStart, gpuEnd, gpuK, 1-pEff, cost)
-	}
-	r.launches += 2
-	r.dramBytes += cw.MovedBytes + gw.MovedBytes
-
-	end := cpuEnd
-	if gpuEnd > end {
-		end = gpuEnd
+	var end time.Duration
+	for i, k := range ch {
+		if k == 0 {
+			continue
+		}
+		p := partition.Proc(i)
+		proc := r.proc(p)
+		w := r.sideWork(p, kind, cost.Scale(share[p]), k)
+		kernelDur := proc.KernelTime(w)
+		start, dur := ready, proc.LaunchOverhead+kernelDur
+		switch {
+		case r.cfg.AsyncIssue:
+		case p == partition.ProcCPU:
+			dur += stall
+		default:
+			start, dur = ready+proc.LaunchOverhead, kernelDur
+		}
+		label := n.Layer.Name() + sideLabel[p]
+		s, e := r.schedule(proc, label, start, dur, proc.KernelEnergyPJ(w))
+		if r.cfg.TraceHook != nil {
+			r.traceKernel(proc, p, label, kind, id, s, e, kernelDur, share[p], cost)
+		}
+		r.launches++
+		r.dramBytes += w.MovedBytes
+		end = max(end, e)
 	}
 	// Merge: with zero-copy memory the partial outputs already live in the
 	// same buffer; the merge is the map/unmap barrier, whose cache
 	// maintenance covers the shared input and output buffers.
 	ssz := r.cfg.Pipe.Storage.Size()
-	coherent := (cost.InElems + cost.OutElems) * ssz
-	end += r.cfg.SoC.SyncCost(coherent)
+	end += r.cfg.SoC.SyncCost((cost.InElems + cost.OutElems) * ssz)
 	if !r.cfg.ZeroCopy {
 		bytes := int64(r.shapes[id].Elems()) * ssz * int64(r.batch)
-		end += r.cfg.SoC.CopySyncOverhead + time.Duration(float64(bytes)/(cpu.MemBWGBs*1e9)*float64(time.Second))
+		end += r.cfg.SoC.CopySyncOverhead + time.Duration(float64(bytes)/(r.cfg.SoC.CPU.MemBWGBs*1e9)*float64(time.Second))
 	}
 	r.ready[id] = end
 	r.producedOn[id] = r.all
@@ -663,11 +594,15 @@ func (r *runner) runLayer(id graph.NodeID, p float64) {
 		if err != nil {
 			return err
 		}
-		if err := r.forward(id, out, 0, splitC, partition.ProcCPU, vals); err != nil {
-			return err
-		}
-		if err := r.forward(id, out, splitC, c, partition.ProcGPU, vals); err != nil {
-			return err
+		lo := 0
+		for i, k := range ch {
+			if k == 0 {
+				continue
+			}
+			if err := r.forward(id, out, lo, lo+k, partition.Proc(i), vals); err != nil {
+				return err
+			}
+			lo += k
 		}
 		vals[id] = out
 		return nil
@@ -685,24 +620,13 @@ func (r *runner) runBranch(st *partition.BranchStep) {
 		for j, id := range br {
 			// A branch's kernels are enqueued back-to-back: only the first
 			// pays the dispatch latency (§6's asynchronous command issue).
-			r.runWhole(id, p, j == 0, floor)
+			r.runWhole(id, r.g.InputShapes(id, r.shapes), p, j == 0, floor)
 		}
 		if end := r.ready[br[len(br)-1]]; end > groupEnd {
 			groupEnd = end
 		}
 	}
 	r.seq = groupEnd
-}
-
-// fullRange returns the layer's split-channel count, or 1 for whole-layer
-// execution of non-splittable layers.
-func (r *runner) fullRange(id graph.NodeID) int {
-	n := r.g.Node(id)
-	ins := r.g.InputShapes(id, r.shapes)
-	if c := n.Layer.SplitChannels(ins); c > 0 {
-		return c
-	}
-	return 1
 }
 
 // allocOut allocates the node's output tensor in the storage type.

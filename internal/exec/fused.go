@@ -64,7 +64,7 @@ type FusedResult struct {
 // inferences sharing a timeline), RunFused models one execution whose GEMM
 // row panels carry the whole batch: each layer pays one kernel launch and
 // one weight read regardless of the row count, which is where batching's
-// throughput win comes from. A one-item, one-row call is exactly Run.
+// throughput win comes from. Run is the one-item, one-row call.
 //
 // In numeric mode every item must carry an input; outputs are computed per
 // member and are bit-identical to the member's own single-input Run under
@@ -88,13 +88,13 @@ func RunFused(g *graph.Graph, plan *partition.Plan, items []FusedItem, cfg Confi
 		rows += it.rows()
 		if cfg.Numeric {
 			if it.Rows > 1 {
-				return nil, fmt.Errorf("exec: numeric fused item %d has %d rows; numeric members carry one input each", i, it.Rows)
+				return nil, fmt.Errorf("exec: numeric item %d has %d rows; numeric members carry one input each", i, it.Rows)
 			}
 			if it.Input == nil {
-				return nil, fmt.Errorf("exec: numeric fused item %d has no input", i)
+				return nil, fmt.Errorf("exec: numeric item %d has no input", i)
 			}
 			if it.Input.Shape != shapes[g.Input()] {
-				return nil, fmt.Errorf("exec: fused item %d input shape %v, graph wants %v", i, it.Input.Shape, shapes[g.Input()])
+				return nil, fmt.Errorf("exec: item %d input shape %v, graph wants %v", i, it.Input.Shape, shapes[g.Input()])
 			}
 		}
 	}

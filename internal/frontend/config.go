@@ -157,12 +157,10 @@ type Config struct {
 	// backend rejoins and must re-earn ejection with fresh samples.
 	EjectBackoff time.Duration
 
-	// Admission and Policy are the shared scheduling policies
-	// (internal/dispatch). Admission gates the in-flight bound (default
-	// dispatch.BoundedQueue); Policy ranks backends per request (default
-	// dispatch.RendezvousLeastLoad with SpillFactor/SpillMargin below).
-	Admission dispatch.Admission
-	Policy    dispatch.Policy
+	// Policy is the shared placement policy (internal/dispatch) that
+	// ranks backends per request (default dispatch.RendezvousLeastLoad
+	// with SpillFactor/SpillMargin below).
+	Policy dispatch.Policy
 	// SpillFactor and SpillMargin tune the default policy's load-spill
 	// guard (see dispatch.RendezvousLeastLoad); ignored when Policy is
 	// set explicitly.
@@ -243,9 +241,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.EjectBackoff <= 0 {
 		c.EjectBackoff = 5 * time.Second
-	}
-	if c.Admission == nil {
-		c.Admission = dispatch.BoundedQueue{}
 	}
 	if c.Policy == nil {
 		c.Policy = dispatch.RendezvousLeastLoad{

@@ -87,7 +87,7 @@ func (p *proxy) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// else in the body is the backend's business.
 	model := server.PeekModel(body)
 
-	if err := p.cfg.Admission.Admit(dispatch.QueueState{
+	if err := (dispatch.BoundedQueue{}).Admit(dispatch.QueueState{
 		Depth: int(p.inflight.Load()),
 		Cap:   p.cfg.MaxInflight,
 	}); err != nil {

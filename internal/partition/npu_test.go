@@ -6,6 +6,7 @@ import (
 
 	"mulayer/internal/graph"
 	"mulayer/internal/models"
+	"mulayer/internal/nn"
 	"mulayer/internal/profile"
 	"mulayer/internal/soc"
 )
@@ -15,7 +16,7 @@ var (
 	npuPred = profile.Build(npuSoC.Processors()...)
 )
 
-func TestSplitChannels3Partition(t *testing.T) {
+func TestChannelsPartition(t *testing.T) {
 	f := func(cs, ns uint8, chs uint8) bool {
 		splitCh := int(chs%200) + 1
 		c := float64(cs%5) / 4
@@ -23,36 +24,71 @@ func TestSplitChannels3Partition(t *testing.T) {
 		if c+n > 1 {
 			return true
 		}
-		cpu, gpu, npu := SplitChannels3(c, n, splitCh)
-		if cpu < 0 || gpu < 0 || npu < 0 {
+		ch := Channels(c, n, splitCh)
+		for _, k := range ch {
+			if k < 0 {
+				return false
+			}
+		}
+		if ch[ProcCPU]+ch[ProcGPU]+ch[ProcNPU] != splitCh {
 			return false
 		}
-		return cpu+gpu+npu == splitCh
+		// A two-processor split keeps at least one channel on each side.
+		if n == 0 && c > 0 && c < 1 && splitCh >= 2 {
+			return ch[ProcCPU] >= 1 && ch[ProcGPU] >= 1
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestThreeWayGridCoversSimplex(t *testing.T) {
-	g := threeWayGrid()
-	if len(g) != 15 { // C(6,2) compositions of 4 into 3 parts
-		t.Fatalf("grid size %d, want 15", len(g))
+func TestChannelsWholeLayer(t *testing.T) {
+	for _, tc := range []struct {
+		p, pn float64
+		c     int
+		want  [3]int
+	}{
+		{1, 0, 64, [3]int{64, 0, 0}},
+		{0, 0, 64, [3]int{0, 64, 0}},
+		{0, 1, 64, [3]int{0, 0, 64}},
+		{0.5, 0, 1, [3]int{1, 0, 0}},     // one channel cannot split
+		{0.25, 0.25, 1, [3]int{1, 0, 0}}, // nor three ways
+		{1, 0, 0, [3]int{1, 0, 0}},       // concat: a whole layer on the CPU
+		{0, 0, 0, [3]int{0, 1, 0}},       // ... or on the GPU
+		{0.75, 0, 2, [3]int{1, 1, 0}},    // the two-way clamp
+		{0.25, 0.25, 8, [3]int{2, 4, 2}},
+	} {
+		if got := Channels(tc.p, tc.pn, tc.c); got != tc.want {
+			t.Errorf("Channels(%v, %v, %d) = %v, want %v", tc.p, tc.pn, tc.c, got, tc.want)
+		}
 	}
-	seen := map[shares3]bool{}
-	for _, s := range g {
-		if s.cpu+s.gpu+s.npu < 0.999 || s.cpu+s.gpu+s.npu > 1.001 {
-			t.Fatalf("tuple %+v does not sum to 1", s)
+}
+
+func TestThreeWayGridCoversSimplex(t *testing.T) {
+	o := MuLayerNPU(npuSoC, npuPred)
+	const splitCh = 64
+	seen := map[[3]int]bool{}
+	n := 0
+	o.candidates(nn.OpConv, splitCh, func(p, pn float64) {
+		n++
+		ch := Channels(p, pn, splitCh)
+		if ch[ProcCPU]+ch[ProcGPU]+ch[ProcNPU] != splitCh {
+			t.Fatalf("candidate %v does not cover the layer", ch)
 		}
-		if seen[s] {
-			t.Fatalf("duplicate tuple %+v", s)
+		if seen[ch] {
+			t.Fatalf("duplicate candidate %v", ch)
 		}
-		seen[s] = true
+		seen[ch] = true
+	})
+	if n != 15 { // C(6,2) compositions of 4 into 3 parts
+		t.Fatalf("grid size %d, want 15", n)
 	}
 	// Degenerate single-processor tuples must be present.
-	for _, want := range []shares3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
+	for _, want := range [][3]int{{splitCh, 0, 0}, {0, splitCh, 0}, {0, 0, splitCh}} {
 		if !seen[want] {
-			t.Fatalf("missing tuple %+v", want)
+			t.Fatalf("missing candidate %v", want)
 		}
 	}
 }
@@ -116,10 +152,10 @@ func TestMuLayerNPUPredictedBeatsTwoWay(t *testing.T) {
 	}
 }
 
-func TestBestSingle3PrefersNPUForBigIntegerWork(t *testing.T) {
+func TestUnsplittableLayerPrefersNPUForBigIntegerWork(t *testing.T) {
 	o := MuLayerNPU(npuSoC, npuPred)
-	// A large conv in QUInt8: the NPU's integer engine should win the
-	// single-processor comparison.
+	// A large conv in QUInt8 scored as a layer that cannot split: the
+	// NPU's integer engine should win the single-processor comparison.
 	m := mustModel(t, models.VGG16)
 	shapes, _ := m.Graph.InferShapes()
 	var found bool
@@ -130,7 +166,7 @@ func TestBestSingle3PrefersNPUForBigIntegerWork(t *testing.T) {
 		}
 		found = true
 		c := n.Layer.Cost(m.Graph.InputShapes(n.ID, shapes))
-		cpu, npu, _ := o.bestSingle3(n.Layer.Kind(), c)
+		cpu, npu, _ := o.bestSplit(n.Layer.Kind(), c, 1)
 		if cpu != 0 || npu != 1 {
 			t.Fatalf("conv3_1 single-proc choice cpu=%v npu=%v, want the NPU", cpu, npu)
 		}

@@ -112,6 +112,7 @@ func (pl Pipeline) WeightBytes(p Proc) int64 {
 // fraction P of the output channels and the GPU the remainder. P==1 and
 // P==0 are single-processor steps. On NPU-equipped SoCs (§8.3) PNPU
 // carves an additional share for the NPU; the GPU computes 1-P-PNPU.
+// Channels turns the shares into whole channel counts.
 type LayerStep struct {
 	Node graph.NodeID
 	P    float64
@@ -207,16 +208,18 @@ func (o Options) proc(p Proc) *device.Processor {
 	return o.SoC.GPU
 }
 
+// npuEnabled reports whether the SoC's NPU joins the CPU and the GPU as a
+// third cooperative target — the §8.3 extension: "the channel-wise
+// workload distribution can be extended to distribute a layer's output
+// channels to not only the CPU and the GPU, but also the NPU".
+func (o Options) npuEnabled() bool {
+	return o.AllowNPU && o.SoC.NPU != nil && o.AllowCPU && o.AllowGPU
+}
+
 // predictKernel estimates the kernel time of one full layer on a
 // processor (no dispatch overhead).
 func (o Options) predictKernel(p Proc, kind nn.OpKind, c nn.Cost) time.Duration {
 	return o.Pred.Predict(o.proc(p).Name, kind, o.Pipe.ComputeType(p), o.Pipe.Converted(p), c)
-}
-
-// predictOn estimates one full layer's latency on a processor, including
-// its kernel-launch overhead.
-func (o Options) predictOn(p Proc, kind nn.OpKind, c nn.Cost) time.Duration {
-	return o.predictKernel(p, kind, c) + o.proc(p).LaunchOverhead
 }
 
 // coopSync estimates the per-layer merge synchronization of a cooperative
@@ -226,58 +229,139 @@ func (o Options) coopSync(c nn.Cost) time.Duration {
 	return o.SoC.SyncCost((c.InElems + c.OutElems) * o.Pipe.Storage.Size())
 }
 
-// bestSplit scores the allowed executions of one layer and returns the
-// chosen ratio and its predicted latency. Following §6, a splittable
-// layer under cooperative execution picks from the grid only — the
-// predictor scales each side linearly by its share, derated by the
-// partial-kernel channel efficiency — plus the single-processor ratios
-// when the SingleFallback extension is on.
-func (o Options) bestSplit(kind nn.OpKind, c nn.Cost, splitCh int) (float64, time.Duration) {
-	bestP := -1.0
-	var bestT time.Duration
-	consider := func(p float64, t time.Duration) {
-		if bestP < 0 || t < bestT {
-			bestP, bestT = p, t
+// Channels turns a layer step's CPU share p and NPU share pn into whole
+// output-channel counts, indexed by Proc, for a layer with c split
+// channels (c < 1 counts as one channel: a layer that cannot split). It
+// is the one channel rule: the planner scores, the device model times and
+// the executor runs exactly these counts. An NPU share of 1 runs the
+// layer on the NPU; any other NPU share splits three ways, each share
+// rounded to whole channels and the GPU taking the remainder; a CPU share
+// of 1 (or a layer with fewer than two channels) runs on the CPU and a
+// share of 0 on the GPU; otherwise the CPU's rounded share is clamped so
+// both processors keep at least one channel.
+func Channels(p, pn float64, c int) (ch [3]int) {
+	c = max(c, 1)
+	round := func(share float64) int { return int(math.Round(share * float64(c))) }
+	switch {
+	case pn >= 1:
+		ch[ProcNPU] = c
+	case pn <= 0 && p <= 0:
+		ch[ProcGPU] = c
+	case c < 2 || (pn <= 0 && p >= 1):
+		ch[ProcCPU] = c
+	case pn > 0:
+		ch[ProcCPU] = min(round(p), c)
+		ch[ProcNPU] = min(round(pn), c-ch[ProcCPU])
+		ch[ProcGPU] = c - ch[ProcCPU] - ch[ProcNPU]
+	default:
+		ch[ProcCPU] = min(max(round(p), 1), c-1)
+		ch[ProcGPU] = c - ch[ProcCPU]
+	}
+	return ch
+}
+
+// Shares returns each processor's fraction of the channel counts ch, the
+// factor its share of the layer cost is scaled by: the CPU and the NPU
+// their own channel fraction, the GPU the remainder 1-cpu-npu (1-p for a
+// two-processor split). nn.Cost.Scale truncates, so computing the GPU's
+// own fraction instead could move a figure by an ulp.
+func Shares(ch [3]int) (s [3]float64) {
+	c := float64(ch[ProcCPU] + ch[ProcGPU] + ch[ProcNPU])
+	s[ProcCPU] = float64(ch[ProcCPU]) / c
+	s[ProcNPU] = float64(ch[ProcNPU]) / c
+	s[ProcGPU] = 1 - s[ProcCPU] - s[ProcNPU]
+	return s
+}
+
+// candidates calls try with every (CPU, NPU) share pair the planner
+// scores for one layer, in tie-break order. Following §6, a splittable
+// layer under two-processor cooperative execution picks from the grid
+// only, plus the single-processor ratios when the SingleFallback
+// extension is on. The §8.3 three-processor planner scores the quarter-
+// step (CPU, GPU, NPU) tuples as whole-channel shares — the natural
+// extension of the paper's {0.25, 0.5, 0.75} grid, single-processor and
+// two-processor tuples included — or the three single processors for a
+// layer that cannot split. Layers that must run whole (concat, softmax)
+// take nonSplitProc.
+func (o Options) candidates(kind nn.OpKind, splitCh int, try func(p, pn float64)) {
+	switch {
+	case o.NPUOnly:
+		try(0, 1)
+	case kind == nn.OpConcat || kind == nn.OpSoftmax:
+		try(o.nonSplitProc(), 0)
+	case o.npuEnabled() && splitCh < 2:
+		try(1, 0)
+		try(0, 0)
+		try(0, 1)
+	case o.npuEnabled():
+		c := float64(splitCh)
+		for q := 0; q <= 4; q++ {
+			for g := 0; q+g <= 4; g++ {
+				ch := Channels(float64(q)/4, float64(4-q-g)/4, splitCh)
+				try(float64(ch[ProcCPU])/c, float64(ch[ProcNPU])/c)
+			}
+		}
+	default:
+		coop := splitCh > 1 && o.AllowSplit && o.AllowCPU && o.AllowGPU
+		if coop {
+			for _, p := range o.Grid {
+				try(p, 0)
+			}
+		}
+		if !coop || o.SingleFallback {
+			if o.AllowCPU {
+				try(1, 0)
+			}
+			if o.AllowGPU {
+				try(0, 0)
+			}
 		}
 	}
-	coop := splitCh > 1 && o.AllowSplit && o.AllowCPU && o.AllowGPU
-	if coop {
-		cpuFull := o.predictKernel(ProcCPU, kind, c)
-		gpuFull := o.predictKernel(ProcGPU, kind, c)
-		cpu := o.proc(ProcCPU)
-		gpu := o.proc(ProcGPU)
-		sync := o.coopSync(c)
-		for _, p := range o.Grid {
-			cpuCh := int(math.Round(p * float64(splitCh)))
-			if cpuCh < 1 {
-				cpuCh = 1
+}
+
+// bestSplit scores the candidate shares of one layer and returns the
+// chosen CPU and NPU shares (the GPU computes the remainder) with the
+// predicted latency. The regression predictor supplies each processor's
+// full-layer kernel estimate; a share scales it linearly, derated by the
+// partial-kernel channel efficiency, plus the processor's launch. The
+// slowest active processor sets the layer's latency, and a layer on more
+// than one processor pays the merge synchronization.
+func (o Options) bestSplit(kind nn.OpKind, c nn.Cost, splitCh int) (p, pn float64, best time.Duration) {
+	var full [3]time.Duration // full-layer kernel estimates, filled on first use
+	first := true
+	o.candidates(kind, splitCh, func(cp, cpn float64) {
+		ch := Channels(cp, cpn, splitCh)
+		share := Shares(ch)
+		n := ch[ProcCPU] + ch[ProcGPU] + ch[ProcNPU]
+		var t time.Duration
+		active := 0
+		for i, k := range ch {
+			if k == 0 {
+				continue
 			}
-			if cpuCh > splitCh-1 {
-				cpuCh = splitCh - 1
+			active++
+			side := Proc(i)
+			if full[side] == 0 {
+				full[side] = o.predictKernel(side, kind, c)
 			}
-			gpuCh := splitCh - cpuCh
-			pe := float64(cpuCh) / float64(splitCh)
-			cpuT := time.Duration(float64(cpuFull)*pe/cpu.SplitEfficiency(cpuCh)) + cpu.LaunchOverhead
-			gpuT := time.Duration(float64(gpuFull)*(1-pe)/gpu.SplitEfficiency(gpuCh)) + gpu.LaunchOverhead
-			t := cpuT
-			if gpuT > t {
-				t = gpuT
+			eff := 1.0
+			if k < n {
+				eff = o.proc(side).SplitEfficiency(k)
 			}
-			consider(p, t+sync)
+			t = max(t, time.Duration(float64(full[side])*share[side]/eff)+o.proc(side).LaunchOverhead)
 		}
-	}
-	if !coop || o.SingleFallback {
-		if o.AllowCPU {
-			consider(1, o.predictOn(ProcCPU, kind, c))
+		if active > 1 {
+			t += o.coopSync(c)
 		}
-		if o.AllowGPU {
-			consider(0, o.predictOn(ProcGPU, kind, c))
+		if first || t < best {
+			first = false
+			p, pn, best = cp, cpn, t
 		}
-	}
-	if bestP < 0 {
+	})
+	if first {
 		panic("partition: no processor allowed")
 	}
-	return bestP, bestT
+	return p, pn, best
 }
 
 // nonSplitProc places layers that must run whole (concat, softmax) —
@@ -319,13 +403,11 @@ func Build(g *graph.Graph, o Options) (*Plan, error) {
 			// §5: branch decisions work from collected per-branch execution
 			// latencies (the device model here), not the regression.
 			var assign []Proc
-			var branchT, coopT time.Duration
+			var branchT time.Duration
 			if o.npuEnabled() {
 				assign, branchT = o.simBranchSearch3(g, bg, shapes)
-				coopT = o.simCoopGroup3(g, bg, shapes)
 			} else {
 				assign, branchT = o.simBranchAssign(g, bg, shapes)
-				coopT = o.simCoopGroup(g, bg, shapes)
 			}
 			if assign == nil {
 				continue
@@ -333,7 +415,7 @@ func Build(g *graph.Graph, o Options) (*Plan, error) {
 			// Compare against executing the same nodes with the per-layer
 			// plan (serialized layers), unless branch distribution is
 			// forced.
-			if o.ForceBranch || branchT < coopT {
+			if o.ForceBranch || branchT < o.simCoopGroup(g, bg, shapes) {
 				gp := &groupPlan{step: &BranchStep{Group: bg, Assign: assign}, est: branchT}
 				for id := range bg.Members() {
 					inGroup[id] = gp
@@ -358,37 +440,12 @@ func Build(g *graph.Graph, o Options) (*Plan, error) {
 			continue
 		}
 		ins := g.InputShapes(id, shapes)
-		cost := n.Layer.Cost(ins)
-		kind := n.Layer.Kind()
-		splitCh := n.Layer.SplitChannels(ins)
-		var p, pn float64
-		var t time.Duration
-		switch {
-		case o.NPUOnly:
-			pn = 1
-			t = o.predictOn(ProcNPU, kind, cost)
-		case kind == nn.OpConcat || kind == nn.OpSoftmax:
-			p = o.nonSplitProc()
-			t = o.predictOn(procOf(p), kind, cost)
-		case o.npuEnabled() && splitCh > 1:
-			p, pn, t = o.bestSplit3(kind, cost, splitCh)
-		case o.npuEnabled():
-			p, pn, t = o.bestSingle3(kind, cost)
-		default:
-			p, t = o.bestSplit(kind, cost, splitCh)
-		}
+		p, pn, t := o.bestSplit(n.Layer.Kind(), n.Layer.Cost(ins), n.Layer.SplitChannels(ins))
 		plan.Steps = append(plan.Steps, Step{Layer: &LayerStep{Node: id, P: p, PNPU: pn}})
 		predicted += t
 	}
 	plan.Predicted = predicted
 	return plan, nil
-}
-
-func procOf(p float64) Proc {
-	if p > 0 {
-		return ProcCPU
-	}
-	return ProcGPU
 }
 
 // Covered returns the set of nodes the plan executes; tests use it to

@@ -40,49 +40,41 @@ func (o Options) simKernel(p Proc, kind nn.OpKind, c nn.Cost, sideCh int) time.D
 	return o.proc(p).KernelTime(o.Pipe.Work(p, kind, c, sideCh))
 }
 
-// simLayerAt is the device-model latency of one layer executed at a given
-// split ratio, mirroring the executor's runLayer / runSingle timing under
-// asynchronous issue and zero-copy synchronization.
-func (o Options) simLayerAt(kind nn.OpKind, c nn.Cost, splitCh int, p float64) time.Duration {
-	cpu, gpu := o.SoC.CPU, o.SoC.GPU
-	if p >= 1 || splitCh < 2 {
-		return cpu.LaunchOverhead + cpu.KernelTime(o.Pipe.Work(ProcCPU, kind, c, 0))
+// simAt is the device-model latency of one layer run at the channel
+// counts ch, mirroring the executor's timing under asynchronous issue and
+// zero-copy synchronization: the active processors run their shares
+// concurrently, and a layer on more than one processor pays one merge
+// synchronization.
+func (o Options) simAt(kind nn.OpKind, c nn.Cost, ch [3]int) time.Duration {
+	share := Shares(ch)
+	n := ch[ProcCPU] + ch[ProcGPU] + ch[ProcNPU]
+	var t time.Duration
+	active := 0
+	for i, k := range ch {
+		if k == 0 {
+			continue
+		}
+		active++
+		side := Proc(i)
+		sideCh := k
+		if k == n {
+			sideCh = 0 // a full kernel pays no split penalty
+		}
+		proc := o.proc(side)
+		t = max(t, proc.LaunchOverhead+proc.KernelTime(o.Pipe.Work(side, kind, c.Scale(share[side]), sideCh)))
 	}
-	if p <= 0 {
-		return gpu.LaunchOverhead + gpu.KernelTime(o.Pipe.Work(ProcGPU, kind, c, 0))
+	if active > 1 {
+		t += o.coopSync(c)
 	}
-	cpuCh := clampSplit(p, splitCh)
-	gpuCh := splitCh - cpuCh
-	pe := float64(cpuCh) / float64(splitCh)
-	cpuT := cpu.LaunchOverhead + cpu.KernelTime(o.Pipe.Work(ProcCPU, kind, c.Scale(pe), cpuCh))
-	gpuT := gpu.LaunchOverhead + gpu.KernelTime(o.Pipe.Work(ProcGPU, kind, c.Scale(1-pe), gpuCh))
-	t := cpuT
-	if gpuT > t {
-		t = gpuT
-	}
-	return t + o.coopSync(c)
+	return t
 }
 
 // simPlannedLayer evaluates, with the device model, the step the
 // per-layer partitioner would actually emit for this layer (its ratio
 // choice still comes from the regression predictor, as in §6).
 func (o Options) simPlannedLayer(kind nn.OpKind, c nn.Cost, splitCh int) time.Duration {
-	if kind == nn.OpConcat || kind == nn.OpSoftmax {
-		return o.simLayerAt(kind, c, splitCh, o.nonSplitProc())
-	}
-	p, _ := o.bestSplit(kind, c, splitCh)
-	return o.simLayerAt(kind, c, splitCh, p)
-}
-
-func clampSplit(p float64, splitCh int) int {
-	c := int(float64(p*float64(splitCh)) + 0.5)
-	if c < 1 {
-		c = 1
-	}
-	if c > splitCh-1 {
-		c = splitCh - 1
-	}
-	return c
+	p, pn, _ := o.bestSplit(kind, c, splitCh)
+	return o.simAt(kind, c, Channels(p, pn, splitCh))
 }
 
 // simCoopGroup is the device-model latency of executing a branch group
@@ -143,10 +135,7 @@ func (o Options) simBranchSearch(g *graph.Graph, bg graph.BranchGroup, shapes ma
 	fork := g.Node(bg.Fork)
 	if fork.Layer.Kind() != nn.OpInput {
 		ins := g.InputShapes(bg.Fork, shapes)
-		fp := o.nonSplitProc()
-		if k := fork.Layer.Kind(); k != nn.OpConcat && k != nn.OpSoftmax {
-			fp, _ = o.bestSplit(k, fork.Layer.Cost(ins), fork.Layer.SplitChannels(ins))
-		}
+		fp, _, _ := o.bestSplit(fork.Layer.Kind(), fork.Layer.Cost(ins), fork.Layer.SplitChannels(ins))
 		switch {
 		case fp >= 1: // fork on the CPU: GPU branches sync on entry
 			gpuEntry = forkSync
@@ -194,4 +183,67 @@ func (o Options) simBranchSearch(g *graph.Graph, bg graph.BranchGroup, shapes ma
 		}
 	}
 	return best, bestT, eval
+}
+
+// simBranchSearch3 is the three-way branch-assignment search (§8.3: "the
+// branch distribution can benefit from having the NPU by being able to run
+// more branches in parallel"). It mirrors simBranchSearch with a base-3
+// enumeration; non-CPU-produced branch outputs pay one synchronization
+// before the join. Unlike simBranchSearch it charges no fork-entry
+// synchronization.
+func (o Options) simBranchSearch3(g *graph.Graph, bg graph.BranchGroup, shapes map[graph.NodeID]tensor.Shape) ([]Proc, time.Duration) {
+	b := len(bg.Branches)
+	if b < 2 || b > 10 {
+		return nil, 0
+	}
+	lat := make([][3]time.Duration, b)
+	outSync := make([]time.Duration, b)
+	for i, br := range bg.Branches {
+		for _, id := range br {
+			n := g.Node(id)
+			c := n.Layer.Cost(g.InputShapes(id, shapes))
+			for p := ProcCPU; p <= ProcNPU; p++ {
+				lat[i][p] += o.simKernel(p, n.Layer.Kind(), c, 0)
+			}
+		}
+		for p := ProcCPU; p <= ProcNPU; p++ {
+			lat[i][p] += o.proc(p).LaunchOverhead
+		}
+		last := br[len(br)-1]
+		outSync[i] = o.SoC.SyncCost(int64(shapes[last].Elems()) * o.Pipe.Storage.Size())
+	}
+
+	total := 1
+	for i := 0; i < b; i++ {
+		total *= 3
+	}
+	var best []Proc
+	var bestT time.Duration
+	assign := make([]Proc, b)
+	for mask := 0; mask < total; mask++ {
+		m := mask
+		for i := 0; i < b; i++ {
+			assign[i] = Proc(m % 3)
+			m /= 3
+		}
+		var sums [3]time.Duration
+		var cross [3]time.Duration
+		for i, p := range assign {
+			sums[p] += lat[i][p]
+			if p != ProcCPU && outSync[i] > cross[p] {
+				cross[p] = outSync[i]
+			}
+		}
+		var t time.Duration
+		for p := ProcCPU; p <= ProcNPU; p++ {
+			if end := sums[p] + cross[p]; end > t {
+				t = end
+			}
+		}
+		if best == nil || t < bestT {
+			bestT = t
+			best = append([]Proc(nil), assign...)
+		}
+	}
+	return best, bestT
 }

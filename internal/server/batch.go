@@ -142,7 +142,7 @@ func (s *Scheduler) dispatchLocked(g *batchGroup) {
 		cands = append(cands, dispatch.Candidate{ID: d.name, Done: d.predictedCompletion() + cost})
 		choices = append(choices, devChoice{d: d, rc: rc, cost: cost})
 	}
-	ranked := s.place.Rank(g.key.model, cands)
+	ranked := dispatch.MinCompletion{}.Rank(g.key.model, cands)
 	if len(ranked) == 0 {
 		switch {
 		case !classSeen:

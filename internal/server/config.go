@@ -19,7 +19,6 @@ import (
 	"os"
 	"time"
 
-	"mulayer/internal/dispatch"
 	"mulayer/internal/faults"
 	"mulayer/internal/models"
 	"mulayer/internal/soc"
@@ -127,14 +126,6 @@ type Config struct {
 	// brownout degradation ladder. The zero value disables all of them.
 	// See docs/serving.md and ParseOverloadSpec.
 	Overload OverloadConfig
-
-	// Admission and Dispatch are the pluggable scheduling policies shared
-	// with the fleet tier (internal/dispatch): Admission decides whether a
-	// request enters the bounded queue (default dispatch.BoundedQueue),
-	// Dispatch ranks the pool devices for a sealed batch (default
-	// dispatch.MinCompletion — earliest predicted completion wins).
-	Admission dispatch.Admission
-	Dispatch  dispatch.Policy
 }
 
 // tracingEnabled reports whether requests record traces at all.
@@ -251,12 +242,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("server: %w", err)
 	}
 	c.Overload = c.Overload.withDefaults()
-	if c.Admission == nil {
-		c.Admission = dispatch.BoundedQueue{}
-	}
-	if c.Dispatch == nil {
-		c.Dispatch = dispatch.MinCompletion{}
-	}
 	return c, nil
 }
 

@@ -86,12 +86,6 @@ type Scheduler struct {
 	caches map[string]*core.PlanCache
 	mets   *schedMetrics
 
-	// admit and place are the pluggable admission and placement policies
-	// shared with the fleet tier (Config.Admission / Config.Dispatch;
-	// defaults: bounded queue, minimum predicted completion).
-	admit dispatch.Admission
-	place dispatch.Policy
-
 	// overload is the brownout-ladder controller (nil when the ladder is
 	// off); retryB is the fleet-wide failover retry budget (nil when off);
 	// overloadStop ends the controller's evaluation loop at drain.
@@ -204,8 +198,6 @@ func NewScheduler(cfg Config, reg *metrics.Registry) (*Scheduler, error) {
 		devices:  devices,
 		caches:   caches,
 		mets:     newSchedMetrics(reg),
-		admit:    cfg.Admission,
-		place:    cfg.Dispatch,
 		open:     make(map[groupKey]*batchGroup),
 		hardCtx:  hardCtx,
 		hardKill: hardKill,
@@ -529,17 +521,14 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request) outcome {
 	}
 
 	s.mu.Lock()
-	if err := s.admit.Admit(dispatch.QueueState{
+	if err := (dispatch.BoundedQueue{}).Admit(dispatch.QueueState{
 		Depth: s.queued, Cap: s.cfg.QueueDepth, Draining: s.draining,
 	}); err != nil {
 		s.mu.Unlock()
-		switch {
-		case errors.Is(err, dispatch.ErrDraining):
+		if errors.Is(err, dispatch.ErrDraining) {
 			s.mets.rejected.With("draining").Inc()
-		case errors.Is(err, dispatch.ErrQueueFull):
+		} else {
 			s.mets.rejected.With("queue_full").Inc()
-		default:
-			s.mets.rejected.With("policy").Inc()
 		}
 		return outcome{err: err}
 	}
