@@ -31,7 +31,6 @@ func main() {
 	ablations := flag.Bool("ablations", false, "render the design-choice ablations")
 	extensions := flag.Bool("extensions", false, "render the extension experiments (batch taxonomy, NPU)")
 	all := flag.Bool("all", false, "render everything, including the numeric Figure 10")
-	samples := flag.Int("samples", 0, "override the Figure 10 sample count")
 	gemmBench := flag.Bool("gemm", false, "run the packed-vs-reference GEMM kernel benchmark")
 	gemmOut := flag.String("gemm-out", "BENCH_gemm.json", "output path for -gemm")
 	gemmShort := flag.Bool("gemm-short", false, "with -gemm: CI-sized smoke configuration")
@@ -94,11 +93,7 @@ func main() {
 		gen func() (*experiments.Table, error)
 	}
 	fig10 := func() (*experiments.Table, error) {
-		cfg := experiments.DefaultAccuracyConfig()
-		if *samples > 0 {
-			cfg.Samples = *samples
-		}
-		return env.Figure10(cfg)
+		return env.Figure10(experiments.DefaultAccuracyConfig())
 	}
 	std := []entry{
 		{"5", env.Figure5},

@@ -25,8 +25,8 @@
 // stable few replicas (plan-cache and batch-fusion affinity); when the
 // affinity choice's predicted load — the backend-reported predicted
 // wait from /statusz.json plus a per-outstanding-request charge —
-// exceeds the least-loaded replica's by both -spill-factor and
-// -spill-margin, the request spills. After a p95-derived hedge delay a budgeted second
+// exceeds the least-loaded replica's by both -spill-factor and 10ms,
+// the request spills. After a p95-derived hedge delay a budgeted second
 // attempt races the next-ranked replica; transport failures fail over;
 // backend 503s pass through untouched. See docs/serving.md.
 //
@@ -61,27 +61,14 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated backend base URLs (http://host:port)")
 	backendsFile := flag.String("backends-file", "", "file with one backend URL per line ('#' comments); SIGHUP or POST /admin/reload re-reads it")
 	probeEvery := flag.Duration("probe-every", 500*time.Millisecond, "health/load probe cadence per backend")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "probe round-trip budget")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures before a backend quarantines")
 	quarBackoff := flag.Duration("quarantine-backoff", time.Second, "first quarantine duration (doubles per re-quarantine)")
-	quarBackoffMax := flag.Duration("quarantine-backoff-max", 30*time.Second, "quarantine backoff cap")
-	maxInflight := flag.Int("max-inflight", 512, "proxied requests in flight before the frontend sheds")
 	maxAttempts := flag.Int("max-attempts", 3, "attempts per request across backends on transport failure")
-	reqTimeout := flag.Duration("timeout", 30*time.Second, "end-to-end budget per proxied request")
 	hedgeBudget := flag.Float64("hedge-budget", 0.1, "fraction of requests that may hedge (0 disables)")
-	hedgeBurst := flag.Int("hedge-burst", 8, "hedge budget burst cap")
-	hedgeMin := flag.Duration("hedge-min", 10*time.Millisecond, "hedge delay floor")
-	hedgeMax := flag.Duration("hedge-max", 2*time.Second, "hedge delay ceiling (also the cold-start delay)")
 	spillFactor := flag.Float64("spill-factor", 0, "affinity yields to least-load when its predicted load exceeds this ratio (0 = default 2.0)")
-	spillMargin := flag.Duration("spill-margin", 0, "...and this absolute margin (0 = default 10ms)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain budget on shutdown")
-	dialTimeout := flag.Duration("dial-timeout", 2*time.Second, "TCP dial budget per backend leg")
-	respHeaderTimeout := flag.Duration("response-header-timeout", 15*time.Second, "wait for a backend's response headers before the leg fails")
-	maxIdlePerHost := flag.Int("max-idle-per-host", 32, "idle connections kept warm per backend")
 	ejectFactor := flag.Float64("eject-factor", 0, "eject a backend whose latency p95 exceeds this multiple of the fleet median (0 = default 3.0, negative disables)")
 	ejectHold := flag.Duration("eject-hold", 2*time.Second, "how long the outlier condition must persist before ejection")
-	ejectMinSamples := flag.Int("eject-min-samples", 8, "served-latency samples required before a backend can be ejected")
-	ejectBackoff := flag.Duration("eject-backoff", 5*time.Second, "first ejection duration (doubles per re-ejection)")
 	netFaultSpec := flag.String("net-faults", "", "network fault injection spec: [target=host:port,]lat=R,latms=D,dialto=R,hangms=D,reset=R,drop=R,trunc=R,corrupt=R,seed=N,max=N blocks joined by ';' (empty = off)")
 	flag.Parse()
 
@@ -98,7 +85,7 @@ func main() {
 	// The tuned transport is built explicitly so -net-faults can wrap it
 	// in the deterministic network fault injector (chaos drills against
 	// a live fleet).
-	var transport http.RoundTripper = frontend.NewHTTPTransport(*dialTimeout, *respHeaderTimeout, *maxIdlePerHost)
+	var transport http.RoundTripper = frontend.NewHTTPTransport(2*time.Second, 15*time.Second, 32)
 	if *netFaultSpec != "" {
 		cfgs, err := netfaults.ParseSpec(*netFaultSpec)
 		if err != nil {
@@ -109,32 +96,19 @@ func main() {
 	}
 
 	fe, err := frontend.New(frontend.Config{
-		Addr:                  *addr,
-		Backends:              urls,
-		BackendsFile:          *backendsFile,
-		ProbeEvery:            *probeEvery,
-		ProbeTimeout:          *probeTimeout,
-		FailThreshold:         *failThreshold,
-		QuarantineBackoff:     *quarBackoff,
-		QuarantineBackoffMax:  *quarBackoffMax,
-		MaxInflight:           *maxInflight,
-		MaxAttempts:           *maxAttempts,
-		RequestTimeout:        *reqTimeout,
-		HedgeBudget:           *hedgeBudget,
-		HedgeBurst:            *hedgeBurst,
-		HedgeMin:              *hedgeMin,
-		HedgeMax:              *hedgeMax,
-		SpillFactor:           *spillFactor,
-		SpillMargin:           *spillMargin,
-		DrainTimeout:          *drain,
-		DialTimeout:           *dialTimeout,
-		ResponseHeaderTimeout: *respHeaderTimeout,
-		MaxIdleConnsPerHost:   *maxIdlePerHost,
-		Transport:             transport,
-		EjectFactor:           *ejectFactor,
-		EjectHold:             *ejectHold,
-		EjectMinSamples:       *ejectMinSamples,
-		EjectBackoff:          *ejectBackoff,
+		Addr:              *addr,
+		Backends:          urls,
+		BackendsFile:      *backendsFile,
+		ProbeEvery:        *probeEvery,
+		FailThreshold:     *failThreshold,
+		QuarantineBackoff: *quarBackoff,
+		MaxAttempts:       *maxAttempts,
+		HedgeBudget:       *hedgeBudget,
+		SpillFactor:       *spillFactor,
+		DrainTimeout:      *drain,
+		Transport:         transport,
+		EjectFactor:       *ejectFactor,
+		EjectHold:         *ejectHold,
 	}, log.Default())
 	if err != nil {
 		log.Fatal(err)

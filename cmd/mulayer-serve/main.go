@@ -90,8 +90,10 @@ var socBuilders = map[string]func() *soc.SoC{
 	"npu":  soc.Exynos7420NPU,
 }
 
-// parseSoCs parses "high=4,mid=2" (count optional: "high,mid").
-func parseSoCs(spec string, defWorkers int) ([]server.SoCSpec, error) {
+// parseSoCs parses "high=4,mid=2"; a class without a count gets 2
+// workers ("high,mid"), and an empty spec leaves the server's default
+// pool.
+func parseSoCs(spec string) ([]server.SoCSpec, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -102,7 +104,7 @@ func parseSoCs(spec string, defWorkers int) ([]server.SoCSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown SoC class %q (want high, mid, npu)", name)
 		}
-		workers := defWorkers
+		workers := 2
 		if hasCnt {
 			n, err := strconv.Atoi(cnt)
 			if err != nil || n < 1 {
@@ -119,11 +121,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mulayer-serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
-	socs := flag.String("socs", "high=2,mid=2", "device pool: class=workers[,class=workers...] (classes: high, mid, npu)")
-	workers := flag.Int("workers", 2, "default workers per class when a class omits =N")
+	socs := flag.String("socs", "high=2,mid=2", "device pool: class[=workers][,...] (classes: high, mid, npu; workers default 2)")
 	queue := flag.Int("queue", 256, "bounded queue depth (admitted but unfinished requests)")
-	timeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline")
-	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on client-requested deadlines")
+	timeout := flag.Duration("timeout", 2*time.Second, "default per-request deadline (client deadlines are capped at 30s)")
 	timescale := flag.Float64("timescale", 10, "device pacing: simulated latency / timescale of wall time per inference (0 = no pacing)")
 	maxBatch := flag.Int("max-batch", 8, "max rows fused into one batched execution (1 = no batching)")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "how long an open batch window waits for more same-model requests")
@@ -139,7 +139,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = off)")
 	flag.Parse()
 
-	specs, err := parseSoCs(*socs, *workers)
+	specs, err := parseSoCs(*socs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,10 +154,8 @@ func main() {
 	srv, err := server.New(server.Config{
 		Addr:              *addr,
 		SoCs:              specs,
-		DefaultWorkers:    *workers,
 		QueueDepth:        *queue,
 		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
 		TimeScale:         *timescale,
 		MaxBatch:          *maxBatch,
 		BatchWait:         *batchWait,

@@ -72,7 +72,8 @@ type RunConfig struct {
 	// Mechanism picks the execution mechanism (default MechMuLayer).
 	Mechanism Mechanism
 	// DType is the uniform data type of the single-processor mechanisms
-	// (default QUInt8, the fastest); ignored by the cooperative ones.
+	// (the zero value is tensor.F32, so an unset DType plans the F32
+	// pipeline); ignored by the cooperative ones.
 	DType tensor.DataType
 	// Numeric runs the real kernels and produces an output tensor; the
 	// default cost-only mode simulates timing and energy only.

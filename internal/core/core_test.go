@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"mulayer/internal/models"
+	"mulayer/internal/partition"
+	"mulayer/internal/sim"
 	"mulayer/internal/soc"
 	"mulayer/internal/tensor"
 )
@@ -178,5 +180,37 @@ func TestNPUMechanismsRequireNPUSoC(t *testing.T) {
 	m, _ := models.LeNet5(models.Config{})
 	if _, err := rt.Run(m, nil, RunConfig{Mechanism: MechNPUOnly}); err == nil {
 		t.Fatal("NPU-only on an NPU-less SoC must fail")
+	}
+}
+
+// TestRunConfigDTypeDefaultsToF32 pins the zero DType: a single-processor
+// mechanism with no DType plans and simulates the F32 pipeline, which is
+// what a served cpu-only or gpu-only request runs.
+func TestRunConfigDTypeDefaultsToF32(t *testing.T) {
+	rt := newRT(t)
+	o, err := rt.options(RunConfig{Mechanism: MechCPUOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Pipe != partition.Uniform(tensor.F32) {
+		t.Fatalf("unset DType plans pipeline %+v, want uniform F32", o.Pipe)
+	}
+	m, err := models.SqueezeNetV11(models.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(rc RunConfig) sim.Report {
+		res, err := rt.Run(m, nil, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report
+	}
+	def := run(RunConfig{Mechanism: MechCPUOnly})
+	if f32 := run(RunConfig{Mechanism: MechCPUOnly, DType: tensor.F32}); def.Latency != f32.Latency || def.TotalJ() != f32.TotalJ() {
+		t.Fatalf("unset DType report %v / %v J, F32 report %v / %v J", def.Latency, def.TotalJ(), f32.Latency, f32.TotalJ())
+	}
+	if q := run(RunConfig{Mechanism: MechCPUOnly, DType: tensor.QUInt8}); q.Latency == def.Latency {
+		t.Fatal("QUInt8 and unset DType simulate the same latency; the default is not telling them apart")
 	}
 }

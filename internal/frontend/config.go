@@ -84,11 +84,10 @@ type Config struct {
 	// transport errors and failed probes share the counter — that
 	// quarantines a backend (default 3).
 	FailThreshold int
-	// QuarantineBackoff is the first quarantine duration; each
-	// re-quarantine doubles it up to QuarantineBackoffMax (defaults 1s
-	// and 30s).
-	QuarantineBackoff    time.Duration
-	QuarantineBackoffMax time.Duration
+	// QuarantineBackoff is the first quarantine duration (default 1s);
+	// each re-quarantine doubles it up to 30s (or QuarantineBackoff
+	// itself, if longer).
+	QuarantineBackoff time.Duration
 
 	// MaxInflight bounds proxied requests in flight across the fleet;
 	// beyond it /v1/infer answers 503 (default 512).
@@ -119,21 +118,12 @@ type Config struct {
 	// proxied requests in flight (default 10s).
 	DrainTimeout time.Duration
 
-	// DialTimeout bounds one TCP dial to a backend (default 2s) so a
-	// black-holed backend fails a leg fast instead of hanging it.
-	DialTimeout time.Duration
-	// ResponseHeaderTimeout bounds the wait for a backend's response
-	// headers after the request is written (default 15s) — the gray
-	// counterpart of DialTimeout: a connection that opens but never
-	// answers.
-	ResponseHeaderTimeout time.Duration
-	// MaxIdleConnsPerHost sizes the per-backend idle connection pool.
-	// Hedge and failover legs open connections in bursts; keeping them
-	// warm stops every hedge from paying a fresh dial (default 32).
-	MaxIdleConnsPerHost int
 	// Transport overrides the proxy/probe HTTP transport entirely; nil
-	// builds a tuned http.Transport from the three knobs above. The
-	// -net-faults flag wraps the tuned transport in a
+	// builds NewHTTPTransport(2s, 15s, 32): a 2s dial so a black-holed
+	// backend fails a leg fast, a 15s wait for response headers so a
+	// connection that opens but never answers fails too, and 32 warm idle
+	// connections per backend so hedge and failover bursts skip a fresh
+	// dial. The -net-faults flag wraps that transport in a
 	// netfaults.Transport here.
 	Transport http.RoundTripper
 
@@ -151,21 +141,21 @@ type Config struct {
 	// needs in its window before it can be ejected or counted in the
 	// fleet median (default 8).
 	EjectMinSamples int
-	// EjectBackoff is the first ejection duration; each re-ejection of
-	// the same backend doubles it up to QuarantineBackoffMax (default
-	// 5s). Readmission is by time, Envoy-style: after the backoff the
-	// backend rejoins and must re-earn ejection with fresh samples.
+	// EjectBackoff is the first ejection duration (default 5s); each
+	// re-ejection of the same backend doubles it up to the quarantine
+	// backoff's cap. Readmission is by time, Envoy-style: after the
+	// backoff the backend rejoins and must re-earn ejection with fresh
+	// samples.
 	EjectBackoff time.Duration
 
 	// Policy is the shared placement policy (internal/dispatch) that
 	// ranks backends per request (default dispatch.RendezvousLeastLoad
-	// with SpillFactor/SpillMargin below).
+	// with SpillFactor below and the default spill margin).
 	Policy dispatch.Policy
-	// SpillFactor and SpillMargin tune the default policy's load-spill
-	// guard (see dispatch.RendezvousLeastLoad); ignored when Policy is
-	// set explicitly.
+	// SpillFactor tunes the default policy's load-spill ratio (see
+	// dispatch.RendezvousLeastLoad); ignored when Policy is set
+	// explicitly.
 	SpillFactor float64
-	SpillMargin time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -184,12 +174,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.QuarantineBackoff <= 0 {
 		c.QuarantineBackoff = time.Second
-	}
-	if c.QuarantineBackoffMax <= 0 {
-		c.QuarantineBackoffMax = 30 * time.Second
-	}
-	if c.QuarantineBackoffMax < c.QuarantineBackoff {
-		c.QuarantineBackoffMax = c.QuarantineBackoff
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 512
@@ -218,17 +202,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.ResponseHeaderTimeout <= 0 {
-		c.ResponseHeaderTimeout = 15 * time.Second
-	}
-	if c.MaxIdleConnsPerHost <= 0 {
-		c.MaxIdleConnsPerHost = 32
-	}
 	if c.Transport == nil {
-		c.Transport = NewHTTPTransport(c.DialTimeout, c.ResponseHeaderTimeout, c.MaxIdleConnsPerHost)
+		c.Transport = NewHTTPTransport(2*time.Second, 15*time.Second, 32)
 	}
 	if c.EjectFactor == 0 {
 		c.EjectFactor = 3.0
@@ -243,12 +218,15 @@ func (c Config) withDefaults() (Config, error) {
 		c.EjectBackoff = 5 * time.Second
 	}
 	if c.Policy == nil {
-		c.Policy = dispatch.RendezvousLeastLoad{
-			SpillFactor: c.SpillFactor,
-			SpillMargin: c.SpillMargin,
-		}
+		c.Policy = dispatch.RendezvousLeastLoad{SpillFactor: c.SpillFactor}
 	}
 	return c, nil
+}
+
+// backoffCap bounds the doubling quarantine and ejection backoffs: 30s,
+// or the first quarantine duration when that is longer.
+func (c Config) backoffCap() time.Duration {
+	return max(30*time.Second, c.QuarantineBackoff)
 }
 
 // breakerPolicy is every backend's circuit-breaker policy. Open periods
@@ -257,7 +235,7 @@ func (c Config) withDefaults() (Config, error) {
 func (c Config) breakerPolicy() breaker.Policy {
 	return breaker.Policy{
 		Threshold: c.FailThreshold,
-		Backoff:   breaker.Backoff{Base: c.QuarantineBackoff, Max: c.QuarantineBackoffMax},
+		Backoff:   breaker.Backoff{Base: c.QuarantineBackoff, Max: c.backoffCap()},
 		Jitter:    true,
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,10 +31,8 @@ type proxy struct {
 	hedgeTokens float64
 
 	// Recent end-to-end latencies; the hedge delay tracks their p95.
-	latMu   sync.Mutex
-	lats    [256]time.Duration
-	latN    int
-	latNext int
+	latMu sync.Mutex
+	lats  latWindow
 }
 
 func newProxy(cfg Config, reg *Registry, mets *fleetMetrics) *proxy {
@@ -50,6 +47,7 @@ func newProxy(cfg Config, reg *Registry, mets *fleetMetrics) *proxy {
 		// see, like a dial against a black-holed backend.
 		client:      &http.Client{Transport: cfg.Transport},
 		hedgeTokens: float64(cfg.HedgeBurst),
+		lats:        newLatWindow(256),
 	}
 }
 
@@ -354,11 +352,7 @@ func (p *proxy) hedgeTokenLevel() float64 {
 func (p *proxy) observeLatency(d time.Duration) {
 	p.latMu.Lock()
 	defer p.latMu.Unlock()
-	p.lats[p.latNext] = d
-	p.latNext = (p.latNext + 1) % len(p.lats)
-	if p.latN < len(p.lats) {
-		p.latN++
-	}
+	p.lats.add(d)
 }
 
 // hedgeDelay is the p95 of recent latencies clamped to
@@ -366,20 +360,10 @@ func (p *proxy) observeLatency(d time.Duration) {
 // frontend hedges only against genuine stalls.
 func (p *proxy) hedgeDelay() time.Duration {
 	p.latMu.Lock()
-	n := p.latN
-	tmp := make([]time.Duration, n)
-	copy(tmp, p.lats[:n])
+	s := p.lats.samples()
 	p.latMu.Unlock()
-	if n == 0 {
+	if len(s) == 0 {
 		return p.cfg.HedgeMax
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	d := tmp[(n*95+99)/100-1]
-	if d < p.cfg.HedgeMin {
-		d = p.cfg.HedgeMin
-	}
-	if d > p.cfg.HedgeMax {
-		d = p.cfg.HedgeMax
-	}
-	return d
+	return min(max(p95(s), p.cfg.HedgeMin), p.cfg.HedgeMax)
 }

@@ -46,9 +46,7 @@ type backend struct {
 	// the backend first looked like an outlier, and the per-backend
 	// ejection backoff (doubling per re-ejection, Envoy-style). Guarded
 	// by Registry.mu.
-	lats         [latWindow]time.Duration
-	latN         int
-	latNext      int
+	lats         latWindow
 	slowSince    time.Time
 	ejected      bool
 	ejections    int64
@@ -59,10 +57,6 @@ type backend struct {
 	served   atomic.Int64 // 2xx replies proxied from this backend
 	errors   atomic.Int64 // transport errors observed against it
 }
-
-// latWindow is the per-backend served-latency window the ejector's p95
-// is computed over.
-const latWindow = 64
 
 // Registry is the fleet's backend set: membership (add/drain/remove +
 // file reload), health (active probes + passive observations through the
@@ -186,7 +180,7 @@ func (r *Registry) Add(raw string) (string, error) {
 		}
 		return u, nil
 	}
-	r.backends[u] = &backend{url: u}
+	r.backends[u] = &backend{url: u, lats: newLatWindow(64)}
 	r.mets.health.With(u, "added").Inc()
 	return u, nil
 }
@@ -364,11 +358,7 @@ func (r *Registry) observeSuccess(b *backend, lat time.Duration, served bool) {
 		// the ejection are faulted-era evidence, and readmission should
 		// judge the backend on a fresh window.
 		if !b.ejected {
-			b.lats[b.latNext] = lat
-			b.latNext = (b.latNext + 1) % latWindow
-			if b.latN < latWindow {
-				b.latN++
-			}
+			b.lats.add(lat)
 		}
 	}
 	// An ejected backend's replies are successful by construction — it
@@ -401,14 +391,7 @@ func (r *Registry) recoverLocked(b *backend) {
 // latP95Locked is the p95 of the backend's served-latency window (0
 // with no samples). Caller holds Registry.mu.
 func (b *backend) latP95Locked() time.Duration {
-	n := b.latN
-	if n == 0 {
-		return 0
-	}
-	tmp := make([]time.Duration, n)
-	copy(tmp, b.lats[:n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	return tmp[(n*95+99)/100-1]
+	return p95(b.lats.samples())
 }
 
 // observeFailure records one failure against the circuit breaker —
@@ -461,7 +444,7 @@ func (r *Registry) evaluateEjections(now time.Time) {
 		case b.br.State() == breaker.OK:
 			routable++
 		}
-		if b.ejected || b.draining || b.latN < r.cfg.EjectMinSamples {
+		if b.ejected || b.draining || b.lats.n < r.cfg.EjectMinSamples {
 			continue
 		}
 		p95s = append(p95s, b.latP95Locked())
@@ -519,13 +502,12 @@ func (r *Registry) evaluateEjections(now time.Time) {
 // doubles per re-ejection and is never reset. The latency window resets
 // so readmission starts from fresh evidence. Caller holds Registry.mu.
 func (r *Registry) ejectLocked(b *backend, now time.Time) {
-	b.ejectBackoff = breaker.Backoff{Base: r.cfg.EjectBackoff, Max: r.cfg.QuarantineBackoffMax}.Next(b.ejectBackoff)
+	b.ejectBackoff = breaker.Backoff{Base: r.cfg.EjectBackoff, Max: r.cfg.backoffCap()}.Next(b.ejectBackoff)
 	b.br.Trip(r.cfg.breakerPolicy(), now, b.ejectBackoff, rand.Float64())
 	b.ejected = true
 	b.ejections++
 	b.slowSince = time.Time{}
-	b.latN = 0
-	b.latNext = 0
+	b.lats.reset()
 	r.mets.health.With(b.url, "ejected").Inc()
 	r.mets.ejections.With(b.url).Inc()
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mulayer/internal/graph"
 	"mulayer/internal/models"
@@ -173,5 +174,76 @@ func TestUnsplittableLayerPrefersNPUForBigIntegerWork(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("conv3_1 not found")
+	}
+}
+
+// TestThreeWayBranchSearchChargesForkEntry checks the fork rule of the
+// three-processor branch search: when the fork runs on one processor,
+// branches placed on another processor pay one synchronization of the
+// fork tensor before they start, exactly as exec.inputsReady charges it,
+// and branches on the fork's processor pay nothing.
+func TestThreeWayBranchSearchChargesForkEntry(t *testing.T) {
+	m := mustModel(t, models.GoogLeNet)
+	o := MuLayerNPU(npuSoC, npuPred)
+	shapes, err := m.Graph.InferShapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Graph
+	// allOn is the makespan of the group with every branch on p, before
+	// any fork-entry sync.
+	allOn := func(bg graph.BranchGroup, p Proc) time.Duration {
+		var sum, cross time.Duration
+		for _, br := range bg.Branches {
+			for _, id := range br {
+				n := g.Node(id)
+				sum += o.simKernel(p, n.Layer.Kind(), n.Layer.Cost(g.InputShapes(id, shapes)), 0)
+			}
+			sum += o.proc(p).LaunchOverhead
+			if p != ProcCPU {
+				last := br[len(br)-1]
+				cross = max(cross, o.SoC.SyncCost(int64(shapes[last].Elems())*o.Pipe.Storage.Size()))
+			}
+		}
+		return sum + cross
+	}
+	checked := 0
+	for _, bg := range g.BranchGroups() {
+		fork := g.Node(bg.Fork)
+		if fork.Layer.Kind() == nn.OpInput {
+			continue
+		}
+		ins := g.InputShapes(bg.Fork, shapes)
+		splitCh := fork.Layer.SplitChannels(ins)
+		fp, fpn, _ := o.bestSplit(fork.Layer.Kind(), fork.Layer.Cost(ins), splitCh)
+		ch := Channels(fp, fpn, splitCh)
+		home := Proc(-1)
+		for p, k := range ch {
+			if k == max(splitCh, 1) {
+				home = Proc(p)
+			}
+		}
+		if home < 0 {
+			continue // a cooperative fork is coherent everywhere
+		}
+		_, _, eval := o.simBranchSearch(g, bg, shapes)
+		forkSync := o.SoC.SyncCost(int64(shapes[bg.Fork].Elems()) * o.Pipe.Storage.Size())
+		for p := ProcCPU; p <= ProcNPU; p++ {
+			assign := make([]Proc, len(bg.Branches))
+			for i := range assign {
+				assign[i] = p
+			}
+			want := allOn(bg, p)
+			if p != home {
+				want += forkSync
+			}
+			if got := eval(assign); got != want {
+				t.Fatalf("fork %s on %v, every branch on %v: makespan %v, want %v", fork.Layer.Name(), home, p, got, want)
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no branch group with a single-processor fork")
 	}
 }

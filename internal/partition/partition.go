@@ -402,13 +402,7 @@ func Build(g *graph.Graph, o Options) (*Plan, error) {
 		for _, bg := range g.BranchGroups() {
 			// §5: branch decisions work from collected per-branch execution
 			// latencies (the device model here), not the regression.
-			var assign []Proc
-			var branchT time.Duration
-			if o.npuEnabled() {
-				assign, branchT = o.simBranchSearch3(g, bg, shapes)
-			} else {
-				assign, branchT = o.simBranchAssign(g, bg, shapes)
-			}
+			assign, branchT, _ := o.simBranchSearch(g, bg, shapes)
 			if assign == nil {
 				continue
 			}

@@ -92,109 +92,30 @@ func (o Options) simCoopGroup(g *graph.Graph, bg graph.BranchGroup, shapes map[g
 	return total
 }
 
-// simBranchAssign enumerates every branch→processor mapping (the paper's
-// exhaustive search, §5) using device-model branch latencies and returns
-// the argmin assignment and its makespan. Kernels within a branch are
+// simBranchSearch enumerates every branch→processor mapping over the
+// active processors (the paper's exhaustive search, §5; the §8.3 NPU
+// "being able to run more branches in parallel" adds a third) using
+// device-model branch latencies, and returns the argmin assignment, its
+// makespan, and the evaluation closure so tests can verify argmin-ness
+// against the very same cost formula. Kernels within a branch are
 // enqueued back-to-back, so the dispatch latency is paid once per branch;
-// the fork tensor pays one entry synchronization if it is not already
-// coherent on a side, and GPU-produced branch outputs pay one
-// synchronization before the join — mirroring the executor exactly.
-func (o Options) simBranchAssign(g *graph.Graph, bg graph.BranchGroup, shapes map[graph.NodeID]tensor.Shape) ([]Proc, time.Duration) {
-	best, bestT, _ := o.simBranchSearch(g, bg, shapes)
-	return best, bestT
-}
-
-// simBranchSearch runs the exhaustive mapping search and also returns the
-// evaluation closure so tests can verify argmin-ness against the very same
-// cost formula.
+// the fork tensor pays one entry synchronization on every processor it
+// is not already coherent on, and accelerator-produced branch outputs pay
+// one synchronization before the join — mirroring the executor exactly.
 func (o Options) simBranchSearch(g *graph.Graph, bg graph.BranchGroup, shapes map[graph.NodeID]tensor.Shape) ([]Proc, time.Duration, func([]Proc) time.Duration) {
+	nproc := Proc(2) // the active processors are the first nproc Procs
+	if o.npuEnabled() {
+		nproc = 3
+	}
 	b := len(bg.Branches)
-	if b < 2 || b > 16 {
+	if b < 2 {
 		return nil, 0, nil
 	}
-	lat := make([][2]time.Duration, b)
-	outSync := make([]time.Duration, b)
-	for i, br := range bg.Branches {
-		for _, id := range br {
-			n := g.Node(id)
-			c := n.Layer.Cost(g.InputShapes(id, shapes))
-			lat[i][ProcCPU] += o.simKernel(ProcCPU, n.Layer.Kind(), c, 0)
-			lat[i][ProcGPU] += o.simKernel(ProcGPU, n.Layer.Kind(), c, 0)
+	total := 1 // nproc^b mappings, searched only up to 2^16
+	for range b {
+		if total *= int(nproc); total > 1<<16 {
+			return nil, 0, nil
 		}
-		lat[i][ProcCPU] += o.SoC.CPU.LaunchOverhead
-		lat[i][ProcGPU] += o.SoC.GPU.LaunchOverhead
-		last := br[len(br)-1]
-		outSync[i] = o.SoC.SyncCost(int64(shapes[last].Elems()) * o.Pipe.Storage.Size())
-	}
-
-	// Where does the fork tensor live? Mirror the per-layer plan for the
-	// fork node: a cooperative fork is coherent on both sides; a
-	// single-processor fork makes the other side pay one entry sync.
-	forkSync := o.SoC.SyncCost(int64(shapes[bg.Fork].Elems()) * o.Pipe.Storage.Size())
-	var cpuEntry, gpuEntry time.Duration
-	fork := g.Node(bg.Fork)
-	if fork.Layer.Kind() != nn.OpInput {
-		ins := g.InputShapes(bg.Fork, shapes)
-		fp, _, _ := o.bestSplit(fork.Layer.Kind(), fork.Layer.Cost(ins), fork.Layer.SplitChannels(ins))
-		switch {
-		case fp >= 1: // fork on the CPU: GPU branches sync on entry
-			gpuEntry = forkSync
-		case fp <= 0: // fork on the GPU: CPU branches sync on entry
-			cpuEntry = forkSync
-		}
-	}
-
-	eval := func(assign []Proc) time.Duration {
-		var cpuSum, gpuSum time.Duration
-		var crossSync time.Duration
-		for i, p := range assign {
-			if p == ProcCPU {
-				cpuSum += lat[i][ProcCPU]
-			} else {
-				gpuSum += lat[i][ProcGPU]
-				if outSync[i] > crossSync {
-					crossSync = outSync[i] // the join (on the CPU) maps each GPU output
-				}
-			}
-		}
-		if cpuSum > 0 {
-			cpuSum += cpuEntry
-		}
-		if gpuSum > 0 {
-			gpuSum += gpuEntry
-		}
-		t := cpuSum
-		if gpuSum+crossSync > t {
-			t = gpuSum + crossSync
-		}
-		return t
-	}
-
-	var best []Proc
-	var bestT time.Duration
-	assign := make([]Proc, b)
-	for mask := 0; mask < 1<<b; mask++ {
-		for i := 0; i < b; i++ {
-			assign[i] = Proc(mask >> i & 1)
-		}
-		if t := eval(assign); best == nil || t < bestT {
-			bestT = t
-			best = append([]Proc(nil), assign...)
-		}
-	}
-	return best, bestT, eval
-}
-
-// simBranchSearch3 is the three-way branch-assignment search (§8.3: "the
-// branch distribution can benefit from having the NPU by being able to run
-// more branches in parallel"). It mirrors simBranchSearch with a base-3
-// enumeration; non-CPU-produced branch outputs pay one synchronization
-// before the join. Unlike simBranchSearch it charges no fork-entry
-// synchronization.
-func (o Options) simBranchSearch3(g *graph.Graph, bg graph.BranchGroup, shapes map[graph.NodeID]tensor.Shape) ([]Proc, time.Duration) {
-	b := len(bg.Branches)
-	if b < 2 || b > 10 {
-		return nil, 0
 	}
 	lat := make([][3]time.Duration, b)
 	outSync := make([]time.Duration, b)
@@ -202,48 +123,67 @@ func (o Options) simBranchSearch3(g *graph.Graph, bg graph.BranchGroup, shapes m
 		for _, id := range br {
 			n := g.Node(id)
 			c := n.Layer.Cost(g.InputShapes(id, shapes))
-			for p := ProcCPU; p <= ProcNPU; p++ {
+			for p := range nproc {
 				lat[i][p] += o.simKernel(p, n.Layer.Kind(), c, 0)
 			}
 		}
-		for p := ProcCPU; p <= ProcNPU; p++ {
+		for p := range nproc {
 			lat[i][p] += o.proc(p).LaunchOverhead
 		}
 		last := br[len(br)-1]
 		outSync[i] = o.SoC.SyncCost(int64(shapes[last].Elems()) * o.Pipe.Storage.Size())
 	}
 
-	total := 1
-	for i := 0; i < b; i++ {
-		total *= 3
-	}
-	var best []Proc
-	var bestT time.Duration
-	assign := make([]Proc, b)
-	for mask := 0; mask < total; mask++ {
-		m := mask
-		for i := 0; i < b; i++ {
-			assign[i] = Proc(m % 3)
-			m /= 3
+	// Where does the fork tensor live? Mirror the per-layer plan for the
+	// fork node: a cooperative fork is coherent everywhere; a
+	// single-processor fork makes every other processor pay one entry
+	// sync.
+	var entry [3]time.Duration
+	fork := g.Node(bg.Fork)
+	if fork.Layer.Kind() != nn.OpInput {
+		ins := g.InputShapes(bg.Fork, shapes)
+		splitCh := fork.Layer.SplitChannels(ins)
+		fp, fpn, _ := o.bestSplit(fork.Layer.Kind(), fork.Layer.Cost(ins), splitCh)
+		ch := Channels(fp, fpn, splitCh)
+		n := max(splitCh, 1)
+		if ch[ProcCPU] == n || ch[ProcGPU] == n || ch[ProcNPU] == n {
+			forkSync := o.SoC.SyncCost(int64(shapes[bg.Fork].Elems()) * o.Pipe.Storage.Size())
+			for p := range nproc {
+				if ch[p] == 0 {
+					entry[p] = forkSync
+				}
+			}
 		}
-		var sums [3]time.Duration
-		var cross [3]time.Duration
+	}
+
+	eval := func(assign []Proc) time.Duration {
+		var sums, cross [3]time.Duration
 		for i, p := range assign {
 			sums[p] += lat[i][p]
-			if p != ProcCPU && outSync[i] > cross[p] {
-				cross[p] = outSync[i]
+			if p != ProcCPU {
+				cross[p] = max(cross[p], outSync[i]) // the join (on the CPU) maps each accelerator output
 			}
 		}
 		var t time.Duration
-		for p := ProcCPU; p <= ProcNPU; p++ {
-			if end := sums[p] + cross[p]; end > t {
-				t = end
+		for p := range nproc {
+			if sums[p] > 0 {
+				t = max(t, sums[p]+entry[p]+cross[p])
 			}
 		}
-		if best == nil || t < bestT {
+		return t
+	}
+
+	var best []Proc
+	var bestT time.Duration
+	assign := make([]Proc, b)
+	for code := range total {
+		for i, m := 0, code; i < b; i, m = i+1, m/int(nproc) {
+			assign[i] = Proc(m % int(nproc))
+		}
+		if t := eval(assign); best == nil || t < bestT {
 			bestT = t
 			best = append([]Proc(nil), assign...)
 		}
 	}
-	return best, bestT
+	return best, bestT, eval
 }

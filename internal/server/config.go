@@ -31,7 +31,7 @@ type SoCSpec struct {
 	// SoC builds the device model.
 	SoC func() *soc.SoC
 	// Workers is the number of independent devices (each its own
-	// core.Runtime) of this class; 0 means Config.DefaultWorkers.
+	// core.Runtime) of this class; 0 means 2.
 	Workers int
 }
 
@@ -43,9 +43,6 @@ type Config struct {
 	// SoCs lists the device classes in the pool; empty means one class
 	// per paper SoC ("high" Exynos 7420 and "mid" Exynos 7880).
 	SoCs []SoCSpec
-	// DefaultWorkers is the per-class device count when a spec leaves
-	// Workers zero (default 2).
-	DefaultWorkers int
 
 	// Models maps API model names to spec models; empty loads the zoo's
 	// five evaluated networks plus lenet5.
@@ -69,9 +66,8 @@ type Config struct {
 	BatchWait time.Duration
 
 	// DefaultTimeout caps a request that sets no timeout_ms (default 2s);
-	// MaxTimeout clips client-requested timeouts (default 30s).
+	// client-requested timeouts are clipped to 30s.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 
 	// TimeScale paces each device by its simulated latency: a device that
 	// predicts a 30ms inference occupies its worker for 30ms/TimeScale of
@@ -93,11 +89,10 @@ type Config struct {
 	// FailThreshold is the number of consecutive device failures that
 	// quarantines a device (default 3).
 	FailThreshold int
-	// QuarantineBackoff is the first quarantine duration; each
-	// re-quarantine doubles it up to QuarantineBackoffMax (defaults 2s and
-	// 30s).
-	QuarantineBackoff    time.Duration
-	QuarantineBackoffMax time.Duration
+	// QuarantineBackoff is the first quarantine duration (default 2s);
+	// each re-quarantine doubles it up to 30s (or QuarantineBackoff
+	// itself, if longer).
+	QuarantineBackoff time.Duration
 	// MaxRetries bounds how many times one request may be requeued onto
 	// another device after a device failure (default 2; negative disables
 	// retries).
@@ -128,6 +123,15 @@ type Config struct {
 	Overload OverloadConfig
 }
 
+// maxTimeout clips client-requested timeouts.
+const maxTimeout = 30 * time.Second
+
+// backoffCap bounds the doubling quarantine backoff: 30s, or the first
+// quarantine duration when that is longer.
+func (c Config) backoffCap() time.Duration {
+	return max(30*time.Second, c.QuarantineBackoff)
+}
+
 // tracingEnabled reports whether requests record traces at all.
 func (c Config) tracingEnabled() bool {
 	return c.TraceSample > 0 || c.TraceSlow > 0
@@ -137,9 +141,6 @@ func (c Config) tracingEnabled() bool {
 func (c Config) withDefaults() (Config, error) {
 	if c.Addr == "" {
 		c.Addr = ":8080"
-	}
-	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = 2
 	}
 	if len(c.SoCs) == 0 {
 		c.SoCs = []SoCSpec{
@@ -158,7 +159,7 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		seen[s.Name] = true
 		if s.Workers <= 0 {
-			s.Workers = c.DefaultWorkers
+			s.Workers = 2
 		}
 	}
 	if c.Models == nil {
@@ -194,9 +195,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
@@ -213,12 +211,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.QuarantineBackoff <= 0 {
 		c.QuarantineBackoff = 2 * time.Second
-	}
-	if c.QuarantineBackoffMax <= 0 {
-		c.QuarantineBackoffMax = 30 * time.Second
-	}
-	if c.QuarantineBackoffMax < c.QuarantineBackoff {
-		c.QuarantineBackoffMax = c.QuarantineBackoff
 	}
 	switch {
 	case c.MaxRetries == 0:

@@ -780,7 +780,7 @@ func (s *Scheduler) failMembers(d *poolDevice, g *batchGroup, cause error) {
 			permDown = procSetOfType(f.ProcType)
 		}
 	}
-	switch d.recordFailure(permDown, s.cfg.FailThreshold, s.cfg.QuarantineBackoff, s.cfg.QuarantineBackoffMax, time.Now()) {
+	switch d.recordFailure(permDown, s.cfg.FailThreshold, s.cfg.QuarantineBackoff, s.cfg.backoffCap(), time.Now()) {
 	case "dead":
 		s.mets.quarantine.With(d.name, "dead").Inc()
 	case "quarantined":
