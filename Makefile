@@ -1,6 +1,6 @@
 # Tier-1 verification for the μLayer reproduction.
 #
-#   make ci          build (root and perfbench modules) + vet (with gofmt gate) + race tests + coverage gate + chaos + fuzz smoke
+#   make ci          build (root and perfbench modules) + vet (with gofmt gate) + race tests + coverage gate + chaos + fuzz + bench smoke
 #   make test        fast test run (no race detector)
 #   make race        race-enabled test run
 #   make cover       coverage gates for the serving subsystem, the kernels,
@@ -15,8 +15,7 @@
 #                    assembly or in arm64 or GOAMD64=v3 compiler output
 #   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus, plus
 #                    the QUInt8 tiles' int32 wrap test at k past 2³²/255²
-#   make bench-gemm  packed-vs-reference kernel benchmark -> BENCH_gemm.json
-#   make bench-gemm-smoke CI-sized gemm bench run + schema validation
+#   make bench-smoke every Go benchmark in the root module, run once
 #   make serve       run the inference server on :8080
 #   make load        drive a running server at 50 qps for 10s
 
@@ -41,9 +40,9 @@ BREAKER_COVER_FLOOR ?= 90
 PARTITION_COVER_FLOOR ?= 88
 EXEC_COVER_FLOOR ?= 84
 
-.PHONY: ci build vet cross test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm bench-gemm-smoke serve load
+.PHONY: ci build vet cross test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-smoke serve load
 
-ci: build vet cross race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-gemm-smoke
+ci: build vet cross race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-smoke
 
 # perfbench is its own module (the benchmark harness), so ./... above
 # skips it; building and vetting it here makes a change to an internal
@@ -158,17 +157,12 @@ fleet-smoke:
 chaos-fleet-smoke:
 	$(GO) test ./internal/frontend -race -count=1 -run='^TestChaosFleetGrayFailures$$' -v
 
-# Single-thread packed/tiled kernel throughput vs the naive reference
-# loops on model-zoo GEMM shapes; writes BENCH_gemm.json.
-bench-gemm:
-	$(GO) run ./cmd/mulayer-bench -gemm
-
-# CI-sized run: scaled-down shapes to a temp file, schema-validate both
-# the fresh run and the committed trajectory.
-bench-gemm-smoke:
-	$(GO) run ./cmd/mulayer-bench -gemm -gemm-short -gemm-out /tmp/BENCH_gemm_smoke.json
-	$(GO) run ./cmd/mulayer-bench -gemm-verify /tmp/BENCH_gemm_smoke.json
-	$(GO) run ./cmd/mulayer-bench -gemm-verify BENCH_gemm.json
+# One iteration of every Go benchmark in the root module (the gemm, nn,
+# quant, f16 and server-decode kernels, the root figure and serving
+# benchmarks): fails when any of them panics or calls b.Fatal. Timing
+# them is `go test -bench` on its own (DESIGN.md §8).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 serve:
 	$(GO) run ./cmd/mulayer-serve

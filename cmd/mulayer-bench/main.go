@@ -8,12 +8,9 @@
 //	mulayer-bench -fig 10         # the (slower) numeric accuracy figure
 //	mulayer-bench -ablations      # the design-choice ablations
 //	mulayer-bench -all            # everything, including Figure 10
-//	mulayer-bench -gemm           # kernel microbenchmark -> BENCH_gemm.json
-//	mulayer-bench -gemm-verify f  # validate an existing BENCH_gemm.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -21,7 +18,6 @@ import (
 
 	"mulayer"
 	"mulayer/internal/experiments"
-	"mulayer/internal/gemmbench"
 )
 
 func main() {
@@ -31,57 +27,7 @@ func main() {
 	ablations := flag.Bool("ablations", false, "render the design-choice ablations")
 	extensions := flag.Bool("extensions", false, "render the extension experiments (batch taxonomy, NPU)")
 	all := flag.Bool("all", false, "render everything, including the numeric Figure 10")
-	gemmBench := flag.Bool("gemm", false, "run the packed-vs-reference GEMM kernel benchmark")
-	gemmOut := flag.String("gemm-out", "BENCH_gemm.json", "output path for -gemm")
-	gemmShort := flag.Bool("gemm-short", false, "with -gemm: CI-sized smoke configuration")
-	gemmVerify := flag.String("gemm-verify", "", "validate an existing BENCH_gemm.json and exit")
 	flag.Parse()
-
-	// The GEMM kernel modes stand alone: they need no weights, dataset,
-	// or device models, so handle them before building the experiments
-	// environment.
-	if *gemmVerify != "" {
-		data, err := os.ReadFile(*gemmVerify)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := gemmbench.Validate(data); err != nil {
-			log.Fatalf("%s: %v", *gemmVerify, err)
-		}
-		fmt.Printf("%s: ok\n", *gemmVerify)
-		return
-	}
-	if *gemmBench {
-		cfg := gemmbench.DefaultConfig()
-		if *gemmShort {
-			cfg = gemmbench.SmokeConfig()
-		}
-		rep, err := gemmbench.Run(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		data = append(data, '\n')
-		if err := gemmbench.Validate(data); err != nil {
-			log.Fatalf("generated report fails validation: %v", err)
-		}
-		if err := os.WriteFile(*gemmOut, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range rep.Shapes {
-			fmt.Printf("%-4s %-24s m=%-5d k=%-6d n=%-6d  q: %6.2f -> %6.2f GOPS (%.2fx)  f32: %6.2f -> %6.2f GFLOPS (%.2fx)\n",
-				r.Kind, r.Model+"/"+r.Layer, r.M, r.K, r.N,
-				r.QRefGOPS, r.QPackedGOPS, r.QSpeedup,
-				r.F32RefGFLOPS, r.F32PackedGFLOPS, r.F32Speedup)
-		}
-		fmt.Printf("summary: q conv max %.2fx, q fc max %.2fx, q geomean %.2fx, f32 geomean %.2fx -> %s\n",
-			rep.Summary.QSpeedupConvMax, rep.Summary.QSpeedupFCMax,
-			rep.Summary.QSpeedupGeoMean, rep.Summary.F32SpeedupGeo, *gemmOut)
-		return
-	}
 
 	env, err := mulayer.NewExperiments()
 	if err != nil {

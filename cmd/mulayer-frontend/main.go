@@ -85,7 +85,7 @@ func main() {
 	// The tuned transport is built explicitly so -net-faults can wrap it
 	// in the deterministic network fault injector (chaos drills against
 	// a live fleet).
-	var transport http.RoundTripper = frontend.NewHTTPTransport(2*time.Second, 15*time.Second, 32)
+	var transport http.RoundTripper = frontend.DefaultTransport()
 	if *netFaultSpec != "" {
 		cfgs, err := netfaults.ParseSpec(*netFaultSpec)
 		if err != nil {

@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sort"
+	"strings"
 
 	"mulayer"
 	"mulayer/internal/graph"
@@ -19,37 +21,33 @@ import (
 	"mulayer/internal/nn"
 	"mulayer/internal/partition"
 	"mulayer/internal/profile"
+	"mulayer/internal/soc"
 	"mulayer/internal/tensor"
 )
 
-var modelBuilders = map[string]func(models.Config) (*models.Model, error){
-	"lenet5":      mulayer.LeNet5,
-	"alexnet":     mulayer.AlexNet,
-	"vgg16":       mulayer.VGG16,
-	"googlenet":   mulayer.GoogLeNet,
-	"squeezenet":  mulayer.SqueezeNetV11,
-	"mobilenet":   mulayer.MobileNetV1,
-	"resnet18":    mulayer.ResNet18,
-	"inception3a": mulayer.Inception3a,
+// keys lists a name table's names, sorted, for help texts and errors.
+func keys[V any](m map[string]V) string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return strings.Join(out, ", ")
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mulayer-profile: ")
-	modelName := flag.String("model", "vgg16", "network to profile")
-	socName := flag.String("soc", "high", "SoC: high or mid")
+	modelName := flag.String("model", "vgg16", "network to profile: "+keys(models.Zoo))
+	socName := flag.String("soc", "high", "SoC: "+keys(soc.Classes))
 	fitOnly := flag.Bool("fit", false, "print only the predictor fit-error summary")
 	flag.Parse()
 
-	var s *mulayer.SoC
-	switch *socName {
-	case "high":
-		s = mulayer.Exynos7420()
-	case "mid":
-		s = mulayer.Exynos7880()
-	default:
-		log.Fatalf("unknown SoC %q", *socName)
+	buildSoC, ok := soc.Classes[*socName]
+	if !ok {
+		log.Fatalf("unknown SoC %q (want %s)", *socName, keys(soc.Classes))
 	}
+	s := buildSoC()
 	pred := profile.Build(s.CPU, s.GPU)
 
 	if *fitOnly {
@@ -64,9 +62,9 @@ func main() {
 		return
 	}
 
-	build, ok := modelBuilders[*modelName]
+	build, ok := models.Zoo[*modelName]
 	if !ok {
-		log.Fatalf("unknown model %q", *modelName)
+		log.Fatalf("unknown model %q (want %s)", *modelName, keys(models.Zoo))
 	}
 	m, err := build(models.Config{})
 	if err != nil {

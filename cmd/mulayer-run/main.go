@@ -14,22 +14,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strings"
 
 	"mulayer"
 	"mulayer/internal/models"
+	"mulayer/internal/soc"
 )
-
-var modelBuilders = map[string]func(models.Config) (*models.Model, error){
-	"lenet5":      mulayer.LeNet5,
-	"alexnet":     mulayer.AlexNet,
-	"vgg16":       mulayer.VGG16,
-	"googlenet":   mulayer.GoogLeNet,
-	"squeezenet":  mulayer.SqueezeNetV11,
-	"mobilenet":   mulayer.MobileNetV1,
-	"resnet18":    mulayer.ResNet18,
-	"inception3a": mulayer.Inception3a,
-}
 
 var mechanisms = map[string]mulayer.Mechanism{
 	"cpu":         mulayer.MechCPUOnly,
@@ -46,30 +37,32 @@ var dtypes = map[string]mulayer.DataType{
 	"f32": mulayer.F32, "f16": mulayer.F16, "quint8": mulayer.QUInt8,
 }
 
+// keys lists a name table's names, sorted, for help texts and errors.
 func keys[V any](m map[string]V) string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
+	sort.Strings(out)
 	return strings.Join(out, ", ")
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mulayer-run: ")
-	modelName := flag.String("model", "googlenet", "network: "+keys(modelBuilders))
+	modelName := flag.String("model", "googlenet", "network: "+keys(models.Zoo))
 	socName := flag.String("soc", "high", "SoC: high (Exynos 7420), mid (Exynos 7880), or npu (7420+EdgeNPU)")
 	mechName := flag.String("mech", "mulayer", "mechanism: "+keys(mechanisms))
-	dtypeName := flag.String("dtype", "quint8", "single-processor data type: "+keys(dtypes))
+	dtypeName := flag.String("dtype", "f32", "single-processor data type: "+keys(dtypes))
 	numeric := flag.Bool("numeric", false, "run real kernels on a reduced model and report the top prediction")
 	timeline := flag.Bool("timeline", false, "print the simulated execution timeline")
 	tracePath := flag.String("trace", "", "write a Chrome Trace Event file (open in chrome://tracing or Perfetto)")
 	seed := flag.Uint64("seed", 1, "weight/input seed for numeric runs")
 	flag.Parse()
 
-	build, ok := modelBuilders[*modelName]
+	build, ok := models.Zoo[*modelName]
 	if !ok {
-		log.Fatalf("unknown model %q (want %s)", *modelName, keys(modelBuilders))
+		log.Fatalf("unknown model %q (want %s)", *modelName, keys(models.Zoo))
 	}
 	mech, ok := mechanisms[*mechName]
 	if !ok {
@@ -79,17 +72,11 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown dtype %q (want %s)", *dtypeName, keys(dtypes))
 	}
-	var s *mulayer.SoC
-	switch *socName {
-	case "high":
-		s = mulayer.Exynos7420()
-	case "mid":
-		s = mulayer.Exynos7880()
-	case "npu":
-		s = mulayer.Exynos7420NPU()
-	default:
-		log.Fatalf("unknown SoC %q (want high, mid, or npu)", *socName)
+	buildSoC, ok := soc.Classes[*socName]
+	if !ok {
+		log.Fatalf("unknown SoC %q (want %s)", *socName, keys(soc.Classes))
 	}
+	s := buildSoC()
 
 	cfg := mulayer.ModelConfig{Seed: *seed}
 	if *numeric {

@@ -74,6 +74,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -84,10 +85,14 @@ import (
 	"mulayer/internal/soc"
 )
 
-var socBuilders = map[string]func() *soc.SoC{
-	"high": soc.Exynos7420,
-	"mid":  soc.Exynos7880,
-	"npu":  soc.Exynos7420NPU,
+// keys lists a name table's names, sorted, for help texts and errors.
+func keys[V any](m map[string]V) string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return strings.Join(out, ", ")
 }
 
 // parseSoCs parses "high=4,mid=2"; a class without a count gets 2
@@ -100,9 +105,9 @@ func parseSoCs(spec string) ([]server.SoCSpec, error) {
 	var out []server.SoCSpec
 	for _, part := range strings.Split(spec, ",") {
 		name, cnt, hasCnt := strings.Cut(strings.TrimSpace(part), "=")
-		build, ok := socBuilders[name]
+		build, ok := soc.Classes[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown SoC class %q (want high, mid, npu)", name)
+			return nil, fmt.Errorf("unknown SoC class %q (want %s)", name, keys(soc.Classes))
 		}
 		workers := 2
 		if hasCnt {

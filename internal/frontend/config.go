@@ -58,6 +58,12 @@ func NewHTTPTransport(dialTimeout, responseHeaderTimeout time.Duration, maxIdleP
 	}
 }
 
+// DefaultTransport is the transport a Config with a nil Transport gets:
+// NewHTTPTransport(2s, 15s, 32).
+func DefaultTransport() *http.Transport {
+	return NewHTTPTransport(2*time.Second, 15*time.Second, 32)
+}
+
 // Config configures the fleet frontend.
 type Config struct {
 	// Addr is the listen address of ListenAndServe (default ":8090").
@@ -119,12 +125,12 @@ type Config struct {
 	DrainTimeout time.Duration
 
 	// Transport overrides the proxy/probe HTTP transport entirely; nil
-	// builds NewHTTPTransport(2s, 15s, 32): a 2s dial so a black-holed
-	// backend fails a leg fast, a 15s wait for response headers so a
-	// connection that opens but never answers fails too, and 32 warm idle
-	// connections per backend so hedge and failover bursts skip a fresh
-	// dial. The -net-faults flag wraps that transport in a
-	// netfaults.Transport here.
+	// builds DefaultTransport(): a 2s dial so a black-holed backend fails
+	// a leg fast, a 15s wait for response headers so a connection that
+	// opens but never answers fails too, and 32 warm idle connections per
+	// backend so hedge and failover bursts skip a fresh dial. The
+	// -net-faults flag wraps that transport in a netfaults.Transport
+	// here.
 	Transport http.RoundTripper
 
 	// EjectFactor is the outlier-ejection threshold: a backend whose
@@ -203,7 +209,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.DrainTimeout = 10 * time.Second
 	}
 	if c.Transport == nil {
-		c.Transport = NewHTTPTransport(2*time.Second, 15*time.Second, 32)
+		c.Transport = DefaultTransport()
 	}
 	if c.EjectFactor == 0 {
 		c.EjectFactor = 3.0

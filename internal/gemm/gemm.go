@@ -16,8 +16,8 @@
 // MatrixGeom, so the matrix forms QGEMM and F16GEMM are thin wrappers and
 // a fully-connected layer is the 1×1 convolution of §2.1. The naive
 // triple loops are kept as *Ref kernels — the differential oracle for the
-// fuzz and golden tests, and the baseline the BENCH_gemm.json trajectory
-// is measured against.
+// fuzz and golden tests, and the baseline of the Ref/Packed benchmark
+// pairs.
 package gemm
 
 import (

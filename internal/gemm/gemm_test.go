@@ -552,8 +552,9 @@ func BenchmarkF16GEMM64(b *testing.B) {
 
 // Tiled-vs-oracle benchmark pairs on the two workload shapes that matter
 // for serving: conv-shaped (square-ish, im2col patches) and FC-shaped
-// (GEMV). Run with -cpu=1 for the single-thread kernel comparison that
-// BENCH_gemm.json tracks; `mulayer-bench -gemm` sweeps the full zoo.
+// (GEMV). Run with -cpu=1 for the single-thread kernel comparison;
+// perfbench's --trace 1 pass reports every conv and fc shape of the
+// benchmarked model in place.
 func benchQ(b *testing.B, m, k, n int, kernel func(a, bb []uint8, acc []int32, pa *PackedAU8)) {
 	rng := rand.New(rand.NewSource(12))
 	a, bb := randU8(m*k, rng), randU8(k*n, rng)
@@ -588,6 +589,23 @@ func BenchmarkQGEMMFCShapedPacked(b *testing.B) {
 	benchQ(b, 1024, 4096, 1, func(_, bb []uint8, acc []int32, pa *PackedAU8) {
 		qGEMM(pa, bb, acc, 1, 128, 3)
 	})
+}
+
+// BenchmarkF32FCTail times the float GEMV of a 10-class classifier over
+// 1024 features: 10 output rows fill one 8-row panel and part of a
+// second, so the tail panel's wasted rows show here (go test -bench
+// F32FCTail -cpu 1).
+func BenchmarkF32FCTail(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	m, k := 10, 1024
+	pa := PackAF32(randF32(m*k, rng), m, k)
+	in, out := randF32(k, rng), make([]float32, m)
+	g := MatrixGeom(k, 1)
+	b.SetBytes(int64(m * k * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ConvF32(pa, in, g, func(r, j0 int, row []float32) { copy(out[r+j0:], row) })
+	}
 }
 
 // BenchmarkConvPack times the two quantized entry points on GoogLeNet

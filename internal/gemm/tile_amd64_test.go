@@ -24,8 +24,8 @@ func TestCPUHasAVX2MatchesCPUInfo(t *testing.T) {
 		if got := cpuHasAVX2(); got != want {
 			t.Fatalf("cpuHasAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, want)
 		}
-		if got, want := Tiles() == "avx2", want; got != want {
-			t.Fatalf("kernels run %q with avx2 listed: %v", Tiles(), want)
+		if got, want := tiles.name == "avx2", want; got != want {
+			t.Fatalf("kernels run %q with avx2 listed: %v", tiles.name, want)
 		}
 		return
 	}

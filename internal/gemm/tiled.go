@@ -69,9 +69,6 @@ var goTiles = tileLevel{"go", fTileGo, qTileGo}
 // chosen once.
 var tiles = hostTiles()[0]
 
-// Tiles names the tile level the kernels run: "avx2", "sse2" or "go".
-func Tiles() string { return tiles.name }
-
 // fTileGo computes the mr×(len(cols)/len(panel)) float tile of panel
 // against the column-major columns cols (each len(panel) long) and stores
 // row r's sums at out[r*w:].

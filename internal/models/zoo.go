@@ -239,6 +239,18 @@ func Inception3a(cfg Config) (*Model, error) {
 	return m.finish("Inception(3a)", x, shape, true)
 }
 
+// Zoo maps each network's command-line and API name to its builder.
+var Zoo = map[string]func(Config) (*Model, error){
+	"lenet5":      LeNet5,
+	"alexnet":     AlexNet,
+	"vgg16":       VGG16,
+	"googlenet":   GoogLeNet,
+	"squeezenet":  SqueezeNetV11,
+	"mobilenet":   MobileNetV1,
+	"resnet18":    ResNet18,
+	"inception3a": Inception3a,
+}
+
 // Evaluated returns the paper's five evaluation NNs (Table 1) in paper
 // order: GoogLeNet, SqueezeNet v1.1, VGG-16, AlexNet, MobileNet v1.
 func Evaluated(cfg Config) ([]*Model, error) {

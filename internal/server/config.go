@@ -164,16 +164,8 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Models == nil {
 		c.Models = map[string]*models.Model{}
-		builders := map[string]func(models.Config) (*models.Model, error){
-			"googlenet":  models.GoogLeNet,
-			"squeezenet": models.SqueezeNetV11,
-			"vgg16":      models.VGG16,
-			"alexnet":    models.AlexNet,
-			"mobilenet":  models.MobileNetV1,
-			"lenet5":     models.LeNet5,
-		}
-		for name, build := range builders {
-			m, err := build(models.Config{})
+		for _, name := range []string{"googlenet", "squeezenet", "vgg16", "alexnet", "mobilenet", "lenet5"} {
+			m, err := models.Zoo[name](models.Config{})
 			if err != nil {
 				return c, fmt.Errorf("server: load %s: %w", name, err)
 			}

@@ -463,14 +463,6 @@ func (s *Scheduler) Submit(ctx context.Context, modelName string, m *models.Mode
 	})
 }
 
-// SubmitTraced is Submit with a request trace attached (nil for none).
-func (s *Scheduler) SubmitTraced(ctx context.Context, modelName string, m *models.Model, mech core.Mechanism, socClass string, rows int, tr *trace.Trace) outcome {
-	return s.SubmitRequest(ctx, Request{
-		ModelName: modelName, Model: m, Mech: mech, SoC: socClass,
-		Rows: rows, Priority: PriorityNormal, Trace: tr,
-	})
-}
-
 // SubmitRequest is the full submission API: Submit with a priority class
 // and an optional trace.
 func (s *Scheduler) SubmitRequest(ctx context.Context, req Request) outcome {

@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -532,21 +531,4 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_, _ = s.reg.WriteTo(w)
-}
-
-// ParseMechanism resolves an API mechanism name (exported for the load
-// generator and serve binary's flag validation).
-func ParseMechanism(name string) (core.Mechanism, error) {
-	if name == "" {
-		return core.MechMuLayer, nil
-	}
-	if m, ok := mechanisms[name]; ok {
-		return m, nil
-	}
-	names := make([]string, 0, len(mechanisms))
-	for n := range mechanisms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return 0, fmt.Errorf("unknown mechanism %q (want %s)", name, strings.Join(names, ", "))
 }

@@ -94,6 +94,14 @@ func effByKind(fc float64) map[nn.OpKind]float64 {
 	}
 }
 
+// Classes maps each SoC class's command-line and API name to its builder:
+// "high" and "mid" are the paper's two SoCs, "npu" the §8.3 extension.
+var Classes = map[string]func() *SoC{
+	"high": Exynos7420,
+	"mid":  Exynos7880,
+	"npu":  Exynos7420NPU,
+}
+
 // Exynos7420 models the high-end SoC: four Cortex-A57 cores at 2.1 GHz
 // (the big cluster ACL schedules NN work onto) plus an eight-core
 // Mali-T760 at 700 MHz. Calibration targets: GPU ≈ 1.40× CPU at F32
