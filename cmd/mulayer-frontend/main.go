@@ -24,7 +24,7 @@
 // Routing: per-model rendezvous hashing concentrates each model on a
 // stable few replicas (plan-cache and batch-fusion affinity); when the
 // affinity choice's predicted load — the backend-reported predicted
-// wait from /statusz.json plus a per-outstanding-request charge —
+// wait from each /readyz probe plus a per-outstanding-request charge —
 // exceeds the least-loaded replica's by both -spill-factor and 10ms,
 // the request spills. After a p95-derived hedge delay a budgeted second
 // attempt races the next-ranked replica; transport failures fail over;

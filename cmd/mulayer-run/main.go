@@ -18,20 +18,10 @@ import (
 	"strings"
 
 	"mulayer"
+	"mulayer/internal/core"
 	"mulayer/internal/models"
 	"mulayer/internal/soc"
 )
-
-var mechanisms = map[string]mulayer.Mechanism{
-	"cpu":         mulayer.MechCPUOnly,
-	"gpu":         mulayer.MechGPUOnly,
-	"l2p":         mulayer.MechLayerToProcessor,
-	"chdist":      mulayer.MechChannelDist,
-	"pquant":      mulayer.MechChannelDistProcQuant,
-	"mulayer":     mulayer.MechMuLayer,
-	"npu":         mulayer.MechNPUOnly,
-	"mulayer+npu": mulayer.MechMuLayerNPU,
-}
 
 var dtypes = map[string]mulayer.DataType{
 	"f32": mulayer.F32, "f16": mulayer.F16, "quint8": mulayer.QUInt8,
@@ -52,7 +42,7 @@ func main() {
 	log.SetPrefix("mulayer-run: ")
 	modelName := flag.String("model", "googlenet", "network: "+keys(models.Zoo))
 	socName := flag.String("soc", "high", "SoC: high (Exynos 7420), mid (Exynos 7880), or npu (7420+EdgeNPU)")
-	mechName := flag.String("mech", "mulayer", "mechanism: "+keys(mechanisms))
+	mechName := flag.String("mech", "mulayer", "mechanism: "+keys(core.Mechanisms))
 	dtypeName := flag.String("dtype", "f32", "single-processor data type: "+keys(dtypes))
 	numeric := flag.Bool("numeric", false, "run real kernels on a reduced model and report the top prediction")
 	timeline := flag.Bool("timeline", false, "print the simulated execution timeline")
@@ -64,9 +54,9 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown model %q (want %s)", *modelName, keys(models.Zoo))
 	}
-	mech, ok := mechanisms[*mechName]
+	mech, ok := core.Mechanisms[*mechName]
 	if !ok {
-		log.Fatalf("unknown mechanism %q (want %s)", *mechName, keys(mechanisms))
+		log.Fatalf("unknown mechanism %q (want %s)", *mechName, keys(core.Mechanisms))
 	}
 	dtype, ok := dtypes[*dtypeName]
 	if !ok {

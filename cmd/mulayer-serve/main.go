@@ -20,7 +20,8 @@
 //	                  exact body so proxies can verify end-to-end integrity
 //	GET  /v1/models   loaded models, mechanisms, SoC classes
 //	GET  /healthz     liveness (always ok while the process runs)
-//	GET  /readyz      readiness: 503 while draining or all devices dead; per-device health
+//	GET  /readyz      readiness and load signal: 503 while draining or all devices
+//	                  dead; queue pressure, predicted wait, per-device health (JSON)
 //	GET  /statusz     queue/backlog/served/health per device, latency
 //	                  percentiles, predictor drift, tracing state (JSON)
 //	GET  /metrics     Prometheus text format

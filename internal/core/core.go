@@ -67,6 +67,20 @@ func (m Mechanism) String() string {
 	return fmt.Sprintf("Mechanism(%d)", int(m))
 }
 
+// Mechanisms maps each mechanism's command-line and API name to the
+// mechanism. The NPU mechanisms fail per device on a class without an
+// NPU.
+var Mechanisms = map[string]Mechanism{
+	"cpu":         MechCPUOnly,
+	"gpu":         MechGPUOnly,
+	"l2p":         MechLayerToProcessor,
+	"chdist":      MechChannelDist,
+	"pquant":      MechChannelDistProcQuant,
+	"mulayer":     MechMuLayer,
+	"npu":         MechNPUOnly,
+	"mulayer+npu": MechMuLayerNPU,
+}
+
 // RunConfig configures one inference.
 type RunConfig struct {
 	// Mechanism picks the execution mechanism (default MechMuLayer).

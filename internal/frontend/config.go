@@ -5,7 +5,7 @@
 // makespan argument from channels within a layer to requests across
 // devices; this package extends it once more, to requests across
 // backends. The same predicted-completion signal that picks a split
-// ratio inside a node — exposed by each backend at /statusz.json —
+// ratio inside a node — carried by each backend's /readyz reply —
 // picks the least-loaded replica across nodes, through the placement
 // policies shared with the node tier (internal/dispatch):
 //
@@ -80,8 +80,8 @@ type Config struct {
 	BackendsFile string
 
 	// ProbeEvery is the health/load probe cadence per backend (default
-	// 500ms): GET /readyz drives the circuit breaker, GET /statusz.json
-	// refreshes the load signal.
+	// 500ms): one GET /readyz per round, whose status code drives the
+	// circuit breaker and whose body refreshes the load signal.
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds one probe round trip (default 2s).
 	ProbeTimeout time.Duration

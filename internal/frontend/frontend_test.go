@@ -241,8 +241,8 @@ func TestFleetEndToEnd(t *testing.T) {
 }
 
 // fakeBackend is a scriptable backend for registry and hedge tests:
-// /readyz health is toggleable, /statusz.json serves a fixed signal,
-// and /v1/infer runs the configured handler.
+// /readyz health is toggleable and a ready reply carries a fixed load
+// signal, and /v1/infer runs the configured handler.
 type fakeBackend struct {
 	ts    *httptest.Server
 	mu    sync.Mutex
@@ -262,9 +262,6 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("GET /statusz.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, `{"ready":true,"queue_wait_p95_ms":1,"predicted_wait_ms":1,"backlog_ms":1}`)
 	})
@@ -294,6 +291,69 @@ func (fb *fakeBackend) setInfer(h http.HandlerFunc) {
 	fb.mu.Lock()
 	fb.infer = h
 	fb.mu.Unlock()
+}
+
+// TestProbeOneReadyzPerRound: the prober's only backend traffic is one
+// GET /readyz per backend per round, and that reply's load signal is
+// what placement ranks by.
+func TestProbeOneReadyzPerRound(t *testing.T) {
+	leakCheck(t)
+	var mu sync.Mutex
+	seen := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		if r.Method != http.MethodGet || r.URL.Path != "/readyz" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"ready":true,"predicted_wait_ms":42,"backlog_ms":40,"queue_depth":3}`)
+	}))
+	t.Cleanup(ts.Close)
+	readyz := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen["GET /readyz"]
+	}
+
+	const every = 20 * time.Millisecond
+	start := time.Now()
+	_, fts := newTestFrontend(t, Config{
+		Backends:     []string{ts.URL},
+		ProbeEvery:   every,
+		ProbeTimeout: 500 * time.Millisecond,
+	})
+	eventually(t, 2*time.Second, "five probe rounds", func() bool { return readyz() >= 5 })
+	mu.Lock()
+	counts := make(map[string]int, len(seen))
+	for k, v := range seen {
+		counts[k] = v
+	}
+	mu.Unlock()
+	rounds := int(time.Since(start) / every)
+	for path, n := range counts {
+		if path != "GET /readyz" {
+			t.Errorf("prober sent %d × %s; want only GET /readyz", n, path)
+		}
+	}
+	if n := counts["GET /readyz"]; n > rounds {
+		t.Errorf("%d /readyz probes in at most %d rounds", n, rounds)
+	}
+
+	resp, err := http.Get(fts.URL + "/admin/backends")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap []BackendStatus
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != 1 || snap[0].PredictedLoadMS != 42 || snap[0].QueueDepth != 3 {
+		t.Fatalf("/admin/backends %+v, want predicted_load_ms 42 and queue_depth 3 from the /readyz signal", snap)
+	}
 }
 
 // TestRegistryHealthTransitions walks one backend through the full

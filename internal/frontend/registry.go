@@ -31,15 +31,11 @@ type backend struct {
 	br       breaker.Breaker
 	draining bool // admin drain: no new traffic, health still tracked
 
-	// Load signal from the last successful /statusz.json probe, plus the
-	// passive latency EWMA. Guarded by Registry.mu.
-	sigAt      time.Time
-	queueWait  time.Duration // backend-reported queue-wait p95 (wall)
-	predWait   time.Duration // backend-reported predicted wait for new work (wall)
-	backlog    time.Duration // backend-reported min device backlog (wall)
-	queueDepth int           // backend-reported admission-queue depth
-	overload   int           // backend-reported brownout ladder level
-	ewma       time.Duration // observed proxied-request latency EWMA (2xx only)
+	// Load signal from the last ready /readyz probe that decoded, plus
+	// the passive latency EWMA. Guarded by Registry.mu.
+	sigAt time.Time
+	sig   server.LoadSignal
+	ewma  time.Duration // observed proxied-request latency EWMA (2xx only)
 
 	// Outlier-ejection state: a sliding window of served (2xx) latencies
 	// whose p95 the ejector compares against the fleet median, the time
@@ -333,7 +329,7 @@ func (r *Registry) Rank(model string, exclude map[string]bool) ([]*backend, []di
 // free queue slots instead of herding onto a stale minimum. Caller
 // holds Registry.mu.
 func (b *backend) predictedLoadLocked() time.Duration {
-	return b.predWait + time.Duration(b.inflight.Load())*b.ewma
+	return time.Duration(b.sig.PredictedWaitMS*float64(time.Millisecond)) + time.Duration(b.inflight.Load())*b.ewma
 }
 
 // observeSuccess records a proxied reply: consecutive failures reset,
@@ -512,10 +508,10 @@ func (r *Registry) ejectLocked(b *backend, now time.Time) {
 	r.mets.ejections.With(b.url).Inc()
 }
 
-// probeLoop is the active prober: every ProbeEvery it probes all
-// backends concurrently — /readyz drives the breaker, /statusz.json
-// (best effort, healthy backends only) refreshes the load signal — and
-// half-opens quarantined backends whose backoff expired.
+// probeLoop is the active prober: every ProbeEvery it sends each backend
+// one GET /readyz, concurrently — the status code drives the breaker and
+// a ready body refreshes the load signal — and half-opens quarantined
+// backends whose backoff expired.
 func (r *Registry) probeLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.ProbeEvery)
@@ -561,56 +557,32 @@ func (r *Registry) probeRound(now time.Time) {
 	r.evaluateEjections(now)
 }
 
-// probeOne checks one backend's /readyz and, when ready, refreshes its
-// load signal from /statusz.json.
+// probeOne sends one backend its round's GET /readyz: a 200 is a
+// successful probe, and its body, the backend's load signal, replaces
+// the last one. A 200 whose body does not decode still counts as ready;
+// routing then keeps the previous signal and the passive inflight×EWMA
+// term.
 func (r *Registry) probeOne(b *backend, now time.Time) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
 	defer cancel()
-	ready := false
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/readyz", nil)
 	resp, err := r.client.Do(req)
 	if err == nil {
-		ready = resp.StatusCode == http.StatusOK
-		resp.Body.Close()
+		defer resp.Body.Close()
 	}
-	if !ready {
+	if err != nil || resp.StatusCode != http.StatusOK {
 		r.mets.probeFailures.With(b.url).Inc()
 		r.observeFailure(b, now)
 		return
 	}
-	r.observeProbeSuccess(b)
-
-	// Load signal, best effort: a backend without /statusz.json still
-	// serves — routing falls back to the passive inflight×EWMA term.
-	req, _ = http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/statusz.json", nil)
-	resp, err = r.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
 	var sig server.LoadSignal
-	if err := json.NewDecoder(resp.Body).Decode(&sig); err != nil {
-		return
-	}
-	r.mu.Lock()
-	b.sigAt = time.Now()
-	b.queueWait = time.Duration(sig.QueueWaitP95MS * float64(time.Millisecond))
-	b.predWait = time.Duration(sig.PredictedWaitMS * float64(time.Millisecond))
-	b.backlog = time.Duration(sig.BacklogMS * float64(time.Millisecond))
-	b.queueDepth = sig.QueueDepth
-	b.overload = sig.OverloadLevel
-	r.mu.Unlock()
-}
-
-// observeProbeSuccess closes the circuit after a ready probe without
-// touching the latency EWMA (probes are not service time).
-func (r *Registry) observeProbeSuccess(b *backend) {
+	decodeErr := json.NewDecoder(resp.Body).Decode(&sig)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.recoverLocked(b)
+	if decodeErr == nil {
+		b.sigAt, b.sig = time.Now(), sig
+	}
 }
 
 // BackendStatus is one backend's row in the frontend's /statusz and
@@ -631,7 +603,7 @@ type BackendStatus struct {
 	Served   int64 `json:"served"`
 	// TransportErrors counts dial/read failures proxying to it.
 	TransportErrors int64 `json:"transport_errors,omitempty"`
-	// Load signal from the last /statusz.json probe.
+	// Load signal from the last ready /readyz probe.
 	QueueWaitP95MS  float64 `json:"queue_wait_p95_ms"`
 	PredictedWaitMS float64 `json:"predicted_wait_ms"`
 	BacklogMS       float64 `json:"backlog_ms"`
@@ -663,11 +635,11 @@ func (r *Registry) Snapshot() []BackendStatus {
 			Inflight:        b.inflight.Load(),
 			Served:          b.served.Load(),
 			TransportErrors: b.errors.Load(),
-			QueueWaitP95MS:  float64(b.queueWait) / float64(time.Millisecond),
-			PredictedWaitMS: float64(b.predWait) / float64(time.Millisecond),
-			BacklogMS:       float64(b.backlog) / float64(time.Millisecond),
-			QueueDepth:      b.queueDepth,
-			OverloadLevel:   b.overload,
+			QueueWaitP95MS:  b.sig.QueueWaitP95MS,
+			PredictedWaitMS: b.sig.PredictedWaitMS,
+			BacklogMS:       b.sig.BacklogMS,
+			QueueDepth:      b.sig.QueueDepth,
+			OverloadLevel:   b.sig.OverloadLevel,
 			SignalAgeMS:     -1,
 			EwmaMS:          float64(b.ewma) / float64(time.Millisecond),
 			LatP95MS:        float64(b.latP95Locked()) / float64(time.Millisecond),

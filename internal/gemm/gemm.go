@@ -27,12 +27,12 @@ import (
 	"mulayer/internal/f16"
 )
 
-// ForceRef routes every kernel through the naive reference loops: the
+// forceRef routes every kernel through the naive reference loops: the
 // Conv* entry points check it, and the matrix wrappers reach it through
-// them. It exists for differential tests
-// and benchmarks only; it is not synchronized, so set it before any
+// them. Only tests set it (export_test.go hands it to the package's
+// external golden test); it is not synchronized, so set it before any
 // concurrent kernel use and restore it after.
-var ForceRef bool
+var forceRef bool
 
 // blockM is the row-panel height used to split work across goroutines.
 // It must stay a multiple of the register-tile height mr so workers
@@ -84,7 +84,7 @@ func parallelRows(m int, job rowJob) {
 // bit-identical to im2col + F32Ref.
 func ConvF32(pa *PackedAF32, in []float32, g ConvGeom, epi func(r, j0 int, row []float32)) {
 	checkConv(pa.M, pa.K, len(in), g)
-	if ForceRef {
+	if forceRef {
 		patches := make([]float32, g.PatchRows()*g.PatchCols())
 		im2col(in, g, patches, 0)
 		refRows(pa.M, g.PatchCols(), epi, func(c []float32) { F32Ref(pa.Unpack(), patches, c, pa.M, pa.K, g.PatchCols()) })
@@ -110,7 +110,7 @@ func ConvF32(pa *PackedAF32, in []float32, g ConvGeom, epi func(r, j0 int, row [
 // are bit-identical to im2col + F16Ref.
 func ConvF16(pa *PackedAF16, in []f16.F16, g ConvGeom, epi func(r, j0 int, row []float32)) {
 	checkConv(pa.M, pa.K, len(in), g)
-	if ForceRef {
+	if forceRef {
 		refF16(pa, in, g, epi)
 		return
 	}
@@ -190,7 +190,7 @@ func QGEMM(a, b []uint8, acc []int32, m, k, n int, za, zb int32) {
 // bit-identical to Im2ColU8 + QGEMMRef.
 func ConvQ(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 int, acc []int32)) {
 	checkConv(pa.M, pa.K, len(in), g)
-	if ForceRef {
+	if forceRef {
 		patches := make([]uint8, g.PatchRows()*g.PatchCols())
 		Im2ColU8(in, g, patches, uint8(zb))
 		refRows(pa.M, g.PatchCols(), epi, func(acc []int32) {
@@ -210,7 +210,7 @@ func ConvQ(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 i
 // Results are bit-identical to Im2ColF16 of the widened input + F16Ref.
 func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb uint8, epi func(r, j0 int, acc []float32)) {
 	checkConv(pa.M, pa.K, len(in), g)
-	if ForceRef {
+	if forceRef {
 		hin := make([]f16.F16, len(in))
 		for i, v := range in {
 			hin[i] = f16.FromFloat32(lut[v])
@@ -234,7 +234,7 @@ func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb u
 }
 
 // refRows runs a reference kernel into an m×n result and hands it to epi
-// row by row: the ForceRef branch of every Conv* entry point.
+// row by row: the forceRef branch of every Conv* entry point.
 func refRows[T any](m, n int, epi func(r, j0 int, row []T), ref func(c []T)) {
 	c := make([]T, m*n)
 	ref(c)
@@ -243,7 +243,7 @@ func refRows[T any](m, n int, epi func(r, j0 int, row []T), ref func(c []T)) {
 	}
 }
 
-// refF16 is the ForceRef branch of the F16 entry points: im2col and
+// refF16 is the forceRef branch of the F16 entry points: im2col and
 // F16Ref, with the binary16 results widened to the float32 rows the F16
 // epilogues round (exactly) back.
 func refF16(pa *PackedAF16, in []f16.F16, g ConvGeom, epi func(r, j0 int, row []float32)) {

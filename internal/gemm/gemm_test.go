@@ -459,12 +459,12 @@ func TestTiledDegenerateShapesMatchRef(t *testing.T) {
 	}
 }
 
-// Under ForceRef every entry point takes its oracle-loop branch — the
+// Under forceRef every entry point takes its oracle-loop branch — the
 // matrix wrappers through the conv entries — and must still return the
-// reference result (exec's golden test compares whole models through
-// these branches).
+// reference result (TestGoldenTiledKernelsMatchRefKernels compares
+// whole models through these branches).
 func TestForceRefRoutesToReference(t *testing.T) {
-	defer func() { ForceRef = false }()
+	defer func() { forceRef = false }()
 	rng := rand.New(rand.NewSource(41))
 	m, k, n := 6, 10, 5
 	a, b := randF32(m*k, rng), randF32(k*n, rng)
@@ -487,7 +487,7 @@ func TestForceRefRoutesToReference(t *testing.T) {
 	F16Ref(ah, bh, wantLUT, m, k, n)
 	bh = f16.FromSlice32(b)
 
-	ForceRef = true
+	forceRef = true
 	got := make([]float32, m*n)
 	f32GEMM(PackAF32(a, m, k), b, got, n)
 	gotH := make([]f16.F16, m*n)
@@ -503,13 +503,13 @@ func TestForceRefRoutesToReference(t *testing.T) {
 	for i := range want {
 		// The reference is deterministic: forced results are identical.
 		if got[i] != want[i] {
-			t.Fatalf("elem %d: ForceRef result %v differs from ref %v", i, got[i], want[i])
+			t.Fatalf("elem %d: forceRef result %v differs from ref %v", i, got[i], want[i])
 		}
 		if gotH[i] != wantH[i] || gotLUT[i] != wantLUT[i] {
-			t.Fatalf("elem %d: ForceRef f16 results differ from ref", i)
+			t.Fatalf("elem %d: forceRef f16 results differ from ref", i)
 		}
 		if gotQ[i] != wantQ[i] {
-			t.Fatalf("elem %d: ForceRef q results differ from ref", i)
+			t.Fatalf("elem %d: forceRef q results differ from ref", i)
 		}
 	}
 }

@@ -1,11 +1,14 @@
-package exec
+package gemm_test
 
 import (
 	"testing"
 
+	"mulayer/internal/exec"
 	"mulayer/internal/gemm"
 	"mulayer/internal/models"
+	"mulayer/internal/nn"
 	"mulayer/internal/partition"
+	"mulayer/internal/soc"
 	"mulayer/internal/tensor"
 )
 
@@ -22,10 +25,11 @@ import (
 //
 // Not parallel: it toggles gemm.ForceRef, which is process-global.
 func TestGoldenTiledKernelsMatchRefKernels(t *testing.T) {
-	if gemm.ForceRef {
+	if *gemm.ForceRef {
 		t.Fatal("gemm.ForceRef set at test entry")
 	}
-	defer func() { gemm.ForceRef = false }()
+	defer func() { *gemm.ForceRef = false }()
+	chip := soc.Exynos7420()
 	builders := map[string]struct {
 		build   func(models.Config) (*models.Model, error)
 		inputHW int // AlexNet's stride-4 stem collapses below 64x64
@@ -57,18 +61,21 @@ func TestGoldenTiledKernelsMatchRefKernels(t *testing.T) {
 			in.FillRandom(9000, 1)
 
 			for _, dt := range []tensor.DataType{tensor.QUInt8, tensor.F32, tensor.F16} {
-				cfg := runCfg(m, partition.Uniform(dt), true)
+				cfg := exec.Config{
+					SoC: chip, Pipe: partition.Uniform(dt), Numeric: true,
+					InputParams: m.InputParams, AsyncIssue: true, ZeroCopy: true,
+				}
 				for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
 					plan := splitPlan(t, m, p)
 
-					tiled, err := Run(m.Graph, plan, in, cfg)
+					tiled, err := exec.Run(m.Graph, plan, in, cfg)
 					if err != nil {
 						t.Fatalf("%v p=%v tiled: %v", dt, p, err)
 					}
 
-					gemm.ForceRef = true
-					ref, errRef := Run(m.Graph, plan, in, cfg)
-					gemm.ForceRef = false
+					*gemm.ForceRef = true
+					ref, errRef := exec.Run(m.Graph, plan, in, cfg)
+					*gemm.ForceRef = false
 					if errRef != nil {
 						t.Fatalf("%v p=%v ref: %v", dt, p, errRef)
 					}
@@ -80,4 +87,31 @@ func TestGoldenTiledKernelsMatchRefKernels(t *testing.T) {
 			}
 		})
 	}
+}
+
+// splitPlan splits every channel-splittable layer of m at ratio p and
+// runs the rest whole on the CPU side (P = 1).
+func splitPlan(t *testing.T, m *models.Model, p float64) *partition.Plan {
+	t.Helper()
+	shapes, err := m.Graph.InferShapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := m.Graph.Toposort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan partition.Plan
+	for _, id := range order {
+		n := m.Graph.Node(id)
+		if n.Layer.Kind() == nn.OpInput {
+			continue
+		}
+		lp := 1.0
+		if n.Layer.SplitChannels(m.Graph.InputShapes(id, shapes)) > 1 {
+			lp = p
+		}
+		plan.Steps = append(plan.Steps, partition.Step{Layer: &partition.LayerStep{Node: id, P: lp}})
+	}
+	return &plan
 }

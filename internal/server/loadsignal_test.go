@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"mulayer/internal/core"
 	"mulayer/internal/soc"
 )
 
 // TestStatuszJSON drives a paced pool and checks the machine-readable
-// load signal: schema stability, queue pressure, per-device health, and
-// the draining flip — the contract the fleet frontend routes by.
+// load signal /readyz answers with: schema stability, queue pressure,
+// per-device health, and the draining flip to 503 — the contract the
+// fleet frontend probes and routes by.
 func TestStatuszJSON(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		SoCs: []SoCSpec{
@@ -26,17 +29,21 @@ func TestStatuszJSON(t *testing.T) {
 	})
 	getSignal := func() LoadSignal {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/statusz.json")
+		resp, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("statusz.json %d", resp.StatusCode)
-		}
 		var sig LoadSignal
 		if err := json.NewDecoder(resp.Body).Decode(&sig); err != nil {
 			t.Fatal(err)
+		}
+		want := http.StatusOK
+		if !sig.Ready {
+			want = http.StatusServiceUnavailable
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("readyz %d with ready=%v, want %d", resp.StatusCode, sig.Ready, want)
 		}
 		return sig
 	}
@@ -111,5 +118,58 @@ func TestStatuszJSON(t *testing.T) {
 	sig = getSignal()
 	if sig.Ready || !sig.Draining {
 		t.Fatalf("draining pool still ready: %+v", sig)
+	}
+}
+
+// TestRetryAfterSkipsUnservableDevices: Retry-After is derived from the
+// same forecast as the load signal, so a dead device's empty queue does
+// not pull it down to the 1s floor while the one device that can serve
+// holds seconds of paced work; an unpaced pool, whose predictions cost
+// no wall time, answers the floor whatever simulated backlog it holds.
+func TestRetryAfterSkipsUnservableDevices(t *testing.T) {
+	s, _ := newTestServer(t, Config{
+		SoCs:       []SoCSpec{{Name: "high", SoC: soc.Exynos7420, Workers: 2}},
+		QueueDepth: 16,
+		TimeScale:  0.05, // one GoogLeNet ≈ 2s wall
+	})
+	dead, live := s.sched.devices[0], s.sched.devices[1]
+	dead.hmu.Lock()
+	dead.dead = true
+	dead.hmu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.sched.Submit(ctx, "googlenet", s.cfg.Models["googlenet"], core.MechMuLayer, "", 1)
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); live.depth.Load() < 8; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 8 requests dispatched to %s", live.depth.Load(), live.name)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sig := s.LoadSignal()
+	want := min(int(math.Ceil(sig.PredictedWaitMS/1000)), 30)
+	if want < 2 {
+		t.Fatalf("predicted wait %.1fms with eight paced requests queued", sig.PredictedWaitMS)
+	}
+	if got := s.sched.RetryAfter(); got != want {
+		t.Fatalf("Retry-After %ds, want %ds from predicted_wait_ms %.1f", got, want, sig.PredictedWaitMS)
+	}
+
+	unpaced := newSched(t, Config{SoCs: []SoCSpec{{Name: "high", SoC: soc.Exynos7420, Workers: 1}}})
+	d := unpaced.devices[0]
+	d.backlogNS.Add(int64(5 * time.Second))
+	defer d.backlogNS.Add(-int64(5 * time.Second))
+	if got := unpaced.RetryAfter(); got != 1 {
+		t.Fatalf("unpaced Retry-After %ds with 5s of simulated backlog, want 1", got)
 	}
 }

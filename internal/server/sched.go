@@ -376,59 +376,12 @@ func (s *Scheduler) cacheStats() core.PlanCacheStats {
 	return total
 }
 
-// RetryAfter estimates how long a rejected client should back off: the
-// predicted drain time of the least-loaded device's committed backlog,
-// plus the fused cost of every still-open batching window and the window
-// time left before the last of them seals — converted to wall seconds by
-// the pacing time scale and clamped to [1s, 30s].
+// RetryAfter is how long a rejected client should back off, in whole
+// seconds: the forecast wait (see forecast) rounded up and clamped to
+// [1s, 30s].
 func (s *Scheduler) RetryAfter() int {
-	minBacklog := time.Duration(math.MaxInt64)
-	for _, d := range s.devices {
-		if b := d.predictedCompletion(); b < minBacklog {
-			minBacklog = b
-		}
-	}
-	openCost, windowRem := s.openWindowCost()
-
-	secs := (minBacklog + openCost).Seconds()
-	if s.cfg.TimeScale > 0 {
-		secs /= s.cfg.TimeScale
-	}
-	secs += windowRem.Seconds() // window time runs on the wall clock
-	n := int(math.Ceil(secs))
-	if n < 1 {
-		n = 1
-	}
-	if n > 30 {
-		n = 30
-	}
-	return n
-}
-
-// openWindowCost is the predicted fused cost of every still-open
-// batching window (simulated time, cheapest eligible class per window)
-// and the wall-clock window time left before the last of them seals.
-func (s *Scheduler) openWindowCost() (openCost, windowRem time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, g := range s.open {
-		var cheapest time.Duration
-		for class, c := range s.caches {
-			if g.key.soc != "" && class != g.key.soc {
-				continue
-			}
-			if est, err := c.Estimate(g.model, runCfg(g.key.mech), g.rows); err == nil {
-				if cheapest == 0 || est < cheapest {
-					cheapest = est
-				}
-			}
-		}
-		openCost += cheapest
-		if rem := s.effectiveBatchWait() - time.Since(g.opened); rem > windowRem {
-			windowRem = rem
-		}
-	}
-	return openCost, windowRem
+	_, wait := s.forecast()
+	return min(max(int(math.Ceil(wait.Seconds())), 1), 30)
 }
 
 // Request is one inference submission's scheduling parameters.

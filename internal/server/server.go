@@ -19,19 +19,6 @@ import (
 	"mulayer/internal/trace"
 )
 
-// mechanisms maps API mechanism names to core mechanisms. NPU mechanisms
-// are accepted and fail per-device when the class has no NPU.
-var mechanisms = map[string]core.Mechanism{
-	"cpu":         core.MechCPUOnly,
-	"gpu":         core.MechGPUOnly,
-	"l2p":         core.MechLayerToProcessor,
-	"chdist":      core.MechChannelDist,
-	"pquant":      core.MechChannelDistProcQuant,
-	"mulayer":     core.MechMuLayer,
-	"npu":         core.MechNPUOnly,
-	"mulayer+npu": core.MechMuLayerNPU,
-}
-
 // Server is the μLayer inference server: HTTP API + scheduler + pool.
 type Server struct {
 	cfg   Config
@@ -89,7 +76,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	mux.HandleFunc("GET /statusz.json", s.handleStatuszJSON)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
@@ -305,7 +291,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if mechName == "" {
 		mechName = "mulayer"
 	}
-	mech, ok := mechanisms[mechName]
+	mech, ok := core.Mechanisms[mechName]
 	if !ok {
 		writeJSONSum(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown mechanism %q", mechName)})
 		return
@@ -391,7 +377,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			SpecOnly:    m.SpecOnly,
 		})
 	}
-	for name := range mechanisms {
+	for name := range core.Mechanisms {
 		out.Mechanisms = append(out.Mechanisms, name)
 	}
 	sort.Strings(out.Mechanisms)
@@ -409,62 +395,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// readyzDevice is one device's health row in /readyz.
-type readyzDevice struct {
-	Device string `json:"device"`
-	SoC    string `json:"soc"`
-	// Health is ok | quarantined | probing | dead.
-	Health string `json:"health"`
-	// Down lists permanently dead processors ("none" when whole).
-	Down string `json:"down"`
-}
-
-// handleReadyz is the readiness probe: 503 while draining and 503 once
-// every pool device is dead; otherwise 200. The body always carries the
-// per-device health so an operator can see a partial outage before it
-// becomes a total one.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	draining := !s.healthy.Load() || s.sched.Draining()
-	allDead := s.sched.AllDead()
-	out := struct {
-		Ready    bool           `json:"ready"`
-		Draining bool           `json:"draining"`
-		AllDead  bool           `json:"all_dead"`
-		Devices  []readyzDevice `json:"devices"`
-	}{
-		Ready:    !draining && !allDead,
-		Draining: draining,
-		AllDead:  allDead,
-	}
-	for _, d := range s.sched.Devices() {
-		h := d.health()
-		out.Devices = append(out.Devices, readyzDevice{
-			Device: d.name,
-			SoC:    d.class,
-			Health: h.State.String(),
-			Down:   h.Down.String(),
-		})
-	}
-	code := http.StatusOK
-	if !out.Ready {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, out)
-}
-
-// deviceStatus is one device's row in /statusz.
+// deviceStatus is one device's row in /statusz: the load signal's
+// health row plus queue and breaker detail.
 type deviceStatus struct {
-	Device    string  `json:"device"`
-	SoC       string  `json:"soc"`
+	LoadSignalDevice
 	Queued    int64   `json:"queued"`
 	BacklogMS float64 `json:"backlog_ms"`
 	Served    int64   `json:"served"`
-	// Health is ok | quarantined | probing | dead; Down lists permanently
-	// dead processors; Failures is the consecutive-failure count feeding
-	// the circuit breaker.
-	Health   string `json:"health"`
-	Down     string `json:"down"`
-	Failures int    `json:"failures"`
+	// Failures is the consecutive-failure count feeding the circuit
+	// breaker.
+	Failures int `json:"failures"`
 	// FaultsInjected is the device injector's non-None decision count
 	// (absent without injection).
 	FaultsInjected int64 `json:"faults_injected,omitempty"`
@@ -511,14 +451,11 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	for _, d := range devs {
 		h := d.health()
 		row := deviceStatus{
-			Device:    d.name,
-			SoC:       d.class,
-			Queued:    d.depth.Load(),
-			BacklogMS: float64(d.predictedCompletion()) / float64(time.Millisecond),
-			Served:    d.served.Load(),
-			Health:    h.State.String(),
-			Down:      h.Down.String(),
-			Failures:  h.Failures,
+			LoadSignalDevice: d.signalRow(h),
+			Queued:           d.depth.Load(),
+			BacklogMS:        float64(d.predictedCompletion()) / float64(time.Millisecond),
+			Served:           d.served.Load(),
+			Failures:         h.Failures,
 		}
 		if d.faults != nil {
 			row.FaultsInjected = d.faults.Stats().Injected()
