@@ -18,15 +18,16 @@ import (
 // shapes: 1×1×1, m below a single panel, k=1, and n off the tile width.
 
 // fuzzShape folds fuzzer bytes into a shape that exercises panel
-// boundaries: sizes span 1..48, crossing mr/blockM edges and both
-// parities of k (the QUInt8 pack pairs k steps) and every n mod nr.
+// boundaries: sizes span 1..48, crossing the mr and 32-row (four-panel)
+// edges, both parities of k (the QUInt8 pack pairs k steps) and every
+// n mod nr.
 func fuzzShape(ms, ks, ns uint8) (m, k, n int) {
 	return int(ms%48) + 1, int(ks%48) + 1, int(ns%48) + 1
 }
 
 func FuzzF32(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), int64(1))    // 1×1×1
-	f.Add(uint8(2), uint8(16), uint8(4), int64(2))   // m < blockM panel
+	f.Add(uint8(2), uint8(16), uint8(4), int64(2))   // m < mr: one partial panel
 	f.Add(uint8(32), uint8(0), uint8(31), int64(3))  // k = 1
 	f.Add(uint8(37), uint8(21), uint8(6), int64(4))  // m % mr != 0
 	f.Add(uint8(47), uint8(47), uint8(47), int64(5)) // near-max everything

@@ -20,12 +20,7 @@
 // pairs.
 package gemm
 
-import (
-	"runtime"
-	"sync"
-
-	"mulayer/internal/f16"
-)
+import "mulayer/internal/f16"
 
 // forceRef routes every kernel through the naive reference loops: the
 // Conv* entry points check it, and the matrix wrappers reach it through
@@ -34,54 +29,14 @@ import (
 // concurrent kernel use and restore it after.
 var forceRef bool
 
-// blockM is the row-panel height used to split work across goroutines.
-// It must stay a multiple of the register-tile height mr so workers
-// always own whole panels of the packed grid.
-const blockM = 32
-
-// rowJob is work that parallelRows shards by row panels: rows must be
-// safe to call concurrently for disjoint panels [i0,i1).
-type rowJob interface{ rows(i0, i1 int) }
-
-// parallelRows runs job over [0,m) in row panels on up to GOMAXPROCS
-// goroutines.
-func parallelRows(m int, job rowJob) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > (m+blockM-1)/blockM {
-		workers = (m + blockM - 1) / blockM
-	}
-	if workers <= 1 {
-		job.rows(0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	go func() {
-		for i := 0; i < m; i += blockM {
-			next <- i
-		}
-		close(next)
-	}()
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i0 := range next {
-				job.rows(i0, min(i0+blockM, m))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // ConvF32 multiplies pa by the im2col patch matrix of one float32 batch
 // element in (geometry g), packed straight from the input with +0 for
 // padding taps: no patch matrix is materialized. The (pa.M ×
 // g.PatchCols()) result is handed to epi in finished row segments — row
-// holds row r's columns [j0, j0+len(row)) — called concurrently for
-// distinct rows; row is only valid during the call. The tile accumulates
-// each element in the reference's ascending-k order, so results are
-// bit-identical to im2col + F32Ref.
+// holds row r's columns [j0, j0+len(row)) — on the calling goroutine;
+// row is only valid during the call. The tile accumulates each element
+// in the reference's ascending-k order, so results are bit-identical to
+// im2col + F32Ref.
 func ConvF32(pa *PackedAF32, in []float32, g ConvGeom, epi func(r, j0 int, row []float32)) {
 	checkConv(pa.M, pa.K, len(in), g)
 	if forceRef {

@@ -415,8 +415,8 @@ func degenerateShapes() [][3]int {
 		{4, 7, 3},    // one word column plus the byte column
 		{5, 9, 7},    // ragged everything
 		{8, 16, 12},  // even n: word columns only
-		{33, 2, 17},  // m just past blockM
-		{31, 3, 2},   // m just below blockM, a single word column
+		{33, 2, 17},  // m just past 32 rows (four panels): a one-row tail panel
+		{31, 3, 2},   // m just below 32 rows: a seven-row tail panel, a single word column
 		{65, 64, 63}, // every dimension off its block size
 	}
 }

@@ -7,39 +7,15 @@
 // and ends with a transpose that turns the column registers into row
 // vectors stored at out[r*w : r*w+nr].
 //
-// The panels are mr = 8 rows high. The AVX2 tiles hold all eight rows in
-// one YMM register per column. The SSE2 tiles hold four, so they run
-// their k loop twice, once per 4-row half of the same panel.
-
-// TRANSPOSE4_STORE transposes the 4×4 tile of 32-bit lanes in X0–X3
-// (register c holds column c) and stores row r at DX + r·R8 bytes. The
-// moves are bit-for-bit, so it serves float32 and int32 tiles alike.
-#define TRANSPOSE4_STORE \
-	MOVOU      X0, X4; \
-	PUNPCKLLQ  X1, X0; \
-	PUNPCKHLQ  X1, X4; \
-	MOVOU      X2, X5; \
-	PUNPCKLLQ  X3, X2; \
-	PUNPCKHLQ  X3, X5; \
-	MOVOU      X0, X1; \
-	PUNPCKLQDQ X2, X0; \
-	PUNPCKHQDQ X2, X1; \
-	MOVOU      X4, X3; \
-	PUNPCKLQDQ X5, X4; \
-	PUNPCKHQDQ X5, X3; \
-	MOVOU      X0, (DX); \
-	ADDQ       R8, DX; \
-	MOVOU      X1, (DX); \
-	ADDQ       R8, DX; \
-	MOVOU      X4, (DX); \
-	ADDQ       R8, DX; \
-	MOVOU      X3, (DX)
+// The panels are mr = 8 rows high, and the tiles hold all eight rows in
+// one YMM register per column.
 
 // TRANSPOSE8_STORE transposes the 8×4 tile of 32-bit lanes in Y0–Y3
 // (register c holds column c, lane r row r) and stores row r at
-// DX + r·R8 bytes: within each 128-bit half it is TRANSPOSE4_STORE's
-// interleave, leaving rows r and r+4 in the low and high halves of one
-// register. Bit-for-bit like TRANSPOSE4_STORE.
+// DX + r·R8 bytes: within each 128-bit half it is the 4×4 interleave of
+// 32- then 64-bit lanes, leaving rows r and r+4 in the low and high
+// halves of one register. The moves are bit-for-bit, so it serves
+// float32 and int32 tiles alike.
 #define TRANSPOSE8_STORE \
 	VUNPCKLPS    Y1, Y0, Y4; \
 	VUNPCKHPS    Y1, Y0, Y5; \
@@ -151,130 +127,6 @@ qavxloop:
 qavxdone:
 	TRANSPOSE8_STORE
 	VZEROUPPER
-	RET
-
-// func fTileSSE2(panel [][mr]float32, cols []float32, out []float32, w int)
-TEXT ·fTileSSE2(SB), NOSPLIT, $0-80
-	MOVQ panel_base+0(FP), BX
-	MOVQ panel_len+8(FP), CX  // k
-	MOVQ cols_base+24(FP), DI // column 0; columns are 4k bytes apart
-	MOVQ out_base+48(FP), DX
-	MOVQ w+72(FP), R8
-	SHLQ $2, R8               // row stride in bytes
-	LEAQ (DI)(CX*4), R9       // column 1
-	LEAQ (R9)(CX*4), R10      // column 2
-	LEAQ (R10)(CX*4), R11     // column 3
-	LEAQ (DX)(R8*4), R12      // row 4, where the second half stores
-	MOVQ $2, R13              // halves left
-
-fhalf:
-	MOVQ  BX, SI
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  AX, AX
-	TESTQ CX, CX
-	JEQ   fdone
-
-floop:
-	// X8 = four of the panel's rows at step l; each column's b[l] is
-	// broadcast, multiplied lane-wise (one MULSS per row) and added to
-	// that column's accumulator (one ADDSS per row).
-	MOVUPS (SI), X8
-	MOVSS  (DI)(AX*4), X4
-	MOVSS  (R9)(AX*4), X5
-	MOVSS  (R10)(AX*4), X6
-	MOVSS  (R11)(AX*4), X7
-	SHUFPS $0x00, X4, X4
-	SHUFPS $0x00, X5, X5
-	SHUFPS $0x00, X6, X6
-	SHUFPS $0x00, X7, X7
-	MULPS  X8, X4
-	MULPS  X8, X5
-	MULPS  X8, X6
-	MULPS  X8, X7
-	ADDPS  X4, X0
-	ADDPS  X5, X1
-	ADDPS  X6, X2
-	ADDPS  X7, X3
-	ADDQ   $32, SI
-	INCQ   AX
-	CMPQ   AX, CX
-	JNE    floop
-
-fdone:
-	TRANSPOSE4_STORE
-	DECQ R13
-	JEQ  fend
-	ADDQ $16, BX // rows 4–7 of each step
-	MOVQ R12, DX
-	JMP  fhalf
-
-fend:
-	RET
-
-// func qTileSSE2(panel [][mr][2]uint8, words []uint32, out []int32, w int)
-TEXT ·qTileSSE2(SB), NOSPLIT, $0-80
-	MOVQ panel_base+0(FP), BX
-	MOVQ panel_len+8(FP), CX   // k pairs
-	MOVQ words_base+24(FP), DI // column 0; columns are 4·pairs bytes apart
-	MOVQ out_base+48(FP), DX
-	MOVQ w+72(FP), R8
-	SHLQ $2, R8
-	LEAQ (DI)(CX*4), R9
-	LEAQ (R9)(CX*4), R10
-	LEAQ (R10)(CX*4), R11
-	LEAQ (DX)(R8*4), R12
-	MOVQ $2, R13
-	PXOR X9, X9
-
-qhalf:
-	MOVQ  BX, SI
-	PXOR  X0, X0
-	PXOR  X1, X1
-	PXOR  X2, X2
-	PXOR  X3, X3
-	XORQ  AX, AX
-	TESTQ CX, CX
-	JEQ   qdone
-
-qloop:
-	// X8 = four rows' pair step widened to int16: lane r holds row r's
-	// (a[2l], a[2l+1]). Each column's word (b[2l], b[2l+1]) is broadcast,
-	// and PMADDWD leaves a[2l]·b[2l] + a[2l+1]·b[2l+1] ≤ 2·255² in lane r.
-	MOVQ      (SI), X8
-	PUNPCKLBW X9, X8
-	MOVL      (DI)(AX*4), X4
-	MOVL      (R9)(AX*4), X5
-	MOVL      (R10)(AX*4), X6
-	MOVL      (R11)(AX*4), X7
-	PSHUFD    $0x00, X4, X4
-	PSHUFD    $0x00, X5, X5
-	PSHUFD    $0x00, X6, X6
-	PSHUFD    $0x00, X7, X7
-	PMADDWL   X8, X4
-	PMADDWL   X8, X5
-	PMADDWL   X8, X6
-	PMADDWL   X8, X7
-	PADDL     X4, X0
-	PADDL     X5, X1
-	PADDL     X6, X2
-	PADDL     X7, X3
-	ADDQ      $16, SI
-	INCQ      AX
-	CMPQ      AX, CX
-	JNE       qloop
-
-qdone:
-	TRANSPOSE4_STORE
-	DECQ R13
-	JEQ  qend
-	ADDQ $8, BX
-	MOVQ R12, DX
-	JMP  qhalf
-
-qend:
 	RET
 
 // func cpuHasAVX2() bool

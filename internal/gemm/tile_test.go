@@ -28,13 +28,13 @@ func eachTileLevel(fn func(lv tileLevel)) {
 	}
 }
 
-// Every tile level the host runs (AVX2 and SSE2 assembly on amd64) must
-// equal the portable Go tiles bit for bit on the same 8-row packs, for
-// every k the lane arguments care about (odd k pads a pair; 66051/66052
-// straddle k·255² = 2³²) and every column count from a lone tail column
-// to two tiles plus one, run through tileStrip as the drivers run them
-// over a full panel and a partial one. Off amd64 the only level is the
-// Go tiles and the comparison is trivially true.
+// Every tile level the host runs (the AVX2 assembly on amd64 hosts that
+// have it) must equal the portable Go tiles bit for bit on the same
+// 8-row packs, for every k the lane arguments care about (odd k pads a
+// pair; 66051/66052 straddle k·255² = 2³²) and every column count from a
+// lone tail column to two tiles plus one, run through tileStrip as the
+// drivers run them over a full panel and a partial one. Without AVX2 the
+// only level is the Go tiles and the comparison is trivially true.
 func TestTilesMatchPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, k := range []int{1, 2, 3, 7, 66051, 66052, 140000} {

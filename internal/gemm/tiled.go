@@ -15,16 +15,17 @@ import (
 // patch matrix is written: each column is read from a padded copy of the
 // input through tables of tap and window offsets built once per call, see
 // patches), and the inner loops compute one mr×nr tile per group of nr
-// columns. Row panels are sharded across goroutines
-// by parallelRows, whose blockM stride is a multiple of mr, so workers
-// always own whole panels of the packed grid. Each finished mr-row strip
-// of a column block is handed to the caller's epilogue row by row, so
-// bias, activation and requantization run on a strip that is still in
+// columns. A call runs on the calling goroutine: parallelism across
+// processors is the split of a layer's output channels (partition,
+// exec), not a second sharding inside one GEMM. Each finished mr-row
+// strip of a column block is handed to the caller's epilogue row by row,
+// so bias, activation and requantization run on a strip that is still in
 // cache instead of on a second pass over a full result.
 //
 // The full-width tiles compute mr = 8 rows × nr = 4 columns. On amd64
-// they are assembly (tile_amd64.s), AVX2 where the host has it and SSE2
-// otherwise, chosen once at package init; both read the same packs:
+// hosts with AVX2 they are assembly (tile_amd64.s), chosen once at
+// package init; everywhere else they are the portable Go tiles. Both
+// read the same packs:
 //
 //   - float32 (ConvF32, ConvF16, ConvQViaF16): per k step one load of the
 //     panel's [mr]float32, and per column a broadcast b[l], a multiply
@@ -37,16 +38,14 @@ import (
 //     weight (pack.go), and the column operand holds each pair as one
 //     uint32 word b[2l] | b[2l+1]<<16. Per pair step the panel's bytes
 //     are widened to int16 in-register, each column's word is broadcast,
-//     and PMADDWD leaves a[2l]·b[2l] + a[2l+1]·b[2l+1] ≤ 2·255² < 2³¹ in
-//     each row's lane, exactly; PADDD then wraps mod 2³² as Go's int32
+//     and VPMADDWD leaves a[2l]·b[2l] + a[2l+1]·b[2l+1] ≤ 2·255² < 2³¹ in
+//     each row's lane, exactly; VPADDD then wraps mod 2³² as Go's int32
 //     does, so no k is too long and the sums equal the reference's.
 //
-// The AVX2 tiles hold a panel step's eight rows in one register; the
-// SSE2 tiles hold four and sweep the panel twice, once per half. Column
-// tails narrower than nr — including a GEMV's single column — run the
-// portable Go tiles fTileGo and qTileGo on the same packs. They are also
-// the whole kernel on other architectures (tile_other.go) and the oracle
-// every assembly level is tested against.
+// Column tails narrower than nr — including a GEMV's single column — run
+// the portable Go tiles fTileGo and qTileGo on the same packs. They are
+// also the whole kernel on hosts without AVX2 and on other architectures
+// (tile_other.go), and the oracle the assembly is tested against.
 
 const (
 	// mr is the register-tile height (packed A panel height).
@@ -157,24 +156,19 @@ func tileStrip[P, B, C any](panel []P, cols []B, strip []C, full, tail func([]P,
 // drops objects that stay idle through a GC cycle, so scratch never pins
 // memory on a layer or runtime.
 type scratch struct {
-	pu8   []uint8
-	pf32  []float32
-	ph    []f16.F16
-	off   []int32
-	at    []int32
-	words []uint32
-	f32   []float32
-	i32   []int32
-	fb    fBlock
-	qb    qBlock
+	pu8    []uint8
+	pf32   []float32
+	ph     []f16.F16
+	off    []int32
+	at     []int32
+	words  []uint32
+	f32    []float32
+	i32    []int32
+	stripF []float32
+	stripQ []int32
 }
 
-// operands holds packed right operands; strips holds the per-worker
-// accumulator strips. Two pools, so neither role grows the other's
-// buffers.
-var operands, strips = sync.Pool{New: newScratch}, sync.Pool{New: newScratch}
-
-func newScratch() any { return new(scratch) }
+var operands = sync.Pool{New: func() any { return new(scratch) }}
 
 // grow returns (*buf)[:n], reallocating when the buffer is too small.
 func grow[T any](buf *[]T, n int) []T {
@@ -232,7 +226,6 @@ func (s *scratch) packQ(p patches[uint8], za int32, j0, j1 int) (words []uint32,
 // column j fill writes (length K, in ascending k). Column blocks are
 // packed column-major into s; for each row panel the mr×w strip of dot
 // products is handed to epi row by row, as row r's columns [j0,j0+w).
-// epi runs concurrently for distinct rows.
 func fMul(s *scratch, pa [][mr]float32, m, k, n int, fill func(j int, col []float32), epi func(r, j0 int, row []float32)) {
 	nb := colBlock(k)
 	for j0 := 0; j0 < n; j0 += nb {
@@ -241,31 +234,12 @@ func fMul(s *scratch, pa [][mr]float32, m, k, n int, fill func(j int, col []floa
 		for j := 0; j < w; j++ {
 			fill(j0+j, cols[j*k:(j+1)*k])
 		}
-		s.fb = fBlock{pa: pa, cols: cols, k: k, j0: j0, epi: epi}
-		parallelRows(m, &s.fb)
-	}
-	s.fb = fBlock{}
-}
-
-// fBlock is one packed column block of fMul and where its strips go. It
-// lives in the call's scratch, so handing it to parallelRows allocates
-// nothing.
-type fBlock struct {
-	pa    [][mr]float32
-	cols  []float32
-	k, j0 int
-	epi   func(r, j0 int, row []float32)
-}
-
-func (b *fBlock) rows(i0, i1 int) {
-	st := strips.Get().(*scratch)
-	defer strips.Put(st)
-	w := len(b.cols) / b.k
-	strip := grow(&st.f32, mr*w)
-	for r0 := i0; r0 < i1; r0 += mr {
-		tileStrip(b.pa[r0/mr*b.k:(r0/mr+1)*b.k], b.cols, strip, tiles.f, fTileGo)
-		for r := 0; r < min(mr, i1-r0); r++ {
-			b.epi(r0+r, b.j0, strip[r*w:(r+1)*w])
+		strip := grow(&s.stripF, mr*w)
+		for r0 := 0; r0 < m; r0 += mr {
+			tileStrip(pa[r0/mr*k:(r0/mr+1)*k], cols, strip, tiles.f, fTileGo)
+			for r := 0; r < min(mr, m-r0); r++ {
+				epi(r0+r, j0, strip[r*w:(r+1)*w])
+			}
 		}
 	}
 }
@@ -277,45 +251,26 @@ func (b *fBlock) rows(i0, i1 int) {
 //	acc[r,j] = Σ_l a·b + k·za·zb − zb·rowSum[r] − za·colSum[j]
 //
 // to each finished strip row, and hands it to epi as row r's columns
-// [j0,j0+len(acc)). epi runs concurrently for distinct rows.
+// [j0,j0+len(acc)).
 func qMul(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 int, acc []int32)) {
-	k, n := pa.K, g.PatchCols()
+	k, n, kp := pa.K, g.PatchCols(), (pa.K+1)/2
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
 	p := newPatches(s, in, g, uint8(zb), &s.pu8)
-	nb := colBlock(k)
+	base, nb := int32(k)*za*zb, colBlock(k)
 	for j0 := 0; j0 < n; j0 += nb {
 		words, cAdj := s.packQ(p, za, j0, min(j0+nb, n))
-		s.qb = qBlock{pa: pa, words: words, cAdj: cAdj, base: int32(k) * za * zb, zb: zb, j0: j0, epi: epi}
-		parallelRows(pa.M, &s.qb)
-	}
-	s.qb = qBlock{}
-}
-
-// qBlock is one packed column block of qMul and where its strips go,
-// held in the call's scratch like fBlock.
-type qBlock struct {
-	pa       *PackedAU8
-	words    []uint32
-	cAdj     []int32 // za·colSum[j]
-	base, zb int32   // k·za·zb, and zb for the row sums
-	j0       int
-	epi      func(r, j0 int, acc []int32)
-}
-
-func (b *qBlock) rows(i0, i1 int) {
-	st := strips.Get().(*scratch)
-	defer strips.Put(st)
-	kp, w := (b.pa.K+1)/2, len(b.cAdj)
-	strip := grow(&st.i32, mr*w)
-	for r0 := i0; r0 < i1; r0 += mr {
-		tileStrip(b.pa.data[r0/mr*kp:(r0/mr+1)*kp], b.words, strip, tiles.q, qTileGo)
-		for r := 0; r < min(mr, i1-r0); r++ {
-			adj, row := b.base-b.zb*b.pa.rowSums[r0+r], strip[r*w:(r+1)*w]
-			for j, v := range row {
-				row[j] = v + adj - b.cAdj[j]
+		w := len(cAdj)
+		strip := grow(&s.stripQ, mr*w)
+		for r0 := 0; r0 < pa.M; r0 += mr {
+			tileStrip(pa.data[r0/mr*kp:(r0/mr+1)*kp], words, strip, tiles.q, qTileGo)
+			for r := 0; r < min(mr, pa.M-r0); r++ {
+				adj, row := base-zb*pa.rowSums[r0+r], strip[r*w:(r+1)*w]
+				for j, v := range row {
+					row[j] = v + adj - cAdj[j]
+				}
+				epi(r0+r, j0, row)
 			}
-			b.epi(r0+r, b.j0, row)
 		}
 	}
 }

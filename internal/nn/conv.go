@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"sync"
 
 	"mulayer/internal/f16"
 	"mulayer/internal/gemm"
@@ -336,39 +335,14 @@ func (l *Conv2D) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int
 		return gemm.PackAU8(l.wq.Data[c0*k:c1*k], c1-c0, k)
 	})
 	za, zw := int32(in.Params.ZeroPoint), int32(l.QI.W.ZeroPoint)
-	st := qStages.Get().(*qStage)
-	st.l, st.req, st.c0, st.plane = l, req, c0, plane
 	for n := 0; n < in.Shape.N; n++ {
 		lo, _ := out.Shape.ChannelSpan(n, c0, c1)
-		st.dst = out.Data[lo:]
-		gemm.ConvQ(pw, batchElem(in.Data, in.Shape, n), g, zw, za, st.row)
+		dst := out.Data[lo:]
+		gemm.ConvQ(pw, batchElem(in.Data, in.Shape, n), g, zw, za, func(r, j0 int, acc []int32) {
+			rq := l.requantizerFor(c0+r, &req)
+			rq.Strip(dst[r*plane+j0:], acc, l.biasQ[c0+r])
+		})
 	}
-	st.l, st.dst = nil, nil
-	qStages.Put(st)
-}
-
-// qStage is ForwardQ's output stage for one batch element: it requantizes
-// each accumulator strip the kernel finishes into the output channels
-// [c0,c1) that dst starts with. The kernel may run the stage on several
-// goroutines, so it escapes; stages are pooled with row bound to store
-// once, so a warm ForwardQ allocates nothing.
-type qStage struct {
-	l         *Conv2D
-	req       quant.Requantizer // the per-tensor stage
-	dst       []uint8
-	c0, plane int
-	row       func(r, j0 int, acc []int32)
-}
-
-var qStages = sync.Pool{New: func() any {
-	st := new(qStage)
-	st.row = st.store
-	return st
-}}
-
-func (st *qStage) store(r, j0 int, acc []int32) {
-	rq := st.l.requantizerFor(st.c0+r, &st.req)
-	rq.Strip(st.dst[r*st.plane+j0:], acc, st.l.biasQ[st.c0+r])
 }
 
 // batchElem returns batch element n of an NCHW tensor's data.

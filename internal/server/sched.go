@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mulayer/internal/core"
@@ -824,9 +825,12 @@ func deadlineAllows(ctx context.Context, wall time.Duration, now time.Time) bool
 // makespan scaled by TimeScale — so offered load saturates the pool the
 // way it would saturate the modeled hardware. Per-member deadlines ride
 // inside the fused run; only a drain hard-kill aborts the batch as a
-// whole. The device's fault injector rides in as the executor's kernel
-// hook; an injected kernel panic is recovered here into a DeviceError so
-// the worker sees an ordinary device failure.
+// whole. The pacing wait also ends once every member's context is done:
+// no client is left to use the result, so the device is freed at once
+// and serveBatch settles each member with its context error. The
+// device's fault injector rides in as the executor's kernel hook; an
+// injected kernel panic is recovered here into a DeviceError so the
+// worker sees an ordinary device failure.
 func (s *Scheduler) runBatchPaced(d *poolDevice, g *batchGroup, fused []exec.FusedItem, traced []*trace.Trace) (res *exec.FusedResult, err error) {
 	s.mets.inflight.With(d.name).Add(1)
 	defer s.mets.inflight.With(d.name).Add(-1)
@@ -905,8 +909,11 @@ func (s *Scheduler) runBatchPaced(d *poolDevice, g *batchGroup, fused []exec.Fus
 		if rem := pace - time.Since(start); rem > 0 {
 			t := time.NewTimer(rem)
 			defer t.Stop()
+			gone, stop := allDone(fused)
+			defer stop()
 			select {
 			case <-t.C:
+			case <-gone:
 			case <-s.hardCtx.Done():
 				return nil, ErrDraining
 			}
@@ -931,6 +938,27 @@ func (s *Scheduler) runBatchPaced(d *poolDevice, g *batchGroup, fused []exec.Fus
 		}
 	}
 	return res, nil
+}
+
+// allDone returns a channel that is closed once every item's context is
+// done, and a func that releases the watches.
+func allDone(items []exec.FusedItem) (gone <-chan struct{}, stop func()) {
+	ch := make(chan struct{})
+	var left atomic.Int64
+	left.Store(int64(len(items)))
+	stops := make([]func() bool, len(items))
+	for i, it := range items {
+		stops[i] = context.AfterFunc(it.Ctx, func() {
+			if left.Add(-1) == 0 {
+				close(ch)
+			}
+		})
+	}
+	return ch, func() {
+		for _, s := range stops {
+			s()
+		}
+	}
 }
 
 // Drain stops admitting, seals every open batching window, lets the pool

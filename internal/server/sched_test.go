@@ -306,3 +306,48 @@ func TestSettleFinalRecordsBeforeDelivering(t *testing.T) {
 		}
 	}
 }
+
+// A paced batch whose members are all cancelled frees its device at once:
+// nobody is left to use the result, so the pacing wait must not hold the
+// device (and a drain) for the rest of the batch's scaled makespan.
+func TestCancelledBatchFreesPacedDevice(t *testing.T) {
+	s := newSched(t, Config{
+		SoCs:       []SoCSpec{{Name: "high", SoC: soc.Exynos7420, Workers: 1}},
+		QueueDepth: 8,
+		TimeScale:  0.001, // one GoogLeNet ≈ 100s wall
+	})
+	d := s.devices[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 3
+	var wg sync.WaitGroup
+	outs := make([]outcome, n)
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = s.Submit(ctx, "googlenet", s.cfg.Models["googlenet"], core.MechMuLayer, "", 1)
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.mets.inflight.With(d.name).Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no batch went in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	wg.Wait()
+	for i, o := range outs {
+		if !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("member %d: got %v, want context.Canceled", i, o.err)
+		}
+	}
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	if err := s.Drain(dctx); err != nil {
+		t.Fatalf("drain with every member cancelled: %v", err)
+	}
+	if got := s.mets.inflight.With(d.name).Value(); got != 0 {
+		t.Fatalf("%s still has %v batches in flight after the drain", d.name, got)
+	}
+}
