@@ -4,7 +4,7 @@
 #   make test        fast test run (no race detector)
 #   make race        race-enabled test run
 #   make cover       coverage gates for the serving subsystem, the kernels,
-#                    the layers, the planner and the executor
+#                    the layers, the planner, the executor and the runtime
 #   make chaos-smoke seeded fault-injection run under the race detector
 #   make trace-smoke end-to-end tracing/observability run under the race detector
 #   make overload-smoke saturation run with the full overload stack armed
@@ -42,6 +42,9 @@ BREAKER_COVER_FLOOR ?= 90
 # 93.7% and 91.1% when the two- and three-processor split paths merged).
 PARTITION_COVER_FLOOR ?= 88
 EXEC_COVER_FLOOR ?= 84
+# internal/core statement coverage floor (measured 96.9% when its processor
+# set moved to internal/device).
+CORE_COVER_FLOOR ?= 93
 
 .PHONY: ci build vet cross test race cover chaos-smoke trace-smoke overload-smoke fleet-smoke chaos-fleet-smoke fuzz-smoke bench-smoke serve load
 
@@ -100,7 +103,8 @@ cover:
 			printf "cover: %s %.1f%% (floor %s%%)\n", pkg, p, f }'; \
 	}; \
 	check ./internal/server/ $(COVER_FLOOR) && check ./internal/gemm/ $(GEMM_COVER_FLOOR) && check ./internal/nn/ $(NN_COVER_FLOOR) && check ./internal/frontend/ $(FRONTEND_COVER_FLOOR) && check ./internal/breaker/ $(BREAKER_COVER_FLOOR) && \
-	check ./internal/partition/ $(PARTITION_COVER_FLOOR) && check ./internal/exec/ $(EXEC_COVER_FLOOR)
+	check ./internal/partition/ $(PARTITION_COVER_FLOOR) && check ./internal/exec/ $(EXEC_COVER_FLOOR) && \
+	check ./internal/core/ $(CORE_COVER_FLOOR)
 
 # Seeded chaos run: 160 requests against a faulty four-device pool under
 # the race detector. Fails on any escaped panic, untyped error, stranded

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"mulayer"
+	"mulayer/internal/device"
 	"mulayer/internal/graph"
 	"mulayer/internal/models"
 	"mulayer/internal/nn"
@@ -84,8 +85,8 @@ func main() {
 			continue
 		}
 		c := n.Layer.Cost(m.Graph.InputShapes(n.ID, shapes))
-		cpuT := s.CPU.KernelTime(pipe.Work(partition.ProcCPU, n.Layer.Kind(), c, 0))
-		gpuT := s.GPU.KernelTime(pipe.Work(partition.ProcGPU, n.Layer.Kind(), c, 0))
+		cpuT := s.CPU.KernelTime(pipe.Work(device.CPU, n.Layer.Kind(), c, 0, 1))
+		gpuT := s.GPU.KernelTime(pipe.Work(device.GPU, n.Layer.Kind(), c, 0, 1))
 		predT := pred.Predict(s.CPU.Name, n.Layer.Kind(), tensor.QUInt8, false, c)
 		ratio := 0.0
 		if cpuT > 0 {

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"mulayer"
+	"mulayer/internal/device"
 	"mulayer/internal/exec"
 	"mulayer/internal/partition"
 )
@@ -45,8 +46,8 @@ func main() {
 		for _, id := range br {
 			n := module.Graph.Node(id)
 			c := n.Layer.Cost(module.Graph.InputShapes(id, shapes))
-			cpuT := s.CPU.KernelTime(pipe.Work(partition.ProcCPU, n.Layer.Kind(), c, 0))
-			gpuT := s.GPU.KernelTime(pipe.Work(partition.ProcGPU, n.Layer.Kind(), c, 0))
+			cpuT := s.CPU.KernelTime(pipe.Work(device.CPU, n.Layer.Kind(), c, 0, 1))
+			gpuT := s.GPU.KernelTime(pipe.Work(device.GPU, n.Layer.Kind(), c, 0, 1))
 			fmt.Printf("  %-28s %10.1f MMACs   cpu %7.3fms   gpu %7.3fms\n",
 				n.Layer.Name(), float64(c.MACs)/1e6, float64(cpuT)/1e6, float64(gpuT)/1e6)
 		}
@@ -77,7 +78,7 @@ func planAndRun(rt *mulayer.Runtime, m *mulayer.Model, rc mulayer.RunConfig, twe
 	var o partition.Options
 	switch rc.Mechanism {
 	case mulayer.MechCPUOnly:
-		o = partition.SingleProcessor(rt.SoC(), rt.Predictor(), partition.ProcCPU, rc.DType)
+		o = partition.SingleProcessor(rt.SoC(), rt.Predictor(), device.CPU, rc.DType)
 	case mulayer.MechChannelDistProcQuant:
 		o = partition.ChannelDistProcQuant(rt.SoC(), rt.Predictor())
 	default:

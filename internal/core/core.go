@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 
+	"mulayer/internal/device"
 	"mulayer/internal/exec"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
@@ -102,7 +103,7 @@ type RunConfig struct {
 	// no branch distribution); a mechanism that cannot run on the surviving
 	// processors errors at plan time. Part of the plan-cache key: degraded
 	// and healthy plans never alias.
-	Unhealthy ProcSet
+	Unhealthy device.Set
 }
 
 // Runtime is a μLayer runtime bound to one SoC model: it owns the fitted
@@ -152,9 +153,9 @@ func (rt *Runtime) options(rc RunConfig) (partition.Options, error) {
 	var o partition.Options
 	switch rc.Mechanism {
 	case MechCPUOnly:
-		o = partition.SingleProcessor(rt.soc, rt.pred, partition.ProcCPU, dt)
+		o = partition.SingleProcessor(rt.soc, rt.pred, device.CPU, dt)
 	case MechGPUOnly:
-		o = partition.SingleProcessor(rt.soc, rt.pred, partition.ProcGPU, dt)
+		o = partition.SingleProcessor(rt.soc, rt.pred, device.GPU, dt)
 	case MechLayerToProcessor:
 		o = partition.LayerToProcessor(rt.soc, rt.pred)
 	case MechChannelDist:

@@ -2,59 +2,10 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
+	"mulayer/internal/device"
 	"mulayer/internal/partition"
 )
-
-// ProcSet is a bitmask of a SoC's processors. The serving layer uses it to
-// name the processors a device must plan around: RunConfig.Unhealthy
-// carries the mask into the planner, which then degenerates cooperative
-// mechanisms to the surviving processor (p=0 or p=1 plans, single-processor
-// branch assignment).
-type ProcSet uint8
-
-// The processor bits.
-const (
-	ProcSetCPU ProcSet = 1 << iota
-	ProcSetGPU
-	ProcSetNPU
-)
-
-// Has reports whether the set contains p.
-func (s ProcSet) Has(p ProcSet) bool { return s&p != 0 }
-
-// Empty reports whether the set names no processor.
-func (s ProcSet) Empty() bool { return s == 0 }
-
-// String implements fmt.Stringer ("cpu+gpu", "none").
-func (s ProcSet) String() string {
-	if s == 0 {
-		return "none"
-	}
-	var parts []string
-	if s.Has(ProcSetCPU) {
-		parts = append(parts, "cpu")
-	}
-	if s.Has(ProcSetGPU) {
-		parts = append(parts, "gpu")
-	}
-	if s.Has(ProcSetNPU) {
-		parts = append(parts, "npu")
-	}
-	return strings.Join(parts, "+")
-}
-
-// ProcSetOf maps a partition processor to its mask bit.
-func ProcSetOf(p partition.Proc) ProcSet {
-	switch p {
-	case partition.ProcCPU:
-		return ProcSetCPU
-	case partition.ProcNPU:
-		return ProcSetNPU
-	}
-	return ProcSetGPU
-}
 
 // degrade restricts planner options to the healthy processors. An unhealthy
 // processor is removed from the allowed set, which makes the partitioner
@@ -64,22 +15,22 @@ func ProcSetOf(p partition.Proc) ProcSet {
 // Returns an error when the mechanism cannot run on what remains.
 func degrade(o partition.Options, rc RunConfig) (partition.Options, error) {
 	u := rc.Unhealthy
-	if u.Empty() {
+	if u == 0 {
 		return o, nil
 	}
 	if o.NPUOnly {
-		if u.Has(ProcSetNPU) {
+		if u.Has(device.NPU) {
 			return o, fmt.Errorf("core: mechanism %s cannot run with unhealthy processors %s", rc.Mechanism, u)
 		}
 		return o, nil
 	}
-	if u.Has(ProcSetCPU) {
+	if u.Has(device.CPU) {
 		o.AllowCPU = false
 	}
-	if u.Has(ProcSetGPU) {
+	if u.Has(device.GPU) {
 		o.AllowGPU = false
 	}
-	if u.Has(ProcSetNPU) {
+	if u.Has(device.NPU) {
 		o.AllowNPU = false
 	}
 	if !o.AllowCPU && !o.AllowGPU {

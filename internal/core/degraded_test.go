@@ -12,30 +12,6 @@ import (
 	"mulayer/internal/tensor"
 )
 
-func TestProcSetString(t *testing.T) {
-	cases := map[ProcSet]string{
-		0:                                    "none",
-		ProcSetCPU:                           "cpu",
-		ProcSetGPU:                           "gpu",
-		ProcSetNPU:                           "npu",
-		ProcSetCPU | ProcSetGPU:              "cpu+gpu",
-		ProcSetCPU | ProcSetGPU | ProcSetNPU: "cpu+gpu+npu",
-	}
-	for s, want := range cases {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
-		}
-	}
-	if !ProcSetGPU.Has(ProcSetGPU) || ProcSetGPU.Has(ProcSetCPU) {
-		t.Fatal("Has")
-	}
-	for _, p := range []partition.Proc{partition.ProcCPU, partition.ProcGPU, partition.ProcNPU} {
-		if ProcSetOf(p).Empty() {
-			t.Fatalf("ProcSetOf(%v) empty", p)
-		}
-	}
-}
-
 // TestDegradedPlanShape: losing one processor of a cooperative mechanism
 // must force every layer onto the survivor — no splits, no branch
 // distribution.
@@ -46,11 +22,11 @@ func TestDegradedPlanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		down  ProcSet
+		down  device.Set
 		wantP float64
 	}{
-		{ProcSetGPU, 1}, // survivor CPU: every step p=1
-		{ProcSetCPU, 0}, // survivor GPU: every step p=0
+		{device.GPU.Bit(), 1}, // survivor CPU: every step p=1
+		{device.CPU.Bit(), 0}, // survivor GPU: every step p=0
 	} {
 		plan, err := rt.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: tc.down})
 		if err != nil {
@@ -76,10 +52,10 @@ func TestDegradedUnservable(t *testing.T) {
 	rt := newRT(t)
 	m, _ := models.LeNet5(models.Config{})
 	cases := []RunConfig{
-		{Mechanism: MechCPUOnly, Unhealthy: ProcSetCPU},
-		{Mechanism: MechGPUOnly, Unhealthy: ProcSetGPU},
-		{Mechanism: MechMuLayer, Unhealthy: ProcSetCPU | ProcSetGPU},
-		{Mechanism: MechLayerToProcessor, Unhealthy: ProcSetCPU | ProcSetGPU},
+		{Mechanism: MechCPUOnly, Unhealthy: device.CPU.Bit()},
+		{Mechanism: MechGPUOnly, Unhealthy: device.GPU.Bit()},
+		{Mechanism: MechMuLayer, Unhealthy: device.CPU.Bit() | device.GPU.Bit()},
+		{Mechanism: MechLayerToProcessor, Unhealthy: device.CPU.Bit() | device.GPU.Bit()},
 	}
 	for _, rc := range cases {
 		if _, err := rt.Plan(m, rc); err == nil {
@@ -87,11 +63,11 @@ func TestDegradedUnservable(t *testing.T) {
 		}
 	}
 	// The NPU baseline dies with its NPU.
-	if _, err := rt.Plan(m, RunConfig{Mechanism: MechNPUOnly, Unhealthy: ProcSetNPU}); err == nil {
+	if _, err := rt.Plan(m, RunConfig{Mechanism: MechNPUOnly, Unhealthy: device.NPU.Bit()}); err == nil {
 		t.Fatal("NPU-only with NPU down: want error")
 	}
 	// Losing the NPU under three-way cooperation degrades to two-way.
-	if _, err := rt.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: ProcSetNPU}); err != nil {
+	if _, err := rt.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.NPU.Bit()}); err != nil {
 		t.Fatalf("mulayer with NPU down must still plan: %v", err)
 	}
 }
@@ -150,11 +126,11 @@ func TestDegradedOutputsBitIdentical(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		down ProcSet
+		down device.Set
 		p    float64
 	}{
-		{"gpu-down-p1", ProcSetGPU, 1},
-		{"cpu-down-p0", ProcSetCPU, 0},
+		{"gpu-down-p1", device.GPU.Bit(), 1},
+		{"cpu-down-p0", device.CPU.Bit(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := rt.Run(m, in, RunConfig{Mechanism: MechMuLayer, Numeric: true, Unhealthy: tc.down})
@@ -184,7 +160,7 @@ func TestDegradedPlanCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := c.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: ProcSetGPU})
+	degraded, err := c.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +171,7 @@ func TestDegradedPlanCacheKeys(t *testing.T) {
 		t.Fatalf("cache holds %d plans, want 2", got)
 	}
 	// Repeat lookups hit.
-	if p2, _ := c.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: ProcSetGPU}); p2 != degraded {
+	if p2, _ := c.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()}); p2 != degraded {
 		t.Fatal("degraded entry not reused")
 	}
 	// Degraded estimates work and differ from healthy ones (single-processor
@@ -204,7 +180,7 @@ func TestDegradedPlanCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Estimate(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: ProcSetGPU}, 1)
+	d, err := c.Estimate(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

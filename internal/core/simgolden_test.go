@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mulayer/internal/device"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
 	"mulayer/internal/sim"
@@ -132,8 +133,8 @@ func simGoldenLines(t *testing.T) []string {
 					continue
 				}
 				key := fmt.Sprintf("%s %s %s", s.name, z.name, mech)
-				for _, u := range []ProcSet{0, ProcSetCPU, ProcSetGPU, ProcSetNPU} {
-					if u == ProcSetNPU && s.soc.NPU == nil {
+				for _, u := range []device.Set{0, device.CPU.Bit(), device.GPU.Bit(), device.NPU.Bit()} {
+					if u == device.NPU.Bit() && s.soc.NPU == nil {
 						continue
 					}
 					plan, err := rt.Plan(m, RunConfig{Mechanism: mech, DType: tensor.QUInt8, Unhealthy: u})

@@ -22,6 +22,7 @@ package device
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"mulayer/internal/nn"
@@ -49,6 +50,31 @@ func (t Type) String() string {
 		return "NPU"
 	}
 	return fmt.Sprintf("Type(%d)", int(t))
+}
+
+// Set is a set of processor classes, class t at bit 1<<t: the processors
+// a tensor is coherent on, or the processors a degraded device must plan
+// around.
+type Set uint8
+
+// Bit returns the set holding only t.
+func (t Type) Bit() Set { return 1 << t }
+
+// Has reports whether the set contains t.
+func (s Set) Has(t Type) bool { return s&t.Bit() != 0 }
+
+// String implements fmt.Stringer ("cpu+gpu", "none").
+func (s Set) String() string {
+	if s == 0 {
+		return "none"
+	}
+	var parts []string
+	for t := CPU; t <= NPU; t++ {
+		if s.Has(t) {
+			parts = append(parts, strings.ToLower(t.String()))
+		}
+	}
+	return strings.Join(parts, "+")
 }
 
 // Processor is one compute device of a SoC.

@@ -152,3 +152,27 @@ func TestTypeString(t *testing.T) {
 		t.Error("type strings")
 	}
 }
+
+func TestSetString(t *testing.T) {
+	cases := map[Set]string{
+		0:                                 "none",
+		CPU.Bit():                         "cpu",
+		GPU.Bit():                         "gpu",
+		NPU.Bit():                         "npu",
+		CPU.Bit() | GPU.Bit():             "cpu+gpu",
+		CPU.Bit() | GPU.Bit() | NPU.Bit(): "cpu+gpu+npu",
+	}
+	for s, want := range cases {
+		if s.String() != want {
+			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
+		}
+	}
+	if !GPU.Bit().Has(GPU) || GPU.Bit().Has(CPU) {
+		t.Fatal("Has")
+	}
+	for _, p := range []Type{CPU, GPU, NPU} {
+		if p.Bit() != 1<<p {
+			t.Fatalf("%v.Bit() = %d, want bit %d", p, p.Bit(), int(p))
+		}
+	}
+}

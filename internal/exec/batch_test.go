@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"mulayer/internal/device"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
 	"mulayer/internal/tensor"
@@ -11,8 +12,8 @@ import (
 // batchPlans builds the policy plan set for a spec model.
 func batchPlans(t *testing.T, m *models.Model) BatchPlans {
 	t.Helper()
-	cpuO := partition.SingleProcessor(testSoC, testPred, partition.ProcCPU, tensor.QUInt8)
-	gpuO := partition.SingleProcessor(testSoC, testPred, partition.ProcGPU, tensor.F16)
+	cpuO := partition.SingleProcessor(testSoC, testPred, device.CPU, tensor.QUInt8)
+	gpuO := partition.SingleProcessor(testSoC, testPred, device.GPU, tensor.F16)
 	coopO := partition.MuLayer(testSoC, testPred)
 	cpuP, err := partition.Build(m.Graph, cpuO)
 	if err != nil {

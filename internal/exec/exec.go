@@ -108,8 +108,8 @@ type FaultHook func(p *device.Processor, kernel string, d time.Duration) (time.D
 // TraceEvent describes one kernel the executor booked on the simulated
 // timeline.
 type TraceEvent struct {
+	// Proc is the processor the kernel ran on; Proc.Type is its class.
 	Proc  *device.Processor
-	Side  partition.Proc
 	Label string
 	Kind  nn.OpKind
 	Node  graph.NodeID
@@ -153,25 +153,6 @@ type Result struct {
 	Timeline *sim.Timeline
 }
 
-// procMask tracks which processors hold a tensor coherently.
-type procMask uint8
-
-const (
-	onCPU procMask = 1 << iota
-	onGPU
-	onNPU
-)
-
-func maskOf(p partition.Proc) procMask {
-	switch p {
-	case partition.ProcCPU:
-		return onCPU
-	case partition.ProcNPU:
-		return onNPU
-	}
-	return onGPU
-}
-
 type runner struct {
 	g      *graph.Graph
 	cfg    Config
@@ -179,7 +160,7 @@ type runner struct {
 	tl     *sim.Timeline
 
 	ready      map[graph.NodeID]time.Duration
-	producedOn map[graph.NodeID]procMask
+	producedOn map[graph.NodeID]device.Set
 
 	// batch is the number of input rows fused into every kernel of this
 	// run (≥1). Rows share each layer's weights: activations, compute, and
@@ -210,9 +191,9 @@ type runner struct {
 	// every cost-model call.
 	failure error
 
-	// all is the mask of every processor present on the SoC; a tensor
+	// all is the set of every processor present on the SoC; a tensor
 	// with producedOn == all is coherent everywhere.
-	all procMask
+	all device.Set
 }
 
 // schedule books one kernel on the timeline, first consulting the fault
@@ -243,13 +224,13 @@ func (r *runner) schedule(p *device.Processor, label string, ready, dur time.Dur
 
 // traceKernel reports one booked kernel to the trace hook. Callers guard
 // on r.cfg.TraceHook != nil so untraced runs pay nothing.
-func (r *runner) traceKernel(p *device.Processor, side partition.Proc, label string, kind nn.OpKind,
+func (r *runner) traceKernel(p *device.Processor, label string, kind nn.OpKind,
 	node graph.NodeID, start, end, kernelDur time.Duration, share float64, cost nn.Cost) {
 	r.cfg.TraceHook(TraceEvent{
-		Proc: p, Side: side, Label: label, Kind: kind, Node: node,
+		Proc: p, Label: label, Kind: kind, Node: node,
 		Start: start, End: end, KernelDur: kernelDur,
 		P: share, Rows: r.batch, Cost: cost,
-		DType: r.cfg.Pipe.ComputeType(side), Converted: r.cfg.Pipe.Converted(side),
+		DType: r.cfg.Pipe.ComputeType(p.Type), Converted: r.cfg.Pipe.Converted(p.Type),
 	})
 }
 
@@ -260,13 +241,13 @@ func newRunner(g *graph.Graph, cfg Config, shapes map[graph.NodeID]tensor.Shape,
 		g: g, cfg: cfg, shapes: shapes,
 		tl:         tl,
 		ready:      make(map[graph.NodeID]time.Duration),
-		producedOn: make(map[graph.NodeID]procMask),
+		producedOn: make(map[graph.NodeID]device.Set),
 		batch:      1,
 		seq:        arrival,
-		all:        onCPU | onGPU,
+		all:        device.CPU.Bit() | device.GPU.Bit(),
 	}
 	if cfg.SoC.NPU != nil {
-		r.all |= onNPU
+		r.all |= device.NPU.Bit()
 	}
 	// The input arrives in zero-copy shared memory: visible everywhere.
 	in := g.Input()
@@ -396,27 +377,17 @@ func outputF32(vals map[graph.NodeID]any, id graph.NodeID) *tensor.Tensor {
 	return nil
 }
 
-// proc returns the device model for a processor.
-func (r *runner) proc(p partition.Proc) *device.Processor {
-	switch p {
-	case partition.ProcCPU:
-		return r.cfg.SoC.CPU
-	case partition.ProcNPU:
-		return r.cfg.SoC.NPU
-	}
-	return r.cfg.SoC.GPU
-}
-
 // inputsReady returns the time at which every input of node id is
 // available on the processors in need, charging CPU-GPU synchronization
 // when a tensor was produced elsewhere (zero-copy map/unmap, or a full
-// copy in the ablation configuration).
-func (r *runner) inputsReady(id graph.NodeID, need procMask) time.Duration {
+// copy in the ablation configuration). Fused batches carry one activation
+// buffer per row, so the synchronized bytes scale with the row count.
+func (r *runner) inputsReady(id graph.NodeID, need device.Set) time.Duration {
 	var ready time.Duration
 	for _, in := range r.g.Node(id).Inputs {
 		t := r.ready[in]
 		if need&^r.producedOn[in] != 0 {
-			t += r.syncCost(in)
+			t += r.cfg.Pipe.TensorSync(r.cfg.SoC, int64(r.shapes[in].Elems()), r.batch, r.cfg.ZeroCopy)
 			// After synchronization the tensor is coherent everywhere.
 			r.producedOn[in] = r.all
 			r.ready[in] = t
@@ -428,166 +399,87 @@ func (r *runner) inputsReady(id graph.NodeID, need procMask) time.Duration {
 	return ready
 }
 
-// syncCost is the latency of making one tensor visible across processors:
-// zero-copy cache maintenance over the buffer, or a full copy in the
-// ablation configuration. Fused batches carry one activation buffer per
-// row, so the maintained bytes scale with the row count.
-func (r *runner) syncCost(id graph.NodeID) time.Duration {
-	bytes := int64(r.shapes[id].Elems()) * r.cfg.Pipe.Storage.Size() * int64(r.batch)
-	if r.cfg.ZeroCopy {
-		return r.cfg.SoC.SyncCost(bytes)
-	}
-	// The copy-based path still performs the cache maintenance and then
-	// moves the buffer through DRAM on top.
-	copyT := float64(bytes) / (r.cfg.SoC.CPU.MemBWGBs * 1e9)
-	return r.cfg.SoC.CopySyncOverhead + r.cfg.SoC.SyncCost(bytes) + time.Duration(copyT*float64(time.Second))
-}
-
-// sideWork builds the device work item for one processor's share of a
-// layer.
-func (r *runner) sideWork(p partition.Proc, kind nn.OpKind, c nn.Cost, sideCh int) device.Work {
-	ssz := r.cfg.Pipe.Storage.Size()
-	wsz := r.cfg.Pipe.WeightBytes(p)
-	// The resident set stays per-row under fusion: a row-paneled kernel
-	// streams one row tile at a time past the cache-resident weight block,
-	// so batching widens the panel without pushing the layer over the
-	// cache knee.
-	perRowIn := c.InElems / int64(r.batch)
-	return device.Work{
-		Kind:            kind,
-		MACs:            c.MACs,
-		MovedBytes:      c.InElems*ssz + c.WElems*wsz + c.OutElems*ssz,
-		WorkingSetBytes: perRowIn*ssz + c.WElems*wsz,
-		Compute:         r.cfg.Pipe.ComputeType(p),
-		Converted:       r.cfg.Pipe.Converted(p),
-		SideChannels:    sideCh,
-		Rows:            r.batch,
-	}
-}
-
-// runWhole schedules one whole layer, whose input shapes are ins, on one
-// processor, starting no earlier than floor. chargeLaunch=false models
-// back-to-back command enqueueing within a branch: consecutive GPU kernels
-// of the same branch need no CPU round-trip, so only the branch's first
-// kernel pays the dispatch latency.
-func (r *runner) runWhole(id graph.NodeID, ins []tensor.Shape, p partition.Proc, chargeLaunch bool, floor time.Duration) {
-	n := r.g.Node(id)
-	cost := r.scaleBatch(n.Layer.Cost(ins))
-	ready := r.inputsReady(id, maskOf(p))
-	if floor > ready {
-		ready = floor
-	}
-	proc := r.proc(p)
-	w := r.sideWork(p, n.Layer.Kind(), cost, 0)
-	kernelDur := proc.KernelTime(w)
-	dur := kernelDur
-	if chargeLaunch {
-		dur += proc.LaunchOverhead
-	}
-	start, end := r.schedule(proc, n.Layer.Name(), ready, dur, proc.KernelEnergyPJ(w))
-	if r.cfg.TraceHook != nil {
-		r.traceKernel(proc, p, n.Layer.Name(), n.Layer.Kind(), id, start, end, kernelDur, 1, cost)
-	}
-	r.launches++
-	r.dramBytes += w.MovedBytes
-	r.ready[id] = end
-	r.producedOn[id] = maskOf(p)
-	r.eachLive(func(vals map[graph.NodeID]any) error {
-		out, err := r.allocOut(id, vals)
-		if err != nil {
-			return err
-		}
-		if err := r.forward(id, out, 0, max(n.Layer.SplitChannels(ins), 1), p, vals); err != nil {
-			return err
-		}
-		vals[id] = out
-		return nil
-	})
-}
-
 // sideLabel suffixes the kernel label of each processor's share of a
 // split layer.
 var sideLabel = [3]string{"[cpu]", "[gpu]", "[npu]"}
 
 // runLayer executes one plan layer step. partition.Channels turns the
-// step's shares into whole output-channel counts; a step on one processor
-// runs the whole layer there, and otherwise each active processor computes
-// its contiguous channel range (CPU, then GPU, then NPU) concurrently and
-// the partial outputs merge through one synchronization (§3.2, §8.3).
+// step's shares into whole output-channel counts.
 func (r *runner) runLayer(st *partition.LayerStep) {
-	id := st.Node
+	ins := r.g.InputShapes(st.Node, r.shapes)
+	ch := partition.Channels(st.P, st.PNPU, r.g.Node(st.Node).Layer.SplitChannels(ins))
+	r.seq = r.runNode(st.Node, ins, ch, r.seq, true)
+}
+
+// runBranch executes one branch-distributed fork-join group: every branch
+// runs whole on its assigned processor, branches on the same processor
+// serialize, and the downstream join synchronizes on all of them (§5).
+func (r *runner) runBranch(st *partition.BranchStep) {
+	floor := r.seq
+	var groupEnd time.Duration
+	for i, br := range st.Group.Branches {
+		for j, id := range br {
+			ins := r.g.InputShapes(id, r.shapes)
+			var ch [3]int
+			ch[st.Assign[i]] = max(r.g.Node(id).Layer.SplitChannels(ins), 1)
+			// A branch's kernels are enqueued back-to-back: only the first
+			// pays the dispatch latency (§6's asynchronous command issue).
+			groupEnd = max(groupEnd, r.runNode(id, ins, ch, floor, j == 0))
+		}
+	}
+	r.seq = groupEnd
+}
+
+// runNode runs node id, whose input shapes are ins, at the output-channel
+// counts ch, starting no earlier than floor, and returns when its output
+// is ready. A node on one processor runs whole there; otherwise each
+// active processor computes its contiguous channel range (CPU, then GPU,
+// then NPU) concurrently and the partial outputs merge through one
+// synchronization (§3.2, §8.3). chargeLaunch=false models back-to-back
+// command enqueueing within a branch: consecutive kernels of the same
+// branch need no CPU round-trip, so only the branch's first kernel pays
+// the dispatch latency.
+func (r *runner) runNode(id graph.NodeID, ins []tensor.Shape, ch [3]int, floor time.Duration, chargeLaunch bool) time.Duration {
 	n := r.g.Node(id)
-	ins := r.g.InputShapes(id, r.shapes)
-	ch := partition.Channels(st.P, st.PNPU, n.Layer.SplitChannels(ins))
-	var need procMask
-	var last partition.Proc
+	var need device.Set
 	for i, k := range ch {
 		if k > 0 {
-			last = partition.Proc(i)
-			need |= maskOf(last)
+			need |= device.Type(i).Bit()
 		}
 	}
-	if need == maskOf(last) {
-		r.runWhole(id, ins, last, true, r.seq)
-		r.seq = r.ready[id]
-		return
-	}
-
-	share := partition.Shares(ch)
+	split := need&(need-1) != 0 // more than one processor
 	cost := r.scaleBatch(n.Layer.Cost(ins))
 	kind := n.Layer.Kind()
-	ready := max(r.inputsReady(id, need), r.seq)
-
-	// Accelerator commands are enqueued asynchronously and their dispatch
-	// latency runs on the accelerator (§6). Under blocking issue the CPU
-	// stalls for every accelerator's dispatch before its own share, and
-	// each accelerator starts its kernel once its dispatch completes.
-	var stall time.Duration
-	if !r.cfg.AsyncIssue {
-		for _, p := range [...]partition.Proc{partition.ProcGPU, partition.ProcNPU} {
-			if ch[p] > 0 {
-				stall += r.proc(p).LaunchOverhead
-			}
-		}
-	}
+	ready := max(r.inputsReady(id, need), floor)
+	slots := r.cfg.Pipe.StepSlots(r.cfg.SoC, kind, cost, ch, r.batch, r.cfg.AsyncIssue)
+	share := partition.Shares(ch)
 	var end time.Duration
 	for i, k := range ch {
 		if k == 0 {
 			continue
 		}
-		p := partition.Proc(i)
-		proc := r.proc(p)
-		w := r.sideWork(p, kind, cost.Scale(share[p]), k)
-		kernelDur := proc.KernelTime(w)
-		start, dur := ready, proc.LaunchOverhead+kernelDur
-		switch {
-		case r.cfg.AsyncIssue:
-		case p == partition.ProcCPU:
-			dur += stall
-		default:
-			start, dur = ready+proc.LaunchOverhead, kernelDur
+		p := device.Type(i)
+		sl, proc, label := slots[p], r.cfg.SoC.Proc(p), n.Layer.Name()
+		if split {
+			label += sideLabel[p]
 		}
-		label := n.Layer.Name() + sideLabel[p]
-		s, e := r.schedule(proc, label, start, dur, proc.KernelEnergyPJ(w))
+		if !chargeLaunch {
+			sl.Dur = sl.Kernel
+		}
+		s, e := r.schedule(proc, label, ready+sl.Start, sl.Dur, proc.KernelEnergyPJ(sl.Work))
 		if r.cfg.TraceHook != nil {
-			r.traceKernel(proc, p, label, kind, id, s, e, kernelDur, share[p], cost)
+			r.traceKernel(proc, label, kind, id, s, e, sl.Kernel, share[p], cost)
 		}
 		r.launches++
-		r.dramBytes += w.MovedBytes
+		r.dramBytes += sl.Work.MovedBytes
 		end = max(end, e)
 	}
-	// Merge: with zero-copy memory the partial outputs already live in the
-	// same buffer; the merge is the map/unmap barrier, whose cache
-	// maintenance covers the shared input and output buffers.
-	ssz := r.cfg.Pipe.Storage.Size()
-	end += r.cfg.SoC.SyncCost((cost.InElems + cost.OutElems) * ssz)
-	if !r.cfg.ZeroCopy {
-		bytes := int64(r.shapes[id].Elems()) * ssz * int64(r.batch)
-		end += r.cfg.SoC.CopySyncOverhead + time.Duration(float64(bytes)/(r.cfg.SoC.CPU.MemBWGBs*1e9)*float64(time.Second))
+	r.producedOn[id] = need
+	if split {
+		end += r.cfg.Pipe.MergeSync(r.cfg.SoC, cost, r.cfg.ZeroCopy)
+		r.producedOn[id] = r.all
 	}
 	r.ready[id] = end
-	r.producedOn[id] = r.all
-	r.seq = end
 
 	r.eachLive(func(vals map[graph.NodeID]any) error {
 		out, err := r.allocOut(id, vals)
@@ -599,7 +491,7 @@ func (r *runner) runLayer(st *partition.LayerStep) {
 			if k == 0 {
 				continue
 			}
-			if err := r.forward(id, out, lo, lo+k, partition.Proc(i), vals); err != nil {
+			if err := r.forward(id, out, lo, lo+k, device.Type(i), vals); err != nil {
 				return err
 			}
 			lo += k
@@ -607,26 +499,7 @@ func (r *runner) runLayer(st *partition.LayerStep) {
 		vals[id] = out
 		return nil
 	})
-}
-
-// runBranch executes one branch-distributed fork-join group: every branch
-// runs whole on its assigned processor, branches on the same processor
-// serialize, and the downstream join synchronizes on all of them (§5).
-func (r *runner) runBranch(st *partition.BranchStep) {
-	floor := r.seq
-	var groupEnd time.Duration
-	for i, br := range st.Group.Branches {
-		p := st.Assign[i]
-		for j, id := range br {
-			// A branch's kernels are enqueued back-to-back: only the first
-			// pays the dispatch latency (§6's asynchronous command issue).
-			r.runWhole(id, r.g.InputShapes(id, r.shapes), p, j == 0, floor)
-		}
-		if end := r.ready[br[len(br)-1]]; end > groupEnd {
-			groupEnd = end
-		}
-	}
-	r.seq = groupEnd
+	return end
 }
 
 // allocOut allocates the node's output tensor in the storage type.
@@ -677,7 +550,7 @@ type qViaF16Forwarder interface {
 // the pipeline of processor side, reading and writing one batch member's
 // value map. A layer with no kernel for the pipeline is a malformed plan:
 // a returned error (a 500 at the serving layer), not a crash.
-func (r *runner) forward(id graph.NodeID, out any, c0, c1 int, side partition.Proc, vals map[graph.NodeID]any) error {
+func (r *runner) forward(id graph.NodeID, out any, c0, c1 int, side device.Type, vals map[graph.NodeID]any) error {
 	n := r.g.Node(id)
 	layer := n.Layer
 	switch r.cfg.Pipe.Storage {

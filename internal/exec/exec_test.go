@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mulayer/internal/device"
 	"mulayer/internal/graph"
 	"mulayer/internal/models"
 	"mulayer/internal/nn"
@@ -78,7 +79,7 @@ func TestCooperativeSplitBitExactVsSingleCPU(t *testing.T) {
 	in := testInput(m)
 	pipe := partition.Uniform(tensor.QUInt8)
 
-	single := buildPlan(t, m, partition.SingleProcessor(testSoC, testPred, partition.ProcCPU, tensor.QUInt8))
+	single := buildPlan(t, m, partition.SingleProcessor(testSoC, testPred, device.CPU, tensor.QUInt8))
 	refRes, err := Run(m.Graph, single, in, runCfg(m, pipe, true))
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestMechanismLatencyOrdering(t *testing.T) {
 			}
 			mu := run(partition.MuLayer(s, pred), partition.ProcessorFriendly())
 			l2p := run(partition.LayerToProcessor(s, pred), partition.Uniform(tensor.QUInt8))
-			cpuQ := run(partition.SingleProcessor(s, pred, partition.ProcCPU, tensor.QUInt8), partition.Uniform(tensor.QUInt8))
+			cpuQ := run(partition.SingleProcessor(s, pred, device.CPU, tensor.QUInt8), partition.Uniform(tensor.QUInt8))
 			if mu >= l2p {
 				t.Errorf("%s/%s: μLayer %v !< layer-to-proc %v", s.Name, m.Name, mu, l2p)
 			}
@@ -324,7 +325,7 @@ func TestF32AndF16PipelinesNumeric(t *testing.T) {
 	refVals, _ := m.RunF32(in)
 	ref := refVals[m.Graph.Output()]
 	for _, dt := range []tensor.DataType{tensor.F32, tensor.F16} {
-		plan := buildPlan(t, m, partition.SingleProcessor(testSoC, testPred, partition.ProcGPU, dt))
+		plan := buildPlan(t, m, partition.SingleProcessor(testSoC, testPred, device.GPU, dt))
 		res, err := Run(m.Graph, plan, in, runCfg(m, partition.Uniform(dt), true))
 		if err != nil {
 			t.Fatal(err)

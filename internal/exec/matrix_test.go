@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"mulayer/internal/device"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
 	"mulayer/internal/tensor"
@@ -43,15 +44,15 @@ func TestModelMechanismMatrix(t *testing.T) {
 	}
 	pipes := []pipeline{
 		{"f32-gpu", func(m *models.Model) (partition.Options, Config) {
-			o := partition.SingleProcessor(testSoC, testPred, partition.ProcGPU, tensor.F32)
+			o := partition.SingleProcessor(testSoC, testPred, device.GPU, tensor.F32)
 			return o, runCfg(m, o.Pipe, true)
 		}},
 		{"f16-gpu", func(m *models.Model) (partition.Options, Config) {
-			o := partition.SingleProcessor(testSoC, testPred, partition.ProcGPU, tensor.F16)
+			o := partition.SingleProcessor(testSoC, testPred, device.GPU, tensor.F16)
 			return o, runCfg(m, o.Pipe, true)
 		}},
 		{"u8-cpu", func(m *models.Model) (partition.Options, Config) {
-			o := partition.SingleProcessor(testSoC, testPred, partition.ProcCPU, tensor.QUInt8)
+			o := partition.SingleProcessor(testSoC, testPred, device.CPU, tensor.QUInt8)
 			return o, runCfg(m, o.Pipe, true)
 		}},
 		{"mulayer", func(m *models.Model) (partition.Options, Config) {

@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"mulayer/internal/device"
 	"mulayer/internal/models"
 	"mulayer/internal/nn"
 	"mulayer/internal/partition"
@@ -31,7 +32,7 @@ func TestThreeWaySplitBitExactVsSingleCPU(t *testing.T) {
 	in := testInput(m)
 	pipe := partition.Uniform(tensor.QUInt8)
 
-	single, err := partition.Build(m.Graph, partition.SingleProcessor(npuSoC, npuPred, partition.ProcCPU, tensor.QUInt8))
+	single, err := partition.Build(m.Graph, partition.SingleProcessor(npuSoC, npuPred, device.CPU, tensor.QUInt8))
 	if err != nil {
 		t.Fatal(err)
 	}

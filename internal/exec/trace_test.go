@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mulayer/internal/device"
 	"mulayer/internal/models"
 	"mulayer/internal/nn"
 	"mulayer/internal/partition"
@@ -75,8 +76,8 @@ func TestTraceHookCoversEveryLayer(t *testing.T) {
 			if sum := evs[0].P + evs[1].P; math.Abs(sum-1) > 1e-9 {
 				t.Fatalf("split shares sum to %v, want 1", sum)
 			}
-			if evs[0].Side == evs[1].Side {
-				t.Fatalf("split node %d traced twice on side %v", st.Layer.Node, evs[0].Side)
+			if evs[0].Proc.Type == evs[1].Proc.Type {
+				t.Fatalf("split node %d traced twice on side %v", st.Layer.Node, evs[0].Proc.Type)
 			}
 		}
 	}
@@ -145,10 +146,10 @@ func TestTraceHookThreeWay(t *testing.T) {
 		}
 		threeWay++
 		sum := 0.0
-		sides := map[partition.Proc]bool{}
+		sides := map[device.Type]bool{}
 		for _, ev := range evs {
 			sum += ev.P
-			sides[ev.Side] = true
+			sides[ev.Proc.Type] = true
 		}
 		if math.Abs(sum-1) > 1e-9 || len(sides) != 3 {
 			t.Fatalf("three-way node %d: shares sum %v across %d sides", st.Layer.Node, sum, len(sides))

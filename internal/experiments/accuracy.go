@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mulayer/internal/dataset"
+	"mulayer/internal/device"
 	"mulayer/internal/exec"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
@@ -54,7 +55,7 @@ func accuracyModels(cfg AccuracyConfig) []struct {
 // the uniform QUInt8 pipeline on the CPU.
 func quantPredictor(m *models.Model, e *Env) func(*tensor.Tensor) ([]float32, error) {
 	s := e.SoCs[0]
-	plan, err := partition.Build(m.Graph, partition.SingleProcessor(s, e.Pred(s), partition.ProcCPU, tensor.QUInt8))
+	plan, err := partition.Build(m.Graph, partition.SingleProcessor(s, e.Pred(s), device.CPU, tensor.QUInt8))
 	if err != nil {
 		panic(err)
 	}
@@ -74,7 +75,7 @@ func quantPredictor(m *models.Model, e *Env) func(*tensor.Tensor) ([]float32, er
 // halfPredictor scores the uniform F16 pipeline.
 func halfPredictor(m *models.Model, e *Env) func(*tensor.Tensor) ([]float32, error) {
 	s := e.SoCs[0]
-	plan, err := partition.Build(m.Graph, partition.SingleProcessor(s, e.Pred(s), partition.ProcGPU, tensor.F16))
+	plan, err := partition.Build(m.Graph, partition.SingleProcessor(s, e.Pred(s), device.GPU, tensor.F16))
 	if err != nil {
 		panic(err)
 	}

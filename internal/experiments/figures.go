@@ -32,6 +32,7 @@ func (e *Env) Figure5() (*Table, error) {
 		Header: []string{"layer", "7420 CPU(ms)", "7420 GPU(ms)", "7420 CPU/GPU", "7880 CPU(ms)", "7880 GPU(ms)", "7880 CPU/GPU"},
 	}
 	hi, mid := e.SoCs[0], e.SoCs[1]
+	f32 := partition.Uniform(tensor.F32)
 	var hiRatios, midRatios []float64
 	for i := 0; i < m.Graph.Len(); i++ {
 		n := m.Graph.Node(graph.NodeID(i))
@@ -42,9 +43,8 @@ func (e *Env) Figure5() (*Table, error) {
 		c := n.Layer.Cost(m.Graph.InputShapes(n.ID, shapes))
 		row := []string{n.Layer.Name()}
 		for _, s := range []*soc.SoC{hi, mid} {
-			cw := layerWork(kind, c, tensor.F32, tensor.F32.Size())
-			cpu := s.CPU.KernelTime(cw)
-			gpu := s.GPU.KernelTime(cw)
+			cpu := s.CPU.KernelTime(f32.Work(device.CPU, kind, c, 0, 1))
+			gpu := s.GPU.KernelTime(f32.Work(device.GPU, kind, c, 0, 1))
 			row = append(row, ms(cpu), ms(gpu), ratio(cpu, gpu))
 			if s == hi {
 				hiRatios = append(hiRatios, float64(cpu)/float64(gpu))
@@ -60,16 +60,6 @@ func (e *Env) Figure5() (*Table, error) {
 	return t, nil
 }
 
-func layerWork(kind nn.OpKind, c nn.Cost, dt tensor.DataType, wBytes int64) device.Work {
-	ssz := dt.Size()
-	return device.Work{
-		Kind: kind, MACs: c.MACs,
-		MovedBytes:      c.InElems*ssz + c.WElems*wBytes + c.OutElems*ssz,
-		WorkingSetBytes: c.InElems*ssz + c.WElems*wBytes,
-		Compute:         dt,
-	}
-}
-
 // Figure6 reproduces the whole-network CPU vs GPU latency comparison
 // across the five NNs on both SoCs (§3.1).
 func (e *Env) Figure6() (*Table, error) {
@@ -81,11 +71,11 @@ func (e *Env) Figure6() (*Table, error) {
 	for _, s := range e.SoCs {
 		pred := e.Pred(s)
 		for _, m := range e.Specs() {
-			cpu, err := e.RunMechanism(m, s, partition.SingleProcessor(s, pred, partition.ProcCPU, tensor.F32))
+			cpu, err := e.RunMechanism(m, s, partition.SingleProcessor(s, pred, device.CPU, tensor.F32))
 			if err != nil {
 				return nil, err
 			}
-			gpu, err := e.RunMechanism(m, s, partition.SingleProcessor(s, pred, partition.ProcGPU, tensor.F32))
+			gpu, err := e.RunMechanism(m, s, partition.SingleProcessor(s, pred, device.GPU, tensor.F32))
 			if err != nil {
 				return nil, err
 			}
@@ -107,16 +97,16 @@ func (e *Env) Figure8() (*Table, error) {
 	for _, s := range e.SoCs {
 		pred := e.Pred(s)
 		for _, m := range e.Specs() {
-			lat := func(p partition.Proc, dt tensor.DataType) time.Duration {
+			lat := func(p device.Type, dt tensor.DataType) time.Duration {
 				r, err := e.RunMechanism(m, s, partition.SingleProcessor(s, pred, p, dt))
 				if err != nil {
 					panic(err)
 				}
 				return r.Latency
 			}
-			base := lat(partition.ProcCPU, tensor.F32)
+			base := lat(device.CPU, tensor.F32)
 			row := []string{m.Name, s.Name}
-			for _, p := range []partition.Proc{partition.ProcCPU, partition.ProcGPU} {
+			for _, p := range []device.Type{device.CPU, device.GPU} {
 				for _, dt := range []tensor.DataType{tensor.F32, tensor.F16, tensor.QUInt8} {
 					row = append(row, ratio(lat(p, dt), base))
 				}
@@ -139,7 +129,7 @@ func (e *Env) Figure12() (*Table, error) {
 	}
 	s := e.SoCs[0]
 	pred := e.Pred(s)
-	cpuOnly, err := e.RunMechanism(m, s, partition.SingleProcessor(s, pred, partition.ProcCPU, tensor.QUInt8))
+	cpuOnly, err := e.RunMechanism(m, s, partition.SingleProcessor(s, pred, device.CPU, tensor.QUInt8))
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +189,7 @@ func (e *Env) Figure16() (*Table, error) {
 			l2p := lat(partition.LayerToProcessor(s, pred))
 			mu := lat(partition.MuLayer(s, pred))
 			row := []string{m.Name, s.Name}
-			for _, p := range []partition.Proc{partition.ProcCPU, partition.ProcGPU} {
+			for _, p := range []device.Type{device.CPU, device.GPU} {
 				for _, dt := range []tensor.DataType{tensor.F32, tensor.F16, tensor.QUInt8} {
 					row = append(row, ratio(lat(partition.SingleProcessor(s, pred, p, dt)), l2p))
 				}
@@ -273,7 +263,7 @@ func (e *Env) Figure18() (*Table, error) {
 			l2p := energy(partition.LayerToProcessor(s, pred))
 			mu := energy(partition.MuLayer(s, pred))
 			row := []string{m.Name, s.Name}
-			for _, p := range []partition.Proc{partition.ProcCPU, partition.ProcGPU} {
+			for _, p := range []device.Type{device.CPU, device.GPU} {
 				for _, dt := range []tensor.DataType{tensor.F32, tensor.F16, tensor.QUInt8} {
 					row = append(row, fmt.Sprintf("%.2f", energy(partition.SingleProcessor(s, pred, p, dt))/l2p))
 				}

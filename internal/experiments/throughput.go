@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mulayer/internal/device"
 	"mulayer/internal/exec"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
@@ -67,8 +68,8 @@ func (e *Env) ExtensionThroughput(batch int) (*Table, error) {
 // buildBatchPlans assembles the per-policy plans: single-CPU QUInt8,
 // single-GPU F16 (each processor's preferred type), and the μLayer plan.
 func buildBatchPlans(m *models.Model, s *soc.SoC, pred *profile.Predictor) (exec.BatchPlans, error) {
-	cpuO := partition.SingleProcessor(s, pred, partition.ProcCPU, tensor.QUInt8)
-	gpuO := partition.SingleProcessor(s, pred, partition.ProcGPU, tensor.F16)
+	cpuO := partition.SingleProcessor(s, pred, device.CPU, tensor.QUInt8)
+	gpuO := partition.SingleProcessor(s, pred, device.GPU, tensor.F16)
 	coopO := partition.MuLayer(s, pred)
 	cpuP, err := partition.Build(m.Graph, cpuO)
 	if err != nil {

@@ -119,12 +119,6 @@ func RoundNormal(f float32) (r float32, ok bool) {
 	return math.Float32frombits((u + 0xfff + (u>>13)&1) &^ 0x1fff), true
 }
 
-// FromFloat64 converts a float64 to binary16. The double rounding through
-// float32 is harmless here because float32 has more than twice the binary16
-// significand width plus two, which makes the composition exact for the
-// round-to-nearest-even mode.
-func FromFloat64(f float64) F16 { return FromFloat32(float32(f)) }
-
 // Float64 converts the binary16 value to float64 exactly.
 func (h F16) Float64() float64 { return float64(h.Float32()) }
 

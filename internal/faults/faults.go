@@ -17,6 +17,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -143,15 +144,7 @@ func (c Config) Validate() error {
 
 // procMatches reports whether the filter admits a processor class.
 func (c Config) procMatches(t device.Type) bool {
-	switch c.Proc {
-	case "cpu":
-		return t == device.CPU
-	case "gpu":
-		return t == device.GPU
-	case "npu":
-		return t == device.NPU
-	}
-	return true
+	return c.Proc == "" || strings.EqualFold(c.Proc, t.String())
 }
 
 // Stats is a snapshot of an injector's decision counters.

@@ -109,15 +109,6 @@ func (b *Builder) Build(output NodeID) (*Graph, error) {
 	return g, nil
 }
 
-// MustBuild is Build for static model definitions, panicking on error.
-func (b *Builder) MustBuild(output NodeID) *Graph {
-	g, err := b.Build(output)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Len returns the number of nodes (including the input pseudo-node).
 func (g *Graph) Len() int { return len(g.nodes) }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"mulayer/internal/device"
 	"mulayer/internal/profile"
 	"mulayer/internal/soc"
 	"mulayer/internal/tensor"
@@ -13,10 +14,10 @@ import (
 
 // SingleProcessor runs the whole network on one processor with a uniform
 // data type (Figures 6, 8, 16).
-func SingleProcessor(s *soc.SoC, pred *profile.Predictor, p Proc, dt tensor.DataType) Options {
+func SingleProcessor(s *soc.SoC, pred *profile.Predictor, p device.Type, dt tensor.DataType) Options {
 	return Options{
 		SoC: s, Pred: pred, Pipe: Uniform(dt),
-		AllowCPU: p == ProcCPU, AllowGPU: p == ProcGPU,
+		AllowCPU: p == device.CPU, AllowGPU: p == device.GPU,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mulayer/internal/device"
 	"mulayer/internal/graph"
 	"mulayer/internal/models"
 	"mulayer/internal/nn"
@@ -31,12 +32,12 @@ func TestChannelsPartition(t *testing.T) {
 				return false
 			}
 		}
-		if ch[ProcCPU]+ch[ProcGPU]+ch[ProcNPU] != splitCh {
+		if ch[device.CPU]+ch[device.GPU]+ch[device.NPU] != splitCh {
 			return false
 		}
 		// A two-processor split keeps at least one channel on each side.
 		if n == 0 && c > 0 && c < 1 && splitCh >= 2 {
-			return ch[ProcCPU] >= 1 && ch[ProcGPU] >= 1
+			return ch[device.CPU] >= 1 && ch[device.GPU] >= 1
 		}
 		return true
 	}
@@ -75,7 +76,7 @@ func TestThreeWayGridCoversSimplex(t *testing.T) {
 	o.candidates(nn.OpConv, splitCh, func(p, pn float64) {
 		n++
 		ch := Channels(p, pn, splitCh)
-		if ch[ProcCPU]+ch[ProcGPU]+ch[ProcNPU] != splitCh {
+		if ch[device.CPU]+ch[device.GPU]+ch[device.NPU] != splitCh {
 			t.Fatalf("candidate %v does not cover the layer", ch)
 		}
 		if seen[ch] {
@@ -192,17 +193,18 @@ func TestThreeWayBranchSearchChargesForkEntry(t *testing.T) {
 	g := m.Graph
 	// allOn is the makespan of the group with every branch on p, before
 	// any fork-entry sync.
-	allOn := func(bg graph.BranchGroup, p Proc) time.Duration {
+	allOn := func(bg graph.BranchGroup, p device.Type) time.Duration {
 		var sum, cross time.Duration
 		for _, br := range bg.Branches {
 			for _, id := range br {
 				n := g.Node(id)
-				sum += o.simKernel(p, n.Layer.Kind(), n.Layer.Cost(g.InputShapes(id, shapes)), 0)
+				sum += o.SoC.Proc(p).KernelTime(o.Pipe.Work(p, n.Layer.Kind(), n.Layer.Cost(g.InputShapes(id, shapes)), 0, 1))
 			}
-			sum += o.proc(p).LaunchOverhead
-			if p != ProcCPU {
+			sum += o.SoC.Proc(p).LaunchOverhead
+			if p != device.CPU {
 				last := br[len(br)-1]
-				cross = max(cross, o.SoC.SyncCost(int64(shapes[last].Elems())*o.Pipe.Storage.Size()))
+				b := int64(shapes[last].Elems()) * o.Pipe.Storage.Size()
+				cross = max(cross, o.SoC.SyncCost(b, b, true))
 			}
 		}
 		return sum + cross
@@ -217,19 +219,20 @@ func TestThreeWayBranchSearchChargesForkEntry(t *testing.T) {
 		splitCh := fork.Layer.SplitChannels(ins)
 		fp, fpn, _ := o.bestSplit(fork.Layer.Kind(), fork.Layer.Cost(ins), splitCh)
 		ch := Channels(fp, fpn, splitCh)
-		home := Proc(-1)
+		home := device.Type(-1)
 		for p, k := range ch {
 			if k == max(splitCh, 1) {
-				home = Proc(p)
+				home = device.Type(p)
 			}
 		}
 		if home < 0 {
 			continue // a cooperative fork is coherent everywhere
 		}
 		_, _, eval := o.simBranchSearch(g, bg, shapes)
-		forkSync := o.SoC.SyncCost(int64(shapes[bg.Fork].Elems()) * o.Pipe.Storage.Size())
-		for p := ProcCPU; p <= ProcNPU; p++ {
-			assign := make([]Proc, len(bg.Branches))
+		b := int64(shapes[bg.Fork].Elems()) * o.Pipe.Storage.Size()
+		forkSync := o.SoC.SyncCost(b, b, true)
+		for p := device.CPU; p <= device.NPU; p++ {
+			assign := make([]device.Type, len(bg.Branches))
 			for i := range assign {
 				assign[i] = p
 			}

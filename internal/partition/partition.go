@@ -24,29 +24,16 @@ import (
 	"mulayer/internal/tensor"
 )
 
-// Proc identifies a processor within a SoC.
-type Proc int
+// Proc, ProcCPU and ProcGPU are the planner's former names for
+// device.Type, device.CPU and device.GPU, kept for the benchmark harness,
+// a separate module.
+type Proc = device.Type
 
-// The processors of the modeled SoCs. ProcNPU exists only on NPU-equipped
-// SoC variants (the §8.3 extension).
+// The CPU and GPU classes under their former planner names.
 const (
-	ProcCPU Proc = iota
-	ProcGPU
-	ProcNPU
+	ProcCPU = device.CPU
+	ProcGPU = device.GPU
 )
-
-// String implements fmt.Stringer.
-func (p Proc) String() string {
-	switch p {
-	case ProcCPU:
-		return "CPU"
-	case ProcGPU:
-		return "GPU"
-	case ProcNPU:
-		return "NPU"
-	}
-	return fmt.Sprintf("Proc(%d)", int(p))
-}
 
 // Pipeline describes which arithmetic each processor uses and how
 // activations are stored between layers.
@@ -82,11 +69,11 @@ func ProcessorFriendly() Pipeline {
 }
 
 // ComputeType returns the compute data type for one processor.
-func (pl Pipeline) ComputeType(p Proc) tensor.DataType {
+func (pl Pipeline) ComputeType(p device.Type) tensor.DataType {
 	switch p {
-	case ProcCPU:
+	case device.CPU:
 		return pl.CPUType
-	case ProcNPU:
+	case device.NPU:
 		return pl.NPUType
 	}
 	return pl.GPUType
@@ -94,14 +81,14 @@ func (pl Pipeline) ComputeType(p Proc) tensor.DataType {
 
 // Converted reports whether the processor's kernels convert between
 // storage and compute types on the fly.
-func (pl Pipeline) Converted(p Proc) bool {
-	return p == ProcGPU && pl.GPUConverted
+func (pl Pipeline) Converted(p device.Type) bool {
+	return p == device.GPU && pl.GPUConverted
 }
 
 // WeightBytes returns the per-element weight storage width on a processor:
 // μLayer uploads GPU filters dequantized to F16 (§6), so the converted
 // pipeline reads 2-byte weights on the GPU and 1-byte weights on the CPU.
-func (pl Pipeline) WeightBytes(p Proc) int64 {
+func (pl Pipeline) WeightBytes(p device.Type) int64 {
 	if pl.Converted(p) {
 		return tensor.F16.Size()
 	}
@@ -123,7 +110,7 @@ type LayerStep struct {
 // assigned to processors; no layer inside is channel-split (§5).
 type BranchStep struct {
 	Group  graph.BranchGroup
-	Assign []Proc // Assign[i] runs Group.Branches[i]
+	Assign []device.Type // Assign[i] runs Group.Branches[i]
 }
 
 // Step is one plan entry: exactly one of Layer or Branch is set.
@@ -197,17 +184,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// proc returns the device model for one processor.
-func (o Options) proc(p Proc) *device.Processor {
-	switch p {
-	case ProcCPU:
-		return o.SoC.CPU
-	case ProcNPU:
-		return o.SoC.NPU
-	}
-	return o.SoC.GPU
-}
-
 // npuEnabled reports whether the SoC's NPU joins the CPU and the GPU as a
 // third cooperative target — the §8.3 extension: "the channel-wise
 // workload distribution can be extended to distribute a layer's output
@@ -218,19 +194,12 @@ func (o Options) npuEnabled() bool {
 
 // predictKernel estimates the kernel time of one full layer on a
 // processor (no dispatch overhead).
-func (o Options) predictKernel(p Proc, kind nn.OpKind, c nn.Cost) time.Duration {
-	return o.Pred.Predict(o.proc(p).Name, kind, o.Pipe.ComputeType(p), o.Pipe.Converted(p), c)
-}
-
-// coopSync estimates the per-layer merge synchronization of a cooperative
-// layer: the zero-copy map/unmap maintains coherence over the shared input
-// and output buffers.
-func (o Options) coopSync(c nn.Cost) time.Duration {
-	return o.SoC.SyncCost((c.InElems + c.OutElems) * o.Pipe.Storage.Size())
+func (o Options) predictKernel(p device.Type, kind nn.OpKind, c nn.Cost) time.Duration {
+	return o.Pred.Predict(o.SoC.Proc(p).Name, kind, o.Pipe.ComputeType(p), o.Pipe.Converted(p), c)
 }
 
 // Channels turns a layer step's CPU share p and NPU share pn into whole
-// output-channel counts, indexed by Proc, for a layer with c split
+// output-channel counts, indexed by device.Type, for a layer with c split
 // channels (c < 1 counts as one channel: a layer that cannot split). It
 // is the one channel rule: the planner scores, the device model times and
 // the executor runs exactly these counts. An NPU share of 1 runs the
@@ -244,18 +213,18 @@ func Channels(p, pn float64, c int) (ch [3]int) {
 	round := func(share float64) int { return int(math.Round(share * float64(c))) }
 	switch {
 	case pn >= 1:
-		ch[ProcNPU] = c
+		ch[device.NPU] = c
 	case pn <= 0 && p <= 0:
-		ch[ProcGPU] = c
+		ch[device.GPU] = c
 	case c < 2 || (pn <= 0 && p >= 1):
-		ch[ProcCPU] = c
+		ch[device.CPU] = c
 	case pn > 0:
-		ch[ProcCPU] = min(round(p), c)
-		ch[ProcNPU] = min(round(pn), c-ch[ProcCPU])
-		ch[ProcGPU] = c - ch[ProcCPU] - ch[ProcNPU]
+		ch[device.CPU] = min(round(p), c)
+		ch[device.NPU] = min(round(pn), c-ch[device.CPU])
+		ch[device.GPU] = c - ch[device.CPU] - ch[device.NPU]
 	default:
-		ch[ProcCPU] = min(max(round(p), 1), c-1)
-		ch[ProcGPU] = c - ch[ProcCPU]
+		ch[device.CPU] = min(max(round(p), 1), c-1)
+		ch[device.GPU] = c - ch[device.CPU]
 	}
 	return ch
 }
@@ -266,10 +235,10 @@ func Channels(p, pn float64, c int) (ch [3]int) {
 // two-processor split). nn.Cost.Scale truncates, so computing the GPU's
 // own fraction instead could move a figure by an ulp.
 func Shares(ch [3]int) (s [3]float64) {
-	c := float64(ch[ProcCPU] + ch[ProcGPU] + ch[ProcNPU])
-	s[ProcCPU] = float64(ch[ProcCPU]) / c
-	s[ProcNPU] = float64(ch[ProcNPU]) / c
-	s[ProcGPU] = 1 - s[ProcCPU] - s[ProcNPU]
+	c := float64(ch[device.CPU] + ch[device.GPU] + ch[device.NPU])
+	s[device.CPU] = float64(ch[device.CPU]) / c
+	s[device.NPU] = float64(ch[device.NPU]) / c
+	s[device.GPU] = 1 - s[device.CPU] - s[device.NPU]
 	return s
 }
 
@@ -298,7 +267,7 @@ func (o Options) candidates(kind nn.OpKind, splitCh int, try func(p, pn float64)
 		for q := 0; q <= 4; q++ {
 			for g := 0; q+g <= 4; g++ {
 				ch := Channels(float64(q)/4, float64(4-q-g)/4, splitCh)
-				try(float64(ch[ProcCPU])/c, float64(ch[ProcNPU])/c)
+				try(float64(ch[device.CPU])/c, float64(ch[device.NPU])/c)
 			}
 		}
 	default:
@@ -332,7 +301,7 @@ func (o Options) bestSplit(kind nn.OpKind, c nn.Cost, splitCh int) (p, pn float6
 	o.candidates(kind, splitCh, func(cp, cpn float64) {
 		ch := Channels(cp, cpn, splitCh)
 		share := Shares(ch)
-		n := ch[ProcCPU] + ch[ProcGPU] + ch[ProcNPU]
+		n := ch[device.CPU] + ch[device.GPU] + ch[device.NPU]
 		var t time.Duration
 		active := 0
 		for i, k := range ch {
@@ -340,18 +309,19 @@ func (o Options) bestSplit(kind nn.OpKind, c nn.Cost, splitCh int) (p, pn float6
 				continue
 			}
 			active++
-			side := Proc(i)
+			side := device.Type(i)
 			if full[side] == 0 {
 				full[side] = o.predictKernel(side, kind, c)
 			}
+			proc := o.SoC.Proc(side)
 			eff := 1.0
 			if k < n {
-				eff = o.proc(side).SplitEfficiency(k)
+				eff = proc.SplitEfficiency(k)
 			}
-			t = max(t, time.Duration(float64(full[side])*share[side]/eff)+o.proc(side).LaunchOverhead)
+			t = max(t, time.Duration(float64(full[side])*share[side]/eff)+proc.LaunchOverhead)
 		}
 		if active > 1 {
-			t += o.coopSync(c)
+			t += o.Pipe.MergeSync(o.SoC, c, true)
 		}
 		if first || t < best {
 			first = false
@@ -480,26 +450,6 @@ func (p *Plan) SplitCount() int {
 		}
 	}
 	return n
-}
-
-// MeanSplit returns the mean CPU split ratio over the plan's layer steps —
-// the one-number split summary surfaced by plan caches and serving
-// metrics. Branch-distributed steps carry no split ratio and are skipped;
-// a plan with no layer steps reports 0.
-func (p *Plan) MeanSplit() float64 {
-	var sum float64
-	n := 0
-	for _, s := range p.Steps {
-		if s.Layer == nil {
-			continue
-		}
-		sum += s.Layer.P
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // BranchCount returns the number of branch-distributed groups in the plan.

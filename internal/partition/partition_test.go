@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"mulayer/internal/device"
 	"mulayer/internal/graph"
 	"mulayer/internal/models"
 	"mulayer/internal/nn"
@@ -44,14 +45,14 @@ func coverageOK(t *testing.T, m *models.Model, p *Plan) {
 
 func TestSingleProcessorPlans(t *testing.T) {
 	m := mustModel(t, models.VGG16)
-	for _, proc := range []Proc{ProcCPU, ProcGPU} {
+	for _, proc := range []device.Type{device.CPU, device.GPU} {
 		plan, err := Build(m.Graph, SingleProcessor(testSoC, testPred, proc, tensor.F32))
 		if err != nil {
 			t.Fatal(err)
 		}
 		coverageOK(t, m, plan)
 		wantP := 1.0
-		if proc == ProcGPU {
+		if proc == device.GPU {
 			wantP = 0
 		}
 		for _, s := range plan.Steps {
@@ -165,10 +166,10 @@ func TestBranchAssignmentIsArgmin(t *testing.T) {
 		// Exhaustively verify no mapping scores better under the same cost
 		// formula.
 		b := len(bg.Branches)
-		cand := make([]Proc, b)
+		cand := make([]device.Type, b)
 		for mask := 0; mask < 1<<b; mask++ {
 			for i := 0; i < b; i++ {
-				cand[i] = Proc(mask >> i & 1)
+				cand[i] = device.Type(mask >> i & 1)
 			}
 			if tt := eval(cand); tt < best {
 				t.Fatalf("mask %b beats chosen assignment: %v < %v", mask, tt, best)
@@ -243,25 +244,19 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestProcString(t *testing.T) {
-	if ProcCPU.String() != "CPU" || ProcGPU.String() != "GPU" {
-		t.Error("proc strings")
-	}
-}
-
 func TestPipelineAccessors(t *testing.T) {
 	pf := ProcessorFriendly()
-	if pf.ComputeType(ProcCPU) != tensor.QUInt8 || pf.ComputeType(ProcGPU) != tensor.F16 {
+	if pf.ComputeType(device.CPU) != tensor.QUInt8 || pf.ComputeType(device.GPU) != tensor.F16 {
 		t.Error("processor-friendly compute types")
 	}
-	if !pf.Converted(ProcGPU) || pf.Converted(ProcCPU) {
+	if !pf.Converted(device.GPU) || pf.Converted(device.CPU) {
 		t.Error("conversion flags")
 	}
-	if pf.WeightBytes(ProcCPU) != 1 || pf.WeightBytes(ProcGPU) != 2 {
+	if pf.WeightBytes(device.CPU) != 1 || pf.WeightBytes(device.GPU) != 2 {
 		t.Error("weight widths: CPU u8, GPU dequantized F16")
 	}
 	u := Uniform(tensor.F32)
-	if u.WeightBytes(ProcGPU) != 4 || u.Converted(ProcGPU) {
+	if u.WeightBytes(device.GPU) != 4 || u.Converted(device.GPU) {
 		t.Error("uniform pipeline")
 	}
 }

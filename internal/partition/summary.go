@@ -3,6 +3,8 @@ package partition
 import (
 	"fmt"
 	"strings"
+
+	"mulayer/internal/device"
 )
 
 // PlanSummary condenses a plan for observability surfaces: trace span
@@ -55,7 +57,7 @@ func (p *Plan) Summary() PlanSummary {
 // when the plan has no branch groups) with processors in a fixed order.
 func (s PlanSummary) BranchMap() string {
 	var parts []string
-	for _, proc := range []Proc{ProcCPU, ProcGPU, ProcNPU} {
+	for proc := device.CPU; proc <= device.NPU; proc++ {
 		if n := s.Branches[proc.String()]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%s:%d", proc, n))
 		}

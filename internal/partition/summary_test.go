@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"mulayer/internal/device"
 	"mulayer/internal/graph"
 )
 
@@ -15,7 +16,7 @@ func TestPlanSummary(t *testing.T) {
 		{Layer: &LayerStep{Node: 5, P: 0.25, PNPU: 0.25}},
 		{Branch: &BranchStep{
 			Group:  graph.BranchGroup{Branches: [][]graph.NodeID{{6}, {7}, {8}}},
-			Assign: []Proc{ProcCPU, ProcGPU, ProcGPU},
+			Assign: []device.Type{device.CPU, device.GPU, device.GPU},
 		}},
 	}}
 	s := plan.Summary()

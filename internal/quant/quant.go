@@ -89,28 +89,6 @@ func (p Params) Dequantize(q uint8) float32 {
 	return float32(p.Scale * float32(int32(q)-int32(p.ZeroPoint)))
 }
 
-// QuantizeSlice quantizes src into a freshly allocated byte slice.
-func (p Params) QuantizeSlice(src []float32) []uint8 {
-	dst := make([]uint8, len(src))
-	for i, v := range src {
-		dst[i] = p.Quantize(v)
-	}
-	return dst
-}
-
-// DequantizeSlice dequantizes src into a freshly allocated float32 slice.
-func (p Params) DequantizeSlice(src []uint8) []float32 {
-	dst := make([]float32, len(src))
-	for i, v := range src {
-		dst[i] = p.Dequantize(v)
-	}
-	return dst
-}
-
-// MaxRoundTripError returns the worst-case absolute error of representing a
-// value inside the params' range: half a quantization step.
-func (p Params) MaxRoundTripError() float32 { return p.Scale / 2 }
-
 // RangeMin returns the smallest representable real value.
 func (p Params) RangeMin() float32 { return p.Dequantize(0) }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mulayer/internal/core"
+	"mulayer/internal/device"
 	"mulayer/internal/faults"
 	"mulayer/internal/server/metrics"
 	"mulayer/internal/soc"
@@ -253,7 +254,7 @@ func TestCircuitBreakerStateMachine(t *testing.T) {
 	d := &poolDevice{name: "x"}
 	now := time.Now()
 	const thr = 2
-	step := func(perm core.ProcSet) string {
+	step := func(perm device.Set) string {
 		return d.recordFailure(perm, thr, time.Second, 4*time.Second, now)
 	}
 
@@ -304,10 +305,10 @@ func TestCircuitBreakerStateMachine(t *testing.T) {
 		t.Fatalf("after recovery: %+v, want a clean device", h)
 	}
 	// Losing both processors is terminal: no probe, no recovery.
-	if tr := step(core.ProcSetCPU); tr != "degraded" {
+	if tr := step(device.CPU.Bit()); tr != "degraded" {
 		t.Fatalf("CPU death transitioned %q, want degraded", tr)
 	}
-	if tr := step(core.ProcSetGPU); tr != "dead" {
+	if tr := step(device.GPU.Bit()); tr != "dead" {
 		t.Fatalf("GPU death transitioned %q, want dead", tr)
 	}
 	if d.canServe(now.Add(time.Hour)) {

@@ -72,21 +72,10 @@ func (h healthState) String() string {
 	return breaker.State(h).String()
 }
 
-// procSetOfType maps a device processor class to its core mask bit.
-func procSetOfType(t device.Type) core.ProcSet {
-	switch t {
-	case device.CPU:
-		return core.ProcSetCPU
-	case device.NPU:
-		return core.ProcSetNPU
-	}
-	return core.ProcSetGPU
-}
-
 // healthSnapshot is one device's health view (for /readyz and /statusz).
 type healthSnapshot struct {
 	State    healthState
-	Down     core.ProcSet
+	Down     device.Set
 	Failures int
 	Until    time.Time // quarantine expiry (zero unless quarantined)
 }
@@ -152,11 +141,11 @@ func (d *poolDevice) recordSuccess() (recovered bool) {
 // permDown marks processors the fault killed permanently. It returns the
 // transition taken ("" when the failure stayed under the threshold).
 // Device open periods are not jittered.
-func (d *poolDevice) recordFailure(permDown core.ProcSet, threshold int, backoff, backoffMax time.Duration, now time.Time) string {
+func (d *poolDevice) recordFailure(permDown device.Set, threshold int, backoff, backoffMax time.Duration, now time.Time) string {
 	d.hmu.Lock()
 	defer d.hmu.Unlock()
 	d.down |= permDown
-	if d.down.Has(core.ProcSetCPU) && d.down.Has(core.ProcSetGPU) {
+	if d.down.Has(device.CPU) && d.down.Has(device.GPU) {
 		d.dead = true
 		return "dead"
 	}

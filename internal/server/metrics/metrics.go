@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // collector is one named metric family.
@@ -416,6 +415,3 @@ func RatioBuckets() []float64 {
 	return []float64{0.125, 0.25, 0.5, 0.7, 0.8, 0.9, 0.95,
 		1.05, 1.1, 1.25, 1.5, 2, 4, 8}
 }
-
-// DurationSeconds converts a time.Duration to seconds for Observe.
-func DurationSeconds(d time.Duration) float64 { return d.Seconds() }

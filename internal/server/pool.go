@@ -8,6 +8,7 @@ import (
 
 	"mulayer/internal/breaker"
 	"mulayer/internal/core"
+	"mulayer/internal/device"
 	"mulayer/internal/faults"
 )
 
@@ -43,8 +44,8 @@ type poolDevice struct {
 	// when taking hmu, never the reverse.
 	hmu  sync.Mutex
 	br   breaker.Breaker
-	down core.ProcSet // processors that died permanently
-	dead bool         // both CPU and GPU died: terminal, whatever br says
+	down device.Set // processors that died permanently
+	dead bool       // both CPU and GPU died: terminal, whatever br says
 }
 
 // buildPool instantiates the device pool: Workers independent runtimes

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mulayer/internal/core"
+	"mulayer/internal/device"
 	"mulayer/internal/dispatch"
 	"mulayer/internal/exec"
 	"mulayer/internal/faults"
@@ -717,13 +718,13 @@ func (s *Scheduler) failMembers(d *poolDevice, g *batchGroup, cause error) {
 		s.mets.watchdogTrips.With(wd.Proc).Inc()
 	}
 	var f *faults.Fault
-	var permDown core.ProcSet
+	var permDown device.Set
 	if errors.As(cause, &f) {
 		if f.Device == "" {
 			f.Device = d.name
 		}
 		if f.Kind == faults.Die {
-			permDown = procSetOfType(f.ProcType)
+			permDown = f.ProcType.Bit()
 		}
 	}
 	switch d.recordFailure(permDown, s.cfg.FailThreshold, s.cfg.QuarantineBackoff, s.cfg.backoffCap(), time.Now()) {
@@ -878,11 +879,11 @@ func (s *Scheduler) runBatchPaced(d *poolDevice, g *batchGroup, fused []exec.Fus
 		opts.Trace = func(ev exec.TraceEvent) {
 			predicted := pred.PredictSplit(ev.Proc.Name, ev.Kind, ev.DType, ev.Converted, ev.Cost, ev.P)
 			if ev.KernelDur > 0 {
-				s.mets.predErr.With(ev.Side.String(), ev.Kind.String(), mechName).
+				s.mets.predErr.With(ev.Proc.Type.String(), ev.Kind.String(), mechName).
 					Observe(float64(predicted) / float64(ev.KernelDur))
 			}
 			capture.Spans = append(capture.Spans, trace.KernelSpan{
-				Proc: ev.Proc.Name, Side: ev.Side.String(), Label: ev.Label,
+				Proc: ev.Proc.Name, Side: ev.Proc.Type.String(), Label: ev.Label,
 				Kind: ev.Kind.String(), Start: ev.Start, End: ev.End,
 				P: ev.P, Rows: ev.Rows, Predicted: predicted, Actual: ev.KernelDur,
 			})

@@ -50,9 +50,6 @@ func (t *Timeline) Schedule(proc, label string, ready, dur time.Duration, energy
 	return start, end
 }
 
-// Avail returns the time at which proc becomes free.
-func (t *Timeline) Avail(proc string) time.Duration { return t.avail[proc] }
-
 // Spans returns a copy of the recorded spans in scheduling order.
 func (t *Timeline) Spans() []Span { return append([]Span(nil), t.spans...) }
 

@@ -51,11 +51,28 @@ type SoC struct {
 	CopySyncOverhead time.Duration
 }
 
-// SyncCost returns the latency of one zero-copy CPU-GPU synchronization
-// over coherentBytes of shared buffers.
-func (s *SoC) SyncCost(coherentBytes int64) time.Duration {
+// SyncCost returns the latency of one CPU-GPU synchronization: the
+// zero-copy cache maintenance over coherentBytes of shared buffers and,
+// without zero-copy memory (the ablation), a copy of copiedBytes through
+// DRAM on top.
+func (s *SoC) SyncCost(coherentBytes, copiedBytes int64, zeroCopy bool) time.Duration {
 	t := float64(coherentBytes) / (s.SyncBWGBs * 1e9)
-	return s.SyncOverhead + time.Duration(t*float64(time.Second))
+	d := s.SyncOverhead + time.Duration(t*float64(time.Second))
+	if !zeroCopy {
+		d += s.CopySyncOverhead + time.Duration(float64(copiedBytes)/(s.CPU.MemBWGBs*1e9)*float64(time.Second))
+	}
+	return d
+}
+
+// Proc returns the processor of class t (nil for an NPU the SoC lacks).
+func (s *SoC) Proc(t device.Type) *device.Processor {
+	switch t {
+	case device.CPU:
+		return s.CPU
+	case device.NPU:
+		return s.NPU
+	}
+	return s.GPU
 }
 
 // Processors returns the SoC's processors, CPU first, NPU (if any) last.
