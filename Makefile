@@ -4,15 +4,17 @@
 #   make test        fast test run (no race detector)
 #   make race        race-enabled test run
 #   make cover       coverage gates for the serving subsystem, the kernels,
-#                    the layers, the planner, the executor and the runtime
+#                    the quantizer, the layers, the planner, the executor
+#                    and the runtime
 #   make chaos-smoke seeded fault-injection run under the race detector
 #   make trace-smoke end-to-end tracing/observability run under the race detector
 #   make overload-smoke saturation run with the full overload stack armed
 #   make fleet-smoke three-backend fleet with a mid-run backend kill/restart
 #   make chaos-fleet-smoke four-backend fleet under injected network gray faults
-#   make cross       the gemm and nn tests on 386 (the portable Go tiles),
-#                    vet on arm64, and no fused multiply-add in the amd64
-#                    assembly or in arm64 or GOAMD64=v3 compiler output
+#   make cross       the gemm, quant, nn and cpu tests on 386 (the portable
+#                    Go tiles and scalar output stages), vet on arm64, and
+#                    no fused multiply-add in the amd64 assembly or in arm64
+#                    or GOAMD64=v3 compiler output
 #   make fuzz-smoke  10s-per-target fuzz pass over every fuzz corpus, plus
 #                    the QUInt8 tiles' int32 wrap test at k past 2³²/255²
 #   make bench-smoke every Go benchmark in the root module, run once
@@ -29,6 +31,9 @@ COVER_FLOOR ?= 75
 # internal/gemm statement coverage floor (measured 99.1% when each GEMM
 # call went to one goroutine and one tile level per host).
 GEMM_COVER_FLOOR ?= 95
+# internal/quant statement coverage floor (measured 93.2% when the output
+# stages gained their AVX2 bodies).
+QUANT_COVER_FLOOR ?= 90
 # internal/nn statement coverage floor (measured 79.6% when the warm conv
 # forwards became allocation-free).
 NN_COVER_FLOOR ?= 75
@@ -63,21 +68,24 @@ vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 
-# amd64 hosts with AVX2 run the assembly tiles (internal/gemm/tile_amd64.s);
-# every other host runs the portable Go tiles the amd64 tests compare
-# them against. 386 binaries run on an amd64 host, so that build's tests
-# run those tiles for real; arm64 is type- and vet-checked. The arm64
+# amd64 hosts with AVX2 run the assembly tiles and packs
+# (internal/gemm/tile_amd64.s) and output stages
+# (internal/quant/quant_amd64.s); every other host runs the portable Go
+# tiles and the scalar output stages the amd64 tests compare them
+# against. 386 binaries run on an amd64 host, so that build's tests run
+# those for real; arm64 is type- and vet-checked. The arm64
 # compiler fuses an unconverted a*b + c into one FMADD, and the amd64
 # compiler into one VFMADD once GOAMD64=v3 allows FMA, skipping the
 # product's rounding, so kernels, plans and sim_* figures would differ
 # between builds in the last bits: every float product feeding an add is
 # written float32(a*b) or float64(a*b). The last three steps fail when
-# the hand-written amd64 assembly, the arm64 compiler's output or the
-# GOAMD64=v3 compiler's output holds a fused multiply-add.
+# any hand-written amd64 file under internal (the gemm tiles and packs,
+# the quant output stages, the cpu feature check), the arm64 compiler's
+# output or the GOAMD64=v3 compiler's output holds a fused multiply-add.
 FUSED_AMD64 = VFMADD|VFMSUB|VFNMADD|VFNMSUB
 cross:
-	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn
-	GOARCH=arm64 $(GO) vet ./internal/gemm ./internal/nn
+	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/quant ./internal/nn ./internal/cpu
+	GOARCH=arm64 $(GO) vet ./internal/gemm ./internal/quant ./internal/nn ./internal/cpu
 	GOARCH=arm64 $(GO) build ./...
 	@if grep -rnE '$(FUSED_AMD64)' --include='*.s' internal; then \
 		echo 'cross: the amd64 assembly above fuses multiply-adds; keep one multiply and one add (DESIGN.md §8)' >&2; exit 1; fi
@@ -102,7 +110,7 @@ cover:
 			if (p + 0 < f + 0) { printf "cover: %s %.1f%% is below the %s%% floor\n", pkg, p, f; exit 1 } \
 			printf "cover: %s %.1f%% (floor %s%%)\n", pkg, p, f }'; \
 	}; \
-	check ./internal/server/ $(COVER_FLOOR) && check ./internal/gemm/ $(GEMM_COVER_FLOOR) && check ./internal/nn/ $(NN_COVER_FLOOR) && check ./internal/frontend/ $(FRONTEND_COVER_FLOOR) && check ./internal/breaker/ $(BREAKER_COVER_FLOOR) && \
+	check ./internal/server/ $(COVER_FLOOR) && check ./internal/gemm/ $(GEMM_COVER_FLOOR) && check ./internal/quant/ $(QUANT_COVER_FLOOR) && check ./internal/nn/ $(NN_COVER_FLOOR) && check ./internal/frontend/ $(FRONTEND_COVER_FLOOR) && check ./internal/breaker/ $(BREAKER_COVER_FLOOR) && \
 	check ./internal/partition/ $(PARTITION_COVER_FLOOR) && check ./internal/exec/ $(EXEC_COVER_FLOOR) && \
 	check ./internal/core/ $(CORE_COVER_FLOOR)
 
@@ -133,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzRequantize$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzRoundingDivideByPOT$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzRequantizeStrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/quant -run='^$$' -fuzz='^FuzzHalfSums$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/f16 -run='^$$' -fuzz='^FuzzFromFloat32$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/f16 -run='^$$' -fuzz='^FuzzArithmetic$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzDecodeInferRequest$$' -fuzztime=$(FUZZTIME)

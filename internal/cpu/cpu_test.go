@@ -1,7 +1,8 @@
-package gemm
+package cpu
 
 import (
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -9,8 +10,14 @@ import (
 
 // The CPUID/XGETBV check agrees with the kernel's own view of the CPU:
 // Linux lists avx2 among a processor's flags only when the CPU has it
-// and the kernel saves the YMM state, the two things cpuHasAVX2 checks.
-func TestCPUHasAVX2MatchesCPUInfo(t *testing.T) {
+// and the kernel saves the YMM state, the two things hasAVX2 checks.
+func TestAVX2MatchesCPUInfo(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		if AVX2 {
+			t.Fatalf("AVX2 set on %s", runtime.GOARCH)
+		}
+		return
+	}
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no /proc/cpuinfo: %v", err)
@@ -20,12 +27,8 @@ func TestCPUHasAVX2MatchesCPUInfo(t *testing.T) {
 		if !ok || strings.TrimSpace(name) != "flags" {
 			continue
 		}
-		want := slices.Contains(strings.Fields(flags), "avx2")
-		if got := cpuHasAVX2(); got != want {
-			t.Fatalf("cpuHasAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, want)
-		}
-		if got, want := tiles.name == "avx2", want; got != want {
-			t.Fatalf("kernels run %q with avx2 listed: %v", tiles.name, want)
+		if want := slices.Contains(strings.Fields(flags), "avx2"); AVX2 != want {
+			t.Fatalf("AVX2 = %v, /proc/cpuinfo lists avx2: %v", AVX2, want)
 		}
 		return
 	}

@@ -12,8 +12,8 @@ import (
 // Differential fuzzing of the packed/tiled kernels against the naive
 // *Ref oracles. The fuzzer drives the shape (m,k,n), the zero points,
 // and the data seed; each execution multiplies through the conv entry
-// points at MatrixGeom, so operand packing, the column tails narrower
-// than a tile, the odd-k pair padding, and the zero-point decomposition
+// points at MatrixGeom, so operand packing, the column tails padded to a
+// whole tile, the odd-k pair padding, and the zero-point decomposition
 // are all under test, bit for bit. Seed corpus pins the degenerate
 // shapes: 1×1×1, m below a single panel, k=1, and n off the tile width.
 

@@ -48,10 +48,23 @@ func ConvF32(pa *PackedAF32, in []float32, g ConvGeom, epi func(r, j0 int, row [
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
 	p := newPatches(s, in, g, 0, &s.pf32)
-	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j int, col []float32) {
-		src := p.in[p.at[j]:]
-		for l, o := range p.off {
-			col[l] = src[o]
+	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j0, w int, cols [][nr]float32) {
+		at, off := p.at[j0:j0+w], p.off
+		for j := 0; j < w; j += nr {
+			panel := cols[j/nr*len(off):][:len(off)]
+			if j+nr > w { // the padded last panel, column by column
+				for c := range w - j {
+					src := p.in[at[j+c]:]
+					for l, o := range off {
+						panel[l][c] = src[o]
+					}
+				}
+				break
+			}
+			c0, c1, c2, c3 := p.in[at[j]:], p.in[at[j+1]:], p.in[at[j+2]:], p.in[at[j+3]:]
+			for l, o := range off {
+				panel[l] = [nr]float32{c0[o], c1[o], c2[o], c3[o]}
+			}
 		}
 	}, epi)
 }
@@ -72,10 +85,23 @@ func ConvF16(pa *PackedAF16, in []f16.F16, g ConvGeom, epi func(r, j0 int, row [
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
 	p := newPatches(s, in, g, 0, &s.ph)
-	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j int, col []float32) {
-		src := p.in[p.at[j]:]
-		for l, o := range p.off {
-			col[l] = src[o].Float32()
+	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j0, w int, cols [][nr]float32) {
+		at, off := p.at[j0:j0+w], p.off
+		for j := 0; j < w; j += nr {
+			panel := cols[j/nr*len(off):][:len(off)]
+			if j+nr > w { // the padded last panel, column by column
+				for c := range w - j {
+					src := p.in[at[j+c]:]
+					for l, o := range off {
+						panel[l][c] = src[o].Float32()
+					}
+				}
+				break
+			}
+			c0, c1, c2, c3 := p.in[at[j]:], p.in[at[j+1]:], p.in[at[j+2]:], p.in[at[j+3]:]
+			for l, o := range off {
+				panel[l] = [nr]float32{c0[o].Float32(), c1[o].Float32(), c2[o].Float32(), c3[o].Float32()}
+			}
 		}
 	}, epi)
 }
@@ -176,14 +202,30 @@ func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb u
 	s := operands.Get().(*scratch)
 	defer operands.Put(s)
 	p := newPatches(s, in, g, zb, &s.pu8)
-	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j int, col []float32) {
-		src, lt, l := p.in[p.at[j]:], lut[:], 0
-		for ; l+4 <= len(p.off); l += 4 {
-			o, c := p.off[l:l+4:l+4], col[l:l+4:l+4]
-			c[0], c[1], c[2], c[3] = lt[src[o[0]]], lt[src[o[1]]], lt[src[o[2]]], lt[src[o[3]]]
-		}
-		for ; l < len(p.off); l++ {
-			col[l] = lt[src[p.off[l]]]
+	// The run pack is reached through a function value, which would move
+	// a table the caller keeps on its stack to the heap; pooled scratch
+	// is on the heap already.
+	s.lut = *lut
+	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j0, w int, cols [][nr]float32) {
+		at, off, lt := p.at[j0:j0+w], p.off, &s.lut
+		for j := 0; j < w; j += nr {
+			panel := cols[j/nr*len(off):][:len(off)]
+			switch {
+			case j+nr > w: // the padded last panel, column by column
+				for c := range w - j {
+					src := p.in[at[j+c]:]
+					for l, o := range off {
+						panel[l][c] = lt[src[o]]
+					}
+				}
+			case at[j+nr-1]-at[j] == nr-1: // one nr-byte run per tap
+				tiles.runLUT(panel, p.in[at[j]:], off, lt)
+			default:
+				c0, c1, c2, c3 := p.in[at[j]:], p.in[at[j+1]:], p.in[at[j+2]:], p.in[at[j+3]:]
+				for l, o := range off {
+					panel[l] = [nr]float32{lt[c0[o]], lt[c1[o]], lt[c2[o]], lt[c3[o]]}
+				}
+			}
 		}
 	}, epi)
 }

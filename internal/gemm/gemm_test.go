@@ -593,8 +593,9 @@ func BenchmarkQGEMMFCShapedPacked(b *testing.B) {
 
 // BenchmarkF32FCTail times the float GEMV of a 10-class classifier over
 // 1024 features: 10 output rows fill one 8-row panel and part of a
-// second, so the tail panel's wasted rows show here (go test -bench
-// F32FCTail -cpu 1).
+// second, and the one column is padded to a full nr-column tile, so the
+// tail panel's wasted rows and the padding columns show here (go test
+// -bench F32FCTail -cpu 1).
 func BenchmarkF32FCTail(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	m, k := 10, 1024
@@ -636,6 +637,32 @@ func BenchmarkConvPack(b *testing.B) {
 		b.Run("QViaF16/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ConvQViaF16(pf, in, c.g, &lut, 3, func(int, int, []float32) {})
+			}
+		})
+	}
+}
+
+// BenchmarkPackQ times packQ alone on two geometries with the same
+// K = 288 and N = 784 (28×28 outputs): a 1×1 convolution over 288
+// planes, whose every column panel is one contiguous run per tap pair,
+// and a padded 3×3 convolution over 32 planes, whose panels are runs
+// only within an output row.
+func BenchmarkPackQ(b *testing.B) {
+	rng := rand.New(rand.NewSource(14))
+	for _, c := range []struct {
+		name string
+		g    ConvGeom
+	}{
+		{"1x1", ConvGeom{InC: 288, InH: 28, InW: 28, KH: 1, KW: 1, StrideH: 1, StrideW: 1}},
+		{"3x3p1", ConvGeom{InC: 32, InH: 28, InW: 28, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	} {
+		in := randU8(c.g.InC*c.g.InH*c.g.InW, rng)
+		b.Run(c.name, func(b *testing.B) {
+			s := new(scratch)
+			n := c.g.PatchCols()
+			b.SetBytes(int64(c.g.PatchRows() * n))
+			for i := 0; i < b.N; i++ {
+				s.packQ(newPatches(s, in, c.g, 3, &s.pu8), 128, 0, n)
 			}
 		})
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mulayer/internal/cpu"
 )
 
 // floatSpecials are the binary32 values whose products and sums most
@@ -32,10 +34,14 @@ func eachTileLevel(fn func(lv tileLevel)) {
 // have it) must equal the portable Go tiles bit for bit on the same
 // 8-row packs, for every k the lane arguments care about (odd k pads a
 // pair; 66051/66052 straddle k·255² = 2³²) and every column count from a
-// lone tail column to two tiles plus one, run through tileStrip as the
-// drivers run them over a full panel and a partial one. Without AVX2 the
-// only level is the Go tiles and the comparison is trivially true.
+// lone column to two tiles plus one, packed with zero columns up to whole
+// tiles and run through tileStrip as the drivers run them over a full
+// panel and a partial one. Without AVX2 the only level is the Go tiles
+// and the comparison is trivially true.
 func TestTilesMatchPortable(t *testing.T) {
+	if got := tiles.name == "avx2"; got != cpu.AVX2 {
+		t.Fatalf("kernels run %q with cpu.AVX2 %v", tiles.name, cpu.AVX2)
+	}
 	rng := rand.New(rand.NewSource(24))
 	for _, k := range []int{1, 2, 3, 7, 66051, 66052, 140000} {
 		for _, operand := range []string{"extreme", "random"} {
@@ -67,7 +73,23 @@ func TestTilesMatchPortable(t *testing.T) {
 				b := u8(k * nc)
 				s := new(scratch)
 				words, _ := s.packQ(newPatches(s, b, MatrixGeom(k, nc), 0, &s.pu8), 0, 0, nc)
-				cols := f32(k * nc) // column-major, as fMul packs them
+				wp := padCols(nc)
+				if len(words) != wp/nr*kp {
+					t.Fatalf("k=%d nc=%d: packQ packed %d steps, want %d", k, nc, len(words), wp/nr*kp)
+				}
+				flat := f32(k * wp)
+				cols := make([][nr]float32, wp/nr*k) // as fMul packs them
+				for i := range cols {
+					copy(cols[i][:], flat[i*nr:])
+				}
+				for c := nc; c < wp; c++ { // the last panel's padding columns
+					for l := 0; l < k; l++ {
+						if l < kp && words[(wp/nr-1)*kp+l][c%nr] != 0 {
+							t.Fatalf("k=%d nc=%d: packQ padding column %d step %d is not zero", k, nc, c, l)
+						}
+						cols[(wp/nr-1)*k+l][c%nr] = 0
+					}
+				}
 				var wantQ [2][]int32
 				for i, zp := range []int32{0, 255} {
 					wantQ[i] = make([]int32, m*nc)
@@ -75,18 +97,18 @@ func TestTilesMatchPortable(t *testing.T) {
 				}
 				for p := 0; p*mr < m; p++ {
 					panelQ, panelF := pq.data[p*kp:(p+1)*kp], pf.data[p*k:(p+1)*k]
-					want, wantF := make([]int32, mr*nc), make([]float32, mr*nc)
-					tileStrip(panelQ, words, want, qTileGo, qTileGo)
-					tileStrip(panelF, cols, wantF, fTileGo, fTileGo)
+					want, wantF := make([]int32, mr*wp), make([]float32, mr*wp)
+					tileStrip(panelQ, words, want, qTileGo)
+					tileStrip(panelF, cols, wantF, fTileGo)
 					eachTileLevel(func(lv tileLevel) {
-						got, gotF := make([]int32, mr*nc), make([]float32, mr*nc)
-						tileStrip(panelQ, words, got, lv.q, qTileGo)
+						got, gotF := make([]int32, mr*wp), make([]float32, mr*wp)
+						tileStrip(panelQ, words, got, lv.q)
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("%s QUInt8 %s k=%d nc=%d panel %d elem %d: %d vs %d", lv.name, operand, k, nc, p, i, got[i], want[i])
 							}
 						}
-						tileStrip(panelF, cols, gotF, lv.f, fTileGo)
+						tileStrip(panelF, cols, gotF, lv.f)
 						for i := range wantF {
 							g, w := gotF[i], wantF[i]
 							if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {

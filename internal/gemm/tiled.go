@@ -10,22 +10,31 @@ import (
 //
 // The drivers here implement the GotoBLAS/gemmlowp loop structure: the
 // weight operand arrives packed into mr-row panels (pack.go), the
-// streaming operand is packed per call into contiguous columns straight
+// streaming operand is packed per call into nr-column panels straight
 // from its source (the im2col gather is fused into the pack, so no K×N
 // patch matrix is written: each column is read from a padded copy of the
 // input through tables of tap and window offsets built once per call, see
-// patches), and the inner loops compute one mr×nr tile per group of nr
-// columns. A call runs on the calling goroutine: parallelism across
-// processors is the split of a layer's output channels (partition,
-// exec), not a second sharding inside one GEMM. Each finished mr-row
-// strip of a column block is handed to the caller's epilogue row by row,
-// so bias, activation and requantization run on a strip that is still in
-// cache instead of on a second pass over a full result.
+// patches), and the inner loops compute one mr×nr tile per column panel.
+// A call runs on the calling goroutine: parallelism across processors is
+// the split of a layer's output channels (partition, exec), not a second
+// sharding inside one GEMM. Each finished mr-row strip of a column block
+// is handed to the caller's epilogue row by row, so bias, activation and
+// requantization run on a strip that is still in cache instead of on a
+// second pass over a full result.
 //
-// The full-width tiles compute mr = 8 rows × nr = 4 columns. On amd64
-// hosts with AVX2 they are assembly (tile_amd64.s), chosen once at
-// package init; everywhere else they are the portable Go tiles. Both
-// read the same packs:
+// A column panel stores its nr columns k-major, one [nr] array per k
+// step (per k pair for QUInt8): element l of the panel's column c is
+// panel[l][c]. The tile reads it as one stream, and a pack writes it as
+// one: where the panel's nr columns read nr consecutive input bytes for
+// every tap — all columns of a 1×1 stride-1 convolution or a matrix
+// operand, and the columns within one output row of any stride-1
+// convolution — the pack reads each tap as one nr-byte run and writes
+// it as one [nr] array.
+//
+// The tiles compute mr = 8 rows × nr = 4 columns. On amd64 hosts with
+// AVX2 they are assembly (tile_amd64.s), chosen once at package init;
+// everywhere else they are the portable Go tiles. Both read the same
+// packs:
 //
 //   - float32 (ConvF32, ConvF16, ConvQViaF16): per k step one load of the
 //     panel's [mr]float32, and per column a broadcast b[l], a multiply
@@ -42,55 +51,59 @@ import (
 //     each row's lane, exactly; VPADDD then wraps mod 2³² as Go's int32
 //     does, so no k is too long and the sums equal the reference's.
 //
-// Column tails narrower than nr — including a GEMV's single column — run
-// the portable Go tiles fTileGo and qTileGo on the same packs. They are
-// also the whole kernel on hosts without AVX2 and on other architectures
+// A column block whose width is not a multiple of nr — a 7×7 plane's
+// last column, a GEMV's single column — has its last panel filled with
+// zero columns, so every tile is full width; the epilogue only ever sees
+// the real columns. The portable Go tiles fTileGo and qTileGo are the
+// whole kernel on hosts without AVX2 and on other architectures
 // (tile_other.go), and the oracle the assembly is tested against.
 
 const (
 	// mr is the register-tile height (packed A panel height).
 	mr = 8
-	// nr is the register-tile width in columns.
+	// nr is the register-tile width in columns (packed column panel
+	// width).
 	nr = 4
 )
 
-// tileLevel is one implementation of the full-width tiles.
+// tileLevel is one implementation of the tiles and of the run packs
+// (packRunQGo, widenRunGo) that fill their column panels.
 type tileLevel struct {
-	name string
-	f    func(panel [][mr]float32, cols []float32, out []float32, w int)
-	q    func(panel [][mr][2]uint8, words []uint32, out []int32, w int)
+	name   string
+	f      func(panel [][mr]float32, cols [][nr]float32, out []float32, w int)
+	q      func(panel [][mr][2]uint8, words [][nr]uint32, out []int32, w int)
+	runQ   func(panel [][nr]uint32, src []uint8, off []int32) [nr]int32
+	runLUT func(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32)
 }
 
 // goTiles is the portable level every host runs.
-var goTiles = tileLevel{"go", fTileGo, qTileGo}
+var goTiles = tileLevel{"go", fTileGo, qTileGo, packRunQGo, widenRunGo}
 
 // tiles is the level the kernels run: the fastest the host supports,
 // chosen once.
 var tiles = hostTiles()[0]
 
-// fTileGo computes the mr×(len(cols)/len(panel)) float tile of panel
-// against the column-major columns cols (each len(panel) long) and stores
-// row r's sums at out[r*w:].
-func fTileGo(panel [][mr]float32, cols []float32, out []float32, w int) {
-	k := len(panel)
-	for c := 0; c*k < len(cols); c++ {
+// fTileGo computes the mr×nr float tile of panel against the column
+// panel cols (len(panel) steps) and stores row r's sums at out[r*w:].
+func fTileGo(panel [][mr]float32, cols [][nr]float32, out []float32, w int) {
+	for c := 0; c < nr; c++ {
 		out[c], out[w+c], out[2*w+c], out[3*w+c],
-			out[4*w+c], out[5*w+c], out[6*w+c], out[7*w+c] = f32Dot(panel, cols[c*k:(c+1)*k])
+			out[4*w+c], out[5*w+c], out[6*w+c], out[7*w+c] = f32Dot(panel, cols, c)
 	}
 }
 
 // f32Dot computes one mr×1 tile: the dot products of the panel's eight
-// rows with one packed column, each in a single ascending-k accumulator.
-// The float32 conversion of each product forbids fusing it into the add
-// (arm64 would otherwise emit FMADDS, skipping the product's rounding).
-// It stays a call: inlined into fTileGo's column loop, the k loop spills
-// its index on every step.
+// rows with column c of the column panel, each in a single ascending-k
+// accumulator. The float32 conversion of each product forbids fusing it
+// into the add (arm64 would otherwise emit FMADDS, skipping the
+// product's rounding). It stays a call: inlined into fTileGo's column
+// loop, the k loop spills its index on every step.
 //
 //go:noinline
-func f32Dot(panel [][mr]float32, col []float32) (c0, c1, c2, c3, c4, c5, c6, c7 float32) {
-	panel = panel[:len(col)]
-	for l, b := range col {
-		a := &panel[l]
+func f32Dot(panel [][mr]float32, cols [][nr]float32, c int) (c0, c1, c2, c3, c4, c5, c6, c7 float32) {
+	panel = panel[:len(cols)]
+	for l := range cols {
+		a, b := &panel[l], cols[l][c]
 		c0 += float32(a[0] * b)
 		c1 += float32(a[1] * b)
 		c2 += float32(a[2] * b)
@@ -104,22 +117,22 @@ func f32Dot(panel [][mr]float32, col []float32) (c0, c1, c2, c3, c4, c5, c6, c7 
 }
 
 // qTileGo computes the raw QUInt8 sums Σ_l a·b of the k-pair panel with
-// the word columns words (each len(panel) long) and stores row r's sums
+// the word panel words (len(panel) pair steps) and stores row r's sums
 // at out[r*w:]. Each pair's two products are summed exactly before the
 // int32 accumulation, as PMADDWD does, and int32 addition wraps, so the
 // sums are bit-identical to the assembly tiles' and to the reference's.
-func qTileGo(panel [][mr][2]uint8, words []uint32, out []int32, w int) {
-	kp := len(panel)
-	for c := 0; c*kp < len(words); c++ {
+func qTileGo(panel [][mr][2]uint8, words [][nr]uint32, out []int32, w int) {
+	for c := 0; c < nr; c++ {
 		out[c], out[w+c], out[2*w+c], out[3*w+c],
-			out[4*w+c], out[5*w+c], out[6*w+c], out[7*w+c] = pairDot(panel, words[c*kp:(c+1)*kp])
+			out[4*w+c], out[5*w+c], out[6*w+c], out[7*w+c] = pairDot(panel, words, c)
 	}
 }
 
-// pairDot computes one mr×1 QUInt8 tile over k pairs.
-func pairDot(panel [][mr][2]uint8, words []uint32) (s0, s1, s2, s3, s4, s5, s6, s7 int32) {
+// pairDot computes one mr×1 QUInt8 tile over k pairs, for column c.
+func pairDot(panel [][mr][2]uint8, words [][nr]uint32, c int) (s0, s1, s2, s3, s4, s5, s6, s7 int32) {
 	panel = panel[:len(words)]
-	for l, b := range words {
+	for l := range words {
+		b := words[l][c]
 		a, lo, hi := &panel[l], int32(b&0xffff), int32(b>>16)
 		s0 += int32(a[0][0])*lo + int32(a[0][1])*hi
 		s1 += int32(a[1][0])*lo + int32(a[1][1])*hi
@@ -133,25 +146,23 @@ func pairDot(panel [][mr][2]uint8, words []uint32) (s0, s1, s2, s3, s4, s5, s6, 
 	return
 }
 
-// tileStrip computes the mr×w strip of panel against the w packed
-// columns in cols (len(panel) elements each) and stores row r at
-// strip[r*w:]: full nr-column tiles through full, a narrower tail
-// through tail.
-func tileStrip[P, B, C any](panel []P, cols []B, strip []C, full, tail func([]P, []B, []C, int)) {
+// tileStrip computes the mr×w strip of panel against the w/nr column
+// panels in cols (len(panel) steps each) and stores row r at
+// strip[r*w:], one tile per column panel.
+func tileStrip[P, B, C any](panel []P, cols [][nr]B, strip []C, tile func([]P, [][nr]B, []C, int)) {
 	kp := len(panel)
-	w := len(cols) / kp
-	j := 0
-	for ; j+nr <= w; j += nr {
-		full(panel, cols[j*kp:(j+nr)*kp], strip[j:], w)
-	}
-	if j < w {
-		tail(panel, cols[j*kp:], strip[j:], w)
+	w := len(cols) / kp * nr
+	for j := 0; j < w; j += nr {
+		tile(panel, cols[j/nr*kp:(j/nr+1)*kp], strip[j:], w)
 	}
 }
 
+// padCols is w rounded up to whole column panels.
+func padCols(w int) int { return (w + nr - 1) &^ (nr - 1) }
+
 // scratch is the working memory of one kernel call: the padded input, the
-// tap and window offset tables, the packed right operand and the
-// accumulator strip. It is dead the moment the call returns, so it comes
+// tap and window offset tables, the packed right operand, ConvQViaF16's
+// widening table and the accumulator strip. It is dead the moment the call returns, so it comes
 // from a pool instead of fresh allocations or per-layer fields; sync.Pool
 // drops objects that stay idle through a GC cycle, so scratch never pins
 // memory on a layer or runtime.
@@ -161,8 +172,9 @@ type scratch struct {
 	ph     []f16.F16
 	off    []int32
 	at     []int32
-	words  []uint32
-	f32    []float32
+	words  [][nr]uint32
+	f32    [][nr]float32
+	lut    [256]float32
 	i32    []int32
 	stripF []float32
 	stripQ []int32
@@ -182,63 +194,142 @@ func grow[T any](buf *[]T, n int) []T {
 // for K = k: the packed block (at most 4 bytes per element in either
 // dtype) stays near 1 MiB, so operand scratch is bounded whatever the
 // input size and a block stays cache-resident while every row panel
-// sweeps it. It is a multiple of nr, so only the last block can end in a
-// column tail narrower than a tile.
+// sweeps it. It is a multiple of nr, so only the last block is padded
+// (padCols).
 func colBlock(k int) int { return max(nr, (1<<18)/k) &^ (nr - 1) }
 
 // packQ packs patch-matrix columns [j0,j1) of p for the QUInt8 tiles:
-// column j0+j is words[j*kp:(j+1)*kp], k pairs of bytes as
-// b[2l] | b[2l+1]<<16 with an odd k's last pair padded with 0, and
-// cAdj[j] = za·Σ_l b[l,j] is the column half of the zero-point
-// decomposition, summed in the same pass.
-func (s *scratch) packQ(p patches[uint8], za int32, j0, j1 int) (words []uint32, cAdj []int32) {
+// panel t of words, words[t*kp:(t+1)*kp], holds columns j0+nr·t … as k
+// pairs of bytes b[2l] | b[2l+1]<<16, an odd k's last pair padded with
+// 0, and cAdj[j] = za·Σ_l b[l,j] is the column half of the zero-point
+// decomposition, summed in the same pass. words holds
+// padCols(j1−j0)/nr panels, the padding columns zero; cAdj holds the
+// real columns.
+func (s *scratch) packQ(p patches[uint8], za int32, j0, j1 int) (words [][nr]uint32, cAdj []int32) {
 	k, w := p.g.PatchRows(), j1-j0
 	kp := (k + 1) / 2
-	words = grow(&s.words, w*kp)
+	words = grow(&s.words, padCols(w)/nr*kp)
 	cAdj = grow(&s.i32, w)
-	for j := 0; j < w; j++ {
-		// The gather and the pairing in one pass.
-		ws, src, off := words[j*kp:(j+1)*kp], p.in[p.at[j0+j]:], p.off
-		var sum int32
-		l := 0
-		for ; l+2 <= k/2; l += 2 { // two words per step
-			o := off[2*l : 2*l+4 : 2*l+4]
-			b0, b1, b2, b3 := src[o[0]], src[o[1]], src[o[2]], src[o[3]]
-			ws[l], ws[l+1] = uint32(b0)|uint32(b1)<<16, uint32(b2)|uint32(b3)<<16
-			sum += int32(b0) + int32(b1) + int32(b2) + int32(b3)
+	if w%nr != 0 {
+		clear(words[w/nr*kp:])
+	}
+	at, off := p.at[j0:j1], p.off
+	for j := 0; j < w; j += nr {
+		panel := words[j/nr*kp:][:kp]
+		var sums [nr]int32
+		switch {
+		case j+nr > w: // the padded last panel, column by column
+			for c := range w - j {
+				src := p.in[at[j+c]:]
+				for l := range panel[:k/2] {
+					lo, hi := src[off[2*l]], src[off[2*l+1]]
+					panel[l][c] = uint32(lo) | uint32(hi)<<16
+					sums[c] += int32(lo) + int32(hi)
+				}
+				if k%2 == 1 {
+					lo := src[off[k-1]]
+					panel[kp-1][c] = uint32(lo)
+					sums[c] += int32(lo)
+				}
+			}
+		case at[j+nr-1]-at[j] == nr-1: // one nr-byte run per tap
+			sums = tiles.runQ(panel, p.in[at[j]:], off)
+		default:
+			sums = packPanelQ(panel, p.in, at[j:j+nr], off)
 		}
-		for ; l < k/2; l++ {
-			lo, hi := src[off[2*l]], src[off[2*l+1]]
-			ws[l] = uint32(lo) | uint32(hi)<<16
-			sum += int32(lo) + int32(hi)
+		for c := range min(nr, w-j) {
+			cAdj[j+c] = za * sums[c]
 		}
-		if k%2 == 1 {
-			lo := src[off[k-1]]
-			ws[kp-1] = uint32(lo)
-			sum += int32(lo)
-		}
-		cAdj[j] = za * sum
 	}
 	return words, cAdj
 }
 
+// packPanelQ packs a full column panel of any geometry: column c's
+// element l is in[at[c]+off[l]]. Each pair step reads its two tap
+// offsets once for all nr columns and writes the step's nr words
+// together; it returns each column's Σ_l b.
+func packPanelQ(panel [][nr]uint32, in []uint8, at, off []int32) [nr]int32 {
+	k := len(off)
+	c0, c1, c2, c3 := in[at[0]:], in[at[1]:], in[at[2]:], in[at[3]:]
+	var s0, s1, s2, s3 int32
+	for l := range panel[:k/2] {
+		o := off[2*l : 2*l+2 : 2*l+2]
+		a0, a1, a2, a3 := c0[o[0]], c1[o[0]], c2[o[0]], c3[o[0]]
+		b0, b1, b2, b3 := c0[o[1]], c1[o[1]], c2[o[1]], c3[o[1]]
+		panel[l] = [nr]uint32{uint32(a0) | uint32(b0)<<16, uint32(a1) | uint32(b1)<<16,
+			uint32(a2) | uint32(b2)<<16, uint32(a3) | uint32(b3)<<16}
+		s0 += int32(a0) + int32(b0)
+		s1 += int32(a1) + int32(b1)
+		s2 += int32(a2) + int32(b2)
+		s3 += int32(a3) + int32(b3)
+	}
+	if k%2 == 1 {
+		o := off[k-1]
+		a0, a1, a2, a3 := c0[o], c1[o], c2[o], c3[o]
+		panel[k/2] = [nr]uint32{uint32(a0), uint32(a1), uint32(a2), uint32(a3)}
+		s0, s1, s2, s3 = s0+int32(a0), s1+int32(a1), s2+int32(a2), s3+int32(a3)
+	}
+	return [nr]int32{s0, s1, s2, s3}
+}
+
+// packRunQGo packs one column panel whose nr columns read nr
+// consecutive bytes for every tap: column c's element l is src[off[l]+c].
+// Each tap pair is two nr-byte runs, interleaved into the step's nr
+// words, an odd k's last step padded with 0; it returns each column's
+// Σ_l b. panel holds (len(off)+1)/2 steps.
+func packRunQGo(panel [][nr]uint32, src []uint8, off []int32) [nr]int32 {
+	k := len(off)
+	var s0, s1, s2, s3 int32
+	for l := range panel[:k/2] {
+		o := off[2*l : 2*l+2 : 2*l+2]
+		a, b := src[o[0]:o[0]+nr:o[0]+nr], src[o[1]:o[1]+nr:o[1]+nr]
+		panel[l] = [nr]uint32{uint32(a[0]) | uint32(b[0])<<16, uint32(a[1]) | uint32(b[1])<<16,
+			uint32(a[2]) | uint32(b[2])<<16, uint32(a[3]) | uint32(b[3])<<16}
+		s0 += int32(a[0]) + int32(b[0])
+		s1 += int32(a[1]) + int32(b[1])
+		s2 += int32(a[2]) + int32(b[2])
+		s3 += int32(a[3]) + int32(b[3])
+	}
+	if k%2 == 1 {
+		a := src[off[k-1]:][:nr]
+		panel[k/2] = [nr]uint32{uint32(a[0]), uint32(a[1]), uint32(a[2]), uint32(a[3])}
+		s0, s1, s2, s3 = s0+int32(a[0]), s1+int32(a[1]), s2+int32(a[2]), s3+int32(a[3])
+	}
+	return [nr]int32{s0, s1, s2, s3}
+}
+
+// widenRunGo is ConvQViaF16's pack of one such column panel: step l is
+// the nr-byte run at src[off[l]:], each byte widened through lut. panel
+// holds len(off) steps.
+func widenRunGo(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32) {
+	for l, o := range off[:len(panel)] {
+		run := src[o : o+nr : o+nr]
+		panel[l] = [nr]float32{lut[run[0]], lut[run[1]], lut[run[2]], lut[run[3]]}
+	}
+}
+
 // fMul is the float driver for pa (m×k panels) times a K×N operand whose
-// column j fill writes (length K, in ascending k). Column blocks are
-// packed column-major into s; for each row panel the mr×w strip of dot
-// products is handed to epi row by row, as row r's columns [j0,j0+w).
-func fMul(s *scratch, pa [][mr]float32, m, k, n int, fill func(j int, col []float32), epi func(r, j0 int, row []float32)) {
+// columns fill packs: fill(j0, w, cols) writes columns [j0, j0+w) into
+// the column panels cols, k steps each, element l of column j0+j at
+// cols[j/nr*k+l][j%nr]. Column blocks are packed into s, the last panel
+// of a block padded with zero columns; for each row panel the mr×w strip
+// of dot products is handed to epi row by row, as row r's columns
+// [j0,j0+w).
+func fMul(s *scratch, pa [][mr]float32, m, k, n int, fill func(j0, w int, cols [][nr]float32), epi func(r, j0 int, row []float32)) {
 	nb := colBlock(k)
 	for j0 := 0; j0 < n; j0 += nb {
 		w := min(nb, n-j0)
-		cols := grow(&s.f32, w*k)
-		for j := 0; j < w; j++ {
-			fill(j0+j, cols[j*k:(j+1)*k])
+		wp := padCols(w)
+		cols := grow(&s.f32, wp/nr*k)
+		if w%nr != 0 {
+			clear(cols[w/nr*k:])
 		}
-		strip := grow(&s.stripF, mr*w)
+		fill(j0, w, cols)
+		strip := grow(&s.stripF, mr*wp)
 		for r0 := 0; r0 < m; r0 += mr {
-			tileStrip(pa[r0/mr*k:(r0/mr+1)*k], cols, strip, tiles.f, fTileGo)
+			tileStrip(pa[r0/mr*k:(r0/mr+1)*k], cols, strip, tiles.f)
 			for r := 0; r < min(mr, m-r0); r++ {
-				epi(r0+r, j0, strip[r*w:(r+1)*w])
+				epi(r0+r, j0, strip[r*wp:r*wp+w])
 			}
 		}
 	}
@@ -260,12 +351,12 @@ func qMul(pa *PackedAU8, in []uint8, g ConvGeom, za, zb int32, epi func(r, j0 in
 	base, nb := int32(k)*za*zb, colBlock(k)
 	for j0 := 0; j0 < n; j0 += nb {
 		words, cAdj := s.packQ(p, za, j0, min(j0+nb, n))
-		w := len(cAdj)
-		strip := grow(&s.stripQ, mr*w)
+		w, wp := len(cAdj), len(words)/kp*nr
+		strip := grow(&s.stripQ, mr*wp)
 		for r0 := 0; r0 < pa.M; r0 += mr {
-			tileStrip(pa.data[r0/mr*kp:(r0/mr+1)*kp], words, strip, tiles.q, qTileGo)
+			tileStrip(pa.data[r0/mr*kp:(r0/mr+1)*kp], words, strip, tiles.q)
 			for r := 0; r < min(mr, pa.M-r0); r++ {
-				adj, row := base-zb*pa.rowSums[r0+r], strip[r*w:(r+1)*w]
+				adj, row := base-zb*pa.rowSums[r0+r], strip[r*wp:r*wp+w]
 				for j, v := range row {
 					row[j] = v + adj - cAdj[j]
 				}

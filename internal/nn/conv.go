@@ -467,18 +467,25 @@ func (l *Conv2D) ForwardQViaF16(ins []*tensor.QTensor, out *tensor.QTensor, c0, 
 // binary16 rounding (f16.Add), is activated and is quantized into dst[i].
 // The first rounding runs in the float32 domain (f16.RoundNormal), and
 // the float32 sum with the bias goes straight into the step table, which
-// holds the second rounding, the activation and the quantization. A sum
-// whose first rounding leaves the zero-or-normal binary16 range, or a NaN
-// bias, takes the f16 chain itself. Either way the code is the chain's,
-// bit for bit.
+// holds the second rounding, the activation and the quantization; on
+// hosts with AVX2 the table's HalfSums does both eight lanes at a time.
+// A sum whose first rounding leaves the zero-or-normal binary16 range,
+// or a NaN bias, takes the f16 chain itself, and so does every group of
+// eight HalfSums leaves, one element at a time. Either way the code is
+// the chain's, bit for bit.
 func (st *halfStage) quantize(dst []uint8, acc []float32, b f16.F16) {
 	bf, nan := b.Float32(), b.IsNaN()
 	dst = dst[:len(acc)]
-	for i, s := range acc {
-		if h, ok := f16.RoundNormal(s); ok && !nan {
-			dst[i] = st.steps.Quantize(h + bf)
-		} else {
-			dst[i] = st.out.Quantize(st.act.Apply(f16.Add(f16.FromFloat32(s), b).Float32()))
+	for i := 0; i < len(acc); {
+		if !nan {
+			i += st.steps.HalfSums(dst[i:], acc[i:], bf)
+		}
+		for end := min(i+8, len(acc)); i < end; i++ {
+			if h, ok := f16.RoundNormal(acc[i]); ok && !nan {
+				dst[i] = st.steps.Quantize(h + bf)
+			} else {
+				dst[i] = st.out.Quantize(st.act.Apply(f16.Add(f16.FromFloat32(acc[i]), b).Float32()))
+			}
 		}
 	}
 }

@@ -504,11 +504,12 @@ func BenchmarkPoolForwardQ(b *testing.B) {
 	}
 }
 
-// BenchmarkHalfStage times the GPU half's output stage on sums of a
-// realistic spread (about half of them negative, so ReLU clamps half).
+// BenchmarkHalfStage times the GPU half's output stage on a 784-wide
+// strip (one output channel of a 28×28 plane) of sums of a realistic
+// spread (about half of them negative, so ReLU clamps half).
 func BenchmarkHalfStage(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	acc := make([]float32, 4096)
+	acc := make([]float32, 784)
 	for i := range acc {
 		acc[i] = float32(rng.NormFloat64() * 2)
 	}

@@ -2,7 +2,11 @@ package quant
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"mulayer/internal/cpu"
+	"mulayer/internal/f16"
 )
 
 // FuzzChooseParams checks the affine-grid invariants on arbitrary ranges:
@@ -85,6 +89,60 @@ func FuzzRoundingDivideByPOT(f *testing.F) {
 		// math.Round ties away from zero, matching the primitive.
 		if float64(got) != want {
 			t.Fatalf("RDivByPOT(%d,%d) = %d, want %g", x, exp, got, want)
+		}
+	})
+}
+
+// FuzzHalfSums holds the GPU half's output stage at every host level to
+// the f16 chain it stands for — round each float32 sum to binary16, add
+// the half bias with f16.Add, widen, activate, quantize — on a strip of
+// random sums (random bit patterns, values around the grid's codes and
+// their binary16 rounding edges), under any half bias (NaN, ±Inf and
+// subnormals included), grid and activation. The stage is HalfSums with
+// the chain finishing every group it leaves, as the nn half stage runs it.
+func FuzzHalfSums(f *testing.F) {
+	f.Add(int64(1), uint16(0x3c00), float32(0.05), uint8(117), uint8(1))
+	f.Add(int64(2), uint16(0x7e00), float32(6.0/255), uint8(0), uint8(2)) // NaN bias
+	f.Add(int64(3), uint16(0xfc00), float32(0.02), uint8(255), uint8(0))  // -Inf bias
+	f.Add(int64(4), uint16(0x0001), float32(1e-3), uint8(3), uint8(1))    // subnormal bias
+	f.Add(int64(5), uint16(0x8000), float32(3e-5), uint8(128), uint8(2))  // -0 bias, fine grid
+	f.Fuzz(func(t *testing.T, seed int64, bias uint16, scale float32, zp, act uint8) {
+		if !(scale > 0) || math.IsInf(float64(scale), 0) {
+			return
+		}
+		p, a, b := Params{Scale: scale, ZeroPoint: zp}, Activation(act%3), f16.FromBits(bias)
+		chain := func(s float32) uint8 { return p.Quantize(a.Apply(f16.Add(f16.FromFloat32(s), b).Float32())) }
+		st := NewStepTable(p, func(x float32) uint8 { return p.Quantize(a.Apply(f16.FromFloat32(x).Float32())) })
+		rng := rand.New(rand.NewSource(seed))
+		acc := make([]float32, 8*6+5)
+		for i := range acc {
+			switch rng.Intn(4) {
+			case 0:
+				acc[i] = math.Float32frombits(rng.Uint32())
+			case 1: // a code's edge on the grid, nudged by a few ULPs
+				x := (float32(rng.Intn(256)-int(zp)) - 0.5) * scale
+				acc[i] = math.Float32frombits(math.Float32bits(x) + uint32(rng.Intn(5)) - 2)
+			default:
+				acc[i] = float32(rng.NormFloat64()*64) * scale
+			}
+		}
+		defer func(v bool) { vector = v }(vector)
+		for _, v := range []bool{cpu.AVX2, false} {
+			vector = v
+			got := make([]uint8, len(acc))
+			for i := 0; i < len(acc); {
+				if !b.IsNaN() {
+					i += st.HalfSums(got[i:], acc[i:], b.Float32())
+				}
+				for end := min(i+8, len(acc)); i < end; i++ {
+					got[i] = chain(acc[i])
+				}
+			}
+			for i, s := range acc {
+				if want := chain(s); got[i] != want {
+					t.Fatalf("vector=%v %v %v bias %#04x sum %g (%#08x): %d, chain %d", v, p, a, bias, s, math.Float32bits(s), got[i], want)
+				}
+			}
 		}
 	})
 }

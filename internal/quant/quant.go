@@ -21,7 +21,15 @@ package quant
 import (
 	"fmt"
 	"math"
+
+	"mulayer/internal/cpu"
 )
+
+// vector selects the AVX2 bodies of the output stages (Strip and
+// HalfSums, quant_amd64.s), chosen once from the host CPU. Each computes
+// the scalar body's results bit for bit; tests clear it to run the
+// scalar bodies alone (export_test.go).
+var vector = cpu.AVX2
 
 // Params describes the affine mapping of one quantized tensor.
 type Params struct {
@@ -235,6 +243,11 @@ func (r Requantizer) Requantize(acc int32) uint8 {
 // is the sign bit of threshold − remainder. SRDHM's one saturating case
 // needs both operands MinInt32, and a Requantizer's M0 is in [2³⁰, 2³¹),
 // so it never arises. dst must hold len(acc) bytes.
+//
+// Without a left shift (a real multiplier below 1, as every calibrated
+// layer has) and on hosts with AVX2, eight accumulators at a time run the
+// same steps in vector lanes (stripAVX2); the rest of the strip runs the
+// scalar loop.
 func (r Requantizer) Strip(dst []uint8, acc []int32, bias int32) {
 	left, right := max(r.mult.Shift, 0), max(-r.mult.Shift, 0)
 	if right > 31 {
@@ -245,8 +258,12 @@ func (r Requantizer) Strip(dst []uint8, acc []int32, bias int32) {
 	threshold := mask >> 1
 	zero, lo, hi := r.outZero, r.actMin, r.actMax
 	dst = dst[:len(acc)]
-	for i, a := range acc {
-		x := min(max(int64(a+bias)<<left, math.MinInt32), math.MaxInt32)
+	i := 0
+	if left == 0 {
+		i = stripVector(dst, acc, &stripConsts{bias, r.mult.M0, mask, threshold, zero, lo, hi, int32(right)})
+	}
+	for ; i < len(acc); i++ {
+		x := min(max(int64(acc[i]+bias)<<left, math.MinInt32), math.MaxInt32)
 		ab := x * m0
 		nudge := 1<<30 - ab>>63&(1<<31-1) // 1−2³⁰ for a negative product
 		h := int32((ab + nudge) / (1 << 31))
@@ -254,6 +271,12 @@ func (r Requantizer) Strip(dst []uint8, acc []int32, bias int32) {
 		v := h>>right + int32(uint32(th-h&mask)>>31)
 		dst[i] = uint8(min(max(v+zero, lo), hi))
 	}
+}
+
+// stripConsts are Strip's per-call constants for a vector body with no
+// left shift.
+type stripConsts struct {
+	bias, m0, mask, threshold, zero, lo, hi, right int32
 }
 
 // Activation selects the fused activation applied during requantization.
@@ -449,6 +472,24 @@ func (t *StepTable) Quantize(x float32) uint8 {
 		q--
 	}
 	return uint8(q)
+}
+
+// HalfSums is the vector body of a binary16 output stage whose map is
+// this table's: it writes
+//
+//	dst[i] = t.Quantize(h + b), h = acc[i] rounded to binary16,
+//
+// eight elements at a time on hosts with AVX2, and returns how many it
+// wrote — a multiple of eight, 0 elsewhere. It stops before the first
+// group of eight holding an element that it does not settle: one whose
+// rounding is not zero or normal (f16.RoundNormal's ok), or whose
+// estimate the two step comparisons do not confirm. The caller takes that
+// group, and any tail shorter than eight, through its scalar chain, and
+// calls HalfSums again for the rest. Each written code passed Quantize's
+// own exit test, so it is Quantize's result bit for bit. b must not be
+// NaN; dst must hold len(acc) bytes.
+func (t *StepTable) HalfSums(dst []uint8, acc []float32, b float32) int {
+	return halfSumsVector(dst[:len(acc)], acc, b, t)
 }
 
 // orderedKey maps a non-NaN float32 to a uint32 whose unsigned order is
