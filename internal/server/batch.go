@@ -1,11 +1,15 @@
 package server
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"time"
 
 	"mulayer/internal/core"
 	"mulayer/internal/dispatch"
 	"mulayer/internal/models"
+	"mulayer/internal/trace"
 )
 
 // groupKey identifies one batching window: only requests for the same
@@ -190,4 +194,150 @@ func (s *Scheduler) settleGroupLocked(g *batchGroup, err error) {
 	for _, p := range g.items {
 		s.settleLocked(p, outcome{err: err})
 	}
+}
+
+// Admission errors, mapped to HTTP statuses by the handler. Queue-full
+// and draining are the shared policy's errors (internal/dispatch), so the
+// node and fleet tiers reject identically.
+var (
+	// ErrQueueFull means the bounded queue is at capacity (503).
+	ErrQueueFull = dispatch.ErrQueueFull
+	// ErrDraining means the scheduler no longer admits requests (503).
+	ErrDraining = dispatch.ErrDraining
+	// ErrNoDevice means no pool device matches the requested SoC class
+	// (400).
+	ErrNoDevice = errors.New("server: no matching device")
+)
+
+// Request is one inference submission's scheduling parameters.
+type Request struct {
+	// ModelName keys the model in metrics and the retry budget.
+	ModelName string
+	// Model is the spec model to run.
+	Model *models.Model
+	// Mech is the execution mechanism.
+	Mech core.Mechanism
+	// SoC may be empty (any device) or name a configured class.
+	SoC string
+	// Rows is the number of input rows the request contributes (≥1).
+	Rows int
+	// Priority is the request's shedding class (zero value PriorityHigh;
+	// the HTTP layer defaults absent fields to PriorityNormal).
+	Priority Priority
+	// Trace, when non-nil, receives queue, batch-window, plan, and kernel
+	// spans as the request moves through the scheduler.
+	Trace *trace.Trace
+}
+
+// Submit admits one request into its batching window and waits out its
+// outcome. The returned outcome's err distinguishes admission rejections
+// (ErrQueueFull, ErrDraining, ErrNoDevice, ErrPriorityShed,
+// ErrDeadlineInfeasible), deadline expiry (the context error), and
+// planner errors.
+func (s *Scheduler) Submit(ctx context.Context, modelName string, m *models.Model, mech core.Mechanism, socClass string, rows int) outcome {
+	return s.SubmitRequest(ctx, Request{
+		ModelName: modelName, Model: m, Mech: mech, SoC: socClass,
+		Rows: rows, Priority: PriorityNormal,
+	})
+}
+
+// SubmitRequest is the full submission API: Submit with a priority class
+// and an optional trace.
+func (s *Scheduler) SubmitRequest(ctx context.Context, req Request) outcome {
+	modelName, m, mech := req.ModelName, req.Model, req.Mech
+	socClass, rows, tr := req.SoC, req.Rows, req.Trace
+	if rows < 1 {
+		rows = 1
+	}
+	// Brownout level 3: the lowest class is rejected before any planning
+	// work — shedding must be O(1), not O(queue).
+	if req.Priority >= PriorityLow && s.overload.level() >= overloadLevelShedLow {
+		s.mets.admissionRejects.With("priority_shed").Inc()
+		return outcome{err: ErrPriorityShed}
+	}
+	// Warm the single-row estimate on every eligible class before the
+	// admission decision: it validates the class constraint and surfaces
+	// planner errors now, and dispatch-time estimates then hit the cache.
+	warmed := map[string]bool{}
+	eligible := false
+	for _, d := range s.devices {
+		if socClass != "" && d.class != socClass {
+			continue
+		}
+		eligible = true
+		if warmed[d.class] {
+			continue
+		}
+		warmed[d.class] = true
+		if _, err := s.caches[d.class].Estimate(m, runCfg(mech), 1); err != nil {
+			return outcome{err: err}
+		}
+	}
+	if !eligible {
+		return outcome{err: fmt.Errorf("%w: soc class %q", ErrNoDevice, socClass)}
+	}
+
+	p := &pending{
+		ctx:       ctx,
+		model:     m,
+		modelName: modelName,
+		mech:      mech,
+		soc:       socClass,
+		rows:      rows,
+		priority:  req.Priority,
+		enqueued:  time.Now(),
+		done:      make(chan outcome, 1),
+		tr:        tr,
+	}
+
+	s.mu.Lock()
+	if err := (dispatch.BoundedQueue{}).Admit(dispatch.QueueState{
+		Depth: s.queued, Cap: s.cfg.QueueDepth, Draining: s.draining,
+	}); err != nil {
+		s.mu.Unlock()
+		if errors.Is(err, dispatch.ErrDraining) {
+			s.mets.rejected.With("draining").Inc()
+		} else {
+			s.mets.rejected.With("queue_full").Inc()
+		}
+		return outcome{err: err}
+	}
+	// Deadline-aware admission: the predictor already knows the cheapest
+	// device's committed backlog and this request's fused cost; if that
+	// predicted completion (plus the batching window it may wait out)
+	// cannot fit the deadline, reject now with a typed 503 instead of
+	// letting the request rot in the queue toward a certain 504. Inert
+	// without pacing: wall predictions are then 0.
+	if s.cfg.Overload.DeadlineAdmission {
+		now := time.Now()
+		if eligible, wall := s.retryCostLocked(p, 0, now); eligible &&
+			!deadlineAllows(ctx, wall+s.effectiveBatchWait(), now) {
+			s.mu.Unlock()
+			s.mets.admissionRejects.With("deadline_infeasible").Inc()
+			return outcome{err: fmt.Errorf("%w: predicted completion %v exceeds the deadline", ErrDeadlineInfeasible, wall)}
+		}
+	}
+	s.queued++
+	s.enqueueLocked(p)
+	s.mu.Unlock()
+
+	select {
+	case out := <-p.done:
+		return out
+	case <-ctx.Done():
+		// The worker will observe the dead member when it reaches the
+		// batch (or at the end of the fused run) and settle the
+		// accounting; the client gets the timeout now.
+		return outcome{err: ctx.Err()}
+	}
+}
+
+// deadlineAllows reports whether a retry predicted to take wall clock time
+// fits in the request's remaining deadline.
+func deadlineAllows(ctx context.Context, wall time.Duration, now time.Time) bool {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return true
+	}
+	return dl.Sub(now) > wall
 }

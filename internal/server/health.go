@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -157,4 +158,153 @@ func (d *poolDevice) recordFailure(permDown device.Set, threshold int, backoff, 
 		return "degraded"
 	}
 	return ""
+}
+
+// settleLocked delivers a request's terminal outcome exactly once; it
+// returns false when someone settled the request already. Caller holds
+// s.mu.
+func (s *Scheduler) settleLocked(p *pending, out outcome) bool {
+	if !s.claimLocked(p) {
+		return false
+	}
+	p.done <- out
+	return true
+}
+
+// claimLocked marks p settled and leaves the queue count; it returns
+// false when someone settled p already. Caller holds s.mu.
+func (s *Scheduler) claimLocked(p *pending) bool {
+	if p.settled {
+		return false
+	}
+	p.settled = true
+	s.queued--
+	return true
+}
+
+// settleFinal settles p and records its terminal request metrics. The
+// metrics are recorded before the outcome is delivered, so a client
+// holding its reply is already counted in them (in /statusz too).
+func (s *Scheduler) settleFinal(d *poolDevice, p *pending, out outcome) {
+	s.mu.Lock()
+	ok := s.claimLocked(p)
+	s.mu.Unlock()
+	if !ok {
+		return
+	}
+	s.mets.requests.With(p.modelName, d.class, p.mech.String(), fmt.Sprint(statusFor(out.err))).Inc()
+	if out.err == nil {
+		d.served.Add(1)
+		s.mets.simLat.With(p.modelName, d.class, p.mech.String()).Observe(out.simLat.Seconds())
+		s.mets.wallLat.With(p.modelName, d.class).Observe(time.Since(p.enqueued).Seconds())
+	}
+	p.done <- out
+}
+
+// releaseGroup returns a dispatched group's backlog and depth charges to
+// its device, once, no matter how the batch ended (the worker's panic
+// recovery may run after a partial serveBatch).
+func (s *Scheduler) releaseGroup(d *poolDevice, g *batchGroup) {
+	if g.released {
+		return
+	}
+	g.released = true
+	d.backlogNS.Add(-int64(g.cost))
+	d.depth.Add(-int64(len(g.items)))
+}
+
+// failMembers handles one device failure: it advances the device's
+// circuit breaker (recording permanent processor deaths from Die faults)
+// and then requeues every unsettled member onto the remaining devices —
+// or settles it with a typed 503 when no retry can help (budget spent,
+// deadline too tight, no healthy device, draining). Nothing is dropped
+// silently: every member either requeues or settles here.
+func (s *Scheduler) failMembers(d *poolDevice, g *batchGroup, cause error) {
+	var wd *exec.WatchdogError
+	if errors.As(cause, &wd) {
+		s.mets.watchdogTrips.With(wd.Proc).Inc()
+	}
+	var f *faults.Fault
+	var permDown device.Set
+	if errors.As(cause, &f) {
+		if f.Device == "" {
+			f.Device = d.name
+		}
+		if f.Kind == faults.Die {
+			permDown = f.ProcType.Bit()
+		}
+	}
+	switch d.recordFailure(permDown, s.cfg.FailThreshold, s.cfg.QuarantineBackoff, s.cfg.backoffCap(), time.Now()) {
+	case "dead":
+		s.mets.quarantine.With(d.name, "dead").Inc()
+	case "quarantined":
+		s.mets.quarantine.With(d.name, "quarantined").Inc()
+	case "degraded":
+		s.mets.quarantine.With(d.name, "degraded").Inc()
+	}
+
+	now := time.Now()
+	for _, p := range g.items {
+		s.mu.Lock()
+		if p.settled {
+			s.mu.Unlock()
+			continue
+		}
+		exclude := p.exclude | 1<<uint(d.id)
+		var terminal error
+		switch {
+		case p.ctx.Err() != nil:
+			terminal = p.ctx.Err()
+		case s.draining:
+			terminal = ErrDraining
+		case p.attempts >= s.cfg.MaxRetries:
+			terminal = fmt.Errorf("%w (after %d attempts): %w", ErrRetriesExhausted, p.attempts+1, cause)
+		default:
+			if !s.retryB.allow(p.modelName, now) {
+				// The model's fleet-wide retry budget is spent: degrade to a
+				// fast typed 503 instead of amplifying a correlated fault
+				// into a retry storm.
+				terminal = fmt.Errorf("%w: %w", ErrRetryBudgetExhausted, cause)
+				s.mets.retryExhausted.With(p.modelName).Inc()
+				break
+			}
+			eligible, wall := s.retryCostLocked(p, exclude, now)
+			switch {
+			case !eligible:
+				terminal = fmt.Errorf("%w: %w", ErrNoHealthyDevice, cause)
+			case !deadlineAllows(p.ctx, wall, now):
+				terminal = fmt.Errorf("%w: %w", ErrDeadlineTooTight, cause)
+			}
+		}
+		if terminal != nil {
+			s.settleLocked(p, outcome{err: terminal, device: d.name, class: d.class})
+			s.mu.Unlock()
+			s.mets.requests.With(p.modelName, d.class, p.mech.String(), fmt.Sprint(statusFor(terminal))).Inc()
+			continue
+		}
+		p.attempts++
+		p.exclude = exclude
+		s.mets.retries.With(d.name).Inc()
+		s.requeueLocked(p)
+		s.mu.Unlock()
+	}
+}
+
+// statusFor maps a request outcome error to its HTTP status code.
+func statusFor(err error) int {
+	switch {
+	case err == nil:
+		return 200
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining),
+		errors.Is(err, ErrRetriesExhausted), errors.Is(err, ErrDeadlineTooTight),
+		errors.Is(err, ErrNoHealthyDevice), errors.Is(err, ErrDeadlineInfeasible),
+		errors.Is(err, ErrRetryBudgetExhausted), errors.Is(err, ErrPriorityShed):
+		return 503
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return 504
+	case errors.Is(err, ErrNoDevice):
+		return 400
+	default:
+		return 500
+	}
 }

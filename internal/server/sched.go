@@ -10,26 +10,11 @@ import (
 	"time"
 
 	"mulayer/internal/core"
-	"mulayer/internal/device"
-	"mulayer/internal/dispatch"
 	"mulayer/internal/exec"
 	"mulayer/internal/faults"
 	"mulayer/internal/models"
 	"mulayer/internal/server/metrics"
 	"mulayer/internal/trace"
-)
-
-// Admission errors, mapped to HTTP statuses by the handler. Queue-full
-// and draining are the shared policy's errors (internal/dispatch), so the
-// node and fleet tiers reject identically.
-var (
-	// ErrQueueFull means the bounded queue is at capacity (503).
-	ErrQueueFull = dispatch.ErrQueueFull
-	// ErrDraining means the scheduler no longer admits requests (503).
-	ErrDraining = dispatch.ErrDraining
-	// ErrNoDevice means no pool device matches the requested SoC class
-	// (400).
-	ErrNoDevice = errors.New("server: no matching device")
 )
 
 // pending is one admitted request: a member of a batching window, then of
@@ -386,129 +371,6 @@ func (s *Scheduler) RetryAfter() int {
 	return min(max(int(math.Ceil(wait.Seconds())), 1), 30)
 }
 
-// Request is one inference submission's scheduling parameters.
-type Request struct {
-	// ModelName keys the model in metrics and the retry budget.
-	ModelName string
-	// Model is the spec model to run.
-	Model *models.Model
-	// Mech is the execution mechanism.
-	Mech core.Mechanism
-	// SoC may be empty (any device) or name a configured class.
-	SoC string
-	// Rows is the number of input rows the request contributes (≥1).
-	Rows int
-	// Priority is the request's shedding class (zero value PriorityHigh;
-	// the HTTP layer defaults absent fields to PriorityNormal).
-	Priority Priority
-	// Trace, when non-nil, receives queue, batch-window, plan, and kernel
-	// spans as the request moves through the scheduler.
-	Trace *trace.Trace
-}
-
-// Submit admits one request into its batching window and waits out its
-// outcome. The returned outcome's err distinguishes admission rejections
-// (ErrQueueFull, ErrDraining, ErrNoDevice, ErrPriorityShed,
-// ErrDeadlineInfeasible), deadline expiry (the context error), and
-// planner errors.
-func (s *Scheduler) Submit(ctx context.Context, modelName string, m *models.Model, mech core.Mechanism, socClass string, rows int) outcome {
-	return s.SubmitRequest(ctx, Request{
-		ModelName: modelName, Model: m, Mech: mech, SoC: socClass,
-		Rows: rows, Priority: PriorityNormal,
-	})
-}
-
-// SubmitRequest is the full submission API: Submit with a priority class
-// and an optional trace.
-func (s *Scheduler) SubmitRequest(ctx context.Context, req Request) outcome {
-	modelName, m, mech := req.ModelName, req.Model, req.Mech
-	socClass, rows, tr := req.SoC, req.Rows, req.Trace
-	if rows < 1 {
-		rows = 1
-	}
-	// Brownout level 3: the lowest class is rejected before any planning
-	// work — shedding must be O(1), not O(queue).
-	if req.Priority >= PriorityLow && s.overload.level() >= overloadLevelShedLow {
-		s.mets.admissionRejects.With("priority_shed").Inc()
-		return outcome{err: ErrPriorityShed}
-	}
-	// Warm the single-row estimate on every eligible class before the
-	// admission decision: it validates the class constraint and surfaces
-	// planner errors now, and dispatch-time estimates then hit the cache.
-	warmed := map[string]bool{}
-	eligible := false
-	for _, d := range s.devices {
-		if socClass != "" && d.class != socClass {
-			continue
-		}
-		eligible = true
-		if warmed[d.class] {
-			continue
-		}
-		warmed[d.class] = true
-		if _, err := s.caches[d.class].Estimate(m, runCfg(mech), 1); err != nil {
-			return outcome{err: err}
-		}
-	}
-	if !eligible {
-		return outcome{err: fmt.Errorf("%w: soc class %q", ErrNoDevice, socClass)}
-	}
-
-	p := &pending{
-		ctx:       ctx,
-		model:     m,
-		modelName: modelName,
-		mech:      mech,
-		soc:       socClass,
-		rows:      rows,
-		priority:  req.Priority,
-		enqueued:  time.Now(),
-		done:      make(chan outcome, 1),
-		tr:        tr,
-	}
-
-	s.mu.Lock()
-	if err := (dispatch.BoundedQueue{}).Admit(dispatch.QueueState{
-		Depth: s.queued, Cap: s.cfg.QueueDepth, Draining: s.draining,
-	}); err != nil {
-		s.mu.Unlock()
-		if errors.Is(err, dispatch.ErrDraining) {
-			s.mets.rejected.With("draining").Inc()
-		} else {
-			s.mets.rejected.With("queue_full").Inc()
-		}
-		return outcome{err: err}
-	}
-	// Deadline-aware admission: the predictor already knows the cheapest
-	// device's committed backlog and this request's fused cost; if that
-	// predicted completion (plus the batching window it may wait out)
-	// cannot fit the deadline, reject now with a typed 503 instead of
-	// letting the request rot in the queue toward a certain 504. Inert
-	// without pacing: wall predictions are then 0.
-	if s.cfg.Overload.DeadlineAdmission {
-		now := time.Now()
-		if eligible, wall := s.retryCostLocked(p, 0, now); eligible &&
-			!deadlineAllows(ctx, wall+s.effectiveBatchWait(), now) {
-			s.mu.Unlock()
-			s.mets.admissionRejects.With("deadline_infeasible").Inc()
-			return outcome{err: fmt.Errorf("%w: predicted completion %v exceeds the deadline", ErrDeadlineInfeasible, wall)}
-		}
-	}
-	s.queued++
-	s.enqueueLocked(p)
-	s.mu.Unlock()
-
-	select {
-	case out := <-p.done:
-		return out
-	case <-ctx.Done():
-		// The worker will observe the dead member when it reaches the
-		// batch (or at the end of the fused run) and settle the
-		// accounting; the client gets the timeout now.
-		return outcome{err: ctx.Err()}
-	}
-}
-
 // worker drains one device's queue of dispatched batches sequentially. A
 // panic escaping a batch (a scheduler bug — injected kernel panics are
 // already recovered inside runBatchPaced) is converted to a DeviceError
@@ -530,59 +392,6 @@ func (s *Scheduler) serveBatchSafe(d *poolDevice, g *batchGroup) {
 		}
 	}()
 	s.serveBatch(d, g)
-}
-
-// settleLocked delivers a request's terminal outcome exactly once; it
-// returns false when someone settled the request already. Caller holds
-// s.mu.
-func (s *Scheduler) settleLocked(p *pending, out outcome) bool {
-	if !s.claimLocked(p) {
-		return false
-	}
-	p.done <- out
-	return true
-}
-
-// claimLocked marks p settled and leaves the queue count; it returns
-// false when someone settled p already. Caller holds s.mu.
-func (s *Scheduler) claimLocked(p *pending) bool {
-	if p.settled {
-		return false
-	}
-	p.settled = true
-	s.queued--
-	return true
-}
-
-// settleFinal settles p and records its terminal request metrics. The
-// metrics are recorded before the outcome is delivered, so a client
-// holding its reply is already counted in them (in /statusz too).
-func (s *Scheduler) settleFinal(d *poolDevice, p *pending, out outcome) {
-	s.mu.Lock()
-	ok := s.claimLocked(p)
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	s.mets.requests.With(p.modelName, d.class, p.mech.String(), fmt.Sprint(statusFor(out.err))).Inc()
-	if out.err == nil {
-		d.served.Add(1)
-		s.mets.simLat.With(p.modelName, d.class, p.mech.String()).Observe(out.simLat.Seconds())
-		s.mets.wallLat.With(p.modelName, d.class).Observe(time.Since(p.enqueued).Seconds())
-	}
-	p.done <- out
-}
-
-// releaseGroup returns a dispatched group's backlog and depth charges to
-// its device, once, no matter how the batch ended (the worker's panic
-// recovery may run after a partial serveBatch).
-func (s *Scheduler) releaseGroup(d *poolDevice, g *batchGroup) {
-	if g.released {
-		return
-	}
-	g.released = true
-	d.backlogNS.Add(-int64(g.cost))
-	d.depth.Add(-int64(len(g.items)))
 }
 
 // serveBatch runs one dispatched batch on its device and settles every
@@ -706,83 +515,6 @@ func (s *Scheduler) serveBatch(d *poolDevice, g *batchGroup) {
 	}
 }
 
-// failMembers handles one device failure: it advances the device's
-// circuit breaker (recording permanent processor deaths from Die faults)
-// and then requeues every unsettled member onto the remaining devices —
-// or settles it with a typed 503 when no retry can help (budget spent,
-// deadline too tight, no healthy device, draining). Nothing is dropped
-// silently: every member either requeues or settles here.
-func (s *Scheduler) failMembers(d *poolDevice, g *batchGroup, cause error) {
-	var wd *exec.WatchdogError
-	if errors.As(cause, &wd) {
-		s.mets.watchdogTrips.With(wd.Proc).Inc()
-	}
-	var f *faults.Fault
-	var permDown device.Set
-	if errors.As(cause, &f) {
-		if f.Device == "" {
-			f.Device = d.name
-		}
-		if f.Kind == faults.Die {
-			permDown = f.ProcType.Bit()
-		}
-	}
-	switch d.recordFailure(permDown, s.cfg.FailThreshold, s.cfg.QuarantineBackoff, s.cfg.backoffCap(), time.Now()) {
-	case "dead":
-		s.mets.quarantine.With(d.name, "dead").Inc()
-	case "quarantined":
-		s.mets.quarantine.With(d.name, "quarantined").Inc()
-	case "degraded":
-		s.mets.quarantine.With(d.name, "degraded").Inc()
-	}
-
-	now := time.Now()
-	for _, p := range g.items {
-		s.mu.Lock()
-		if p.settled {
-			s.mu.Unlock()
-			continue
-		}
-		exclude := p.exclude | 1<<uint(d.id)
-		var terminal error
-		switch {
-		case p.ctx.Err() != nil:
-			terminal = p.ctx.Err()
-		case s.draining:
-			terminal = ErrDraining
-		case p.attempts >= s.cfg.MaxRetries:
-			terminal = fmt.Errorf("%w (after %d attempts): %w", ErrRetriesExhausted, p.attempts+1, cause)
-		default:
-			if !s.retryB.allow(p.modelName, now) {
-				// The model's fleet-wide retry budget is spent: degrade to a
-				// fast typed 503 instead of amplifying a correlated fault
-				// into a retry storm.
-				terminal = fmt.Errorf("%w: %w", ErrRetryBudgetExhausted, cause)
-				s.mets.retryExhausted.With(p.modelName).Inc()
-				break
-			}
-			eligible, wall := s.retryCostLocked(p, exclude, now)
-			switch {
-			case !eligible:
-				terminal = fmt.Errorf("%w: %w", ErrNoHealthyDevice, cause)
-			case !deadlineAllows(p.ctx, wall, now):
-				terminal = fmt.Errorf("%w: %w", ErrDeadlineTooTight, cause)
-			}
-		}
-		if terminal != nil {
-			s.settleLocked(p, outcome{err: terminal, device: d.name, class: d.class})
-			s.mu.Unlock()
-			s.mets.requests.With(p.modelName, d.class, p.mech.String(), fmt.Sprint(statusFor(terminal))).Inc()
-			continue
-		}
-		p.attempts++
-		p.exclude = exclude
-		s.mets.retries.With(d.name).Inc()
-		s.requeueLocked(p)
-		s.mu.Unlock()
-	}
-}
-
 // retryCostLocked reports whether any device can take a retry of p under
 // the exclusion mask, and the cheapest predicted wall-clock completion
 // among them. Caller holds s.mu.
@@ -808,16 +540,6 @@ func (s *Scheduler) retryCostLocked(p *pending, exclude uint64, now time.Time) (
 		wall = time.Duration(float64(best) / s.cfg.TimeScale)
 	}
 	return eligible, wall
-}
-
-// deadlineAllows reports whether a retry predicted to take wall clock time
-// fits in the request's remaining deadline.
-func deadlineAllows(ctx context.Context, wall time.Duration, now time.Time) bool {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return true
-	}
-	return dl.Sub(now) > wall
 }
 
 // runBatchPaced executes the fused batch under the dispatch-time run
@@ -998,24 +720,5 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.hardKill()
 		<-done
 		return ctx.Err()
-	}
-}
-
-// statusFor maps a request outcome error to its HTTP status code.
-func statusFor(err error) int {
-	switch {
-	case err == nil:
-		return 200
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining),
-		errors.Is(err, ErrRetriesExhausted), errors.Is(err, ErrDeadlineTooTight),
-		errors.Is(err, ErrNoHealthyDevice), errors.Is(err, ErrDeadlineInfeasible),
-		errors.Is(err, ErrRetryBudgetExhausted), errors.Is(err, ErrPriorityShed):
-		return 503
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return 504
-	case errors.Is(err, ErrNoDevice):
-		return 400
-	default:
-		return 500
 	}
 }
