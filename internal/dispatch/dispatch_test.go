@@ -3,6 +3,7 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -169,5 +170,75 @@ func TestRendezvousSingleCandidate(t *testing.T) {
 	got := p.Rank("m", []Candidate{{ID: "only", Done: time.Hour}})
 	if len(got) != 1 || got[0].Index != 0 {
 		t.Fatalf("single candidate: %+v", got)
+	}
+}
+
+// TestWindowP95Rank: the p95 of n samples is the one at rank ⌈0.95n⌉−1
+// in ascending order, for every n the ring can hold, whatever order the
+// samples arrived in.
+func TestWindowP95Rank(t *testing.T) {
+	const size = 512
+	base := time.Unix(1000, 0)
+	for n := 1; n <= size; n++ {
+		w := NewWindow(size)
+		for i := 0; i < n; i++ {
+			// Values 1..n ms, out of order: i·7 mod n + 1 permutes them
+			// when 7 does not divide n, otherwise they arrive descending.
+			v := n - i
+			if n%7 != 0 {
+				v = (i*7)%n + 1
+			}
+			w.Add(base.Add(time.Duration(i)), time.Duration(v)*time.Millisecond)
+		}
+		want := time.Duration(int(math.Ceil(0.95*float64(n)))) * time.Millisecond
+		if got, m := w.P95(time.Time{}); got != want || m != n {
+			t.Fatalf("n=%d: p95 %v over %d samples, want %v over %d", n, got, m, want, n)
+		}
+	}
+}
+
+// TestWindowHorizonStrict: P95 counts only samples taken strictly after
+// the horizon, and an empty selection reads 0, 0.
+func TestWindowHorizonStrict(t *testing.T) {
+	w := NewWindow(8)
+	base := time.Unix(1000, 0)
+	for i := 0; i < 4; i++ {
+		w.Add(base.Add(time.Duration(i)*time.Second), time.Duration(i+1)*time.Millisecond)
+	}
+	if got, n := w.P95(base.Add(2 * time.Second)); got != 4*time.Millisecond || n != 1 {
+		t.Fatalf("after the third sample: %v over %d, want 4ms over 1", got, n)
+	}
+	if got, n := w.P95(base.Add(2*time.Second - 1)); got != 4*time.Millisecond || n != 2 {
+		t.Fatalf("just before the third sample: %v over %d, want 4ms over 2", got, n)
+	}
+	if got, n := w.P95(base.Add(3 * time.Second)); got != 0 || n != 0 {
+		t.Fatalf("at the newest sample: %v over %d, want 0 over 0", got, n)
+	}
+}
+
+// TestWindowOverwritesOldest: a full ring drops its oldest sample first,
+// and Reset empties it.
+func TestWindowOverwritesOldest(t *testing.T) {
+	w := NewWindow(3)
+	if got, n := w.P95(time.Time{}); got != 0 || n != 0 || w.Len() != 0 {
+		t.Fatalf("empty window: %v over %d, Len %d", got, n, w.Len())
+	}
+	base := time.Unix(1000, 0)
+	for i, ms := range []int{100, 1, 2, 3} {
+		w.Add(base.Add(time.Duration(i)*time.Second), time.Duration(ms)*time.Millisecond)
+	}
+	if w.Len() != 3 {
+		t.Fatalf("Len %d after four adds to a ring of 3", w.Len())
+	}
+	if got, _ := w.P95(time.Time{}); got != 3*time.Millisecond {
+		t.Fatalf("p95 %v, want 3ms once the 100ms sample is overwritten", got)
+	}
+	w.Reset()
+	if got, n := w.P95(time.Time{}); got != 0 || n != 0 || w.Len() != 0 {
+		t.Fatalf("after Reset: %v over %d, Len %d", got, n, w.Len())
+	}
+	w.Add(base, time.Millisecond)
+	if got, n := w.P95(time.Time{}); got != time.Millisecond || n != 1 {
+		t.Fatalf("after Reset and one add: %v over %d", got, n)
 	}
 }

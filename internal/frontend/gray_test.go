@@ -256,7 +256,7 @@ func TestEjectionSurvivesLossyFleet(t *testing.T) {
 		t.Fatal("gray-slow backend not ejected while the breaker held two healthy backends out")
 	}
 	survivor := grabBackend(t, reg, urls[2])
-	for range survivor.lats.buf {
+	for range ejectWindow {
 		reg.observeSuccess(survivor, 250*time.Millisecond, true)
 	}
 	for d := 500 * time.Millisecond; d <= 2*time.Second; d += 100 * time.Millisecond {
@@ -298,7 +298,7 @@ func TestEjectionQuorumPausesHold(t *testing.T) {
 	// Only the first two fast backends and the slow one are measured.
 	fresh := grabBackend(t, reg, urls[2])
 	reg.mu.Lock()
-	fresh.lats.reset()
+	fresh.lats.Reset()
 	reg.mu.Unlock()
 
 	now := time.Now()

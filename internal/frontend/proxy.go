@@ -32,7 +32,7 @@ type proxy struct {
 
 	// Recent end-to-end latencies; the hedge delay tracks their p95.
 	latMu sync.Mutex
-	lats  latWindow
+	lats  dispatch.Window
 }
 
 func newProxy(cfg Config, reg *Registry, mets *fleetMetrics) *proxy {
@@ -47,7 +47,7 @@ func newProxy(cfg Config, reg *Registry, mets *fleetMetrics) *proxy {
 		// see, like a dial against a black-holed backend.
 		client:      &http.Client{Transport: cfg.Transport},
 		hedgeTokens: float64(cfg.HedgeBurst),
-		lats:        newLatWindow(256),
+		lats:        dispatch.NewWindow(256),
 	}
 }
 
@@ -352,7 +352,7 @@ func (p *proxy) hedgeTokenLevel() float64 {
 func (p *proxy) observeLatency(d time.Duration) {
 	p.latMu.Lock()
 	defer p.latMu.Unlock()
-	p.lats.add(d)
+	p.lats.Add(time.Now(), d)
 }
 
 // hedgeDelay is the p95 of recent latencies clamped to
@@ -360,10 +360,10 @@ func (p *proxy) observeLatency(d time.Duration) {
 // frontend hedges only against genuine stalls.
 func (p *proxy) hedgeDelay() time.Duration {
 	p.latMu.Lock()
-	s := p.lats.samples()
+	p95, n := p.lats.P95(time.Time{})
 	p.latMu.Unlock()
-	if len(s) == 0 {
+	if n == 0 {
 		return p.cfg.HedgeMax
 	}
-	return min(max(p95(s), p.cfg.HedgeMin), p.cfg.HedgeMax)
+	return min(max(p95, p.cfg.HedgeMin), p.cfg.HedgeMax)
 }

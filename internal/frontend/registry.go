@@ -42,7 +42,7 @@ type backend struct {
 	// the backend first looked like an outlier, and the per-backend
 	// ejection backoff (doubling per re-ejection, Envoy-style). Guarded
 	// by Registry.mu.
-	lats         latWindow
+	lats         dispatch.Window
 	slowSince    time.Time
 	ejected      bool
 	ejections    int64
@@ -53,6 +53,10 @@ type backend struct {
 	served   atomic.Int64 // 2xx replies proxied from this backend
 	errors   atomic.Int64 // transport errors observed against it
 }
+
+// ejectWindow is how many served latencies a backend's ejector window
+// keeps.
+const ejectWindow = 64
 
 // Registry is the fleet's backend set: membership (add/drain/remove +
 // file reload), health (active probes + passive observations through the
@@ -176,7 +180,7 @@ func (r *Registry) Add(raw string) (string, error) {
 		}
 		return u, nil
 	}
-	r.backends[u] = &backend{url: u, lats: newLatWindow(64)}
+	r.backends[u] = &backend{url: u, lats: dispatch.NewWindow(ejectWindow)}
 	r.mets.health.With(u, "added").Inc()
 	return u, nil
 }
@@ -354,7 +358,7 @@ func (r *Registry) observeSuccess(b *backend, lat time.Duration, served bool) {
 		// the ejection are faulted-era evidence, and readmission should
 		// judge the backend on a fresh window.
 		if !b.ejected {
-			b.lats.add(lat)
+			b.lats.Add(time.Now(), lat)
 		}
 	}
 	// An ejected backend's replies are successful by construction — it
@@ -387,7 +391,8 @@ func (r *Registry) recoverLocked(b *backend) {
 // latP95Locked is the p95 of the backend's served-latency window (0
 // with no samples). Caller holds Registry.mu.
 func (b *backend) latP95Locked() time.Duration {
-	return p95(b.lats.samples())
+	p95, _ := b.lats.P95(time.Time{})
+	return p95
 }
 
 // observeFailure records one failure against the circuit breaker —
@@ -440,7 +445,7 @@ func (r *Registry) evaluateEjections(now time.Time) {
 		case b.br.State() == breaker.OK:
 			routable++
 		}
-		if b.ejected || b.draining || b.lats.n < r.cfg.EjectMinSamples {
+		if b.ejected || b.draining || b.lats.Len() < r.cfg.EjectMinSamples {
 			continue
 		}
 		p95s = append(p95s, b.latP95Locked())
@@ -503,7 +508,7 @@ func (r *Registry) ejectLocked(b *backend, now time.Time) {
 	b.ejected = true
 	b.ejections++
 	b.slowSince = time.Time{}
-	b.lats.reset()
+	b.lats.Reset()
 	r.mets.health.With(b.url, "ejected").Inc()
 	r.mets.ejections.With(b.url).Inc()
 }

@@ -63,11 +63,17 @@ func runCfg(mech core.Mechanism) core.RunConfig {
 	return core.RunConfig{Mechanism: mech}
 }
 
+// key is the batching window p joins: the model, mechanism and class it
+// asked for, and the devices its failed attempts excluded.
+func (p *pending) key() groupKey {
+	return groupKey{model: p.modelName, mech: p.mech, soc: p.soc, exclude: p.exclude}
+}
+
 // enqueueLocked adds an admitted request to its batching window, opening
 // one (with its flush timer) if needed and dispatching when the window
 // fills. Caller holds s.mu.
 func (s *Scheduler) enqueueLocked(p *pending) {
-	key := groupKey{model: p.modelName, mech: p.mech, soc: p.soc, exclude: p.exclude}
+	key := p.key()
 	g := s.open[key]
 	if g != nil && g.rows+p.rows > s.cfg.MaxBatch {
 		// The newcomer would overflow the window: seal it and start fresh.
@@ -97,14 +103,68 @@ func (s *Scheduler) enqueueLocked(p *pending) {
 	}
 }
 
-// dispatchLocked seals a window and hands it to the device the placement
-// policy picks — by default the minimum predicted completion time for the
-// fused batch: the makespan argument of the single-request dispatcher,
-// evaluated at the batch's actual row count via the per-class plan cache.
-// Devices that are quarantined (backoff pending), probing, dead, or on
-// the group's exclusion list are skipped; a degraded device is costed
-// under its own degraded plan. Picking a quarantined-past-backoff device
-// claims its half-open probe slot. Caller holds s.mu.
+// placement is the device placeLocked picks for a unit of work: the run
+// configuration to execute under (it carries the device's degraded-mode
+// mask), the work's predicted fused cost there, and its predicted
+// completion — the device's committed backlog plus that cost.
+type placement struct {
+	d    *poolDevice
+	rc   core.RunConfig
+	cost time.Duration
+	done time.Duration
+}
+
+// placeLocked picks the device that would finish rows of the key's work
+// first: the shared minimum-completion policy (the makespan argument of
+// the single-request dispatcher, evaluated at the actual row count via
+// the per-class plan cache), ties going to the earlier device. Devices
+// outside the key's class or on its exclusion list, quarantined (backoff
+// pending), probing or dead are skipped; a degraded device is costed
+// under its own degraded plan. With no candidate left the error is
+// ErrNoDevice when no device has the class, else the last planner error,
+// else ErrNoHealthyDevice. Caller holds s.mu.
+func (s *Scheduler) placeLocked(key groupKey, m *models.Model, rows int, now time.Time) (placement, error) {
+	var cands []dispatch.Candidate
+	var places []placement
+	var lastErr error
+	classSeen := false
+	for _, d := range s.devices {
+		if key.soc != "" && d.class != key.soc {
+			continue
+		}
+		classSeen = true
+		if key.exclude&(1<<uint(d.id)) != 0 || !d.canServe(now) {
+			continue
+		}
+		rc := d.runCfg(key.mech)
+		cost, err := s.caches[d.class].Estimate(m, rc, rows)
+		if err != nil {
+			// A degraded device may be unable to plan this mechanism at
+			// all (e.g. cpu-only with the CPU down); skip it — another
+			// device may still serve the work.
+			lastErr = err
+			continue
+		}
+		pl := placement{d: d, rc: rc, cost: cost, done: d.predictedCompletion() + cost}
+		cands = append(cands, dispatch.Candidate{ID: d.name, Done: pl.done})
+		places = append(places, pl)
+	}
+	ranked := dispatch.MinCompletion{}.Rank(key.model, cands)
+	switch {
+	case len(ranked) > 0:
+		return places[ranked[0].Index], nil
+	case !classSeen:
+		return placement{}, ErrNoDevice
+	case lastErr != nil:
+		return placement{}, lastErr
+	}
+	return placement{}, ErrNoHealthyDevice
+}
+
+// dispatchLocked seals a window and hands it to the device placeLocked
+// picks, or fails every member when no device can take it. Picking a
+// quarantined-past-backoff device claims its half-open probe slot. Caller
+// holds s.mu.
 func (s *Scheduler) dispatchLocked(g *batchGroup) {
 	g.flushed = true
 	if g.timer != nil {
@@ -113,87 +173,32 @@ func (s *Scheduler) dispatchLocked(g *batchGroup) {
 	delete(s.open, g.key)
 	s.mets.windowWait.With(g.key.model).Observe(time.Since(g.opened).Seconds())
 
-	now := time.Now()
-	g.dispatched = now
-	// Candidates for the shared placement policy: every eligible device
-	// with its predicted completion for this batch (backlog + fused cost).
-	type devChoice struct {
-		d    *poolDevice
-		rc   core.RunConfig
-		cost time.Duration
-	}
-	var cands []dispatch.Candidate
-	var choices []devChoice
-	var lastErr error
-	classSeen := false
-	for _, d := range s.devices {
-		if g.key.soc != "" && d.class != g.key.soc {
-			continue
-		}
-		classSeen = true
-		if g.key.exclude&(1<<uint(d.id)) != 0 || !d.canServe(now) {
-			continue
-		}
-		rc := d.runCfg(g.key.mech)
-		cost, err := s.caches[d.class].Estimate(g.model, rc, g.rows)
-		if err != nil {
-			// A degraded device may be unable to plan this mechanism at
-			// all (e.g. cpu-only with the CPU down); skip it rather than
-			// failing the group — another device may still serve it.
-			lastErr = err
-			continue
-		}
-		cands = append(cands, dispatch.Candidate{ID: d.name, Done: d.predictedCompletion() + cost})
-		choices = append(choices, devChoice{d: d, rc: rc, cost: cost})
-	}
-	ranked := dispatch.MinCompletion{}.Rank(g.key.model, cands)
-	if len(ranked) == 0 {
-		switch {
-		case !classSeen:
-			s.settleGroupLocked(g, ErrNoDevice)
-		case lastErr != nil:
-			s.settleGroupLocked(g, lastErr)
-		default:
-			s.settleGroupLocked(g, ErrNoHealthyDevice)
+	g.dispatched = time.Now()
+	pl, err := s.placeLocked(g.key, g.model, g.rows, g.dispatched)
+	if err != nil {
+		for _, p := range g.items {
+			s.settleLocked(nil, p, outcome{err: err})
 		}
 		return
 	}
-	pick := choices[ranked[0].Index]
-	best, bestCost := pick.d, pick.cost
-	g.cost = bestCost
-	g.rc = pick.rc
-	if best.noteDispatch() {
+	g.cost, g.rc = pl.cost, pl.rc
+	if pl.d.noteDispatch() {
 		g.probe = true
-		s.mets.quarantine.With(best.name, "probe").Inc()
+		s.mets.quarantine.With(pl.d.name, "probe").Inc()
 	}
-	best.backlogNS.Add(int64(bestCost))
-	best.depth.Add(int64(len(g.items)))
+	pl.d.backlogNS.Add(int64(pl.cost))
+	pl.d.depth.Add(int64(len(g.items)))
 	// The queue's capacity equals the global request bound and every group
 	// holds at least one request, so this send cannot block; holding the
 	// mutex across it keeps Drain's close safe.
-	best.queue <- g
+	pl.d.queue <- g
 }
 
 // requeueLocked re-dispatches one member of a failed batch immediately as
 // its own group: retries skip the batching window — their deadline already
 // absorbed one queue wait. Caller holds s.mu.
 func (s *Scheduler) requeueLocked(p *pending) {
-	g := &batchGroup{
-		key:    groupKey{model: p.modelName, mech: p.mech, soc: p.soc, exclude: p.exclude},
-		model:  p.model,
-		items:  []*pending{p},
-		rows:   p.rows,
-		opened: time.Now(),
-	}
-	s.dispatchLocked(g)
-}
-
-// settleGroupLocked fails every member of an undispatched group. Caller
-// holds s.mu.
-func (s *Scheduler) settleGroupLocked(g *batchGroup, err error) {
-	for _, p := range g.items {
-		s.settleLocked(p, outcome{err: err})
-	}
+	s.dispatchLocked(&batchGroup{key: p.key(), model: p.model, items: []*pending{p}, rows: p.rows, opened: time.Now()})
 }
 
 // Admission errors, mapped to HTTP statuses by the handler. Queue-full
@@ -310,8 +315,8 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request) outcome {
 	// without pacing: wall predictions are then 0.
 	if s.cfg.Overload.DeadlineAdmission {
 		now := time.Now()
-		if eligible, wall := s.retryCostLocked(p, 0, now); eligible &&
-			!deadlineAllows(ctx, wall+s.effectiveBatchWait(), now) {
+		pl, err := s.placeLocked(p.key(), m, rows, now)
+		if wall := s.wallOf(pl.done); err == nil && !deadlineAllows(ctx, wall+s.effectiveBatchWait(), now) {
 			s.mu.Unlock()
 			s.mets.admissionRejects.With("deadline_infeasible").Inc()
 			return outcome{err: fmt.Errorf("%w: predicted completion %v exceeds the deadline", ErrDeadlineInfeasible, wall)}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mulayer/internal/core"
+	"mulayer/internal/device"
 	"mulayer/internal/soc"
 )
 
@@ -273,5 +274,61 @@ func TestBatchedEndToEnd(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestPlaceLocked: placement picks the earliest predicted completion,
+// ties going to the earlier device, and with no candidate answers
+// ErrNoDevice when no device has the class, else the last planner error,
+// else ErrNoHealthyDevice.
+func TestPlaceLocked(t *testing.T) {
+	s := newSched(t, Config{
+		SoCs: []SoCSpec{
+			{Name: "high", SoC: soc.Exynos7420, Workers: 2},
+			{Name: "mid", SoC: soc.Exynos7880, Workers: 1},
+		},
+		QueueDepth: 8,
+	})
+	m := s.cfg.Models["lenet5"]
+	hi0, hi1, mid := devByName(t, s, "high-0"), devByName(t, s, "high-1"), devByName(t, s, "mid-0")
+	place := func(key groupKey) (placement, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.placeLocked(key, m, 1, time.Now())
+	}
+	key := groupKey{model: "lenet5", mech: core.MechCPUOnly, soc: "high"}
+
+	// Idle twins tie on completion: the earlier device wins.
+	pl, err := place(key)
+	if err != nil || pl.d != hi0 {
+		t.Fatalf("idle twins: got %v, %v; want high-0", pl.d, err)
+	}
+	if pl.cost <= 0 || pl.done != pl.cost {
+		t.Fatalf("idle device: cost %v, done %v; want done = cost > 0", pl.cost, pl.done)
+	}
+	// Committed backlog on the first twin hands the work to the second.
+	hi0.backlogNS.Add(int64(time.Second))
+	pl, err = place(key)
+	hi0.backlogNS.Add(-int64(time.Second))
+	if err != nil || pl.d != hi1 {
+		t.Fatalf("first twin backlogged: got %v, %v; want high-1", pl.d, err)
+	}
+
+	if _, err := place(groupKey{model: "lenet5", mech: core.MechCPUOnly, soc: "low"}); !errors.Is(err, ErrNoDevice) {
+		t.Fatalf("no device of the class: got %v, want ErrNoDevice", err)
+	}
+	highs := uint64(1)<<uint(hi0.id) | 1<<uint(hi1.id)
+	if _, err := place(groupKey{model: "lenet5", mech: core.MechCPUOnly, soc: "high", exclude: highs}); !errors.Is(err, ErrNoHealthyDevice) {
+		t.Fatalf("every device of the class excluded: got %v, want ErrNoHealthyDevice", err)
+	}
+	// With its CPU dead, mid cannot plan CPU-only work: that planner error
+	// outranks the excluded high devices.
+	mid.recordFailure(device.CPU.Bit(), s.cfg.FailThreshold, time.Second, time.Second, time.Now())
+	_, want := s.caches["mid"].Estimate(m, mid.runCfg(core.MechCPUOnly), 1)
+	if want == nil {
+		t.Fatal("CPU-only planned on a device whose CPU is dead")
+	}
+	if _, err := place(groupKey{model: "lenet5", mech: core.MechCPUOnly, exclude: highs}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("only a device that cannot plan left: got %v, want the planner error %v", err, want)
 	}
 }

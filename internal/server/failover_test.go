@@ -466,3 +466,68 @@ func TestChaosSeededFaults(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestNoHealthyDeviceCounted: a request that finds no healthy device at
+// dispatch is counted in mulayer_requests_total like every other
+// admitted request, before its 503 reaches the client. Its soc label is
+// the class it asked for, or "any" when it named none.
+func TestNoHealthyDeviceCounted(t *testing.T) {
+	s := newSched(t, Config{
+		SoCs:              []SoCSpec{{Name: "high", SoC: soc.Exynos7420, Workers: 1}},
+		QueueDepth:        8,
+		MaxRetries:        -1,
+		QuarantineBackoff: time.Minute, // no probe during the test
+		Faults:            map[string]faults.Config{"": {FailRate: 1, MaxFaults: 3, Seed: 5}},
+	})
+	m := s.cfg.Models["lenet5"]
+	unavailable := func(class string) int64 {
+		return s.mets.requests.With("lenet5", class, "mulayer", "503").Value()
+	}
+	for i := 0; i < 3; i++ {
+		if out := s.Submit(context.Background(), "lenet5", m, core.MechMuLayer, "", 1); !errors.Is(out.err, ErrRetriesExhausted) {
+			t.Fatalf("faulty attempt %d: got %v, want ErrRetriesExhausted", i, out.err)
+		}
+	}
+	for _, class := range []string{"", "high"} {
+		if out := s.Submit(context.Background(), "lenet5", m, core.MechMuLayer, class, 1); !errors.Is(out.err, ErrNoHealthyDevice) {
+			t.Fatalf("soc %q during quarantine: got %v, want ErrNoHealthyDevice", class, out.err)
+		}
+	}
+	if got := unavailable("any"); got != 1 {
+		t.Errorf("soc=any 503s counted %d, want 1", got)
+	}
+	if got := unavailable("high"); got != 4 {
+		t.Errorf("soc=high 503s counted %d, want 4 (three device failures, one pinned request)", got)
+	}
+	waitIdle(t, s, time.Second)
+}
+
+// TestFailoverTerminalCountsBeforeDelivering: a request that failover
+// settles (here its client has already gone) is counted in
+// mulayer_requests_total before its outcome is delivered. As in
+// TestSettleFinalRecordsBeforeDelivering, the outcome channel is
+// unbuffered, so the counter is read exactly when the outcome arrives.
+func TestFailoverTerminalCountsBeforeDelivering(t *testing.T) {
+	s := newSched(t, Config{SoCs: []SoCSpec{{Name: "high", SoC: soc.Exynos7420, Workers: 1}}})
+	d := s.devices[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cause := &DeviceError{Device: d.name, Cause: errors.New("injected")}
+	// The yield makes the parked sender's order show on most rounds, not
+	// all: another processor may resume it first. Twenty rounds make a
+	// regression fail every run.
+	for i := int64(1); i <= 20; i++ {
+		p := &pending{ctx: ctx, modelName: "lenet5", mech: core.MechMuLayer, enqueued: time.Now(), done: make(chan outcome)}
+		s.mu.Lock()
+		s.queued++
+		s.mu.Unlock()
+		go s.failMembers(d, &batchGroup{items: []*pending{p}}, cause)
+		runtime.Gosched() // let failMembers reach the delivery first
+		if out := <-p.done; !errors.Is(out.err, context.Canceled) {
+			t.Fatalf("outcome %d: got %v, want context.Canceled", i, out.err)
+		}
+		if n := s.mets.requests.With("lenet5", "high", "mulayer", "504").Value(); n != i {
+			t.Fatalf("outcome %d delivered with %d requests counted", i, n)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -160,43 +161,28 @@ func (d *poolDevice) recordFailure(permDown device.Set, threshold int, backoff, 
 	return ""
 }
 
-// settleLocked delivers a request's terminal outcome exactly once; it
-// returns false when someone settled the request already. Caller holds
-// s.mu.
-func (s *Scheduler) settleLocked(p *pending, out outcome) bool {
-	if !s.claimLocked(p) {
-		return false
-	}
-	p.done <- out
-	return true
-}
-
-// claimLocked marks p settled and leaves the queue count; it returns
-// false when someone settled p already. Caller holds s.mu.
-func (s *Scheduler) claimLocked(p *pending) bool {
+// settleLocked ends p with its terminal outcome, once: it marks p
+// settled and leaves the queue count, counts p in mulayer_requests_total
+// (and, served, in the latency histograms), and only then delivers, so a
+// client holding its reply is already counted (in /statusz too). d is the
+// device that ran or failed p, nil when no device took it; the soc label
+// is then the requested class, or "any". A second settle of p is a no-op.
+// Caller holds s.mu.
+func (s *Scheduler) settleLocked(d *poolDevice, p *pending, out outcome) {
 	if p.settled {
-		return false
+		return
 	}
 	p.settled = true
 	s.queued--
-	return true
-}
-
-// settleFinal settles p and records its terminal request metrics. The
-// metrics are recorded before the outcome is delivered, so a client
-// holding its reply is already counted in them (in /statusz too).
-func (s *Scheduler) settleFinal(d *poolDevice, p *pending, out outcome) {
-	s.mu.Lock()
-	ok := s.claimLocked(p)
-	s.mu.Unlock()
-	if !ok {
-		return
+	class := cmp.Or(p.soc, "any")
+	if d != nil {
+		class, out.device, out.class = d.class, d.name, d.class
 	}
-	s.mets.requests.With(p.modelName, d.class, p.mech.String(), fmt.Sprint(statusFor(out.err))).Inc()
+	s.mets.requests.With(p.modelName, class, p.mech.String(), fmt.Sprint(statusFor(out.err))).Inc()
 	if out.err == nil {
 		d.served.Add(1)
-		s.mets.simLat.With(p.modelName, d.class, p.mech.String()).Observe(out.simLat.Seconds())
-		s.mets.wallLat.With(p.modelName, d.class).Observe(time.Since(p.enqueued).Seconds())
+		s.mets.simLat.With(p.modelName, class, p.mech.String()).Observe(out.simLat.Seconds())
+		s.mets.wallLat.With(p.modelName, class).Observe(time.Since(p.enqueued).Seconds())
 	}
 	p.done <- out
 }
@@ -226,13 +212,8 @@ func (s *Scheduler) failMembers(d *poolDevice, g *batchGroup, cause error) {
 	}
 	var f *faults.Fault
 	var permDown device.Set
-	if errors.As(cause, &f) {
-		if f.Device == "" {
-			f.Device = d.name
-		}
-		if f.Kind == faults.Die {
-			permDown = f.ProcType.Bit()
-		}
+	if errors.As(cause, &f) && f.Kind == faults.Die {
+		permDown = f.ProcType.Bit()
 	}
 	switch d.recordFailure(permDown, s.cfg.FailThreshold, s.cfg.QuarantineBackoff, s.cfg.backoffCap(), time.Now()) {
 	case "dead":
@@ -244,13 +225,14 @@ func (s *Scheduler) failMembers(d *poolDevice, g *batchGroup, cause error) {
 	}
 
 	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, p := range g.items {
-		s.mu.Lock()
 		if p.settled {
-			s.mu.Unlock()
 			continue
 		}
-		exclude := p.exclude | 1<<uint(d.id)
+		key := p.key()
+		key.exclude |= 1 << uint(d.id)
 		var terminal error
 		switch {
 		case p.ctx.Err() != nil:
@@ -259,34 +241,27 @@ func (s *Scheduler) failMembers(d *poolDevice, g *batchGroup, cause error) {
 			terminal = ErrDraining
 		case p.attempts >= s.cfg.MaxRetries:
 			terminal = fmt.Errorf("%w (after %d attempts): %w", ErrRetriesExhausted, p.attempts+1, cause)
+		case !s.retryB.allow(p.modelName, now):
+			// The model's fleet-wide retry budget is spent: degrade to a
+			// fast typed 503 instead of amplifying a correlated fault into
+			// a retry storm.
+			terminal = fmt.Errorf("%w: %w", ErrRetryBudgetExhausted, cause)
+			s.mets.retryExhausted.With(p.modelName).Inc()
 		default:
-			if !s.retryB.allow(p.modelName, now) {
-				// The model's fleet-wide retry budget is spent: degrade to a
-				// fast typed 503 instead of amplifying a correlated fault
-				// into a retry storm.
-				terminal = fmt.Errorf("%w: %w", ErrRetryBudgetExhausted, cause)
-				s.mets.retryExhausted.With(p.modelName).Inc()
-				break
-			}
-			eligible, wall := s.retryCostLocked(p, exclude, now)
-			switch {
-			case !eligible:
+			if pl, err := s.placeLocked(key, p.model, p.rows, now); err != nil {
 				terminal = fmt.Errorf("%w: %w", ErrNoHealthyDevice, cause)
-			case !deadlineAllows(p.ctx, wall, now):
+			} else if !deadlineAllows(p.ctx, s.wallOf(pl.done), now) {
 				terminal = fmt.Errorf("%w: %w", ErrDeadlineTooTight, cause)
 			}
 		}
 		if terminal != nil {
-			s.settleLocked(p, outcome{err: terminal, device: d.name, class: d.class})
-			s.mu.Unlock()
-			s.mets.requests.With(p.modelName, d.class, p.mech.String(), fmt.Sprint(statusFor(terminal))).Inc()
+			s.settleLocked(d, p, outcome{err: terminal})
 			continue
 		}
 		p.attempts++
-		p.exclude = exclude
+		p.exclude = key.exclude
 		s.mets.retries.With(d.name).Inc()
 		s.requeueLocked(p)
-		s.mu.Unlock()
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 	"mulayer/internal/soc"
 )
 
-// TestStatuszJSON drives a paced pool and checks the machine-readable
+// TestReadyzLoadSignal drives a paced pool and checks the machine-readable
 // load signal /readyz answers with: schema stability, queue pressure,
 // per-device health, and the draining flip to 503 — the contract the
 // fleet frontend probes and routes by.
-func TestStatuszJSON(t *testing.T) {
+func TestReadyzLoadSignal(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		SoCs: []SoCSpec{
 			{Name: "high", SoC: soc.Exynos7420, Workers: 1},

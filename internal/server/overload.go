@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mulayer/internal/dispatch"
 )
 
 // Overload-protection errors, all mapped to 503 by the handler: the
@@ -179,12 +180,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	return c
 }
 
-// waitSample is one queue-wait observation feeding the controller.
-type waitSample struct {
-	when time.Time
-	wait time.Duration
-}
-
 // overloadController steps the brownout ladder from the recent queue-wait
 // p95: above the threshold it steps up one level per evaluation; below
 // half the threshold for a full hold period it steps down one level
@@ -198,8 +193,7 @@ type overloadController struct {
 	lvl atomic.Int32
 
 	mu         sync.Mutex
-	samples    [overloadSampleCap]waitSample
-	head, n    int
+	waits      dispatch.Window // recent queue waits
 	belowSince time.Time
 	lastP95    time.Duration
 	stepsUp    int64
@@ -211,6 +205,7 @@ func newOverloadController(cfg OverloadConfig) *overloadController {
 		threshold: cfg.QueueWaitP95,
 		evalEvery: cfg.EvalEvery,
 		hold:      cfg.Hold,
+		waits:     dispatch.NewWindow(overloadSampleCap),
 	}
 }
 
@@ -230,45 +225,13 @@ func (c *overloadController) observe(now time.Time, wait time.Duration) {
 		return
 	}
 	c.mu.Lock()
-	c.samples[c.head] = waitSample{when: now, wait: wait}
-	c.head = (c.head + 1) % overloadSampleCap
-	if c.n < overloadSampleCap {
-		c.n++
-	}
+	c.waits.Add(now, wait)
 	c.mu.Unlock()
 }
 
 // window is the sample horizon the p95 is computed over.
 func (c *overloadController) window() time.Duration {
-	w := 4 * c.evalEvery
-	if w < 500*time.Millisecond {
-		w = 500 * time.Millisecond
-	}
-	if w > 10*time.Second {
-		w = 10 * time.Second
-	}
-	return w
-}
-
-// p95Locked computes the p95 queue wait over the window ending at now.
-// Caller holds c.mu.
-func (c *overloadController) p95Locked(now time.Time) (time.Duration, int) {
-	cutoff := now.Add(-c.window())
-	waits := make([]time.Duration, 0, c.n)
-	for i := 0; i < c.n; i++ {
-		if s := c.samples[i]; s.when.After(cutoff) {
-			waits = append(waits, s.wait)
-		}
-	}
-	if len(waits) == 0 {
-		return 0, 0
-	}
-	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-	idx := int(math.Ceil(0.95*float64(len(waits)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return waits[idx], len(waits)
+	return min(max(4*c.evalEvery, 500*time.Millisecond), 10*time.Second)
 }
 
 // evaluate runs one controller step and returns the transition taken
@@ -279,7 +242,7 @@ func (c *overloadController) p95Locked(now time.Time) (time.Duration, int) {
 func (c *overloadController) evaluate(now time.Time, queueEmpty bool) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p95, n := c.p95Locked(now)
+	p95, n := c.waits.P95(now.Add(-c.window()))
 	if n == 0 && !queueEmpty {
 		return ""
 	}

@@ -311,8 +311,10 @@ func (s *Scheduler) effectiveBatchWait() time.Duration {
 	return w
 }
 
-// wallOf converts a simulated duration to predicted wall time under the
-// pacing time scale (0 when pacing is off — predictions then cost nothing).
+// wallOf converts a simulated duration to wall time under the pacing time
+// scale: how long a paced batch holds its device, and what a predicted
+// completion means to a deadline (0 when pacing is off — nothing is paced
+// and predictions cost nothing).
 func (s *Scheduler) wallOf(sim time.Duration) time.Duration {
 	if s.cfg.TimeScale <= 0 {
 		return 0
@@ -407,7 +409,7 @@ func (s *Scheduler) serveBatch(d *poolDevice, g *batchGroup) {
 		wait := serveStart.Sub(p.enqueued)
 		s.mets.queueWait.With(d.class).Observe(wait.Seconds())
 		s.overload.observe(serveStart, wait)
-		outs[i] = outcome{device: d.name, class: d.class, queueWait: wait}
+		outs[i] = outcome{queueWait: wait}
 		if p.tr != nil {
 			// Two wall-clock stages per attempt: the open batching window
 			// (admission to seal) and the sealed batch waiting for its
@@ -499,47 +501,18 @@ func (s *Scheduler) serveBatch(d *poolDevice, g *batchGroup) {
 
 	s.releaseGroup(d, g)
 
-	if runErr != nil {
-		// Settle the members that never joined the run, then fail the rest
-		// over to other devices.
-		for i, p := range g.items {
-			if outs[i].err != nil {
-				s.settleFinal(d, p, outs[i])
-			}
-		}
-		s.failMembers(d, g, runErr)
-		return
-	}
+	// After a device failure only the members that never joined the run
+	// settle here; failMembers fails the rest over to other devices.
+	s.mu.Lock()
 	for i, p := range g.items {
-		s.settleFinal(d, p, outs[i])
-	}
-}
-
-// retryCostLocked reports whether any device can take a retry of p under
-// the exclusion mask, and the cheapest predicted wall-clock completion
-// among them. Caller holds s.mu.
-func (s *Scheduler) retryCostLocked(p *pending, exclude uint64, now time.Time) (eligible bool, wall time.Duration) {
-	var best time.Duration
-	for _, d := range s.devices {
-		if p.soc != "" && d.class != p.soc {
-			continue
-		}
-		if exclude&(1<<uint(d.id)) != 0 || !d.canServe(now) {
-			continue
-		}
-		est, err := s.caches[d.class].Estimate(p.model, d.runCfg(p.mech), p.rows)
-		if err != nil {
-			continue
-		}
-		done := d.predictedCompletion() + est
-		if !eligible || done < best {
-			eligible, best = true, done
+		if runErr == nil || outs[i].err != nil {
+			s.settleLocked(d, p, outs[i])
 		}
 	}
-	if s.cfg.TimeScale > 0 {
-		wall = time.Duration(float64(best) / s.cfg.TimeScale)
+	s.mu.Unlock()
+	if runErr != nil {
+		s.failMembers(d, g, runErr)
 	}
-	return eligible, wall
 }
 
 // runBatchPaced executes the fused batch under the dispatch-time run
@@ -627,19 +600,16 @@ func (s *Scheduler) runBatchPaced(d *poolDevice, g *batchGroup, fused []exec.Fus
 		}
 		return nil, err
 	}
-	if s.cfg.TimeScale > 0 {
-		pace := time.Duration(float64(res.Report.Latency) / s.cfg.TimeScale)
-		if rem := pace - time.Since(start); rem > 0 {
-			t := time.NewTimer(rem)
-			defer t.Stop()
-			gone, stop := allDone(fused)
-			defer stop()
-			select {
-			case <-t.C:
-			case <-gone:
-			case <-s.hardCtx.Done():
-				return nil, ErrDraining
-			}
+	if rem := s.wallOf(res.Report.Latency) - time.Since(start); rem > 0 {
+		t := time.NewTimer(rem)
+		defer t.Stop()
+		gone, stop := allDone(fused)
+		defer stop()
+		select {
+		case <-t.C:
+		case <-gone:
+		case <-s.hardCtx.Done():
+			return nil, ErrDraining
 		}
 	}
 	if len(traced) > 0 {

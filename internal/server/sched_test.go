@@ -276,11 +276,11 @@ func TestPlanCacheIsPerClass(t *testing.T) {
 	}
 }
 
-// settleFinal records a request's terminal metrics before it delivers
+// settleLocked records a request's terminal metrics before it delivers
 // the outcome: a client that holds its reply must already find itself
 // counted, or its next /statusz can read fewer wall samples than
 // queue-wait samples. The outcome channel here is unbuffered, so the
-// receive below completes exactly when settleFinal delivers, and the
+// receive below completes exactly when settleLocked delivers, and the
 // metrics are read at that point. Its pass needs no timing: the metrics
 // happen before the send. The yield only makes a regression show every
 // time, since a receiver that takes the value from a parked sender runs
@@ -298,8 +298,12 @@ func TestSettleFinalRecordsBeforeDelivering(t *testing.T) {
 		s.mu.Lock()
 		s.queued++
 		s.mu.Unlock()
-		go s.settleFinal(s.devices[0], p, outcome{simLat: time.Millisecond})
-		runtime.Gosched() // let settleFinal reach the delivery first
+		go func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			s.settleLocked(s.devices[0], p, outcome{simLat: time.Millisecond})
+		}()
+		runtime.Gosched() // let settleLocked reach the delivery first
 		<-p.done
 		if n := wallCount(); n != i {
 			t.Fatalf("outcome %d delivered with %d wall samples recorded", i, n)
