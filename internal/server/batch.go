@@ -198,7 +198,14 @@ func (s *Scheduler) dispatchLocked(g *batchGroup) {
 // its own group: retries skip the batching window — their deadline already
 // absorbed one queue wait. Caller holds s.mu.
 func (s *Scheduler) requeueLocked(p *pending) {
-	s.dispatchLocked(&batchGroup{key: p.key(), model: p.model, items: []*pending{p}, rows: p.rows, opened: time.Now()})
+	g := &batchGroup{
+		key:    p.key(),
+		model:  p.model,
+		items:  []*pending{p},
+		rows:   p.rows,
+		opened: time.Now(),
+	}
+	s.dispatchLocked(g)
 }
 
 // Admission errors, mapped to HTTP statuses by the handler. Queue-full
