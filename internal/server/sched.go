@@ -502,14 +502,18 @@ func (s *Scheduler) serveBatch(d *poolDevice, g *batchGroup) {
 	s.releaseGroup(d, g)
 
 	// After a device failure only the members that never joined the run
-	// settle here; failMembers fails the rest over to other devices.
-	s.mu.Lock()
-	for i, p := range g.items {
-		if runErr == nil || outs[i].err != nil {
-			s.settleLocked(d, p, outs[i])
+	// settle here; failMembers fails the rest over to other devices. The
+	// unlock is deferred so that the worker's panic recovery, which takes
+	// s.mu in failMembers, cannot find it held.
+	func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i, p := range g.items {
+			if runErr == nil || outs[i].err != nil {
+				s.settleLocked(d, p, outs[i])
+			}
 		}
-	}
-	s.mu.Unlock()
+	}()
 	if runErr != nil {
 		s.failMembers(d, g, runErr)
 	}
