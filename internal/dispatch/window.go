@@ -49,9 +49,10 @@ func (w *Window) Reset() { w.n, w.next = 0, 0 }
 // ⌈0.95n⌉−1 in ascending order — and their count n; 0, 0 when there
 // are none.
 func (w *Window) P95(since time.Time) (p95 time.Duration, n int) {
+	all, cut := since.IsZero(), since.UnixNano()
 	lats := make([]time.Duration, 0, w.n)
 	for _, s := range w.buf[:w.n] {
-		if since.IsZero() || s.at > since.UnixNano() {
+		if all || s.at > cut {
 			lats = append(lats, s.lat)
 		}
 	}
