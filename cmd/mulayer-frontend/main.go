@@ -36,7 +36,7 @@
 // failing the X-Mulayer-Checksum / body-length integrity check are
 // never delivered — the leg fails over like any transport error.
 // -net-faults arms a deterministic network fault injector on the
-// backend transport for chaos drills (see internal/faults/netfaults).
+// backend transport for chaos drills (see internal/faults).
 package main
 
 import (
@@ -50,7 +50,7 @@ import (
 	"syscall"
 	"time"
 
-	"mulayer/internal/faults/netfaults"
+	"mulayer/internal/faults"
 	"mulayer/internal/frontend"
 )
 
@@ -87,11 +87,11 @@ func main() {
 	// a live fleet).
 	var transport http.RoundTripper = frontend.DefaultTransport()
 	if *netFaultSpec != "" {
-		cfgs, err := netfaults.ParseSpec(*netFaultSpec)
+		cfgs, err := faults.ParseNetSpec(*netFaultSpec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		transport = netfaults.NewTransport(cfgs, transport)
+		transport = faults.NewTransport(cfgs, transport)
 		log.Printf("network fault injection armed: %d target configs", len(cfgs))
 	}
 

@@ -49,15 +49,6 @@ import (
 	"mulayer/internal/server"
 )
 
-type inferRequest struct {
-	Model     string `json:"model"`
-	Mechanism string `json:"mechanism,omitempty"`
-	SoC       string `json:"soc,omitempty"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
-	Batch     int    `json:"batch,omitempty"`
-	Priority  string `json:"priority,omitempty"`
-}
-
 type sample struct {
 	wall time.Duration
 	// queueWait is the server-reported admission-to-dispatch wait (200s
@@ -142,7 +133,7 @@ func main() {
 	)
 	fire := func(model, prio, target string) {
 		defer wg.Done()
-		body, _ := json.Marshal(inferRequest{
+		body, _ := json.Marshal(server.InferRequest{
 			Model:     model,
 			Mechanism: *mech,
 			SoC:       *socClass,

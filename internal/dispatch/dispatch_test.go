@@ -242,3 +242,30 @@ func TestWindowOverwritesOldest(t *testing.T) {
 		t.Fatalf("after Reset and one add: %v over %d", got, n)
 	}
 }
+
+// TestWindowP95NoAlloc: P95 ranks a full window in its reusable scratch
+// slice, so it allocates nothing (the frontend's hedge delay calls it on
+// every hedgeable request), and reuse leaves the samples and the answer
+// unchanged.
+func TestWindowP95NoAlloc(t *testing.T) {
+	const size = 256
+	w := NewWindow(size)
+	base := time.Unix(1000, 0)
+	for i := 0; i < size; i++ {
+		w.Add(base.Add(time.Duration(i)*time.Second), time.Duration(size-i)*time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.P95(time.Time{}) }); allocs != 0 {
+		t.Fatalf("P95 of a full window allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.P95(base.Add(size / 2 * time.Second)) }); allocs != 0 {
+		t.Fatalf("P95 over a horizon allocates %v times, want 0", allocs)
+	}
+	// ⌈0.95·256⌉ = 244: the 244th smallest of 1..256 ms.
+	if got, n := w.P95(time.Time{}); got != 244*time.Millisecond || n != size {
+		t.Fatalf("p95 %v over %d after reuse, want 244ms over %d", got, n, size)
+	}
+	// The 127 samples after the horizon are 1..127 ms; ⌈0.95·127⌉ = 121.
+	if got, n := w.P95(base.Add(size / 2 * time.Second)); got != 121*time.Millisecond || n != 127 {
+		t.Fatalf("p95 %v over %d past the horizon, want 121ms over 127", got, n)
+	}
+}

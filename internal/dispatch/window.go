@@ -14,6 +14,8 @@ type Window struct {
 	buf  []sample
 	n    int // samples held
 	next int // the slot the next sample overwrites
+	// sorted is P95's reusable scratch: the latencies it ranks.
+	sorted []time.Duration
 }
 
 // sample is one latency and when it was taken, in Unix nanoseconds (half
@@ -25,7 +27,7 @@ type sample struct {
 
 // NewWindow returns an empty window that keeps the last size samples.
 func NewWindow(size int) Window {
-	return Window{buf: make([]sample, size)}
+	return Window{buf: make([]sample, size), sorted: make([]time.Duration, 0, size)}
 }
 
 // Add records one latency taken at the given time, overwriting the
@@ -47,10 +49,11 @@ func (w *Window) Reset() { w.n, w.next = 0, 0 }
 // P95 returns the 95th percentile of the samples taken strictly after
 // since (of every sample when since is zero) — the one at rank
 // ⌈0.95n⌉−1 in ascending order — and their count n; 0, 0 when there
-// are none.
+// are none. It allocates nothing: the ranking reuses one scratch slice,
+// which the owner's lock guards with the rest of the window.
 func (w *Window) P95(since time.Time) (p95 time.Duration, n int) {
 	all, cut := since.IsZero(), since.UnixNano()
-	lats := make([]time.Duration, 0, w.n)
+	lats := w.sorted[:0]
 	for _, s := range w.buf[:w.n] {
 		if all || s.at > cut {
 			lats = append(lats, s.lat)

@@ -1,12 +1,15 @@
-// Package faults is a deterministic, seedable fault model for the
-// simulated device fleet: it can make a processor fail a kernel, stall a
-// kernel for a multiple of its predicted time, die permanently, or panic
-// mid-kernel (exercising the serving layer's recovery path). The serving
-// scheduler consults one Injector per pool device through the executor's
-// kernel hook; a nil hook costs nothing on the healthy path.
+// Package faults is a deterministic, seedable fault model at the two
+// levels the fleet serves at. For the simulated device fleet it can make
+// a processor fail a kernel, stall a kernel for a multiple of its
+// predicted time, die permanently, or panic mid-kernel (exercising the
+// serving layer's recovery path). The serving scheduler consults one
+// Injector per pool device through the executor's kernel hook; a nil
+// hook costs nothing on the healthy path. For the network between the
+// frontend and its backends, Transport (net.go) injects latency, dead
+// dials, resets, dropped replies and truncated or bit-flipped bodies.
 //
 // Determinism: an Injector draws one uniform variate per kernel from its
-// own Stream, seeded from (Config.Seed, device salt). Each pool
+// own stream, seeded from (Config.Seed, device salt). Each pool
 // device is served by a single worker goroutine, so the kernel sequence —
 // and therefore every fault decision — is reproducible for a given seed
 // regardless of cross-device interleaving. The single draw per kernel
@@ -24,12 +27,14 @@ import (
 	"mulayer/internal/device"
 )
 
-// Kind classifies one injected fault decision.
+// Kind classifies one injected fault decision, on a device or on the
+// network.
 type Kind int
 
-// The fault kinds an Injector can produce.
+// The fault kinds an Injector (Stall … Panic) or a Transport
+// (Latency … Corrupt) can produce.
 const (
-	// None leaves the kernel untouched.
+	// None leaves the kernel or request untouched.
 	None Kind = iota
 	// Stall inflates the kernel's duration by Config.StallFactor.
 	Stall
@@ -41,23 +46,63 @@ const (
 	// Panic panics mid-kernel — the chaos probe for the serving layer's
 	// worker recovery path.
 	Panic
+	// Latency delays the request by NetConfig.Latency before forwarding.
+	Latency
+	// DialTimeout black-holes the dial: the request hangs for
+	// NetConfig.DialHang (or until its context expires) and then fails.
+	DialTimeout
+	// Reset fails the request immediately with a connection-reset error.
+	Reset
+	// Drop forwards the request but discards the response — the backend
+	// did the work, the caller never hears about it.
+	Drop
+	// Truncate delivers the response with its body cut short, headers
+	// (including Content-Length) untouched.
+	Truncate
+	// Corrupt delivers the response with one bit flipped in its body.
+	Corrupt
 )
+
+// kindNames names each Kind: the mulayer_faults_injected_total{kind}
+// label values.
+var kindNames = [...]string{
+	None:        "none",
+	Stall:       "stall",
+	Fail:        "fail",
+	Die:         "die",
+	Panic:       "panic",
+	Latency:     "latency",
+	DialTimeout: "dial_timeout",
+	Reset:       "reset",
+	Drop:        "drop",
+	Truncate:    "truncate",
+	Corrupt:     "corrupt",
+}
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case Stall:
-		return "stall"
-	case Fail:
-		return "fail"
-	case Die:
-		return "die"
-	case Panic:
-		return "panic"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// Stats is a snapshot of an injector's decision counters.
+type Stats struct {
+	// Events counts the kernels (Injector) or requests (one Transport
+	// target) the injector saw.
+	Events int64
+	// Kinds counts the decisions drawn of each kind, None included.
+	Kinds [len(kindNames)]int64
+}
+
+// Injected returns the total number of injected (non-None) decisions.
+func (s Stats) Injected() int64 {
+	var n int64
+	for _, c := range s.Kinds[None+1:] {
+		n += c
+	}
+	return n
 }
 
 // Fault is the typed error carried out of a failed kernel. The serving
@@ -117,15 +162,24 @@ type Config struct {
 	MaxFaults int
 }
 
+// rates lists the config's fault kinds in draw order.
+func (c Config) rates() []rate {
+	return []rate{{Die, c.DieRate}, {Fail, c.FailRate}, {Panic, c.PanicRate}, {Stall, c.StallRate}}
+}
+
 // Enabled reports whether the config can inject anything.
 func (c Config) Enabled() bool {
-	return c.FailRate > 0 || c.StallRate > 0 || c.DieRate > 0 || c.PanicRate > 0
+	for _, r := range c.rates() {
+		if r.p > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate checks rates and ranges.
 func (c Config) Validate() error {
-	if err := ValidateRates("faults", Rate{"fail", c.FailRate}, Rate{"stall", c.StallRate},
-		Rate{"die", c.DieRate}, Rate{"panic", c.PanicRate}); err != nil {
+	if err := validateRates("faults", c.rates()); err != nil {
 		return err
 	}
 	if !(c.StallFactor == 0 || (c.StallFactor >= 1 && !math.IsInf(c.StallFactor, 1))) {
@@ -147,18 +201,6 @@ func (c Config) procMatches(t device.Type) bool {
 	return c.Proc == "" || strings.EqualFold(c.Proc, t.String())
 }
 
-// Stats is a snapshot of an injector's decision counters.
-type Stats struct {
-	Kernels int64 `json:"kernels"`
-	Stalls  int64 `json:"stalls"`
-	Fails   int64 `json:"fails"`
-	Dies    int64 `json:"dies"`
-	Panics  int64 `json:"panics"`
-}
-
-// Injected returns the total number of injected (non-None) decisions.
-func (s Stats) Injected() int64 { return s.Stalls + s.Fails + s.Dies + s.Panics }
-
 // Injector injects faults into one device's kernel stream. Safe for
 // concurrent use; decisions are deterministic for a fixed seed and kernel
 // order.
@@ -166,8 +208,8 @@ type Injector struct {
 	cfg Config
 
 	mu     sync.Mutex
-	stream Stream
-	dead   map[string]device.Type // processor name → class, for dead procs
+	stream stream
+	dead   map[string]bool // processors this injector has killed
 	stats  Stats
 
 	// Observe, when set before the injector is used, is called once per
@@ -183,13 +225,10 @@ func New(cfg Config, salt int64) *Injector {
 	}
 	return &Injector{
 		cfg:    cfg,
-		stream: NewStream(cfg.Seed, uint64(salt), cfg.MaxFaults),
-		dead:   make(map[string]device.Type),
+		stream: newStream(cfg.Seed, uint64(salt), cfg.MaxFaults, cfg.rates()),
+		dead:   make(map[string]bool),
 	}
 }
-
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
 
 // Stats returns a snapshot of the decision counters.
 func (in *Injector) Stats() Stats {
@@ -198,25 +237,14 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// DeadProcs returns the names of processors the injector has killed.
-func (in *Injector) DeadProcs() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.dead))
-	for name := range in.dead {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Kernel is the executor hook: it decides the fate of one kernel on one
 // processor. It returns the (possibly inflated) duration, or an error for
 // Fail/Die decisions; a Panic decision panics. A kernel on an
 // already-dead processor always fails with a Die fault.
 func (in *Injector) Kernel(p *device.Processor, kernel string, d time.Duration) (time.Duration, error) {
 	in.mu.Lock()
-	in.stats.Kernels++
-	if _, gone := in.dead[p.Name]; gone {
+	in.stats.Events++
+	if in.dead[p.Name] {
 		in.mu.Unlock()
 		return d, &Fault{Proc: p.Name, ProcType: p.Type, Kernel: kernel, Kind: Die}
 	}
@@ -224,25 +252,16 @@ func (in *Injector) Kernel(p *device.Processor, kernel string, d time.Duration) 
 		in.mu.Unlock()
 		return d, nil
 	}
-	i := in.stream.Pick(in.cfg.DieRate, in.cfg.FailRate, in.cfg.PanicRate, in.cfg.StallRate)
-	if i < 0 {
-		in.mu.Unlock()
-		return d, nil
-	}
-	kind := [...]Kind{Die, Fail, Panic, Stall}[i]
-	switch kind {
-	case Stall:
-		in.stats.Stalls++
-	case Fail:
-		in.stats.Fails++
-	case Die:
-		in.stats.Dies++
-		in.dead[p.Name] = p.Type
-	case Panic:
-		in.stats.Panics++
+	kind := in.stream.pick()
+	in.stats.Kinds[kind]++
+	if kind == Die {
+		in.dead[p.Name] = true
 	}
 	observe := in.Observe
 	in.mu.Unlock()
+	if kind == None {
+		return d, nil
+	}
 	if observe != nil {
 		observe(kind, p.Name)
 	}

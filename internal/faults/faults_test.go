@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func TestRatesRoughlyHonored(t *testing.T) {
 		}
 	}
 	st := in.Stats()
-	if st.Kernels != n || st.Fails != int64(counts[Fail]) || st.Stalls != int64(counts[Stall]) {
+	if st.Events != n || st.Kinds[Fail] != int64(counts[Fail]) || st.Kinds[Stall] != int64(counts[Stall]) {
 		t.Fatalf("stats %+v disagree with trace %v", st, counts)
 	}
 }
@@ -106,11 +107,11 @@ func TestDeathIsSticky(t *testing.T) {
 			t.Fatalf("dead processor kernel %d: got %v, want Die fault", i, err)
 		}
 	}
-	if got := in.DeadProcs(); len(got) != 1 || got[0] != cpu.Name {
-		t.Fatalf("dead procs %v", got)
+	if len(in.dead) != 1 || !in.dead[cpu.Name] {
+		t.Fatalf("dead procs %v", in.dead)
 	}
-	if st := in.Stats(); st.Dies != 1 {
-		t.Fatalf("die counted %d times, want 1", st.Dies)
+	if st := in.Stats(); st.Kinds[Die] != 1 {
+		t.Fatalf("die counted %d times, want 1", st.Kinds[Die])
 	}
 }
 
@@ -129,8 +130,8 @@ func TestProcFilterAndBudget(t *testing.T) {
 	if _, err := in.Kernel(gpu, "k", time.Millisecond); err != nil {
 		t.Fatalf("budget-exhausted kernel faulted: %v", err)
 	}
-	if st := in.Stats(); st.Fails != 2 {
-		t.Fatalf("fails %d, want 2", st.Fails)
+	if st := in.Stats(); st.Kinds[Fail] != 2 {
+		t.Fatalf("fails %d, want 2", st.Kinds[Fail])
 	}
 }
 
@@ -239,5 +240,57 @@ func TestParseSpecErrorsMentionClass(t *testing.T) {
 	_, err := ParseSpec("high:fail=3")
 	if err == nil || !strings.Contains(err.Error(), "high") {
 		t.Fatalf("error %v does not name the class", err)
+	}
+}
+
+// TestKindNames pins every kind's name — the values of the
+// mulayer_faults_injected_total{kind} label — and checks that no two
+// kinds share one, so a shifted table entry cannot rename a label.
+func TestKindNames(t *testing.T) {
+	want := map[Kind]string{
+		None: "none", Stall: "stall", Fail: "fail", Die: "die", Panic: "panic",
+		Latency: "latency", DialTimeout: "dial_timeout", Reset: "reset",
+		Drop: "drop", Truncate: "truncate", Corrupt: "corrupt",
+	}
+	if len(want) != len(kindNames) {
+		t.Fatalf("%d kinds pinned here, %d named", len(want), len(kindNames))
+	}
+	seen := make(map[string]Kind)
+	for k := Kind(0); int(k) < len(kindNames); k++ {
+		name := k.String()
+		if name != want[k] {
+			t.Errorf("Kind(%d) is %q, want %q", int(k), name, want[k])
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("Kind(%d) and Kind(%d) share the name %q", int(prev), int(k), name)
+		}
+		seen[name] = k
+	}
+	for _, k := range []Kind{-1, Kind(len(kindNames))} {
+		if got, want := k.String(), fmt.Sprintf("Kind(%d)", int(k)); got != want {
+			t.Errorf("out-of-range kind is %q, want %q", got, want)
+		}
+	}
+}
+
+// TestRateSumOrder pins the sum-≤-1 verdict on rate sets where float
+// rounding makes it depend on the order the rates are added in: the
+// rates are summed in Kind order, whatever order a config draws them in.
+func TestRateSumOrder(t *testing.T) {
+	for spec, ok := range map[string]bool{
+		"fail=0.2,stall=0.1,die=0.4,panic=0.3": true,  // sums to 1 in Kind order, 1+2⁻⁵² in draw order
+		"fail=0.2,stall=0.4,die=0.3,panic=0.1": false, // sums to 1+2⁻⁵² in Kind order, 1 in draw order
+	} {
+		if _, err := ParseSpec(spec); (err == nil) != ok {
+			t.Errorf("ParseSpec(%q): %v, want accepted=%v", spec, err, ok)
+		}
+	}
+	for spec, ok := range map[string]bool{
+		"lat=0.1,dialto=0.2,reset=0.4,drop=0.3": true,
+		"lat=0.2,dialto=0.4,reset=0.3,drop=0.1": false,
+	} {
+		if _, err := ParseNetSpec(spec); (err == nil) != ok {
+			t.Errorf("ParseNetSpec(%q): %v, want accepted=%v", spec, err, ok)
+		}
 	}
 }

@@ -1,18 +1,19 @@
-// Package netfaults is a deterministic, seedable network fault model
-// for the fleet tier: an http.RoundTripper wrapper that makes the path
-// between the frontend and a backend fail the way real networks fail —
-// added latency, dials that black-hole, connections reset mid-flight,
-// responses dropped after the backend did the work, and bodies that
-// arrive truncated or bit-flipped. Its decisions come from the
-// device-level injector's faults.Stream: one uniform variate per request
-// compared against stacked rate thresholds, with an optional fault
-// budget so chaos tests can fault a path and then watch it recover.
+// The network fault model for the fleet tier: an http.RoundTripper
+// wrapper that makes the path between the frontend and a backend fail
+// the way real networks fail — added latency, dials that black-hole,
+// connections reset mid-flight, responses dropped after the backend did
+// the work, and bodies that arrive truncated or bit-flipped. Its
+// decisions come from the same stream as the device injector's: one
+// uniform variate per request compared against stacked rate thresholds,
+// with an optional fault budget so chaos tests can fault a path and
+// then watch it recover.
 //
 // Determinism: each targeted backend gets its own PRNG stream, seeded
-// from (Config.Seed, hash of the target), so the decision sequence for
-// a given target depends only on the seed and the order of requests to
-// that target — not on cross-target interleaving.
-package netfaults
+// from (NetConfig.Seed, hash of the target), so the decision sequence
+// for a given target depends only on the seed and the order of requests
+// to that target — not on cross-target interleaving.
+
+package faults
 
 import (
 	"bytes"
@@ -26,60 +27,13 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"mulayer/internal/faults"
 )
 
-// Kind classifies one injected network fault decision.
-type Kind int
-
-// The fault kinds a Transport can inject on one request.
-const (
-	// None leaves the request untouched.
-	None Kind = iota
-	// Latency delays the request by Config.Latency before forwarding.
-	Latency
-	// DialTimeout black-holes the dial: the request hangs for
-	// Config.DialHang (or until its context expires) and then fails.
-	DialTimeout
-	// Reset fails the request immediately with a connection-reset error.
-	Reset
-	// Drop forwards the request but discards the response — the backend
-	// did the work, the caller never hears about it.
-	Drop
-	// Truncate delivers the response with its body cut short, headers
-	// (including Content-Length) untouched.
-	Truncate
-	// Corrupt delivers the response with one bit flipped in its body.
-	Corrupt
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case Latency:
-		return "latency"
-	case DialTimeout:
-		return "dial_timeout"
-	case Reset:
-		return "reset"
-	case Drop:
-		return "drop"
-	case Truncate:
-		return "truncate"
-	case Corrupt:
-		return "corrupt"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// Config is the fault model of one network path (one backend target, or
-// the default path when Target is empty). All rates are per-request
+// NetConfig is the fault model of one network path (one backend target,
+// or the default path when Target is empty). All rates are per-request
 // probabilities in [0,1]; their sum must not exceed 1 — the kinds are
 // mutually exclusive per request.
-type Config struct {
+type NetConfig struct {
 	// Seed seeds the target's PRNG stream (mixed with a per-target salt).
 	Seed int64
 	// LatencyRate is the probability a request is delayed by Latency.
@@ -112,19 +66,15 @@ type Config struct {
 	MaxFaults int
 }
 
-// Enabled reports whether the config can inject anything.
-func (c Config) Enabled() bool {
-	return c.LatencyRate > 0 || c.DialTimeoutRate > 0 || c.ResetRate > 0 ||
-		c.DropRate > 0 || c.TruncateRate > 0 || c.CorruptRate > 0
+// rates lists the config's fault kinds in draw order.
+func (c NetConfig) rates() []rate {
+	return []rate{{DialTimeout, c.DialTimeoutRate}, {Reset, c.ResetRate}, {Drop, c.DropRate},
+		{Truncate, c.TruncateRate}, {Corrupt, c.CorruptRate}, {Latency, c.LatencyRate}}
 }
 
 // Validate checks rates and ranges.
-func (c Config) Validate() error {
-	if err := faults.ValidateRates("netfaults",
-		faults.Rate{Name: "latency", P: c.LatencyRate}, faults.Rate{Name: "dial-timeout", P: c.DialTimeoutRate},
-		faults.Rate{Name: "reset", P: c.ResetRate}, faults.Rate{Name: "drop", P: c.DropRate},
-		faults.Rate{Name: "truncate", P: c.TruncateRate}, faults.Rate{Name: "corrupt", P: c.CorruptRate},
-	); err != nil {
+func (c NetConfig) Validate() error {
+	if err := validateRates("netfaults", c.rates()); err != nil {
 		return err
 	}
 	if c.Latency < 0 || c.Latency > time.Hour {
@@ -139,33 +89,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats is a snapshot of one target's decision counters.
-type Stats struct {
-	Requests  int64 `json:"requests"`
-	Latencies int64 `json:"latencies"`
-	DialTOs   int64 `json:"dial_timeouts"`
-	Resets    int64 `json:"resets"`
-	Drops     int64 `json:"drops"`
-	Truncates int64 `json:"truncates"`
-	Corrupts  int64 `json:"corrupts"`
-}
-
-// Injected returns the total number of injected (non-None) decisions.
-func (s Stats) Injected() int64 {
-	return s.Latencies + s.DialTOs + s.Resets + s.Drops + s.Truncates + s.Corrupts
-}
-
-// add accumulates another target's counters (for Transport-wide totals).
-func (s *Stats) add(o Stats) {
-	s.Requests += o.Requests
-	s.Latencies += o.Latencies
-	s.DialTOs += o.DialTOs
-	s.Resets += o.Resets
-	s.Drops += o.Drops
-	s.Truncates += o.Truncates
-	s.Corrupts += o.Corrupts
-}
-
 // decision is one request's fate: the kind plus the variates that
 // parameterize body mutation, drawn under the injector lock so the
 // stream stays deterministic.
@@ -177,16 +100,16 @@ type decision struct {
 	bit uint
 }
 
-// injector is one target's deterministic decision stream.
-type injector struct {
-	cfg Config
+// netInjector is one target's deterministic decision stream.
+type netInjector struct {
+	cfg NetConfig
 
 	mu     sync.Mutex
-	stream faults.Stream
+	stream stream
 	stats  Stats
 }
 
-func newInjector(cfg Config) *injector {
+func newNetInjector(cfg NetConfig) *netInjector {
 	if cfg.Latency == 0 {
 		cfg.Latency = 200 * time.Millisecond
 	}
@@ -195,36 +118,22 @@ func newInjector(cfg Config) *injector {
 	}
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, cfg.Target)
-	return &injector{cfg: cfg, stream: faults.NewStream(cfg.Seed, h.Sum64(), cfg.MaxFaults)}
+	return &netInjector{cfg: cfg, stream: newStream(cfg.Seed, h.Sum64(), cfg.MaxFaults, cfg.rates())}
 }
 
 // decide draws one request's fate. Parameter variates for body mutation
 // are drawn only when their kind is chosen, so rate changes do not
 // perturb the main decision stream any more than the device injector's.
-func (in *injector) decide() decision {
+func (in *netInjector) decide() decision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.stats.Requests++
-	c := in.cfg
-	i := in.stream.Pick(c.DialTimeoutRate, c.ResetRate, c.DropRate, c.TruncateRate, c.CorruptRate, c.LatencyRate)
-	if i < 0 {
-		return decision{kind: None}
-	}
-	d := decision{kind: [...]Kind{DialTimeout, Reset, Drop, Truncate, Corrupt, Latency}[i]}
+	in.stats.Events++
+	d := decision{kind: in.stream.pick()}
+	in.stats.Kinds[d.kind]++
 	switch d.kind {
-	case Latency:
-		in.stats.Latencies++
-	case DialTimeout:
-		in.stats.DialTOs++
-	case Reset:
-		in.stats.Resets++
-	case Drop:
-		in.stats.Drops++
 	case Truncate:
-		in.stats.Truncates++
 		d.frac = in.stream.Float64()
 	case Corrupt:
-		in.stats.Corrupts++
 		d.frac = in.stream.Float64()
 		d.bit = uint(in.stream.Intn(8))
 	}
@@ -239,20 +148,20 @@ type Transport struct {
 	inner http.RoundTripper
 
 	mu   sync.Mutex
-	injs map[string]*injector // keyed by Config.Target ("" = default)
+	injs map[string]*netInjector // keyed by NetConfig.Target ("" = default)
 }
 
 // NewTransport wraps inner with the given fault configs, keyed by
 // target ("host:port"; "" is the default path). Configs must already
 // Validate. A nil inner uses http.DefaultTransport.
-func NewTransport(cfgs map[string]Config, inner http.RoundTripper) *Transport {
+func NewTransport(cfgs map[string]NetConfig, inner http.RoundTripper) *Transport {
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
-	t := &Transport{inner: inner, injs: make(map[string]*injector)}
+	t := &Transport{inner: inner, injs: make(map[string]*netInjector)}
 	for target, cfg := range cfgs {
 		cfg.Target = target
-		t.injs[target] = newInjector(cfg)
+		t.injs[target] = newNetInjector(cfg)
 	}
 	return t
 }
@@ -260,14 +169,14 @@ func NewTransport(cfgs map[string]Config, inner http.RoundTripper) *Transport {
 // SetConfig installs (or replaces) the fault config for one target at
 // runtime, resetting that target's stream and budget — the live chaos
 // knob ("fault this backend now", "clear it").
-func (t *Transport) SetConfig(target string, cfg Config) error {
+func (t *Transport) SetConfig(target string, cfg NetConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	cfg.Target = target
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.injs[target] = newInjector(cfg)
+	t.injs[target] = newNetInjector(cfg)
 	return nil
 }
 
@@ -296,14 +205,17 @@ func (t *Transport) Stats() map[string]Stats {
 func (t *Transport) TotalStats() Stats {
 	var total Stats
 	for _, s := range t.Stats() {
-		total.add(s)
+		total.Events += s.Events
+		for k, n := range s.Kinds {
+			total.Kinds[k] += n
+		}
 	}
 	return total
 }
 
 // injectorFor picks the injector governing one request host: exact
 // target match first, then the default path.
-func (t *Transport) injectorFor(host string) *injector {
+func (t *Transport) injectorFor(host string) *netInjector {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if in, ok := t.injs[host]; ok {
@@ -320,13 +232,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	d := in.decide()
 	switch d.kind {
-	case None:
-		return t.inner.RoundTrip(req)
 	case Latency:
 		if err := sleepCtx(req.Context(), in.cfg.Latency); err != nil {
 			return nil, err
 		}
-		return t.inner.RoundTrip(req)
 	case DialTimeout:
 		if err := sleepCtx(req.Context(), in.cfg.DialHang); err != nil {
 			return nil, err
@@ -353,6 +262,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return mutateBody(resp, d)
 	}
+	// None, or a Latency delay waited out: forward the request.
 	return t.inner.RoundTrip(req)
 }
 

@@ -1,4 +1,4 @@
-package netfaults
+package faults
 
 import (
 	"context"
@@ -45,7 +45,7 @@ func TestPassThroughWithoutConfig(t *testing.T) {
 	if err != nil || code != http.StatusOK || string(body) != echoBody {
 		t.Fatalf("passthrough: %d %q %v", code, body, err)
 	}
-	if n := tr.TotalStats().Requests; n != 0 {
+	if n := tr.TotalStats().Events; n != 0 {
 		t.Fatalf("untargeted request counted: %d", n)
 	}
 }
@@ -53,7 +53,7 @@ func TestPassThroughWithoutConfig(t *testing.T) {
 func TestResetAndBudget(t *testing.T) {
 	ts := echoServer(t)
 	host := strings.TrimPrefix(ts.URL, "http://")
-	tr := NewTransport(map[string]Config{
+	tr := NewTransport(map[string]NetConfig{
 		host: {ResetRate: 1, MaxFaults: 2, Seed: 7},
 	}, nil)
 	for i := 0; i < 2; i++ {
@@ -67,7 +67,7 @@ func TestResetAndBudget(t *testing.T) {
 		t.Fatalf("post-budget request: %d %q %v", code, body, err)
 	}
 	st := tr.Stats()[host]
-	if st.Resets != 2 || st.Requests != 3 {
+	if st.Kinds[Reset] != 2 || st.Events != 3 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -80,7 +80,7 @@ func TestDropReachesBackend(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	host := strings.TrimPrefix(ts.URL, "http://")
-	tr := NewTransport(map[string]Config{host: {DropRate: 1, MaxFaults: 1}}, nil)
+	tr := NewTransport(map[string]NetConfig{host: {DropRate: 1, MaxFaults: 1}}, nil)
 	if _, _, _, err := get(t, tr, ts.URL); err == nil {
 		t.Fatal("dropped response delivered")
 	}
@@ -92,7 +92,7 @@ func TestDropReachesBackend(t *testing.T) {
 func TestTruncateKeepsContentLength(t *testing.T) {
 	ts := echoServer(t)
 	host := strings.TrimPrefix(ts.URL, "http://")
-	tr := NewTransport(map[string]Config{host: {TruncateRate: 1, MaxFaults: 1}}, nil)
+	tr := NewTransport(map[string]NetConfig{host: {TruncateRate: 1, MaxFaults: 1}}, nil)
 	code, body, clen, err := get(t, tr, ts.URL)
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("truncated request failed outright: %d %v", code, err)
@@ -108,7 +108,7 @@ func TestTruncateKeepsContentLength(t *testing.T) {
 func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 	ts := echoServer(t)
 	host := strings.TrimPrefix(ts.URL, "http://")
-	tr := NewTransport(map[string]Config{host: {CorruptRate: 1, MaxFaults: 1}}, nil)
+	tr := NewTransport(map[string]NetConfig{host: {CorruptRate: 1, MaxFaults: 1}}, nil)
 	code, body, _, err := get(t, tr, ts.URL)
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("corrupted request failed outright: %d %v", code, err)
@@ -130,7 +130,7 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 func TestLatencyDelaysAndHonorsContext(t *testing.T) {
 	ts := echoServer(t)
 	host := strings.TrimPrefix(ts.URL, "http://")
-	tr := NewTransport(map[string]Config{
+	tr := NewTransport(map[string]NetConfig{
 		host: {LatencyRate: 1, Latency: 80 * time.Millisecond},
 	}, nil)
 	start := time.Now()
@@ -143,7 +143,7 @@ func TestLatencyDelaysAndHonorsContext(t *testing.T) {
 	}
 
 	// A cancelled context cuts the injected delay short.
-	tr2 := NewTransport(map[string]Config{
+	tr2 := NewTransport(map[string]NetConfig{
 		host: {LatencyRate: 1, Latency: 10 * time.Second},
 	}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -162,7 +162,7 @@ func TestLatencyDelaysAndHonorsContext(t *testing.T) {
 func TestDialTimeoutHangsThenFails(t *testing.T) {
 	ts := echoServer(t)
 	host := strings.TrimPrefix(ts.URL, "http://")
-	tr := NewTransport(map[string]Config{
+	tr := NewTransport(map[string]NetConfig{
 		host: {DialTimeoutRate: 1, DialHang: 60 * time.Millisecond, MaxFaults: 1},
 	}, nil)
 	start := time.Now()
@@ -175,10 +175,10 @@ func TestDialTimeoutHangsThenFails(t *testing.T) {
 	}
 }
 
-func TestDeterministicStreams(t *testing.T) {
-	cfg := Config{ResetRate: 0.3, DropRate: 0.2, CorruptRate: 0.1, Seed: 42, Target: "a:1"}
+func TestNetDeterministicStreams(t *testing.T) {
+	cfg := NetConfig{ResetRate: 0.3, DropRate: 0.2, CorruptRate: 0.1, Seed: 42, Target: "a:1"}
 	seq := func() []Kind {
-		in := newInjector(cfg)
+		in := newNetInjector(cfg)
 		out := make([]Kind, 32)
 		for i := range out {
 			out[i] = in.decide().kind
@@ -194,7 +194,7 @@ func TestDeterministicStreams(t *testing.T) {
 	// A different target salt yields a different stream.
 	cfg2 := cfg
 	cfg2.Target = "b:2"
-	in2 := newInjector(cfg2)
+	in2 := newNetInjector(cfg2)
 	same := true
 	for i := 0; i < 32; i++ {
 		if in2.decide().kind != a[i] {
@@ -210,7 +210,7 @@ func TestSetConfigAndClear(t *testing.T) {
 	ts := echoServer(t)
 	host := strings.TrimPrefix(ts.URL, "http://")
 	tr := NewTransport(nil, nil)
-	if err := tr.SetConfig(host, Config{ResetRate: 1}); err != nil {
+	if err := tr.SetConfig(host, NetConfig{ResetRate: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := get(t, tr, ts.URL); err == nil {
@@ -220,21 +220,21 @@ func TestSetConfigAndClear(t *testing.T) {
 	if code, _, _, err := get(t, tr, ts.URL); err != nil || code != http.StatusOK {
 		t.Fatalf("cleared target still faulted: %d %v", code, err)
 	}
-	if err := tr.SetConfig(host, Config{ResetRate: 2}); err == nil {
+	if err := tr.SetConfig(host, NetConfig{ResetRate: 2}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestDefaultTargetFallback(t *testing.T) {
 	ts := echoServer(t)
-	tr := NewTransport(map[string]Config{"": {ResetRate: 1, MaxFaults: 1}}, nil)
+	tr := NewTransport(map[string]NetConfig{"": {ResetRate: 1, MaxFaults: 1}}, nil)
 	if _, _, _, err := get(t, tr, ts.URL); err == nil {
 		t.Fatal("default config not applied to untargeted host")
 	}
 }
 
-func TestParseSpec(t *testing.T) {
-	cfgs, err := ParseSpec("drop=0.02,seed=9;target=http://10.0.0.1:8081/,lat=1,latms=250,max=5")
+func TestParseNetSpec(t *testing.T) {
+	cfgs, err := ParseNetSpec("drop=0.02,seed=9;target=http://10.0.0.1:8081/,lat=1,latms=250,max=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("targeted config %+v (ok=%v)", c, ok)
 	}
 
-	if m, err := ParseSpec("  "); err != nil || len(m) != 0 {
+	if m, err := ParseNetSpec("  "); err != nil || len(m) != 0 {
 		t.Fatalf("empty spec: %v %v", m, err)
 	}
 	for _, bad := range []string{
@@ -270,12 +270,12 @@ func TestParseSpec(t *testing.T) {
 		"latms=",            // empty value
 		"target=http://",    // empty once the scheme is stripped
 	} {
-		if _, err := ParseSpec(bad); err == nil {
+		if _, err := ParseNetSpec(bad); err == nil {
 			t.Errorf("spec %q parsed", bad)
 		}
 	}
 	// Blank fields and blocks and surrounding whitespace are tolerated.
-	cfgs, err = ParseSpec(" ; drop = 0.1 , , max=3 ;; ")
+	cfgs, err = ParseNetSpec(" ; drop = 0.1 , , max=3 ;; ")
 	if err != nil || len(cfgs) != 1 || cfgs[""].DropRate != 0.1 || cfgs[""].MaxFaults != 3 {
 		t.Fatalf("lenient spec: %v %v", cfgs, err)
 	}

@@ -5,16 +5,18 @@ import (
 	"math/rand"
 )
 
-// Stream is a deterministic fault-decision stream: a PRNG seeded from
-// (seed, salt), a fault budget, and a single-draw pick over stacked rate
-// thresholds. The device Injector and netfaults' per-target injector
-// each own one and keep their own kinds, counters and side effects. Not
-// safe for concurrent use: the owner's lock guards it.
-type Stream struct {
+// stream is a deterministic fault-decision stream: a PRNG seeded from
+// (seed, salt), a fault budget, and a single-draw pick over one config's
+// stacked rate thresholds. The device Injector and the Transport's
+// per-target injector each own one, count the kind it picks in their
+// Stats and then apply their own side effect. Not safe for concurrent
+// use: the owner's lock guards it.
+type stream struct {
 	// Rand draws the extra variates a decision's side effect needs, after
-	// Pick and from the same stream.
+	// pick and from the same stream.
 	*rand.Rand
-	budget int // remaining fault budget; -1 = unbounded
+	budget int    // remaining fault budget; -1 = unbounded
+	rates  []rate // the config's fault kinds in draw order
 }
 
 // splitmix64 mixes the seed with the salt so every owner gets an
@@ -26,57 +28,65 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// NewStream seeds a stream from a fleet seed and a salt naming its owner
-// (a device id, a hash of a target). maxFaults bounds the faults Pick
-// returns (0 = unbounded).
-func NewStream(seed int64, salt uint64, maxFaults int) Stream {
+// newStream seeds a stream from a fleet seed and a salt naming its owner
+// (a device id, a hash of a target) to pick over rates. maxFaults bounds
+// the faults pick returns (0 = unbounded).
+func newStream(seed int64, salt uint64, maxFaults int, rates []rate) stream {
 	budget := -1
 	if maxFaults > 0 {
 		budget = maxFaults
 	}
 	mixed := splitmix64(uint64(seed)*0x9e3779b97f4a7c15 + salt + 1)
-	return Stream{Rand: rand.New(rand.NewSource(int64(mixed))), budget: budget}
+	return stream{Rand: rand.New(rand.NewSource(int64(mixed))), budget: budget, rates: rates}
 }
 
-// Pick decides one event with a single uniform draw compared against
-// rates stacked in order: it returns the index of the rate whose band
-// the draw falls in, or -1 for no fault. One draw per event keeps later
-// decisions stable when one rate changes. With the budget spent Pick
-// returns -1 without drawing; each fault it returns spends one unit.
-func (s *Stream) Pick(rates ...float64) int {
+// rate is one fault kind's per-event probability. Each config lists its
+// kinds in draw order; pick, validateRates and Config.Enabled all read
+// that one list.
+type rate struct {
+	kind Kind
+	p    float64
+}
+
+// pick decides one event with a single uniform draw compared against
+// the rates stacked in order: it returns the kind whose band the draw falls
+// in, or None. One draw per event keeps later decisions stable when one
+// rate changes. With the budget spent pick returns None without drawing;
+// each fault it returns spends one unit.
+func (s *stream) pick() Kind {
 	if s.budget == 0 {
-		return -1
+		return None
 	}
 	u := s.Float64()
 	edge := 0.0
-	for i, r := range rates {
-		edge += r
+	for _, r := range s.rates {
+		edge += r.p
 		if u < edge {
 			if s.budget > 0 {
 				s.budget--
 			}
-			return i
+			return r.kind
 		}
 	}
-	return -1
+	return None
 }
 
-// Rate is one named per-event fault probability, for ValidateRates.
-type Rate struct {
-	Name string
-	P    float64
-}
-
-// ValidateRates checks that each rate lies in [0,1] and that together
+// validateRates checks that each rate lies in [0,1] and that together
 // they sum to at most 1, the fault kinds being mutually exclusive per
-// event. pkg prefixes the error.
-func ValidateRates(pkg string, rates ...Rate) error {
-	sum := 0.0
+// event. The sum is taken in Kind order, not draw order, so which rate
+// sets it rejects does not depend on the order a config lists them in.
+// pkg prefixes the error.
+func validateRates(pkg string, rates []rate) error {
+	var byKind [len(kindNames)]float64
 	for _, r := range rates {
-		if !(r.P >= 0 && r.P <= 1) { // negated: also rejects NaN
-			return fmt.Errorf("%s: %s rate %v outside [0,1]", pkg, r.Name, r.P)
+		if !(r.p >= 0 && r.p <= 1) { // negated: also rejects NaN
+			return fmt.Errorf("%s: %s rate %v outside [0,1]", pkg, r.kind, r.p)
 		}
-		sum += r.P
+		byKind[r.kind] = r.p
+	}
+	sum := 0.0
+	for _, p := range byKind {
+		sum += p
 	}
 	if sum > 1 {
 		return fmt.Errorf("%s: rates sum to %v > 1", pkg, sum)

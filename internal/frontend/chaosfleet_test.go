@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"mulayer/internal/faults/netfaults"
+	"mulayer/internal/faults"
 	"mulayer/internal/server"
 	"mulayer/internal/soc"
 )
@@ -48,7 +48,7 @@ func TestChaosFleetGrayFailures(t *testing.T) {
 	// The fault injector wraps the tuned transport; faults are installed
 	// at runtime once warmup traffic reveals which backend the affinity
 	// hash picked (a statically chosen victim might never see traffic).
-	faultTr := netfaults.NewTransport(nil, NewHTTPTransport(2*time.Second, 5*time.Second, 32))
+	faultTr := faults.NewTransport(nil, NewHTTPTransport(2*time.Second, 5*time.Second, 32))
 	f, err := New(Config{
 		Backends:          urls,
 		ProbeEvery:        50 * time.Millisecond,
@@ -158,7 +158,7 @@ func TestChaosFleetGrayFailures(t *testing.T) {
 			break
 		}
 	}
-	for target, fc := range map[string]netfaults.Config{
+	for target, fc := range map[string]faults.NetConfig{
 		slowHost:    {Seed: 1, LatencyRate: 1, Latency: 250 * time.Millisecond},
 		corruptHost: {Seed: 2, CorruptRate: 0.5},
 		"":          {Seed: 3, DropRate: 0.03, CorruptRate: 0.05},

@@ -129,7 +129,7 @@ type Config struct {
 	// a leg fast, a 15s wait for response headers so a connection that
 	// opens but never answers fails too, and 32 warm idle connections per
 	// backend so hedge and failover bursts skip a fresh dial. The
-	// -net-faults flag wraps that transport in a netfaults.Transport
+	// -net-faults flag wraps that transport in a faults.Transport
 	// here.
 	Transport http.RoundTripper
 

@@ -84,7 +84,7 @@ func TestFailoverMidBatchDeath(t *testing.T) {
 	if h.State != healthOK {
 		t.Fatalf("one die fault should degrade, not quarantine: %+v", h)
 	}
-	if hi.faults.Stats().Dies != 1 {
+	if hi.faults.Stats().Kinds[faults.Die] != 1 {
 		t.Fatalf("injector stats %+v, want exactly one die", hi.faults.Stats())
 	}
 
@@ -121,7 +121,7 @@ func TestPanicRecoveryFailover(t *testing.T) {
 		t.Fatalf("served by %s, want failover to mid after the panic", out.device)
 	}
 	hi := devByName(t, s, "high-0")
-	if got := hi.faults.Stats().Panics; got != 1 {
+	if got := hi.faults.Stats().Kinds[faults.Panic]; got != 1 {
 		t.Fatalf("injected panics %d, want 1", got)
 	}
 	if h := hi.health(); h.Failures != 1 || h.Down != 0 {
@@ -154,8 +154,8 @@ func TestRequeueExcludesFailedDevice(t *testing.T) {
 	// Both devices saw exactly one attempt: the retry excluded the first
 	// failure's device instead of hammering it again.
 	for _, d := range s.Devices() {
-		if d.faults.Stats().Fails != 1 {
-			t.Errorf("device %s took %d failures, want 1 (exclusion broken)", d.name, d.faults.Stats().Fails)
+		if d.faults.Stats().Kinds[faults.Fail] != 1 {
+			t.Errorf("device %s took %d failures, want 1 (exclusion broken)", d.name, d.faults.Stats().Kinds[faults.Fail])
 		}
 	}
 	waitIdle(t, s, time.Second)
@@ -442,7 +442,7 @@ func TestChaosSeededFaults(t *testing.T) {
 		if d.faults != nil {
 			st := d.faults.Stats()
 			injected += st.Injected()
-			kernels += st.Kernels
+			kernels += st.Events
 		}
 	}
 	if injected == 0 {
