@@ -13,11 +13,11 @@ import (
 // from the batch (its result carries the context error) without aborting
 // its batchmates. A one-item, one-row batch is equivalent to RunContext.
 func (rt *Runtime) RunBatch(m *models.Model, items []exec.FusedItem, rc RunConfig) (*exec.FusedResult, error) {
-	plan, err := rt.Plan(m, rc)
+	p, _, err := rt.prepare(m, rc)
 	if err != nil {
 		return nil, err
 	}
-	return rt.RunBatchPlan(m, plan, items, rc)
+	return rt.runLayout(m, p.pipe, p.layout, items, rc, ExecOpts{})
 }
 
 // ExecOpts carries per-execution hooks that must not influence planning —
@@ -42,16 +42,34 @@ type ExecOpts struct {
 // RunBatchPlan is RunBatch under a previously built plan — the serving
 // path, where the plan comes from a PlanCache instead of a per-request
 // partitioner run. The plan must cover m's graph and match rc's pipeline
-// (use PlanCache.Plan or Runtime.Plan with the same RunConfig).
+// (use PlanCache.Plan or Runtime.Plan with the same RunConfig). The
+// memoized plan of (m, rc) runs on its memoized layout; any other plan
+// gets a layout built for this call.
 func (rt *Runtime) RunBatchPlan(m *models.Model, plan *partition.Plan, items []exec.FusedItem, rc RunConfig) (*exec.FusedResult, error) {
 	return rt.RunBatchPlanOpts(m, plan, items, rc, ExecOpts{})
 }
 
 // RunBatchPlanOpts is RunBatchPlan with execution hooks attached.
 func (rt *Runtime) RunBatchPlanOpts(m *models.Model, plan *partition.Plan, items []exec.FusedItem, rc RunConfig, opts ExecOpts) (*exec.FusedResult, error) {
-	cfg, err := rt.execConfig(m, rc, opts)
+	p, _, err := rt.prepare(m, rc)
 	if err != nil {
 		return nil, err
 	}
-	return exec.RunFused(m.Graph, plan, items, cfg)
+	lay := p.layout
+	if plan != p.plan {
+		if lay, err = exec.NewLayout(m.Graph, plan, p.pipe.Storage); err != nil {
+			return nil, err
+		}
+	}
+	return rt.runLayout(m, p.pipe, lay, items, rc, opts)
+}
+
+// runLayout runs a fused batch over lay, a layout of one of m's plans
+// for rc, on pipeline pipe.
+func (rt *Runtime) runLayout(m *models.Model, pipe partition.Pipeline, lay *exec.Layout, items []exec.FusedItem, rc RunConfig, opts ExecOpts) (*exec.FusedResult, error) {
+	cfg, err := rt.execConfig(m, rc, pipe, opts)
+	if err != nil {
+		return nil, err
+	}
+	return exec.RunLayout(lay, items, cfg)
 }

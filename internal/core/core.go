@@ -7,9 +7,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"mulayer/internal/device"
 	"mulayer/internal/exec"
+	"mulayer/internal/graph"
 	"mulayer/internal/models"
 	"mulayer/internal/partition"
 	"mulayer/internal/profile"
@@ -111,21 +113,77 @@ type RunConfig struct {
 //
 // # Concurrency
 //
-// A Runtime is immutable after NewRuntime: Plan, Run, and RunContext never
-// mutate the Runtime, the SoC model, or the predictor, so one Runtime is
-// safe for concurrent use by multiple goroutines. Each call builds its own
-// plan, timeline, and (in numeric mode) activation tensors. The Model is
-// read-only during a run, so concurrent runs may share a Model — provided
-// no goroutine mutates it concurrently (calibration, which installs
-// quantization grids and weight caches into the layers, must happen
-// strictly before the model is shared). Note that concurrent Run calls
-// model independent SoCs: each call gets its own simulated timeline, so
-// two concurrent inferences do not contend for the modeled processors —
-// serving-style contention is a scheduling concern layered above (see
-// internal/server).
+// One Runtime is safe for concurrent use by multiple goroutines. Its SoC
+// model and predictor are immutable after NewRuntime. Its one mutable part
+// is the plan memo, guarded by a mutex: Run, RunContext and RunBatch look
+// up the plan and execution layout of (model graph, run config) there and
+// build them on the first request for the key, under the lock; memoized
+// plans and layouts are read-only. Plan builds a fresh plan on every call.
+// Each run gets its own timeline and, in numeric mode, one pooled
+// activation arena per batch member, returned to the pool when the run
+// ends. The Model is read-only during a run, so concurrent runs may share
+// a Model — provided no goroutine mutates it concurrently (calibration,
+// which installs quantization grids and weight caches into the layers,
+// must happen strictly before the model is shared). Note that concurrent
+// Run calls model independent SoCs: each call gets its own simulated
+// timeline, so two concurrent inferences do not contend for the modeled
+// processors — serving-style contention is a scheduling concern layered
+// above (see internal/server).
 type Runtime struct {
 	soc  *soc.SoC
 	pred *profile.Predictor
+
+	mu   sync.Mutex
+	memo map[memoKey]*prepared
+}
+
+// memoKey identifies one memoized plan: the model's graph, by pointer so
+// that two same-named models never alias, and the run config stripped of
+// the fields that do not influence planning (cacheRC).
+type memoKey struct {
+	g  *graph.Graph
+	rc RunConfig
+}
+
+// prepared is one memoized plan with the pipeline it was planned for and
+// its execution layout.
+type prepared struct {
+	plan   *partition.Plan
+	pipe   partition.Pipeline
+	layout *exec.Layout
+}
+
+// prepare returns the memoized plan and layout of (m, rc), building them
+// on the key's first request; hit reports whether they were memoized.
+func (rt *Runtime) prepare(m *models.Model, rc RunConfig) (p *prepared, hit bool, err error) {
+	key := memoKey{g: m.Graph, rc: cacheRC(rc)}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if p, ok := rt.memo[key]; ok {
+		return p, true, nil
+	}
+	o, err := rt.options(rc)
+	if err != nil {
+		return nil, false, err
+	}
+	plan, err := partition.Build(m.Graph, o)
+	if err != nil {
+		return nil, false, err
+	}
+	lay, err := exec.NewLayout(m.Graph, plan, o.Pipe.Storage)
+	if err != nil {
+		return nil, false, err
+	}
+	p = &prepared{plan: plan, pipe: o.Pipe, layout: lay}
+	rt.memo[key] = p
+	return p, false, nil
+}
+
+// cacheRC strips the per-request fields that do not influence planning or
+// cost so equivalent requests share one entry.
+func cacheRC(rc RunConfig) RunConfig {
+	rc.Numeric = false
+	return rc
 }
 
 // NewRuntime profiles the SoC's processors and fits the latency predictor
@@ -137,7 +195,7 @@ func NewRuntime(s *soc.SoC) (*Runtime, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runtime{soc: s, pred: profile.Build(s.Processors()...)}, nil
+	return &Runtime{soc: s, pred: profile.Build(s.Processors()...), memo: make(map[memoKey]*prepared)}, nil
 }
 
 // SoC returns the runtime's SoC model.
@@ -174,7 +232,8 @@ func (rt *Runtime) options(rc RunConfig) (partition.Options, error) {
 	return degrade(o, rc)
 }
 
-// Plan builds the execution plan a RunConfig implies for a model.
+// Plan builds the execution plan a RunConfig implies for a model. Unlike
+// Run it does not consult the plan memo: every call runs the partitioner.
 func (rt *Runtime) Plan(m *models.Model, rc RunConfig) (*partition.Plan, error) {
 	o, err := rt.options(rc)
 	if err != nil {
@@ -198,37 +257,37 @@ func (rt *Runtime) RunContext(ctx context.Context, m *models.Model, input *tenso
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := rt.Plan(m, rc)
+	p, _, err := rt.prepare(m, rc)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := rt.execConfig(m, rc, ExecOpts{})
+	cfg, err := rt.execConfig(m, rc, p.pipe, ExecOpts{})
 	if err != nil {
 		return nil, err
 	}
 	cfg.Ctx = ctx
-	return exec.Run(m.Graph, plan, input, cfg)
+	res, err := exec.RunLayout(p.layout, []exec.FusedItem{{Input: input}}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &exec.Result{Output: res.Items[0].Output, Report: res.Report, Timeline: res.Timeline}, nil
 }
 
-// execConfig checks that m can run under rc and builds the executor
-// configuration: numeric runs need a numeric model, calibrated when the
-// pipeline stores QUInt8.
-func (rt *Runtime) execConfig(m *models.Model, rc RunConfig, opts ExecOpts) (exec.Config, error) {
-	o, err := rt.options(rc)
-	if err != nil {
-		return exec.Config{}, err
-	}
+// execConfig checks that m can run under rc on pipeline pipe and builds
+// the executor configuration: numeric runs need a numeric model,
+// calibrated when the pipeline stores QUInt8.
+func (rt *Runtime) execConfig(m *models.Model, rc RunConfig, pipe partition.Pipeline, opts ExecOpts) (exec.Config, error) {
 	if rc.Numeric {
 		if m.SpecOnly {
 			return exec.Config{}, fmt.Errorf("core: model %s is spec-only; build it with Config.Numeric", m.Name)
 		}
-		if o.Pipe.Storage == tensor.QUInt8 && !m.Calibrated {
+		if pipe.Storage == tensor.QUInt8 && !m.Calibrated {
 			return exec.Config{}, fmt.Errorf("core: model %s is not calibrated; run Calibrate first", m.Name)
 		}
 	}
 	return exec.Config{
 		SoC:            rt.soc,
-		Pipe:           o.Pipe,
+		Pipe:           pipe,
 		Numeric:        rc.Numeric,
 		InputParams:    m.InputParams,
 		AsyncIssue:     !rc.DisableAsyncIssue,

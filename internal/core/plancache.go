@@ -9,70 +9,63 @@ import (
 	"mulayer/internal/partition"
 )
 
-// planKey identifies one cached plan. The mechanism (plus the data type,
-// which only the single-processor mechanisms consult) fully determines the
-// partitioner's split ratios for a model, so the split ratio the issue's
-// cache key names is an attribute of the entry, not a free key dimension.
-// RunConfig.Unhealthy — the healthy-processor mask — is part of RunConfig
-// and therefore of the key: a device running degraded caches its p=0/p=1
-// plans separately from the healthy cooperative plans, and a recovery
-// flips back to the healthy entries without invalidation.
-type planKey struct {
-	model string
-	rc    RunConfig
-}
-
-// cacheRC strips the per-request fields that do not influence planning or
-// cost so equivalent requests share one entry.
-func cacheRC(rc RunConfig) RunConfig {
-	rc.Numeric = false
-	return rc
-}
-
+// planEntry is one cached key: the runtime's memoized plan and layout,
+// plus the predicted fused-batch makespan per row count, filled by
+// cost-only simulation of the plan on first demand.
 type planEntry struct {
-	plan *partition.Plan
-	// makespans memoizes the predicted fused-batch makespan per row count,
-	// filled by cost-only simulation of the cached plan on first demand.
+	*prepared
 	makespans map[int]time.Duration
 }
 
-// PlanCache memoizes partitioner plans and predicted batched makespans for
-// one Runtime, keyed by (model, run config, batch rows): the serving layer
-// pays the partitioner and the latency predictor once per key instead of
-// once per request. Safe for concurrent use; a miss builds the plan while
-// holding the cache lock, serializing concurrent first requests for the
-// same model instead of duplicating planner work.
+// PlanCache memoizes predicted batched makespans for one Runtime, keyed by
+// (model graph, run config, batch rows), over the Runtime's own plan memo:
+// the serving layer pays the partitioner and the latency predictor once
+// per key instead of once per request. The mechanism (plus the data type,
+// which only the single-processor mechanisms consult) fully determines the
+// partitioner's split ratios for a model. RunConfig.Unhealthy — the
+// healthy-processor mask — is part of the key: a device running degraded
+// caches its p=0/p=1 plans separately from the healthy cooperative plans,
+// and a recovery flips back to the healthy entries without invalidation.
+// Safe for concurrent use; a miss builds the plan while holding the cache
+// lock, serializing concurrent first requests for the same model instead
+// of duplicating planner work.
 type PlanCache struct {
 	rt *Runtime
 
 	mu      sync.Mutex
-	entries map[planKey]*planEntry
+	entries map[memoKey]*planEntry
 	hits    int64
 	misses  int64
 }
 
 // NewPlanCache returns an empty cache bound to rt.
 func NewPlanCache(rt *Runtime) *PlanCache {
-	return &PlanCache{rt: rt, entries: make(map[planKey]*planEntry)}
+	return &PlanCache{rt: rt, entries: make(map[memoKey]*planEntry)}
 }
 
 // Runtime returns the cache's runtime.
 func (c *PlanCache) Runtime() *Runtime { return c.rt }
 
-func (c *PlanCache) entry(m *models.Model, rc RunConfig) (*planEntry, error) {
-	key := planKey{model: m.Name, rc: cacheRC(rc)}
+// entry returns the cache entry of (m, rc); hit reports whether the plan
+// was already memoized, here or in the runtime.
+func (c *PlanCache) entry(m *models.Model, rc RunConfig) (e *planEntry, hit bool, err error) {
+	key := memoKey{g: m.Graph, rc: cacheRC(rc)}
 	if e, ok := c.entries[key]; ok {
 		c.hits++
-		return e, nil
+		return e, true, nil
 	}
-	c.misses++
-	plan, err := c.rt.Plan(m, rc)
+	p, hit, err := c.rt.prepare(m, rc)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	e := &planEntry{plan: plan, makespans: make(map[int]time.Duration)}
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	e = &planEntry{prepared: p, makespans: make(map[int]time.Duration)}
 	c.entries[key] = e
-	return e, nil
+	return e, hit, nil
 }
 
 // Plan returns the cached plan for (m, rc), running the partitioner on the
@@ -86,11 +79,9 @@ func (c *PlanCache) Plan(m *models.Model, rc RunConfig) (*partition.Plan, error)
 // already cached (no partitioner run). The tracing layer records it as a
 // plan-lookup span attribute.
 func (c *PlanCache) PlanCached(m *models.Model, rc RunConfig) (plan *partition.Plan, hit bool, err error) {
-	key := planKey{model: m.Name, rc: cacheRC(rc)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, hit = c.entries[key]
-	e, err := c.entry(m, rc)
+	e, hit, err := c.entry(m, rc)
 	if err != nil {
 		return nil, false, err
 	}
@@ -107,7 +98,7 @@ func (c *PlanCache) Estimate(m *models.Model, rc RunConfig, rows int) (time.Dura
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, err := c.entry(m, rc)
+	e, _, err := c.entry(m, rc)
 	if err != nil {
 		return 0, err
 	}
@@ -116,8 +107,7 @@ func (c *PlanCache) Estimate(m *models.Model, rc RunConfig, rows int) (time.Dura
 		return d, nil
 	}
 	c.misses++
-	rcCost := cacheRC(rc)
-	res, err := c.rt.RunBatchPlan(m, e.plan, []exec.FusedItem{{Rows: rows}}, rcCost)
+	res, err := c.rt.runLayout(m, e.pipe, e.layout, []exec.FusedItem{{Rows: rows}}, cacheRC(rc), ExecOpts{})
 	if err != nil {
 		return 0, err
 	}

@@ -80,10 +80,8 @@ func RunBatch(g *graph.Graph, policy BatchPolicy, plans BatchPlans, n int, cfg C
 	if cfg.Numeric {
 		return nil, fmt.Errorf("exec: RunBatch is cost-only; use Run for numeric inference")
 	}
-	shapes, err := g.InferShapes()
-	if err != nil {
-		return nil, err
-	}
+	// One layout per distinct plan: its shapes time every input's run.
+	layouts := make(map[*partition.Plan]*Layout, 2)
 
 	pick := func(i int) (*partition.Plan, partition.Pipeline, error) {
 		switch policy {
@@ -113,12 +111,19 @@ func RunBatch(g *graph.Graph, policy BatchPolicy, plans BatchPlans, n int, cfg C
 		if plan == nil {
 			return nil, fmt.Errorf("exec: policy %v needs a plan that was not provided", policy)
 		}
+		lay, ok := layouts[plan]
+		if !ok {
+			if lay, err = NewLayout(g, plan, pipe.Storage); err != nil {
+				return nil, err
+			}
+			layouts[plan] = lay
+		}
 		c := cfg
 		c.Pipe = pipe
 		// All inputs are available at t=0; the shared timeline makes
 		// same-processor inputs queue and different-processor inputs
 		// overlap, which is exactly Figure 4's distinction.
-		r := newRunner(g, c, shapes, tl, 0)
+		r := newRunner(lay, c, tl, 0)
 		if err := r.execute(plan); err != nil {
 			return nil, err
 		}

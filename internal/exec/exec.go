@@ -154,13 +154,15 @@ type Result struct {
 }
 
 type runner struct {
-	g      *graph.Graph
-	cfg    Config
-	shapes map[graph.NodeID]tensor.Shape
-	tl     *sim.Timeline
+	g   *graph.Graph
+	lay *Layout
+	cfg Config
+	tl  *sim.Timeline
 
-	ready      map[graph.NodeID]time.Duration
-	producedOn map[graph.NodeID]device.Set
+	// ready and producedOn, indexed by NodeID, are when each output is
+	// ready and the processors it is coherent on.
+	ready      []time.Duration
+	producedOn []device.Set
 
 	// batch is the number of input rows fused into every kernel of this
 	// run (≥1). Rows share each layer's weights: activations, compute, and
@@ -169,11 +171,11 @@ type runner struct {
 	// amortization server-side micro-batching exists to exploit.
 	batch int
 	// items carries the per-member state of a fused run: one entry per
-	// batch member (a single Run has exactly one). Numeric value maps are
-	// populated only in numeric mode; a member whose context dies mid-run
-	// records its error here and stops receiving numeric work without
+	// batch member (a single Run has exactly one). Arenas are held only in
+	// numeric mode; a member whose context dies mid-run records its error
+	// here, returns its arena and stops receiving numeric work without
 	// disturbing its batchmates.
-	items []*fusedMember
+	items []fusedMember
 
 	// seq is the completion time of the previous plan step: μLayer's
 	// executor processes the plan sequentially, one step at a time (§5
@@ -234,14 +236,16 @@ func (r *runner) traceKernel(p *device.Processor, label string, kind nn.OpKind,
 	})
 }
 
-// newRunner prepares per-inference state over a (possibly shared)
-// timeline; arrival is the time the input becomes available.
-func newRunner(g *graph.Graph, cfg Config, shapes map[graph.NodeID]tensor.Shape, tl *sim.Timeline, arrival time.Duration) *runner {
+// newRunner prepares per-inference state for a layout's plan over a
+// (possibly shared) timeline; arrival is the time the input becomes
+// available.
+func newRunner(lay *Layout, cfg Config, tl *sim.Timeline, arrival time.Duration) *runner {
+	g := lay.g
 	r := &runner{
-		g: g, cfg: cfg, shapes: shapes,
+		g: g, lay: lay, cfg: cfg,
 		tl:         tl,
-		ready:      make(map[graph.NodeID]time.Duration),
-		producedOn: make(map[graph.NodeID]device.Set),
+		ready:      make([]time.Duration, g.Len()),
+		producedOn: make([]device.Set, g.Len()),
 		batch:      1,
 		seq:        arrival,
 		all:        device.CPU.Bit() | device.GPU.Bit(),
@@ -263,36 +267,30 @@ type fusedMember struct {
 	ctx context.Context
 	// err records the member's terminal context error once dropped.
 	err error
-	// vals holds the member's per-node activations in numeric mode.
-	vals map[graph.NodeID]any
+	// ar holds the member's activations in numeric mode until the member
+	// is dropped or the run ends.
+	ar *arena
+}
+
+// release returns the member's arena to its pool.
+func (m *fusedMember) release() {
+	if m.ar != nil {
+		putArena(m.ar)
+		m.ar = nil
+	}
 }
 
 // checkMembers drops batch members whose context has died since the last
 // plan step. Their rows stay in the fused panels (the work is already
-// fused), but they receive no further numeric computation.
+// fused), but they receive no further numeric computation, and their
+// arenas go back to the pool at once.
 func (r *runner) checkMembers() {
-	for _, it := range r.items {
+	for i := range r.items {
+		it := &r.items[i]
 		if it.err == nil && it.ctx != nil {
 			if err := it.ctx.Err(); err != nil {
 				it.err = err
-			}
-		}
-	}
-}
-
-// eachLive runs fn once per still-live member's value map; a no-op in
-// cost-only mode or once the run has failed. A pipeline defect reported
-// by fn (e.g. a layer with no kernel for the storage type) fails the
-// whole run, not one member — it is a plan problem, not a deadline.
-func (r *runner) eachLive(fn func(vals map[graph.NodeID]any) error) {
-	if !r.cfg.Numeric || r.failure != nil {
-		return
-	}
-	for _, it := range r.items {
-		if it.err == nil {
-			if err := fn(it.vals); err != nil {
-				r.failure = err
-				return
+				it.release()
 			}
 		}
 	}
@@ -351,32 +349,6 @@ func checkStorage(dt tensor.DataType) error {
 	return fmt.Errorf("exec: unknown storage type %v", dt)
 }
 
-// convertInput lowers the float32 input into the pipeline's storage type.
-func (r *runner) convertInput(in *tensor.Tensor) (any, error) {
-	switch r.cfg.Pipe.Storage {
-	case tensor.F32:
-		return in.Clone(), nil
-	case tensor.F16:
-		return tensor.ToHalf(in), nil
-	case tensor.QUInt8:
-		return tensor.Quantize(in, r.cfg.InputParams), nil
-	}
-	return nil, checkStorage(r.cfg.Pipe.Storage)
-}
-
-// outputF32 widens the final activation back to float32.
-func outputF32(vals map[graph.NodeID]any, id graph.NodeID) *tensor.Tensor {
-	switch v := vals[id].(type) {
-	case *tensor.Tensor:
-		return v
-	case *tensor.HTensor:
-		return tensor.HalfToFloat(v)
-	case *tensor.QTensor:
-		return tensor.Dequantize(v)
-	}
-	return nil
-}
-
 // inputsReady returns the time at which every input of node id is
 // available on the processors in need, charging CPU-GPU synchronization
 // when a tensor was produced elsewhere (zero-copy map/unmap, or a full
@@ -387,7 +359,7 @@ func (r *runner) inputsReady(id graph.NodeID, need device.Set) time.Duration {
 	for _, in := range r.g.Node(id).Inputs {
 		t := r.ready[in]
 		if need&^r.producedOn[in] != 0 {
-			t += r.cfg.Pipe.TensorSync(r.cfg.SoC, int64(r.shapes[in].Elems()), r.batch, r.cfg.ZeroCopy)
+			t += r.cfg.Pipe.TensorSync(r.cfg.SoC, int64(r.lay.shapes[in].Elems()), r.batch, r.cfg.ZeroCopy)
 			// After synchronization the tensor is coherent everywhere.
 			r.producedOn[in] = r.all
 			r.ready[in] = t
@@ -406,7 +378,7 @@ var sideLabel = [3]string{"[cpu]", "[gpu]", "[npu]"}
 // runLayer executes one plan layer step. partition.Channels turns the
 // step's shares into whole output-channel counts.
 func (r *runner) runLayer(st *partition.LayerStep) {
-	ins := r.g.InputShapes(st.Node, r.shapes)
+	ins := r.lay.ins[st.Node]
 	ch := partition.Channels(st.P, st.PNPU, r.g.Node(st.Node).Layer.SplitChannels(ins))
 	r.seq = r.runNode(st.Node, ins, ch, r.seq, true)
 }
@@ -419,7 +391,7 @@ func (r *runner) runBranch(st *partition.BranchStep) {
 	var groupEnd time.Duration
 	for i, br := range st.Group.Branches {
 		for j, id := range br {
-			ins := r.g.InputShapes(id, r.shapes)
+			ins := r.lay.ins[id]
 			var ch [3]int
 			ch[st.Assign[i]] = max(r.g.Node(id).Layer.SplitChannels(ins), 1)
 			// A branch's kernels are enqueued back-to-back: only the first
@@ -481,53 +453,50 @@ func (r *runner) runNode(id graph.NodeID, ins []tensor.Shape, ch [3]int, floor t
 	}
 	r.ready[id] = end
 
-	r.eachLive(func(vals map[graph.NodeID]any) error {
-		out, err := r.allocOut(id, vals)
-		if err != nil {
-			return err
+	if !r.cfg.Numeric || r.failure != nil {
+		return end
+	}
+	// Every live member computes the node into its own arena; the active
+	// processors' shares write disjoint channel ranges of the one planned
+	// output buffer (§6's zero-copy shared output). A pipeline defect (a
+	// layer with no kernel for the storage type) fails the whole run, not
+	// one member: it is a plan problem, not a deadline.
+	for i := range r.items {
+		a := r.items[i].ar
+		if a == nil {
+			continue
+		}
+		if r.cfg.Pipe.Storage == tensor.QUInt8 {
+			a.qt[id].Params = r.outParams(id, a)
+		}
+		if poisonArenas {
+			a.poison(id)
 		}
 		lo := 0
-		for i, k := range ch {
+		for side, k := range ch {
 			if k == 0 {
 				continue
 			}
-			if err := r.forward(id, out, lo, lo+k, device.Type(i), vals); err != nil {
-				return err
+			if err := r.forward(a, id, lo, lo+k, device.Type(side)); err != nil {
+				r.failure = err
+				return end
 			}
 			lo += k
 		}
-		vals[id] = out
-		return nil
-	})
-	return end
-}
-
-// allocOut allocates the node's output tensor in the storage type.
-func (r *runner) allocOut(id graph.NodeID, vals map[graph.NodeID]any) (any, error) {
-	shape := r.shapes[id]
-	switch r.cfg.Pipe.Storage {
-	case tensor.F32:
-		return tensor.New(shape), nil
-	case tensor.F16:
-		return tensor.NewH(shape), nil
-	case tensor.QUInt8:
-		return tensor.NewQ(shape, r.outParams(id, vals)), nil
 	}
-	return nil, checkStorage(r.cfg.Pipe.Storage)
+	return end
 }
 
 // outParams resolves the quantization grid of a node's output: the layer's
 // calibrated output params, falling back to its first input's params for
 // shape-preserving layers.
-func (r *runner) outParams(id graph.NodeID, vals map[graph.NodeID]any) quant.Params {
+func (r *runner) outParams(id graph.NodeID, a *arena) quant.Params {
 	n := r.g.Node(id)
 	if qi := n.Layer.Quant(); qi != nil && qi.Ready {
 		return qi.Out
 	}
 	if len(n.Inputs) > 0 {
-		if q, ok := vals[n.Inputs[0]].(*tensor.QTensor); ok {
-			return q.Params
-		}
+		return a.qt[n.Inputs[0]].Params
 	}
 	return r.cfg.InputParams
 }
@@ -548,40 +517,40 @@ type qViaF16Forwarder interface {
 
 // forward dispatches the numeric kernel for channels [c0,c1) of node id on
 // the pipeline of processor side, reading and writing one batch member's
-// value map. A layer with no kernel for the pipeline is a malformed plan:
-// a returned error (a 500 at the serving layer), not a crash.
-func (r *runner) forward(id graph.NodeID, out any, c0, c1 int, side device.Type, vals map[graph.NodeID]any) error {
+// arena. A layer with no kernel for the pipeline is a malformed plan: a
+// returned error (a 500 at the serving layer), not a crash.
+func (r *runner) forward(a *arena, id graph.NodeID, c0, c1 int, side device.Type) error {
 	n := r.g.Node(id)
 	layer := n.Layer
 	switch r.cfg.Pipe.Storage {
 	case tensor.F32:
-		ins := make([]*tensor.Tensor, len(n.Inputs))
-		for i, inID := range n.Inputs {
-			ins[i] = vals[inID].(*tensor.Tensor)
-		}
 		l, ok := layer.(f32Forwarder)
 		if !ok {
 			return fmt.Errorf("exec: layer %s has no F32 pipeline", layer.Name())
 		}
-		l.ForwardF32(ins, out.(*tensor.Tensor), c0, c1)
-	case tensor.F16:
-		ins := make([]*tensor.HTensor, len(n.Inputs))
-		for i, inID := range n.Inputs {
-			ins[i] = vals[inID].(*tensor.HTensor)
+		a.fins = a.fins[:0]
+		for _, in := range n.Inputs {
+			a.fins = append(a.fins, &a.ft[in])
 		}
+		l.ForwardF32(a.fins, &a.ft[id], c0, c1)
+	case tensor.F16:
 		l, ok := layer.(hForwarder)
 		if !ok {
 			return fmt.Errorf("exec: layer %s has no F16 pipeline", layer.Name())
 		}
-		l.ForwardF16(ins, out.(*tensor.HTensor), c0, c1)
+		a.hins = a.hins[:0]
+		for _, in := range n.Inputs {
+			a.hins = append(a.hins, &a.ht[in])
+		}
+		l.ForwardF16(a.hins, &a.ht[id], c0, c1)
 	case tensor.QUInt8:
-		ins := make([]*tensor.QTensor, len(n.Inputs))
-		for i, inID := range n.Inputs {
-			ins[i] = vals[inID].(*tensor.QTensor)
+		a.qins = a.qins[:0]
+		for _, in := range n.Inputs {
+			a.qins = append(a.qins, &a.qt[in])
 		}
 		if r.cfg.Pipe.Converted(side) {
 			if l, ok := layer.(qViaF16Forwarder); ok {
-				l.ForwardQViaF16(ins, out.(*tensor.QTensor), c0, c1)
+				l.ForwardQViaF16(a.qins, &a.qt[id], c0, c1)
 				return nil
 			}
 		}
@@ -589,7 +558,7 @@ func (r *runner) forward(id graph.NodeID, out any, c0, c1 int, side device.Type,
 		if !ok {
 			return fmt.Errorf("exec: layer %s has no QUInt8 pipeline", layer.Name())
 		}
-		l.ForwardQ(ins, out.(*tensor.QTensor), c0, c1)
+		l.ForwardQ(a.qins, &a.qt[id], c0, c1)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mulayer/internal/graph"
-	"mulayer/internal/nn"
 	"mulayer/internal/partition"
 	"mulayer/internal/sim"
 	"mulayer/internal/tensor"
@@ -69,20 +68,32 @@ type FusedResult struct {
 // In numeric mode every item must carry an input; outputs are computed per
 // member and are bit-identical to the member's own single-input Run under
 // the same plan (the fused panels change the cost model, not the math).
+// RunFused builds the plan's layout on every call; RunLayout reuses one.
 func RunFused(g *graph.Graph, plan *partition.Plan, items []FusedItem, cfg Config) (*FusedResult, error) {
+	lay, err := NewLayout(g, plan, cfg.Pipe.Storage)
+	if err != nil {
+		return nil, err
+	}
+	return RunLayout(lay, items, cfg)
+}
+
+// RunLayout is RunFused over a layout built by NewLayout for the
+// pipeline's storage type. In numeric mode each live member computes into
+// its own pooled arena, which goes back to the pool on every exit: when
+// the member is dropped, when the run fails, and once its output has been
+// copied out.
+func RunLayout(lay *Layout, items []FusedItem, cfg Config) (*FusedResult, error) {
 	if cfg.SoC == nil {
 		return nil, fmt.Errorf("exec: SoC is required")
 	}
-	if err := checkStorage(cfg.Pipe.Storage); err != nil {
-		return nil, err
+	if cfg.Pipe.Storage != lay.storage {
+		return nil, fmt.Errorf("exec: pipeline stores %v, layout was built for %v", cfg.Pipe.Storage, lay.storage)
 	}
 	if len(items) == 0 {
 		return nil, fmt.Errorf("exec: fused batch needs at least one item")
 	}
-	shapes, err := g.InferShapes()
-	if err != nil {
-		return nil, err
-	}
+	g := lay.g
+	want := lay.shapes[g.Input()]
 	rows := 0
 	for i, it := range items {
 		rows += it.rows()
@@ -93,37 +104,29 @@ func RunFused(g *graph.Graph, plan *partition.Plan, items []FusedItem, cfg Confi
 			if it.Input == nil {
 				return nil, fmt.Errorf("exec: numeric item %d has no input", i)
 			}
-			if it.Input.Shape != shapes[g.Input()] {
-				return nil, fmt.Errorf("exec: item %d input shape %v, graph wants %v", i, it.Input.Shape, shapes[g.Input()])
+			if it.Input.Shape != want {
+				return nil, fmt.Errorf("exec: item %d input shape %v, graph wants %v", i, it.Input.Shape, want)
 			}
-		}
-	}
-	cover := plan.Covered()
-	for i := 0; i < g.Len(); i++ {
-		id := graph.NodeID(i)
-		if g.Node(id).Layer.Kind() == nn.OpInput {
-			continue
-		}
-		if cover[id] != 1 {
-			return nil, fmt.Errorf("exec: plan covers node %d %dx, want exactly once", id, cover[id])
 		}
 	}
 
-	r := newRunner(g, cfg, shapes, sim.NewTimeline(), 0)
+	r := newRunner(lay, cfg, sim.NewTimeline(), 0)
 	r.batch = rows
-	r.items = make([]*fusedMember, len(items))
-	for i, it := range items {
-		m := &fusedMember{ctx: it.Ctx}
-		if cfg.Numeric {
-			in, err := r.convertInput(it.Input)
-			if err != nil {
-				return nil, err
-			}
-			m.vals = map[graph.NodeID]any{g.Input(): in}
+	r.items = make([]fusedMember, len(items))
+	defer func() {
+		for i := range r.items {
+			r.items[i].release()
 		}
-		r.items[i] = m
+	}()
+	for i, it := range items {
+		r.items[i].ctx = it.Ctx
+		if cfg.Numeric {
+			a := getArena(lay)
+			a.load(g.Input(), it.Input, cfg.InputParams)
+			r.items[i].ar = a
+		}
 	}
-	if err := r.execute(plan); err != nil {
+	if err := r.execute(lay.plan); err != nil {
 		return nil, err
 	}
 	r.checkMembers()
@@ -151,8 +154,8 @@ func RunFused(g *graph.Graph, plan *partition.Plan, items []FusedItem, cfg Confi
 		ir := FusedItemResult{Err: m.err}
 		if m.err == nil {
 			ir.Latency = end
-			if cfg.Numeric {
-				ir.Output = outputF32(m.vals, g.Output())
+			if m.ar != nil {
+				ir.Output = m.ar.output(g.Output())
 			}
 		}
 		res.Items[i] = ir

@@ -38,14 +38,17 @@ func splitPlan(t *testing.T, m *models.Model, p float64) *partition.Plan {
 
 // TestGoldenFusedBitExact is the golden-output regression gate for the
 // fused micro-batching path: for every bundled model, fixed-seed forward
-// passes under the uniform QUInt8 pipeline must be bit-identical between
-// plain single-request execution and fused batched execution, at every
-// split ratio p in {0, 0.25, 0.5, 0.75, 1} and batch sizes {1, 4}.
+// passes under each uniform pipeline (QUInt8, F32, F16) must be
+// bit-identical between plain single-request execution and fused batched
+// execution, at every split ratio p in {0, 0.25, 0.5, 0.75, 1} and batch
+// sizes {1, 4}. The package's tests run on poisoned arenas (TestMain), so
+// the gate also fails when a kernel reads its output before writing it.
 //
 // The golden outputs are the single-CPU (p = 1) Run results. Two system
 // invariants make them the reference for every configuration:
-//   - uniform QUInt8 runs identical integer arithmetic on both
-//     processors, so the split ratio cannot change the output;
+//   - a uniform pipeline runs identical arithmetic on both processors,
+//     and each output channel's sums do not depend on which range holds
+//     it, so the split ratio cannot change the output;
 //   - fusing rows into batched panels changes the cost model only, never
 //     the per-member math.
 func TestGoldenFusedBitExact(t *testing.T) {
@@ -78,80 +81,86 @@ func TestGoldenFusedBitExact(t *testing.T) {
 			if err := m.Calibrate(cal); err != nil {
 				t.Fatal(err)
 			}
-			pipe := partition.Uniform(tensor.QUInt8)
-			cfg := runCfg(m, pipe, true)
-
-			const batch = 4
-			inputs := make([]*tensor.Tensor, batch)
-			for i := range inputs {
-				in := tensor.New(m.InputShape)
-				in.FillRandom(uint64(7000+i), 1)
-				inputs[i] = in
-			}
-
-			// Golden outputs: each input through the single-CPU plan.
-			golden := make([]*tensor.Tensor, batch)
-			for i, in := range inputs {
-				res, err := Run(m.Graph, splitPlan(t, m, 1), in, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				golden[i] = res.Output
-			}
-
-			for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-				plan := splitPlan(t, m, p)
-
-				// The cross-ratio invariant itself: a plain run at this
-				// ratio reproduces the golden output bit-for-bit.
-				res, err := Run(m.Graph, plan, inputs[0], cfg)
-				if err != nil {
-					t.Fatalf("p=%v: %v", p, err)
-				}
-				if d := res.Output.MaxAbsDiff(golden[0]); d != 0 {
-					t.Fatalf("p=%v: single run differs from golden by %v", p, d)
-				}
-
-				// Batch size 1: a one-member fused run is exactly Run.
-				b1, err := RunFused(m.Graph, plan, []FusedItem{{Input: inputs[0]}}, cfg)
-				if err != nil {
-					t.Fatalf("p=%v batch=1: %v", p, err)
-				}
-				if b1.Rows != 1 {
-					t.Fatalf("p=%v batch=1: fused rows %d", p, b1.Rows)
-				}
-				if d := b1.Items[0].Output.MaxAbsDiff(golden[0]); d != 0 {
-					t.Fatalf("p=%v batch=1: fused output differs from golden by %v", p, d)
-				}
-
-				// Batch size 4: every member's slice of the fused run must
-				// match its own golden output.
-				items := make([]FusedItem, batch)
-				for i := range items {
-					items[i] = FusedItem{Input: inputs[i]}
-				}
-				b4, err := RunFused(m.Graph, plan, items, cfg)
-				if err != nil {
-					t.Fatalf("p=%v batch=4: %v", p, err)
-				}
-				if b4.Rows != batch {
-					t.Fatalf("p=%v batch=4: fused rows %d", p, b4.Rows)
-				}
-				for i, ir := range b4.Items {
-					if ir.Err != nil {
-						t.Fatalf("p=%v batch=4 member %d: %v", p, i, ir.Err)
-					}
-					if d := ir.Output.MaxAbsDiff(golden[i]); d != 0 {
-						t.Fatalf("p=%v batch=4 member %d: fused output differs from golden by %v", p, i, d)
-					}
-				}
-				// Amortization sanity: the fused batch must beat four
-				// sequential single runs at the same split ratio.
-				single := res.Report.Latency.Seconds()
-				if got := b4.Report.Latency.Seconds(); got >= float64(batch)*single {
-					t.Fatalf("p=%v: fused batch of %d (%.6fs) not faster than %d sequential runs (%.6fs each)", p, batch, got, batch, single)
-				}
+			for _, dt := range tensor.AllDataTypes {
+				goldenFused(t, m, runCfg(m, partition.Uniform(dt), true))
 			}
 		})
+	}
+}
+
+// goldenFused runs one model's golden checks under one uniform pipeline.
+func goldenFused(t *testing.T, m *models.Model, cfg Config) {
+	t.Helper()
+	const batch = 4
+	inputs := make([]*tensor.Tensor, batch)
+	for i := range inputs {
+		in := tensor.New(m.InputShape)
+		in.FillRandom(uint64(7000+i), 1)
+		inputs[i] = in
+	}
+
+	// Golden outputs: each input through the single-CPU plan.
+	golden := make([]*tensor.Tensor, batch)
+	for i, in := range inputs {
+		res, err := Run(m.Graph, splitPlan(t, m, 1), in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden[i] = res.Output
+	}
+
+	st := cfg.Pipe.Storage
+	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		plan := splitPlan(t, m, p)
+
+		// The cross-ratio invariant itself: a plain run at this ratio
+		// reproduces the golden output bit-for-bit.
+		res, err := Run(m.Graph, plan, inputs[0], cfg)
+		if err != nil {
+			t.Fatalf("%v p=%v: %v", st, p, err)
+		}
+		if d := res.Output.MaxAbsDiff(golden[0]); d != 0 {
+			t.Fatalf("%v p=%v: single run differs from golden by %v", st, p, d)
+		}
+
+		// Batch size 1: a one-member fused run is exactly Run.
+		b1, err := RunFused(m.Graph, plan, []FusedItem{{Input: inputs[0]}}, cfg)
+		if err != nil {
+			t.Fatalf("%v p=%v batch=1: %v", st, p, err)
+		}
+		if b1.Rows != 1 {
+			t.Fatalf("%v p=%v batch=1: fused rows %d", st, p, b1.Rows)
+		}
+		if d := b1.Items[0].Output.MaxAbsDiff(golden[0]); d != 0 {
+			t.Fatalf("%v p=%v batch=1: fused output differs from golden by %v", st, p, d)
+		}
+
+		// Batch size 4: every member's slice of the fused run must match
+		// its own golden output.
+		items := make([]FusedItem, batch)
+		for i := range items {
+			items[i] = FusedItem{Input: inputs[i]}
+		}
+		b4, err := RunFused(m.Graph, plan, items, cfg)
+		if err != nil {
+			t.Fatalf("%v p=%v batch=4: %v", st, p, err)
+		}
+		if b4.Rows != batch {
+			t.Fatalf("%v p=%v batch=4: fused rows %d", st, p, b4.Rows)
+		}
+		for i, ir := range b4.Items {
+			if ir.Err != nil {
+				t.Fatalf("%v p=%v batch=4 member %d: %v", st, p, i, ir.Err)
+			}
+			if d := ir.Output.MaxAbsDiff(golden[i]); d != 0 {
+				t.Fatalf("%v p=%v batch=4 member %d: fused output differs from golden by %v", st, p, i, d)
+			}
+		}
+		// Amortization sanity: the fused batch must beat four sequential
+		// single runs at the same split ratio.
+		single := res.Report.Latency.Seconds()
+		if got := b4.Report.Latency.Seconds(); got >= float64(batch)*single {
+			t.Fatalf("%v p=%v: fused batch of %d (%.6fs) not faster than %d sequential runs (%.6fs each)", st, p, batch, got, batch, single)
+		}
 	}
 }

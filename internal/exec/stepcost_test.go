@@ -58,7 +58,11 @@ func checkStepTimes(t *testing.T, s *soc.SoC, m *models.Model, plan *partition.P
 				first[ev.Node] = ev.Start
 			}
 		}}
-	r := newRunner(g, cfg, shapes, sim.NewTimeline(), 0)
+	lay, err := NewLayout(g, plan, pipe.Storage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(lay, cfg, sim.NewTimeline(), 0)
 	split := 0
 	for _, st := range plan.Steps {
 		if st.Branch != nil {

@@ -25,6 +25,8 @@ func FuzzFaultConfig(f *testing.F) {
 		"a:b:c",
 		"fail=0.3,fail=0.3",
 		"high:;mid:fail=0.1",
+		"latms=NaN",
+		"hangms=NaN",
 	} {
 		f.Add(seed)
 	}
@@ -84,6 +86,9 @@ func FuzzNetFaultConfig(f *testing.F) {
 		"target=a:1,reset=1;target=a:1,drop=1",
 		"reset=0.6,drop=0.6",
 		"max=9999999999999",
+		"latms=NaN",
+		"hangms=NaN",
+		"lat=1,latms=NaN",
 	} {
 		f.Add(seed)
 	}
@@ -99,6 +104,7 @@ func FuzzNetFaultConfig(f *testing.F) {
 			if cfg.Target != target {
 				t.Fatalf("spec %q: config for %q carries target %q", spec, target, cfg.Target)
 			}
+			checkDurations(t, spec, cfg.Latency, cfg.DialHang)
 		}
 		// A parsed spec must drive a transport without panicking. Cap the
 		// injected delays so a latency fault cannot stall the fuzzer.
@@ -122,4 +128,15 @@ func FuzzNetFaultConfig(f *testing.F) {
 		}
 		_ = tr.TotalStats()
 	})
+}
+
+// checkDurations fails when a duration an accepted spec set lies outside
+// [0, 1h], the range every duration key admits (a NaN parses to one).
+func checkDurations(t *testing.T, spec string, ds ...time.Duration) {
+	t.Helper()
+	for _, d := range ds {
+		if d < 0 || d > time.Hour {
+			t.Fatalf("spec %q: accepted duration %v outside [0, 1h]", spec, d)
+		}
+	}
 }

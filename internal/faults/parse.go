@@ -238,7 +238,7 @@ func (f SpecField) float(p *float64) error {
 // millis parses a duration in milliseconds, in [0, 1h].
 func (f SpecField) millis(p *time.Duration) error {
 	var ms float64
-	if f.float(&ms) != nil || ms < 0 || ms > 3.6e6 {
+	if f.float(&ms) != nil || !(ms >= 0 && ms <= 3.6e6) { // NaN fails both
 		return f.bad()
 	}
 	*p = time.Duration(ms * float64(time.Millisecond))

@@ -198,7 +198,11 @@ func (m *Model) installParams(n *graph.Node, layer nn.Layer, params map[graph.No
 		l.QI = nn.QuantInfo{In: inP, Out: observed, Ready: true}
 		params[n.ID] = observed
 	case *nn.Concat:
-		l.QI = nn.QuantInfo{Out: observed, Ready: true}
+		ins := make([]quant.Params, len(n.Inputs))
+		for i, id := range n.Inputs {
+			ins[i] = params[id]
+		}
+		l.SetQuant(ins, observed)
 		params[n.ID] = observed
 	case *nn.Add:
 		l.QI = nn.QuantInfo{In: inP, Out: observed, Ready: true}

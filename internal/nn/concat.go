@@ -1,6 +1,9 @@
 package nn
 
-import "mulayer/internal/tensor"
+import (
+	"mulayer/internal/quant"
+	"mulayer/internal/tensor"
+)
 
 // Concat joins its inputs along the channel dimension, the fan-in of
 // Inception and Fire modules (Figure 11). It performs no arithmetic —
@@ -10,6 +13,46 @@ import "mulayer/internal/tensor"
 type Concat struct {
 	LayerName string
 	QI        QuantInfo
+	// luts holds each input's requantization table onto the output grid,
+	// built by SetQuant at calibration; nil where the grids match.
+	luts []*requantLUT
+}
+
+// requantLUT maps every code of grid in to its code on grid out.
+type requantLUT struct {
+	in, out quant.Params
+	t       [256]uint8
+}
+
+// newRequantLUT builds the table from grid in to grid out.
+func newRequantLUT(in, out quant.Params) *requantLUT {
+	l := &requantLUT{in: in, out: out}
+	for q := range l.t {
+		l.t[q] = out.Quantize(in.Dequantize(uint8(q)))
+	}
+	return l
+}
+
+// SetQuant installs the output grid and builds one requantization table
+// per input grid in ins (in input order) that differs from it.
+func (l *Concat) SetQuant(ins []quant.Params, out quant.Params) {
+	l.QI = QuantInfo{Out: out, Ready: true}
+	l.luts = make([]*requantLUT, len(ins))
+	for i, in := range ins {
+		if in != out {
+			l.luts[i] = newRequantLUT(in, out)
+		}
+	}
+}
+
+// lut returns input i's table from grid in to grid out: the one SetQuant
+// built when it was built for this pair of grids, else a new one (a
+// restored model, or grids changed since calibration).
+func (l *Concat) lut(i int, in, out quant.Params) *[256]uint8 {
+	if i < len(l.luts) && l.luts[i] != nil && l.luts[i].in == in && l.luts[i].out == out {
+		return &l.luts[i].t
+	}
+	return &newRequantLUT(in, out).t
 }
 
 // Name implements Layer.
@@ -65,17 +108,14 @@ func (l *Concat) ForwardF32(ins []*tensor.Tensor, out *tensor.Tensor, c0, c1 int
 // output are copied byte-for-byte; mismatched inputs are requantized onto
 // the output grid (the runtime analogue of TFLite's concat rescaling).
 // The requantized code depends only on the input byte, so each
-// mismatched input is mapped through a 256-entry table built once per
-// call.
+// mismatched input is mapped through a 256-entry table, built once at
+// calibration.
 func (l *Concat) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) {
 	off := 0
-	for _, in := range ins {
+	for i, in := range ins {
 		var lut *[256]uint8
 		if in.Params != out.Params {
-			lut = new([256]uint8)
-			for q := range lut {
-				lut[q] = out.Params.Quantize(in.Params.Dequantize(uint8(q)))
-			}
+			lut = l.lut(i, in.Params, out.Params)
 		}
 		for n := 0; n < out.Shape.N; n++ {
 			slo, shi := in.Shape.ChannelSpan(n, 0, in.Shape.C)

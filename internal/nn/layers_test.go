@@ -527,6 +527,48 @@ func TestConcatQRequantizes(t *testing.T) {
 	}
 }
 
+// TestConcatStoredTables: the tables SetQuant builds at calibration give
+// the same bytes as tables built per call, are used only for the grid
+// pair they were built for, and make a warm ForwardQ allocation-free.
+func TestConcatStoredTables(t *testing.T) {
+	pa, pb, pout := quant.ChooseParams(-1, 1), quant.ChooseParams(-2, 3), quant.ChooseParams(-4, 4)
+	a := tensor.NewQ(tensor.Shape{N: 1, C: 2, H: 4, W: 4}, pa)
+	b := tensor.NewQ(tensor.Shape{N: 1, C: 1, H: 4, W: 4}, pb)
+	for i := range a.Data {
+		a.Data[i] = uint8(i * 9)
+	}
+	for i := range b.Data {
+		b.Data[i] = uint8(255 - i*5)
+	}
+	ins := []*tensor.QTensor{a, b}
+	shape := tensor.Shape{N: 1, C: 3, H: 4, W: 4}
+	perCall := tensor.NewQ(shape, pout)
+	(&Concat{LayerName: "cat"}).ForwardQ(ins, perCall, 0, 1)
+
+	stored := &Concat{LayerName: "cat"}
+	stored.SetQuant([]quant.Params{pa, pb}, pout)
+	out := tensor.NewQ(shape, pout)
+	stored.ForwardQ(ins, out, 0, 1)
+	for i := range out.Data {
+		if out.Data[i] != perCall.Data[i] {
+			t.Fatalf("elem %d: stored table gives %d, per-call table %d", i, out.Data[i], perCall.Data[i])
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { stored.ForwardQ(ins, out, 0, 1) }); n != 0 {
+		t.Fatalf("ForwardQ on stored tables allocates %v times", n)
+	}
+
+	// Grids that moved since calibration get a table of their own.
+	pc := quant.ChooseParams(-3, 1)
+	b.Params = pc
+	stored.ForwardQ(ins, out, 0, 1)
+	for i, q := range b.Data {
+		if got, want := out.Data[32+i], pout.Quantize(pc.Dequantize(q)); got != want {
+			t.Fatalf("moved grid, elem %d: %d want %d", i, got, want)
+		}
+	}
+}
+
 func TestOpKindStrings(t *testing.T) {
 	kinds := []OpKind{OpInput, OpConv, OpDepthwise, OpFC, OpMaxPool, OpAvgPool, OpReLU, OpLRN, OpConcat, OpSoftmax}
 	seen := map[string]bool{}

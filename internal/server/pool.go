@@ -48,16 +48,19 @@ type poolDevice struct {
 	dead bool       // both CPU and GPU died: terminal, whatever br says
 }
 
-// buildPool instantiates the device pool: Workers independent runtimes
-// per configured SoC class.
+// buildPool instantiates the device pool: Workers devices per configured
+// SoC class. A class's devices share one runtime — one fitted predictor
+// and one plan memo, so the class's plan cache hands every device a plan
+// whose execution layout is already built; each device keeps its own
+// queue, health and fault injector.
 func buildPool(cfg Config) ([]*poolDevice, error) {
 	var pool []*poolDevice
 	for _, spec := range cfg.SoCs {
+		rt, err := core.NewRuntime(spec.SoC())
+		if err != nil {
+			return nil, fmt.Errorf("server: build %s runtime: %w", spec.Name, err)
+		}
 		for w := 0; w < spec.Workers; w++ {
-			rt, err := core.NewRuntime(spec.SoC())
-			if err != nil {
-				return nil, fmt.Errorf("server: build %s device %d: %w", spec.Name, w, err)
-			}
 			d := &poolDevice{
 				id:    len(pool),
 				name:  fmt.Sprintf("%s-%d", spec.Name, w),
