@@ -13,15 +13,21 @@ import (
 // from the batch (its result carries the context error) without aborting
 // its batchmates. A one-item, one-row batch is equivalent to RunContext.
 func (rt *Runtime) RunBatch(m *models.Model, items []exec.FusedItem, rc RunConfig) (*exec.FusedResult, error) {
+	return rt.RunBatchOpts(m, items, rc, ExecOpts{})
+}
+
+// RunBatchOpts is RunBatch with execution hooks attached — the serving
+// path, which runs the memoized plan of (m, rc) on its memoized layout.
+func (rt *Runtime) RunBatchOpts(m *models.Model, items []exec.FusedItem, rc RunConfig, opts ExecOpts) (*exec.FusedResult, error) {
 	p, _, err := rt.prepare(m, rc)
 	if err != nil {
 		return nil, err
 	}
-	return rt.runLayout(m, p.pipe, p.layout, items, rc, ExecOpts{})
+	return rt.runLayout(m, p.pipe, p.layout, items, rc, opts)
 }
 
 // ExecOpts carries per-execution hooks that must not influence planning —
-// they live outside RunConfig so plan-cache keys (which embed RunConfig)
+// they live outside RunConfig so plan memo keys (which embed RunConfig)
 // stay comparable and hook-free.
 type ExecOpts struct {
 	// Faults, when non-nil, is consulted before every scheduled kernel; see
@@ -39,18 +45,11 @@ type ExecOpts struct {
 	WatchdogFactor float64
 }
 
-// RunBatchPlan is RunBatch under a previously built plan — the serving
-// path, where the plan comes from a PlanCache instead of a per-request
-// partitioner run. The plan must cover m's graph and match rc's pipeline
-// (use PlanCache.Plan or Runtime.Plan with the same RunConfig). The
-// memoized plan of (m, rc) runs on its memoized layout; any other plan
-// gets a layout built for this call.
+// RunBatchPlan is RunBatch under a previously built plan, which must
+// cover m's graph and match rc's pipeline (use PlanCached or Plan with the
+// same RunConfig). The memoized plan of (m, rc) runs on its memoized
+// layout; any other plan gets a layout built for this call.
 func (rt *Runtime) RunBatchPlan(m *models.Model, plan *partition.Plan, items []exec.FusedItem, rc RunConfig) (*exec.FusedResult, error) {
-	return rt.RunBatchPlanOpts(m, plan, items, rc, ExecOpts{})
-}
-
-// RunBatchPlanOpts is RunBatchPlan with execution hooks attached.
-func (rt *Runtime) RunBatchPlanOpts(m *models.Model, plan *partition.Plan, items []exec.FusedItem, rc RunConfig, opts ExecOpts) (*exec.FusedResult, error) {
 	p, _, err := rt.prepare(m, rc)
 	if err != nil {
 		return nil, err
@@ -61,7 +60,7 @@ func (rt *Runtime) RunBatchPlanOpts(m *models.Model, plan *partition.Plan, items
 			return nil, err
 		}
 	}
-	return rt.runLayout(m, p.pipe, lay, items, rc, opts)
+	return rt.runLayout(m, p.pipe, lay, items, rc, ExecOpts{})
 }
 
 // runLayout runs a fused batch over lay, a layout of one of m's plans

@@ -112,21 +112,17 @@ func TestRunBatchNumericGuards(t *testing.T) {
 
 func TestPlanCacheMemoizes(t *testing.T) {
 	rt := newRT(t)
-	c := NewPlanCache(rt)
-	if c.Runtime() != rt {
-		t.Fatal("cache runtime accessor")
-	}
 	m, err := models.GoogLeNet(models.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := RunConfig{Mechanism: MechMuLayer}
 
-	p1, err := c.Plan(m, rc)
+	p1, _, err := rt.PlanCached(m, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.Plan(m, rc)
+	p2, _, err := rt.PlanCached(m, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +132,7 @@ func TestPlanCacheMemoizes(t *testing.T) {
 	// The Numeric flag is per-request and must not split the key.
 	numRC := rc
 	numRC.Numeric = true
-	p3, err := c.Plan(m, numRC)
+	p3, _, err := rt.PlanCached(m, numRC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +141,7 @@ func TestPlanCacheMemoizes(t *testing.T) {
 	}
 
 	// Estimate agrees with a direct cost-only run and memoizes per row count.
-	est, err := c.Estimate(m, rc, 1)
+	est, err := rt.Estimate(m, rc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +152,13 @@ func TestPlanCacheMemoizes(t *testing.T) {
 	if est != direct.Report.Latency {
 		t.Fatalf("estimate %v != direct cost-only latency %v", est, direct.Report.Latency)
 	}
-	if _, err := c.Estimate(m, rc, 0); err != nil { // clamps to 1
+	if _, err := rt.Estimate(m, rc, 0); err != nil { // clamps to 1
 		t.Fatal(err)
 	}
-	if _, err := c.Estimate(m, rc, 4); err != nil {
+	if _, err := rt.Estimate(m, rc, 4); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Stats()
+	s := rt.MemoStats()
 	if s.Plans != 1 || s.Makespans != 2 {
 		t.Fatalf("want 1 plan and 2 memoized makespans, got %+v", s)
 	}
@@ -171,33 +167,42 @@ func TestPlanCacheMemoizes(t *testing.T) {
 	}
 
 	// A different mechanism is a different key.
-	if _, err := c.Plan(m, RunConfig{Mechanism: MechCPUOnly, DType: tensor.QUInt8}); err != nil {
+	if _, _, err := rt.PlanCached(m, RunConfig{Mechanism: MechCPUOnly, DType: tensor.QUInt8}); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Plans != 2 {
+	if s := rt.MemoStats(); s.Plans != 2 {
 		t.Fatalf("want 2 plans after a second mechanism, got %+v", s)
 	}
 
-	// Planner errors surface, not cache.
-	if _, err := c.Plan(m, RunConfig{Mechanism: Mechanism(42)}); err == nil {
-		t.Fatal("unknown mechanism must fail through the cache")
+	// Planner errors surface, not memoize.
+	if _, _, err := rt.PlanCached(m, RunConfig{Mechanism: Mechanism(42)}); err == nil {
+		t.Fatal("unknown mechanism must fail through the memo")
+	}
+	if _, err := rt.Estimate(m, RunConfig{Mechanism: Mechanism(42)}, 1); err == nil {
+		t.Fatal("unknown mechanism must fail to estimate")
+	}
+	if _, err := rt.RunBatch(m, []exec.FusedItem{{Rows: 1}}, RunConfig{Mechanism: Mechanism(42)}); err == nil {
+		t.Fatal("unknown mechanism must fail to run")
+	}
+	if s := rt.MemoStats(); s.Plans != 2 {
+		t.Fatalf("failed lookups memoized a plan: %+v", s)
 	}
 }
 
 // TestPlanCachedHitState: PlanCached reports a miss on a fresh key and a
 // hit afterwards, returning the same cached plan either way.
 func TestPlanCachedHitState(t *testing.T) {
-	c := NewPlanCache(newRT(t))
+	rt := newRT(t)
 	m, err := models.LeNet5(models.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := RunConfig{Mechanism: MechMuLayer}
-	p1, hit, err := c.PlanCached(m, rc)
+	p1, hit, err := rt.PlanCached(m, rc)
 	if err != nil || hit {
 		t.Fatalf("fresh key: hit=%v err=%v, want miss", hit, err)
 	}
-	p2, hit, err := c.PlanCached(m, rc)
+	p2, hit, err := rt.PlanCached(m, rc)
 	if err != nil || !hit {
 		t.Fatalf("repeat key: hit=%v err=%v, want hit", hit, err)
 	}

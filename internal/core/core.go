@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"mulayer/internal/device"
 	"mulayer/internal/exec"
@@ -103,7 +104,7 @@ type RunConfig struct {
 	// lever of the fault-tolerance layer. A cooperative mechanism with one
 	// side unhealthy degenerates to single-processor plans (p=0 or p=1,
 	// no branch distribution); a mechanism that cannot run on the surviving
-	// processors errors at plan time. Part of the plan-cache key: degraded
+	// processors errors at plan time. Part of the plan memo's key: degraded
 	// and healthy plans never alias.
 	Unhealthy device.Set
 }
@@ -115,50 +116,65 @@ type RunConfig struct {
 //
 // One Runtime is safe for concurrent use by multiple goroutines. Its SoC
 // model and predictor are immutable after NewRuntime. Its one mutable part
-// is the plan memo, guarded by a mutex: Run, RunContext and RunBatch look
-// up the plan and execution layout of (model graph, run config) there and
-// build them on the first request for the key, under the lock; memoized
-// plans and layouts are read-only. Plan builds a fresh plan on every call.
-// Each run gets its own timeline and, in numeric mode, one pooled
-// activation arena per batch member, returned to the pool when the run
-// ends. The Model is read-only during a run, so concurrent runs may share
-// a Model — provided no goroutine mutates it concurrently (calibration,
-// which installs quantization grids and weight caches into the layers,
-// must happen strictly before the model is shared). Note that concurrent
-// Run calls model independent SoCs: each call gets its own simulated
-// timeline, so two concurrent inferences do not contend for the modeled
-// processors — serving-style contention is a scheduling concern layered
-// above (see internal/server).
+// is the memo, guarded by one mutex: per (model graph, run config) it holds
+// the plan, its execution layout and the predicted makespan of each fused
+// batch size asked of Estimate. A key's plan and layout are built on its
+// first request, under the lock, and are read-only from then on; Run,
+// RunContext, RunBatch, PlanCached and Estimate all read them there. An
+// Estimate for a new row count simulates outside the lock, so it never
+// holds up another lookup, and stores the deterministic result under it.
+// Plan builds a fresh plan on every call. Each run gets its own timeline
+// and, in numeric mode, one pooled activation arena per batch member,
+// returned to the pool when the run ends. The Model is read-only during a
+// run, so concurrent runs may share a Model — provided no goroutine
+// mutates it concurrently (calibration, which installs quantization grids
+// and weight caches into the layers, must happen strictly before the model
+// is shared). Note that concurrent Run calls model independent SoCs: each
+// call gets its own simulated timeline, so two concurrent inferences do
+// not contend for the modeled processors — serving-style contention is a
+// scheduling concern layered above (see internal/server).
 type Runtime struct {
 	soc  *soc.SoC
 	pred *profile.Predictor
 
-	mu   sync.Mutex
-	memo map[memoKey]*prepared
+	mu     sync.Mutex
+	memo   map[memoKey]*prepared
+	hits   int64 // counted lookups (PlanCached, Estimate) answered by the memo
+	misses int64 // and those that had to plan or simulate
 }
 
 // memoKey identifies one memoized plan: the model's graph, by pointer so
 // that two same-named models never alias, and the run config stripped of
-// the fields that do not influence planning (cacheRC).
+// the fields that do not influence planning (cacheRC). RunConfig.Unhealthy
+// is part of it: a degraded device's p=0/p=1 plans never alias the healthy
+// cooperative ones, and a recovery finds the healthy entries still there.
 type memoKey struct {
 	g  *graph.Graph
 	rc RunConfig
 }
 
-// prepared is one memoized plan with the pipeline it was planned for and
-// its execution layout.
+// prepared is one memoized plan with the pipeline it was planned for, its
+// execution layout and, per fused row count, the predicted makespan of
+// the plan (guarded by Runtime.mu).
 type prepared struct {
-	plan   *partition.Plan
-	pipe   partition.Pipeline
-	layout *exec.Layout
+	plan      *partition.Plan
+	pipe      partition.Pipeline
+	layout    *exec.Layout
+	makespans map[int]time.Duration
 }
 
 // prepare returns the memoized plan and layout of (m, rc), building them
-// on the key's first request; hit reports whether they were memoized.
+// on the key's first request; hit reports whether they were memoized. It
+// is the run path's lookup and counts nothing.
 func (rt *Runtime) prepare(m *models.Model, rc RunConfig) (p *prepared, hit bool, err error) {
-	key := memoKey{g: m.Graph, rc: cacheRC(rc)}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	return rt.prepareLocked(m, rc)
+}
+
+// prepareLocked is prepare with rt.mu held.
+func (rt *Runtime) prepareLocked(m *models.Model, rc RunConfig) (p *prepared, hit bool, err error) {
+	key := memoKey{g: m.Graph, rc: cacheRC(rc)}
 	if p, ok := rt.memo[key]; ok {
 		return p, true, nil
 	}
@@ -174,9 +190,87 @@ func (rt *Runtime) prepare(m *models.Model, rc RunConfig) (p *prepared, hit bool
 	if err != nil {
 		return nil, false, err
 	}
-	p = &prepared{plan: plan, pipe: o.Pipe, layout: lay}
+	p = &prepared{plan: plan, pipe: o.Pipe, layout: lay, makespans: make(map[int]time.Duration)}
 	rt.memo[key] = p
 	return p, false, nil
+}
+
+// count records one counted lookup as a hit or a miss. Caller holds rt.mu.
+func (rt *Runtime) count(hit bool) {
+	if hit {
+		rt.hits++
+	} else {
+		rt.misses++
+	}
+}
+
+// PlanCached returns the memoized plan of (m, rc), running the partitioner
+// on the key's first request; hit reports whether the plan was already
+// memoized. The serving layer records hit as a plan-lookup span attribute.
+// Planner errors are returned, never memoized.
+func (rt *Runtime) PlanCached(m *models.Model, rc RunConfig) (plan *partition.Plan, hit bool, err error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	p, hit, err := rt.prepareLocked(m, rc)
+	if err != nil {
+		return nil, false, err
+	}
+	rt.count(hit)
+	return p.plan, hit, nil
+}
+
+// Estimate returns the predicted makespan of a fused batch of rows rows
+// under (m, rc) — the number the serving scheduler uses for admission
+// control, Retry-After and device pacing. The first request for a (key,
+// rows) pair simulates the memoized plan cost-only; later requests hit the
+// memo. Its plan lookup and its makespan lookup each count a hit or miss.
+func (rt *Runtime) Estimate(m *models.Model, rc RunConfig, rows int) (time.Duration, error) {
+	rows = max(rows, 1)
+	rt.mu.Lock()
+	p, hit, err := rt.prepareLocked(m, rc)
+	if err != nil {
+		rt.mu.Unlock()
+		return 0, err
+	}
+	rt.count(hit)
+	d, ok := p.makespans[rows]
+	rt.count(ok)
+	rt.mu.Unlock()
+	if ok {
+		return d, nil
+	}
+	// A new row count simulates outside the lock. Two concurrent misses
+	// both simulate; the cost-only run is deterministic, so they store
+	// one value.
+	res, err := rt.runLayout(m, p.pipe, p.layout, []exec.FusedItem{{Rows: rows}}, cacheRC(rc), ExecOpts{})
+	if err != nil {
+		return 0, err
+	}
+	rt.mu.Lock()
+	p.makespans[rows] = res.Report.Latency
+	rt.mu.Unlock()
+	return res.Report.Latency, nil
+}
+
+// MemoStats is a snapshot of a runtime memo's effectiveness counters.
+type MemoStats struct {
+	// Plans is the number of distinct (model, config) plans held.
+	Plans int `json:"plans"`
+	// Makespans is the number of memoized (plan, rows) cost estimates.
+	Makespans int   `json:"makespans"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+}
+
+// MemoStats returns a snapshot of the memo's counters.
+func (rt *Runtime) MemoStats() MemoStats {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	s := MemoStats{Plans: len(rt.memo), Hits: rt.hits, Misses: rt.misses}
+	for _, p := range rt.memo {
+		s.Makespans += len(p.makespans)
+	}
+	return s
 }
 
 // cacheRC strips the per-request fields that do not influence planning or

@@ -151,36 +151,35 @@ func TestDegradedOutputsBitIdentical(t *testing.T) {
 }
 
 // TestDegradedPlanCacheKeys: degraded and healthy plans must occupy
-// distinct cache entries — the healthy-processor mask is part of the key.
+// distinct memo entries — the healthy-processor mask is part of the key.
 func TestDegradedPlanCacheKeys(t *testing.T) {
 	rt := newRT(t)
-	c := NewPlanCache(rt)
 	m, _ := models.SqueezeNetV11(models.Config{})
-	healthy, err := c.Plan(m, RunConfig{Mechanism: MechMuLayer})
+	healthy, _, err := rt.PlanCached(m, RunConfig{Mechanism: MechMuLayer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := c.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()})
+	degraded, _, err := rt.PlanCached(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if healthy == degraded {
 		t.Fatal("degraded plan aliases the healthy entry")
 	}
-	if got := c.Stats().Plans; got != 2 {
-		t.Fatalf("cache holds %d plans, want 2", got)
+	if got := rt.MemoStats().Plans; got != 2 {
+		t.Fatalf("memo holds %d plans, want 2", got)
 	}
 	// Repeat lookups hit.
-	if p2, _ := c.Plan(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()}); p2 != degraded {
+	if p2, _, _ := rt.PlanCached(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()}); p2 != degraded {
 		t.Fatal("degraded entry not reused")
 	}
 	// Degraded estimates work and differ from healthy ones (single-processor
 	// execution is slower than cooperative execution on this model).
-	h, err := c.Estimate(m, RunConfig{Mechanism: MechMuLayer}, 1)
+	h, err := rt.Estimate(m, RunConfig{Mechanism: MechMuLayer}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Estimate(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()}, 1)
+	d, err := rt.Estimate(m, RunConfig{Mechanism: MechMuLayer, Unhealthy: device.GPU.Bit()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestDegradedPlanCacheKeys(t *testing.T) {
 	}
 }
 
-// TestExecOptsFaultHook: a hook installed via RunBatchPlanOpts reaches the
+// TestExecOptsFaultHook: a hook installed via RunBatchOpts reaches the
 // executor; the zero-opts path stays hook-free.
 func TestExecOptsFaultHook(t *testing.T) {
 	rt := newRT(t)
@@ -207,7 +206,7 @@ func TestExecOptsFaultHook(t *testing.T) {
 		calls++
 		return d, nil
 	}}
-	if _, err := rt.RunBatchPlanOpts(m, plan, []exec.FusedItem{{Rows: 1}}, rc, opts); err != nil {
+	if _, err := rt.RunBatchOpts(m, []exec.FusedItem{{Rows: 1}}, rc, opts); err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {

@@ -3,13 +3,14 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"mulayer/internal/exec"
 	"mulayer/internal/models"
 	"mulayer/internal/tensor"
 )
 
-// TestRunReusesMemoizedPlan: Run, RunBatch and the plan cache share one
+// TestRunReusesMemoizedPlan: Run, RunBatch and PlanCached share one
 // memoized plan and layout per (model graph, run config); a repeated
 // request runs no partitioner, and Plan still builds a fresh plan.
 func TestRunReusesMemoizedPlan(t *testing.T) {
@@ -34,10 +35,9 @@ func TestRunReusesMemoizedPlan(t *testing.T) {
 	if p, _, _ := rt.prepare(m, numeric); p != first {
 		t.Fatal("numeric and cost-only runs must share one memo entry")
 	}
-	c := NewPlanCache(rt)
-	plan, hit, err := c.PlanCached(m, rc)
+	plan, hit, err := rt.PlanCached(m, rc)
 	if err != nil || !hit || plan != first.plan {
-		t.Fatalf("plan cache: hit=%v err=%v, same plan %v; want the runtime's memoized plan", hit, err, plan == first.plan)
+		t.Fatalf("PlanCached: hit=%v err=%v, same plan %v; want the runtime's memoized plan", hit, err, plan == first.plan)
 	}
 	if fresh, err := rt.Plan(m, rc); err != nil || fresh == first.plan {
 		t.Fatalf("Plan must build a new plan on every call (err %v)", err)
@@ -48,7 +48,7 @@ func TestRunReusesMemoizedPlan(t *testing.T) {
 }
 
 // TestMemoKeysByGraph: two models with the same name but different graphs
-// get their own plans, in the runtime memo and in a plan cache.
+// get their own memoized plans and estimates.
 func TestMemoKeysByGraph(t *testing.T) {
 	rt := newRT(t)
 	a, err := models.GoogLeNet(models.Config{})
@@ -63,23 +63,22 @@ func TestMemoKeysByGraph(t *testing.T) {
 		t.Fatalf("names %q and %q, want one name", a.Name, b.Name)
 	}
 	rc := RunConfig{Mechanism: MechMuLayer}
-	c := NewPlanCache(rt)
-	pa, err := c.Plan(a, rc)
+	pa, _, err := rt.PlanCached(a, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := c.Plan(b, rc)
+	pb, _, err := rt.PlanCached(b, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pa == pb {
 		t.Fatal("same-named models alias one plan")
 	}
-	ea, err := c.Estimate(a, rc, 1)
+	ea, err := rt.Estimate(a, rc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := c.Estimate(b, rc, 1)
+	eb, err := rt.Estimate(b, rc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,4 +138,67 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentEstimateAndRuns: goroutines calling Estimate, RunBatch and
+// Run on one fresh Runtime race on its one memo — first plan build,
+// makespan misses simulated outside the lock, run-path lookups — and
+// still read the serial figures, with one plan and one makespan per row
+// count memoized (run it under -race).
+func TestConcurrentEstimateAndRuns(t *testing.T) {
+	m, err := models.GoogLeNet(models.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := RunConfig{Mechanism: MechMuLayer}
+	const maxRows = 4
+	ref := newRT(t)
+	var want [maxRows + 1]time.Duration
+	for rows := 1; rows <= maxRows; rows++ {
+		res, err := ref.RunBatch(m, []exec.FusedItem{{Rows: rows}}, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rows] = res.Report.Latency
+	}
+
+	rt := newRT(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				rows := 1 + (w+i)%maxRows
+				var got time.Duration
+				var err error
+				switch w % 3 {
+				case 0:
+					got, err = rt.Estimate(m, rc, rows)
+				case 1:
+					var res *exec.FusedResult
+					if res, err = rt.RunBatch(m, []exec.FusedItem{{Rows: rows}}, rc); err == nil {
+						got = res.Report.Latency
+					}
+				default:
+					var res *exec.Result
+					rows = 1
+					if res, err = rt.Run(m, nil, rc); err == nil {
+						got = res.Report.Latency
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[rows] {
+					t.Errorf("worker %d: %d rows took %v, serial %v", w, rows, got, want[rows])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := rt.MemoStats(); s.Plans != 1 || s.Makespans != maxRows {
+		t.Fatalf("memo %+v, want 1 plan and %d makespans", s, maxRows)
+	}
 }

@@ -100,7 +100,7 @@ func RunBatch(g *graph.Graph, policy BatchPolicy, plans BatchPlans, n int, cfg C
 		return nil, partition.Pipeline{}, fmt.Errorf("exec: unknown batch policy %d", int(policy))
 	}
 
-	tl := sim.NewTimeline()
+	tl := sim.NewTimeline(0)
 	res := &BatchResult{Timeline: tl}
 	var totalLatency time.Duration
 	for i := 0; i < n; i++ {

@@ -110,7 +110,7 @@ func RunLayout(lay *Layout, items []FusedItem, cfg Config) (*FusedResult, error)
 		}
 	}
 
-	r := newRunner(lay, cfg, sim.NewTimeline(), 0)
+	r := newRunner(lay, cfg, sim.NewTimeline(lay.spans), 0)
 	r.batch = rows
 	r.items = make([]fusedMember, len(items))
 	defer func() {

@@ -39,6 +39,9 @@ type Layout struct {
 	// size the arena's length in elements.
 	off  []int
 	size int
+	// spans is the number of kernels a run books on the timeline: one per
+	// active processor of each node.
+	spans int
 }
 
 // NewLayout checks that plan covers every non-input node of g exactly
@@ -91,8 +94,14 @@ func NewLayout(g *graph.Graph, plan *partition.Plan, storage tensor.DataType) (*
 	for _, st := range plan.Steps {
 		switch {
 		case st.Layer != nil:
-			if err := visit(st.Layer.Node); err != nil {
+			id := st.Layer.Node
+			if err := visit(id); err != nil {
 				return nil, err
+			}
+			for _, k := range partition.Channels(st.Layer.P, st.Layer.PNPU, g.Node(id).Layer.SplitChannels(l.ins[id])) {
+				if k > 0 {
+					l.spans++
+				}
 			}
 		case st.Branch != nil:
 			for _, br := range st.Branch.Group.Branches {
@@ -100,6 +109,7 @@ func NewLayout(g *graph.Graph, plan *partition.Plan, storage tensor.DataType) (*
 					if err := visit(id); err != nil {
 						return nil, err
 					}
+					l.spans++
 				}
 			}
 		}

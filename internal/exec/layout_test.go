@@ -122,6 +122,16 @@ func TestLayoutSoundOnZoo(t *testing.T) {
 						t.Fatalf("%s %s %s: %v", class, model, mech, err)
 					}
 					checkLayout(t, class+"/"+model+"/"+mech+"/"+dt.String(), m.Graph, plan, l)
+					if o.Pipe.Storage != dt {
+						continue
+					}
+					res, err := RunLayout(l, []FusedItem{{Rows: 1}}, Config{SoC: s, Pipe: o.Pipe})
+					if err != nil {
+						t.Fatalf("%s %s %s: %v", class, model, mech, err)
+					}
+					if n := len(res.Timeline.Spans()); n != l.spans {
+						t.Fatalf("%s %s %s %v: run booked %d kernels, layout counted %d", class, model, mech, dt, n, l.spans)
+					}
 				}
 			}
 		}
@@ -143,8 +153,8 @@ func TestLayoutSoundOnZoo(t *testing.T) {
 	for _, s := range l.shapes {
 		all += int64(s.Elems())
 	}
-	t.Logf("infer-coop: %d nodes, %d steps; arena %d B, peak live %d B, all outputs %d B",
-		m.Graph.Len(), len(plan.Steps), int64(l.size)*l.storage.Size(), peak, all*l.storage.Size())
+	t.Logf("infer-coop: %d nodes, %d steps, %d kernels; arena %d B, peak live %d B, all outputs %d B",
+		m.Graph.Len(), len(plan.Steps), l.spans, int64(l.size)*l.storage.Size(), peak, all*l.storage.Size())
 }
 
 // TestLayoutRejectsMisorderedPlan: a plan that runs a node before its

@@ -62,7 +62,7 @@ func checkStepTimes(t *testing.T, s *soc.SoC, m *models.Model, plan *partition.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(lay, cfg, sim.NewTimeline(), 0)
+	r := newRunner(lay, cfg, sim.NewTimeline(lay.spans), 0)
 	split := 0
 	for _, st := range plan.Steps {
 		if st.Branch != nil {

@@ -19,7 +19,6 @@ package faults
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"time"
@@ -145,7 +144,8 @@ type Config struct {
 	// StallRate is the probability a kernel stalls for StallFactor× its
 	// predicted time.
 	StallRate float64
-	// StallFactor multiplies a stalled kernel's duration (default 10).
+	// StallFactor multiplies a stalled kernel's duration (default 10, at
+	// most 1000).
 	StallFactor float64
 	// DieRate is the probability the kernel's processor dies permanently.
 	DieRate float64
@@ -177,13 +177,17 @@ func (c Config) Enabled() bool {
 	return false
 }
 
+// maxStallFactor bounds Config.StallFactor so that a stalled kernel of up
+// to 100 days still has a duration time.Duration can hold.
+const maxStallFactor = 1000
+
 // Validate checks rates and ranges.
 func (c Config) Validate() error {
 	if err := validateRates("faults", c.rates()); err != nil {
 		return err
 	}
-	if !(c.StallFactor == 0 || (c.StallFactor >= 1 && !math.IsInf(c.StallFactor, 1))) {
-		return fmt.Errorf("faults: stall factor %v not in [1, ∞)", c.StallFactor)
+	if !(c.StallFactor == 0 || (c.StallFactor >= 1 && c.StallFactor <= maxStallFactor)) {
+		return fmt.Errorf("faults: stall factor %v not in [1, %d]", c.StallFactor, maxStallFactor)
 	}
 	if c.MaxFaults < 0 {
 		return fmt.Errorf("faults: negative fault budget %d", c.MaxFaults)

@@ -190,6 +190,7 @@ func TestParseSpec(t *testing.T) {
 		"fail=NaN",                     // non-finite
 		"stallx=0.5",                   // factor below 1
 		"stallx=+Inf",                  // non-finite factor
+		"stallx=1e308",                 // factor past maxStallFactor
 		"fail=0.6,die=0.6",             // rates sum past 1
 		"bogus=1",                      // unknown key
 		"fail",                         // missing value

@@ -21,6 +21,8 @@ func FuzzFaultConfig(f *testing.F) {
 		"proc=gpu,max=1,die=1",
 		"fail=NaN",
 		"stallx=1e308",
+		"stall=1,stallx=1e308",
+		"stall=1,stallx=1000",
 		";;;",
 		"a:b:c",
 		"fail=0.3,fail=0.3",
@@ -41,12 +43,17 @@ func FuzzFaultConfig(f *testing.F) {
 				t.Fatalf("spec %q: class %q parsed but does not validate: %v", spec, class, verr)
 			}
 			// A parsed config must drive an injector without panicking
-			// (injected Panic decisions are the one intentional panic).
+			// (injected Panic decisions are the one intentional panic),
+			// and no stall may overflow a kernel's duration, even an
+			// hour-long kernel's.
 			in := New(cfg, 1)
 			for i := 0; i < 8; i++ {
 				func() {
 					defer func() { _ = recover() }()
-					_, _ = in.Kernel(cpu, "fuzz", time.Millisecond)
+					kernel := []time.Duration{time.Millisecond, time.Hour}[i%2]
+					if d, _ := in.Kernel(cpu, "fuzz", kernel); d < 0 {
+						t.Fatalf("spec %q: class %q kernel duration %v", spec, class, d)
+					}
 				}()
 			}
 		}

@@ -21,7 +21,7 @@ import (
 //	seed   PRNG seed (integer)
 //	fail   per-kernel transient failure probability
 //	stall  per-kernel stall probability
-//	stallx stall duration multiplier (≥ 1)
+//	stallx stall duration multiplier (in [1, 1000])
 //	die    per-kernel permanent processor-death probability
 //	panic  per-kernel panic probability
 //	proc   restrict injection to one processor class (cpu|gpu|npu)

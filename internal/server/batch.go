@@ -117,7 +117,7 @@ type placement struct {
 // placeLocked picks the device that would finish rows of the key's work
 // first: the shared minimum-completion policy (the makespan argument of
 // the single-request dispatcher, evaluated at the actual row count via
-// the per-class plan cache), ties going to the earlier device. Devices
+// the class runtime's memo), ties going to the earlier device. Devices
 // outside the key's class or on its exclusion list, quarantined (backoff
 // pending), probing or dead are skipped; a degraded device is costed
 // under its own degraded plan. With no candidate left the error is
@@ -137,7 +137,7 @@ func (s *Scheduler) placeLocked(key groupKey, m *models.Model, rows int, now tim
 			continue
 		}
 		rc := d.runCfg(key.mech)
-		cost, err := s.caches[d.class].Estimate(m, rc, rows)
+		cost, err := d.rt.Estimate(m, rc, rows)
 		if err != nil {
 			// A degraded device may be unable to plan this mechanism at
 			// all (e.g. cpu-only with the CPU down); skip it — another
@@ -269,19 +269,14 @@ func (s *Scheduler) SubmitRequest(ctx context.Context, req Request) outcome {
 	}
 	// Warm the single-row estimate on every eligible class before the
 	// admission decision: it validates the class constraint and surfaces
-	// planner errors now, and dispatch-time estimates then hit the cache.
-	warmed := map[string]bool{}
+	// planner errors now, and dispatch-time estimates then hit the memo.
 	eligible := false
-	for _, d := range s.devices {
-		if socClass != "" && d.class != socClass {
+	for i, d := range s.devices {
+		if !s.firstOfClass(i) || socClass != "" && d.class != socClass {
 			continue
 		}
 		eligible = true
-		if warmed[d.class] {
-			continue
-		}
-		warmed[d.class] = true
-		if _, err := s.caches[d.class].Estimate(m, runCfg(mech), 1); err != nil {
+		if _, err := d.rt.Estimate(m, runCfg(mech), 1); err != nil {
 			return outcome{err: err}
 		}
 	}

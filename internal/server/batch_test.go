@@ -324,7 +324,7 @@ func TestPlaceLocked(t *testing.T) {
 	// With its CPU dead, mid cannot plan CPU-only work: that planner error
 	// outranks the excluded high devices.
 	mid.recordFailure(device.CPU.Bit(), s.cfg.FailThreshold, time.Second, time.Second, time.Now())
-	_, want := s.caches["mid"].Estimate(m, mid.runCfg(core.MechCPUOnly), 1)
+	_, want := mid.rt.Estimate(m, mid.runCfg(core.MechCPUOnly), 1)
 	if want == nil {
 		t.Fatal("CPU-only planned on a device whose CPU is dead")
 	}

@@ -144,11 +144,11 @@ func (s *Scheduler) openWindowCost() (openCost, windowRem time.Duration) {
 	defer s.mu.Unlock()
 	for _, g := range s.open {
 		var cheapest time.Duration
-		for class, c := range s.caches {
-			if g.key.soc != "" && class != g.key.soc {
+		for i, d := range s.devices {
+			if !s.firstOfClass(i) || g.key.soc != "" && d.class != g.key.soc {
 				continue
 			}
-			if est, err := c.Estimate(g.model, runCfg(g.key.mech), g.rows); err == nil {
+			if est, err := d.rt.Estimate(g.model, runCfg(g.key.mech), g.rows); err == nil {
 				if cheapest == 0 || est < cheapest {
 					cheapest = est
 				}

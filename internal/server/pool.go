@@ -49,10 +49,11 @@ type poolDevice struct {
 }
 
 // buildPool instantiates the device pool: Workers devices per configured
-// SoC class. A class's devices share one runtime — one fitted predictor
-// and one plan memo, so the class's plan cache hands every device a plan
-// whose execution layout is already built; each device keeps its own
-// queue, health and fault injector.
+// SoC class, contiguous in pool order. A class's devices share one
+// runtime — one fitted predictor and one memo of plans, layouts and
+// makespans, so every device runs a plan whose execution layout is
+// already built; each device keeps its own queue, health and fault
+// injector.
 func buildPool(cfg Config) ([]*poolDevice, error) {
 	var pool []*poolDevice
 	for _, spec := range cfg.SoCs {

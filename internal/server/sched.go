@@ -65,13 +65,13 @@ type outcome struct {
 // Scheduler owns the device pool, the bounded admission queue, the
 // batching windows, and the predictor-guided dispatcher.
 type Scheduler struct {
-	cfg     Config
+	cfg Config
+	// devices lists the pool by class: a class's devices are contiguous
+	// and share one runtime, whose memo runs the partitioner and the
+	// cost-only makespan simulation once per (model, mechanism, rows) key
+	// instead of once per request.
 	devices []*poolDevice
-	// caches holds one plan/makespan cache per SoC class: the partitioner
-	// and the cost-only makespan simulation run once per (model,
-	// mechanism, rows) key instead of once per request.
-	caches map[string]*core.PlanCache
-	mets   *schedMetrics
+	mets    *schedMetrics
 
 	// overload is the brownout-ladder controller (nil when the ladder is
 	// off); retryB is the fleet-wide failover retry budget (nil when off);
@@ -173,17 +173,10 @@ func NewScheduler(cfg Config, reg *metrics.Registry) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	caches := make(map[string]*core.PlanCache)
-	for _, d := range devices {
-		if _, ok := caches[d.class]; !ok {
-			caches[d.class] = core.NewPlanCache(d.rt)
-		}
-	}
 	hardCtx, hardKill := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:      cfg,
 		devices:  devices,
-		caches:   caches,
 		mets:     newSchedMetrics(reg),
 		open:     make(map[groupKey]*batchGroup),
 		hardCtx:  hardCtx,
@@ -206,11 +199,11 @@ func NewScheduler(cfg Config, reg *metrics.Registry) (*Scheduler, error) {
 		})
 	metrics.NewGaugeFunc(reg, "mulayer_plan_cache_hits_total",
 		"Plan/makespan cache hits across all device classes.", func() float64 {
-			return float64(s.cacheStats().Hits)
+			return float64(s.CacheStats().Hits)
 		})
 	metrics.NewGaugeFunc(reg, "mulayer_plan_cache_misses_total",
 		"Plan/makespan cache misses across all device classes.", func() float64 {
-			return float64(s.cacheStats().Misses)
+			return float64(s.CacheStats().Misses)
 		})
 	for _, d := range devices {
 		if d.faults != nil {
@@ -350,13 +343,20 @@ func (s *Scheduler) AllDead() bool {
 	return true
 }
 
-// CacheStats aggregates the per-class plan caches (for /statusz).
-func (s *Scheduler) CacheStats() core.PlanCacheStats { return s.cacheStats() }
+// firstOfClass reports whether s.devices[i] is the first device of its
+// class, and so the one that stands for the class runtime they share.
+func (s *Scheduler) firstOfClass(i int) bool {
+	return i == 0 || s.devices[i-1].class != s.devices[i].class
+}
 
-func (s *Scheduler) cacheStats() core.PlanCacheStats {
-	var total core.PlanCacheStats
-	for _, c := range s.caches {
-		st := c.Stats()
+// CacheStats sums the class runtimes' memo counters (for /statusz).
+func (s *Scheduler) CacheStats() core.MemoStats {
+	var total core.MemoStats
+	for i, d := range s.devices {
+		if !s.firstOfClass(i) {
+			continue
+		}
+		st := d.rt.MemoStats()
 		total.Plans += st.Plans
 		total.Makespans += st.Makespans
 		total.Hits += st.Hits
@@ -536,7 +536,7 @@ func (s *Scheduler) runBatchPaced(d *poolDevice, g *batchGroup, fused []exec.Fus
 	defer s.mets.inflight.With(d.name).Add(-1)
 
 	planStart := time.Now()
-	plan, planHit, err := s.caches[d.class].PlanCached(g.model, g.rc)
+	plan, planHit, err := d.rt.PlanCached(g.model, g.rc)
 	if err != nil {
 		return nil, err
 	}
@@ -595,7 +595,7 @@ func (s *Scheduler) runBatchPaced(d *poolDevice, g *batchGroup, fused []exec.Fus
 				r, e = nil, &DeviceError{Device: d.name, Cause: fmt.Errorf("panic: %v", rec)}
 			}
 		}()
-		return d.rt.RunBatchPlanOpts(g.model, plan, fused, g.rc, opts)
+		return d.rt.RunBatchOpts(g.model, fused, g.rc, opts)
 	}()
 	if err != nil {
 		var f *faults.Fault

@@ -237,6 +237,18 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	}
 }
 
+// classRT returns the runtime the devices of one SoC class share.
+func classRT(t *testing.T, s *Scheduler, class string) *core.Runtime {
+	t.Helper()
+	for _, d := range s.devices {
+		if d.class == class {
+			return d.rt
+		}
+	}
+	t.Fatalf("no device of class %q", class)
+	return nil
+}
+
 func TestPlanCacheIsPerClass(t *testing.T) {
 	s := newSched(t, Config{
 		SoCs: []SoCSpec{
@@ -249,7 +261,7 @@ func TestPlanCacheIsPerClass(t *testing.T) {
 	rc := runCfg(core.MechMuLayer)
 	var costs []time.Duration
 	for _, class := range []string{"high", "mid"} {
-		c, err := s.caches[class].Estimate(m, rc, 1)
+		c, err := classRT(t, s, class).Estimate(m, rc, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,19 +272,55 @@ func TestPlanCacheIsPerClass(t *testing.T) {
 	}
 	// A second estimate for the same key must hit the memo, and a new row
 	// count must reuse the cached plan (one plan, two makespans).
-	before := s.caches["high"].Stats()
-	if _, err := s.caches["high"].Estimate(m, rc, 1); err != nil {
+	high := classRT(t, s, "high")
+	before := high.MemoStats()
+	if _, err := high.Estimate(m, rc, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.caches["high"].Estimate(m, rc, 4); err != nil {
+	if _, err := high.Estimate(m, rc, 4); err != nil {
 		t.Fatal(err)
 	}
-	after := s.caches["high"].Stats()
+	after := high.MemoStats()
 	if after.Hits <= before.Hits {
 		t.Fatalf("repeated estimate did not hit the cache: %+v -> %+v", before, after)
 	}
 	if after.Plans != 1 || after.Makespans != 2 {
 		t.Fatalf("want 1 plan with 2 memoized makespans, got %+v", after)
+	}
+}
+
+// TestCacheStatsPinned pins the /statusz plan_cache counters for a fixed
+// sequence of requests, each served alone, on a two-class pool: every
+// admission warm-up, placement estimate and worker plan lookup counts
+// one hit or miss, and the class runtimes' plans and makespans sum.
+func TestCacheStatsPinned(t *testing.T) {
+	s := newSched(t, Config{
+		SoCs: []SoCSpec{
+			{Name: "high", SoC: soc.Exynos7420, Workers: 2},
+			{Name: "mid", SoC: soc.Exynos7880, Workers: 1},
+		},
+		QueueDepth: 8,
+	})
+	for i, r := range []struct {
+		model, soc string
+		mech       core.Mechanism
+		rows       int
+		want       core.MemoStats
+	}{
+		{"googlenet", "", core.MechMuLayer, 1, core.MemoStats{Plans: 2, Makespans: 2, Hits: 7, Misses: 4}},
+		{"googlenet", "", core.MechMuLayer, 1, core.MemoStats{Plans: 2, Makespans: 2, Hits: 18, Misses: 4}},
+		{"googlenet", "high", core.MechMuLayer, 3, core.MemoStats{Plans: 2, Makespans: 3, Hits: 24, Misses: 5}},
+		{"lenet5", "mid", core.MechCPUOnly, 1, core.MemoStats{Plans: 3, Makespans: 4, Hits: 27, Misses: 7}},
+		{"lenet5", "", core.MechMuLayer, 2, core.MemoStats{Plans: 5, Makespans: 8, Hits: 32, Misses: 13}},
+		{"googlenet", "mid", core.MechGPUOnly, 1, core.MemoStats{Plans: 6, Makespans: 9, Hits: 35, Misses: 15}},
+		{"googlenet", "", core.MechMuLayer, 1, core.MemoStats{Plans: 6, Makespans: 9, Hits: 46, Misses: 15}},
+	} {
+		if out := s.Submit(context.Background(), r.model, s.cfg.Models[r.model], r.mech, r.soc, r.rows); out.err != nil {
+			t.Fatalf("request %d: %v", i, out.err)
+		}
+		if got := s.CacheStats(); got != r.want {
+			t.Fatalf("after request %d: stats %+v, want %+v", i, got, r.want)
+		}
 	}
 }
 

@@ -413,14 +413,14 @@ type deviceStatus struct {
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	devs := s.sched.Devices()
 	out := struct {
-		UptimeS     float64             `json:"uptime_s"`
-		QueueDepth  int                 `json:"queue_depth"`
-		QueueCap    int                 `json:"queue_cap"`
-		Draining    bool                `json:"draining"`
-		TimeScale   float64             `json:"time_scale"`
-		MaxBatch    int                 `json:"max_batch"`
-		BatchWaitMS float64             `json:"batch_wait_ms"`
-		PlanCache   core.PlanCacheStats `json:"plan_cache"`
+		UptimeS     float64        `json:"uptime_s"`
+		QueueDepth  int            `json:"queue_depth"`
+		QueueCap    int            `json:"queue_cap"`
+		Draining    bool           `json:"draining"`
+		TimeScale   float64        `json:"time_scale"`
+		MaxBatch    int            `json:"max_batch"`
+		BatchWaitMS float64        `json:"batch_wait_ms"`
+		PlanCache   core.MemoStats `json:"plan_cache"`
 		// QueueWait and Wall summarize the admission-to-dispatch and
 		// admission-to-completion latency histograms (milliseconds).
 		QueueWait []latencySummary `json:"queue_wait,omitempty"`

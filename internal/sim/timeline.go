@@ -28,9 +28,9 @@ type Timeline struct {
 	avail map[string]time.Duration
 }
 
-// NewTimeline returns an empty timeline.
-func NewTimeline() *Timeline {
-	return &Timeline{avail: make(map[string]time.Duration)}
+// NewTimeline returns an empty timeline with room for spans spans.
+func NewTimeline(spans int) *Timeline {
+	return &Timeline{spans: make([]Span, 0, spans), avail: make(map[string]time.Duration)}
 }
 
 // Schedule books dur of work on proc, starting no earlier than ready and
@@ -85,20 +85,20 @@ func (t *Timeline) DynamicEnergyPJ() float64 {
 }
 
 // Validate checks the structural invariants: no two spans on the same
-// processor overlap, and every span is well-formed.
+// processor overlap, and every span is well-formed. Schedule books each
+// processor's spans in start order, so each span need only start no
+// earlier than the end of its processor's previous span.
 func (t *Timeline) Validate() error {
-	byProc := make(map[string][]Span)
-	for _, s := range t.spans {
+	for i, s := range t.spans {
 		if s.End < s.Start {
 			return fmt.Errorf("sim: span %q on %s ends before it starts", s.Label, s.Proc)
 		}
-		byProc[s.Proc] = append(byProc[s.Proc], s)
-	}
-	for proc, spans := range byProc {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].Start < spans[i-1].End {
-				return fmt.Errorf("sim: spans %q and %q overlap on %s", spans[i-1].Label, spans[i].Label, proc)
+		for j := i - 1; j >= 0; j-- {
+			if prev := t.spans[j]; prev.Proc == s.Proc {
+				if s.Start < prev.End {
+					return fmt.Errorf("sim: spans %q and %q overlap on %s", prev.Label, s.Label, s.Proc)
+				}
+				break
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestScheduleSerializesPerProcessor(t *testing.T) {
-	tl := NewTimeline()
+	tl := NewTimeline(0)
 	s1, e1 := tl.Schedule("cpu", "a", 0, 10*time.Millisecond, 1)
 	if s1 != 0 || e1 != 10*time.Millisecond {
 		t.Fatalf("first span [%v,%v)", s1, e1)
@@ -28,7 +28,7 @@ func TestScheduleSerializesPerProcessor(t *testing.T) {
 }
 
 func TestMakespanAndBusy(t *testing.T) {
-	tl := NewTimeline()
+	tl := NewTimeline(0)
 	tl.Schedule("cpu", "a", 0, 4*time.Millisecond, 0)
 	tl.Schedule("gpu", "b", 0, 7*time.Millisecond, 0)
 	tl.Schedule("cpu", "c", 0, 2*time.Millisecond, 0)
@@ -48,7 +48,7 @@ func TestMakespanAndBusy(t *testing.T) {
 }
 
 func TestDynamicEnergySum(t *testing.T) {
-	tl := NewTimeline()
+	tl := NewTimeline(0)
 	tl.Schedule("cpu", "a", 0, time.Millisecond, 100)
 	tl.Schedule("gpu", "b", 0, time.Millisecond, 250)
 	if tl.DynamicEnergyPJ() != 350 {
@@ -57,7 +57,7 @@ func TestDynamicEnergySum(t *testing.T) {
 }
 
 func TestValidateCatchesOverlap(t *testing.T) {
-	tl := NewTimeline()
+	tl := NewTimeline(0)
 	tl.spans = []Span{
 		{Proc: "cpu", Label: "a", Start: 0, End: 10},
 		{Proc: "cpu", Label: "b", Start: 5, End: 15},
@@ -73,11 +73,11 @@ func TestScheduleRejectsNegativeDuration(t *testing.T) {
 			t.Error("negative duration must panic")
 		}
 	}()
-	NewTimeline().Schedule("cpu", "x", 0, -1, 0)
+	NewTimeline(0).Schedule("cpu", "x", 0, -1, 0)
 }
 
 func TestRender(t *testing.T) {
-	tl := NewTimeline()
+	tl := NewTimeline(0)
 	tl.Schedule("cpu", "conv1", 0, time.Millisecond, 0)
 	var sb strings.Builder
 	tl.Render(&sb)
@@ -98,7 +98,7 @@ func TestReportTotals(t *testing.T) {
 }
 
 func TestSpansCopy(t *testing.T) {
-	tl := NewTimeline()
+	tl := NewTimeline(0)
 	tl.Schedule("cpu", "a", 0, time.Millisecond, 0)
 	spans := tl.Spans()
 	spans[0].Label = "mutated"

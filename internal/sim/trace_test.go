@@ -8,7 +8,7 @@ import (
 )
 
 func TestWriteChromeTrace(t *testing.T) {
-	tl := NewTimeline()
+	tl := NewTimeline(0)
 	tl.Schedule("cpu", "conv1[cpu]", 0, 2*time.Millisecond, 100)
 	tl.Schedule("gpu", "conv1[gpu]", 0, 3*time.Millisecond, 200)
 	tl.Schedule("cpu", "conv2", 3*time.Millisecond, time.Millisecond, 50)
@@ -68,7 +68,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestWriteChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewTimeline().WriteChromeTrace(&buf); err != nil {
+	if err := NewTimeline(0).WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var events []any
