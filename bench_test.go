@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -196,6 +198,45 @@ func BenchmarkMuLayerInference(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkInferCoop times one warm inference of perfbench's infer-coop
+// workload in process: GoogLeNet at half width on a 112² input with raw
+// logits (seed 7), calibrated on 4 inputs, run under the full μLayer
+// mechanism on real kernels on the Exynos 7420 at GOMAXPROCS=1, cycling
+// through the same 16 seeded inputs. It is the profile `make
+// profile-infer` reads kernel and glue shares from.
+func BenchmarkInferCoop(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt, err := mulayer.NewRuntime(mulayer.Exynos7420())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := mulayer.GoogLeNet(mulayer.ModelConfig{Numeric: true, InputHW: 112, WidthScale: 0.5, NoSoftmax: true, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Calibrate(mulayer.CalibrationSet(m, 4, 100)); err != nil {
+		b.Fatal(err)
+	}
+	inputs := make([]*mulayer.Tensor, 16)
+	for i := range inputs {
+		inputs[i] = mulayer.RandomInput(m, 5000+uint64(i))
+	}
+	rc := mulayer.RunConfig{Mechanism: mulayer.MechMuLayer, Numeric: true}
+	if _, err := rt.Run(m, inputs[0], rc); err != nil { // fills the plan and packed-weight caches
+		b.Fatal(err)
+	}
+	// The warm runs carry a profile label, so a profile's shares can
+	// leave out the set-up above (make profile-infer's -tagfocus).
+	b.ResetTimer()
+	pprof.Do(context.Background(), pprof.Labels("infer", "warm"), func(context.Context) {
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.Run(m, inputs[i%len(inputs)], rc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // benchServing times one request through the full serving path (HTTP →

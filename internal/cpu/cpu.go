@@ -1,7 +1,7 @@
 // Package cpu reports, once at start-up, whether the host can run the
 // kernels' AVX2 assembly. It is the one CPUID check behind every
-// assembly body in the repository: the gemm register tiles and the quant
-// output stages both branch on AVX2.
+// assembly body in the repository: the gemm register tiles, the quant
+// output stages and the nn max-pooling passes all branch on AVX2.
 package cpu
 
 // AVX2 reports that the CPU implements AVX2 and the operating system

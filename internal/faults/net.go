@@ -201,6 +201,9 @@ func (t *Transport) Stats() map[string]Stats {
 	return out
 }
 
+// NetKinds are the kinds a Transport injects, in Kind order.
+var NetKinds = []Kind{Latency, DialTimeout, Reset, Drop, Truncate, Corrupt}
+
 // TotalStats sums decision counters across every target.
 func (t *Transport) TotalStats() Stats {
 	var total Stats

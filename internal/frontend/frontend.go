@@ -8,6 +8,8 @@ import (
 	"io"
 	"log"
 	"net/http"
+
+	"mulayer/internal/faults"
 )
 
 // Frontend is the fleet tier: the registry, the proxy data path, and
@@ -46,6 +48,9 @@ func New(cfg Config, logger *log.Logger) (*Frontend, error) {
 		}
 		return float64(reg.EjectedCount())
 	})
+	if t, ok := cfg.Transport.(*faults.Transport); ok {
+		mets.countNetFaults(t)
+	}
 	reg, err = NewRegistry(cfg, mets)
 	if err != nil {
 		return nil, err

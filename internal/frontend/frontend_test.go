@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"mulayer/internal/dispatch"
+	"mulayer/internal/faults"
 	"mulayer/internal/models"
 	"mulayer/internal/server"
 	"mulayer/internal/soc"
@@ -799,5 +801,40 @@ func TestFleetFullInputRow(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d", r.StatusCode)
+	}
+}
+
+// TestNetFaultsMetric: with a -net-faults transport, /metrics exports
+// mulayer_net_faults_injected_total{kind} from the transport's own
+// counts. A drop-always config with a budget of three drops exactly
+// three requests, however many pass through it (probes included).
+func TestNetFaultsMetric(t *testing.T) {
+	leakCheck(t)
+	fb := newFakeBackend(t)
+	host := strings.TrimPrefix(fb.ts.URL, "http://")
+	inner := &http.Transport{}
+	t.Cleanup(inner.CloseIdleConnections)
+	nt := faults.NewTransport(map[string]faults.NetConfig{host: {Seed: 1, DropRate: 1, MaxFaults: 3}}, inner)
+	_, fts := newTestFrontend(t, Config{Backends: []string{fb.ts.URL}, ProbeEvery: time.Hour, Transport: nt})
+	client := &http.Client{Transport: nt}
+	for i := 0; i < 5; i++ {
+		if resp, err := client.Get(fb.ts.URL + "/readyz"); err == nil {
+			resp.Body.Close()
+		}
+	}
+	resp, err := http.Get(fts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, k := range faults.NetKinds {
+		want := 0
+		if k == faults.Drop {
+			want = 3
+		}
+		if line := fmt.Sprintf("mulayer_net_faults_injected_total{kind=%q} %d\n", k, want); !strings.Contains(string(body), line) {
+			t.Errorf("/metrics lacks %q:\n%s", line, body)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"mulayer/internal/faults"
 	"mulayer/internal/server/metrics"
 )
 
@@ -90,4 +91,26 @@ func newFleetMetrics(healthyCount, ejectedCount func() float64) *fleetMetrics {
 		"Backends currently ejected by the latency outlier ejector.",
 		ejectedCount)
 	return m
+}
+
+// countNetFaults exports the injected network faults of t, the
+// -net-faults transport, as mulayer_net_faults_injected_total{kind}: the
+// counts t keeps, read at scrape time, so the proxy path does no work
+// for them. SetConfig and Clear drop a target's counts, which a scraper
+// sees as a counter reset.
+func (m *fleetMetrics) countNetFaults(t *faults.Transport) {
+	kinds := make([]string, len(faults.NetKinds))
+	for i, k := range faults.NetKinds {
+		kinds[i] = k.String()
+	}
+	metrics.NewCounterFunc(m.reg, "mulayer_net_faults_injected_total",
+		"Network faults injected between the frontend and its backends (-net-faults), by kind.",
+		"kind", kinds, func() []int64 {
+			total := t.TotalStats()
+			n := make([]int64, len(faults.NetKinds))
+			for i, k := range faults.NetKinds {
+				n[i] = total.Kinds[k]
+			}
+			return n
+		})
 }

@@ -207,7 +207,7 @@ func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb u
 	// is on the heap already.
 	s.lut = *lut
 	fMul(s, pa.data, pa.M, pa.K, g.PatchCols(), func(j0, w int, cols [][nr]float32) {
-		at, off, lt := p.at[j0:j0+w], p.off, &s.lut
+		at, off, lt, sw := p.at[j0:j0+w], p.off, &s.lut, p.g.StrideW
 		for j := 0; j < w; j += nr {
 			panel := cols[j/nr*len(off):][:len(off)]
 			switch {
@@ -218,8 +218,8 @@ func ConvQViaF16(pa *PackedAF16, in []uint8, g ConvGeom, lut *[256]float32, zb u
 						panel[l][c] = lt[src[o]]
 					}
 				}
-			case at[j+nr-1]-at[j] == nr-1: // one nr-byte run per tap
-				tiles.runLUT(panel, p.in[at[j]:], off, lt)
+			case isRun(at[j:j+nr], sw): // one run per tap
+				tiles.runLUT(panel, p.in[at[j]:], off, lt, sw)
 			default:
 				c0, c1, c2, c3 := p.in[at[j]:], p.in[at[j+1]:], p.in[at[j+2]:], p.in[at[j+3]:]
 				for l, o := range off {

@@ -123,12 +123,14 @@ qavxdone:
 	VZEROUPPER
 	RET
 
-// func packRunQAVX2(panel [][nr]uint32, src []uint8, off []int32) [nr]int32
+// func packRunQAVX2(panel [][nr]uint32, src []uint8, off []int32, sw int) [nr]int32
 //
-// Per pair step: the two taps' nr-byte runs are widened to words and
-// interleaved into the nr words a | b<<16, and VPMADDWD against ones
-// adds a + b into each column's sum.
-TEXT ·packRunQAVX2(SB), NOSPLIT, $0-88
+// Per pair step: the two taps' runs are widened to words and interleaved
+// into the nr words a | b<<16, and VPMADDWD against ones adds a + b into
+// each column's sum. At sw = 1 a run is the nr bytes VMOVD loads; at
+// sw = 2 it is the even bytes of the 8 VMOVQ loads, which VPAND with
+// 0x00ff widens to words in place.
+TEXT ·packRunQAVX2(SB), NOSPLIT, $0-96
 	MOVQ         panel_base+0(FP), DI
 	MOVQ         src_base+24(FP), SI
 	MOVQ         off_base+48(FP), BX
@@ -140,6 +142,9 @@ TEXT ·packRunQAVX2(SB), NOSPLIT, $0-88
 	VPBROADCASTD X2, X2                  // int16 ones
 	MOVQ         CX, R8
 	SHRQ         $1, R8                  // pair steps
+	CMPQ         sw+72(FP), $2
+	JEQ          rq2
+	TESTQ        R8, R8
 	JEQ          rqodd
 
 rqloop:
@@ -169,15 +174,51 @@ rqodd:
 	VPADDD     X3, X1, X1
 
 rqdone:
-	VMOVDQU X1, ret+72(FP)
+	VMOVDQU X1, ret+80(FP)
 	RET
 
-// func widenRunAVX2(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32)
+rq2:
+	MOVQ         $0x00ff00ff00ff00ff, AX
+	VMOVQ        AX, X5
+	VPBROADCASTQ X5, X5                  // the even bytes, as words
+	TESTQ        R8, R8
+	JEQ          rq2odd
+
+rq2loop:
+	MOVLQSX    (BX), R9
+	MOVLQSX    4(BX), R10
+	VMOVQ      (SI)(R9*1), X3
+	VMOVQ      (SI)(R10*1), X4
+	VPAND      X5, X3, X3
+	VPAND      X5, X4, X4
+	VPUNPCKLWD X4, X3, X3
+	VMOVDQU    X3, (DI)
+	VPMADDWD   X2, X3, X3
+	VPADDD     X3, X1, X1
+	ADDQ       $8, BX
+	ADDQ       $16, DI
+	DECQ       R8
+	JNE        rq2loop
+
+rq2odd:
+	TESTQ      $1, CX
+	JEQ        rqdone
+	MOVLQSX    (BX), R9
+	VMOVQ      (SI)(R9*1), X3
+	VPAND      X5, X3, X3
+	VPUNPCKLWD X0, X3, X3
+	VMOVDQU    X3, (DI)
+	VPADDD     X3, X1, X1
+	JMP        rqdone
+
+// func widenRunAVX2(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32, sw int)
 //
-// Two steps at a time: both taps' nr-byte runs are widened to int32
-// indexes in one YMM register and one gather reads their table entries,
-// which are the two steps' [nr]float32, in order.
-TEXT ·widenRunAVX2(SB), NOSPLIT, $0-80
+// Two steps at a time: both taps' runs are widened to int32 indexes in
+// one YMM register and one gather reads their table entries, which are
+// the two steps' [nr]float32, in order. At sw = 1 a run is the nr bytes
+// VPMOVZXBD widens; at sw = 2 VPMOVZXWD widens 8 bytes as 4 words and
+// VPAND with 0xff keeps each word's even byte.
+TEXT ·widenRunAVX2(SB), NOSPLIT, $0-88
 	MOVQ panel_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ off_base+48(FP), BX
@@ -185,6 +226,9 @@ TEXT ·widenRunAVX2(SB), NOSPLIT, $0-80
 	MOVQ lut+72(FP), DX
 	MOVQ CX, R8
 	SHRQ $1, R8
+	CMPQ sw+80(FP), $2
+	JEQ  wl2
+	TESTQ R8, R8
 	JEQ  wlodd
 
 wlloop:
@@ -213,3 +257,36 @@ wlodd:
 wldone:
 	VZEROUPPER
 	RET
+
+wl2:
+	MOVL         $0xff, AX
+	VMOVD        AX, X7
+	VPBROADCASTD X7, Y7
+	TESTQ        R8, R8
+	JEQ          wl2odd
+
+wl2loop:
+	MOVLQSX      (BX), R9
+	MOVLQSX      4(BX), R10
+	VPMOVZXWD    (SI)(R9*1), X3
+	VPMOVZXWD    (SI)(R10*1), X4
+	VINSERTI128  $1, X4, Y3, Y3
+	VPAND        Y7, Y3, Y3
+	VPCMPEQD     Y5, Y5, Y5
+	VPGATHERDD   Y5, (DX)(Y3*4), Y6
+	VMOVDQU      Y6, (DI)
+	ADDQ         $8, BX
+	ADDQ         $32, DI
+	DECQ         R8
+	JNE          wl2loop
+
+wl2odd:
+	TESTQ      $1, CX
+	JEQ        wldone
+	MOVLQSX    (BX), R9
+	VPMOVZXWD  (SI)(R9*1), X3
+	VPAND      X7, X3, X3
+	VPCMPEQD   X5, X5, X5
+	VPGATHERDD X5, (DX)(X3*4), X6
+	VMOVDQU    X6, (DI)
+	JMP        wldone

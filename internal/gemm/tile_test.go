@@ -132,4 +132,44 @@ func TestTilesMatchPortable(t *testing.T) {
 			}
 		}
 	}
+	// The run packs at column strides 1–3, each tap's run ending from
+	// well inside src to on its last byte, where an 8-byte stride-2 load
+	// would pass the end: every level's packs equal the column-by-column
+	// gather (packPanelQ, and the table read per column) bit for bit.
+	for sw := 1; sw <= 3; sw++ {
+		for _, k := range []int{1, 2, 7, 147} {
+			for slack := 0; slack <= 8; slack++ {
+				off := make([]int32, k)
+				for l := range off {
+					off[l] = int32(l*5 + rng.Intn(5))
+				}
+				src := randU8(int(off[k-1])+3*sw+1+slack, rng)
+				var lut [256]float32
+				for i := range lut {
+					lut[i] = float32(i)*0.5 - 7
+				}
+				at := []int32{0, int32(sw), int32(2 * sw), int32(3 * sw)}
+				wantQ := make([][nr]uint32, (k+1)/2)
+				wantSums := packPanelQ(wantQ, src, at, off)
+				wantF := make([][nr]float32, k)
+				for l, o := range off {
+					for c := range nr {
+						wantF[l][c] = lut[src[int(o)+c*sw]]
+					}
+				}
+				eachTileLevel(func(lv tileLevel) {
+					gotQ, gotF := make([][nr]uint32, (k+1)/2), make([][nr]float32, k)
+					if sums := lv.runQ(gotQ, src, off, sw); sums != wantSums {
+						t.Fatalf("%s runQ sw=%d k=%d slack=%d: sums %v, want %v", lv.name, sw, k, slack, sums, wantSums)
+					}
+					lv.runLUT(gotF, src, off, &lut, sw)
+					for l := range wantF {
+						if l < len(wantQ) && gotQ[l] != wantQ[l] || gotF[l] != wantF[l] {
+							t.Fatalf("%s run packs sw=%d k=%d slack=%d step %d: %v/%v, %v/%v", lv.name, sw, k, slack, l, gotQ[l%len(gotQ)], wantQ[l%len(wantQ)], gotF[l], wantF[l])
+						}
+					}
+				})
+			}
+		}
+	}
 }

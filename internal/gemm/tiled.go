@@ -25,11 +25,11 @@ import (
 // A column panel stores its nr columns k-major, one [nr] array per k
 // step (per k pair for QUInt8): element l of the panel's column c is
 // panel[l][c]. The tile reads it as one stream, and a pack writes it as
-// one: where the panel's nr columns read nr consecutive input bytes for
-// every tap — all columns of a 1×1 stride-1 convolution or a matrix
-// operand, and the columns within one output row of any stride-1
-// convolution — the pack reads each tap as one nr-byte run and writes
-// it as one [nr] array.
+// one: where the panel's nr columns step by the convolution's column
+// stride sw — all columns of a matrix operand, and the columns within
+// one output row of any convolution — every tap reads a run of nr bytes
+// sw apart, which the pack reads as one load and writes as one [nr]
+// array.
 //
 // The tiles compute mr = 8 rows × nr = 4 columns. On amd64 hosts with
 // AVX2 they are assembly (tile_amd64.s), chosen once at package init;
@@ -72,8 +72,8 @@ type tileLevel struct {
 	name   string
 	f      func(panel [][mr]float32, cols [][nr]float32, out []float32, w int)
 	q      func(panel [][mr][2]uint8, words [][nr]uint32, out []int32, w int)
-	runQ   func(panel [][nr]uint32, src []uint8, off []int32) [nr]int32
-	runLUT func(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32)
+	runQ   func(panel [][nr]uint32, src []uint8, off []int32, sw int) [nr]int32
+	runLUT func(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32, sw int)
 }
 
 // goTiles is the portable level every host runs.
@@ -213,7 +213,7 @@ func (s *scratch) packQ(p patches[uint8], za int32, j0, j1 int) (words [][nr]uin
 	if w%nr != 0 {
 		clear(words[w/nr*kp:])
 	}
-	at, off := p.at[j0:j1], p.off
+	at, off, sw := p.at[j0:j1], p.off, p.g.StrideW
 	for j := 0; j < w; j += nr {
 		panel := words[j/nr*kp:][:kp]
 		var sums [nr]int32
@@ -232,8 +232,8 @@ func (s *scratch) packQ(p patches[uint8], za int32, j0, j1 int) (words [][nr]uin
 					sums[c] += int32(lo)
 				}
 			}
-		case at[j+nr-1]-at[j] == nr-1: // one nr-byte run per tap
-			sums = tiles.runQ(panel, p.in[at[j]:], off)
+		case isRun(at[j:j+nr], sw): // one run per tap
+			sums = tiles.runQ(panel, p.in[at[j]:], off, sw)
 		default:
 			sums = packPanelQ(panel, p.in, at[j:j+nr], off)
 		}
@@ -272,39 +272,49 @@ func packPanelQ(panel [][nr]uint32, in []uint8, at, off []int32) [nr]int32 {
 	return [nr]int32{s0, s1, s2, s3}
 }
 
-// packRunQGo packs one column panel whose nr columns read nr
-// consecutive bytes for every tap: column c's element l is src[off[l]+c].
-// Each tap pair is two nr-byte runs, interleaved into the step's nr
-// words, an odd k's last step padded with 0; it returns each column's
-// Σ_l b. panel holds (len(off)+1)/2 steps.
-func packRunQGo(panel [][nr]uint32, src []uint8, off []int32) [nr]int32 {
+// isRun reports that the nr columns at step by sw, so that every tap
+// of the panel reads a run of nr bytes sw apart.
+func isRun(at []int32, sw int) bool {
+	s := int32(sw)
+	return at[1]-at[0] == s && at[2]-at[1] == s && at[3]-at[2] == s
+}
+
+// packRunQGo packs one column panel whose nr columns read a run of nr
+// bytes sw apart for every tap: column c's element l is
+// src[off[l]+c·sw]. Each tap pair is two runs, interleaved into the
+// step's nr words, an odd k's last step padded with 0; it returns each
+// column's Σ_l b. panel holds (len(off)+1)/2 steps.
+func packRunQGo(panel [][nr]uint32, src []uint8, off []int32, sw int) [nr]int32 {
 	k := len(off)
 	var s0, s1, s2, s3 int32
 	for l := range panel[:k/2] {
 		o := off[2*l : 2*l+2 : 2*l+2]
-		a, b := src[o[0]:o[0]+nr:o[0]+nr], src[o[1]:o[1]+nr:o[1]+nr]
-		panel[l] = [nr]uint32{uint32(a[0]) | uint32(b[0])<<16, uint32(a[1]) | uint32(b[1])<<16,
-			uint32(a[2]) | uint32(b[2])<<16, uint32(a[3]) | uint32(b[3])<<16}
-		s0 += int32(a[0]) + int32(b[0])
-		s1 += int32(a[1]) + int32(b[1])
-		s2 += int32(a[2]) + int32(b[2])
-		s3 += int32(a[3]) + int32(b[3])
+		a, b := src[o[0]:][:3*sw+1], src[o[1]:][:3*sw+1]
+		a0, a1, a2, a3 := a[0], a[sw], a[2*sw], a[3*sw]
+		b0, b1, b2, b3 := b[0], b[sw], b[2*sw], b[3*sw]
+		panel[l] = [nr]uint32{uint32(a0) | uint32(b0)<<16, uint32(a1) | uint32(b1)<<16,
+			uint32(a2) | uint32(b2)<<16, uint32(a3) | uint32(b3)<<16}
+		s0 += int32(a0) + int32(b0)
+		s1 += int32(a1) + int32(b1)
+		s2 += int32(a2) + int32(b2)
+		s3 += int32(a3) + int32(b3)
 	}
 	if k%2 == 1 {
-		a := src[off[k-1]:][:nr]
-		panel[k/2] = [nr]uint32{uint32(a[0]), uint32(a[1]), uint32(a[2]), uint32(a[3])}
-		s0, s1, s2, s3 = s0+int32(a[0]), s1+int32(a[1]), s2+int32(a[2]), s3+int32(a[3])
+		a := src[off[k-1]:][:3*sw+1]
+		a0, a1, a2, a3 := a[0], a[sw], a[2*sw], a[3*sw]
+		panel[k/2] = [nr]uint32{uint32(a0), uint32(a1), uint32(a2), uint32(a3)}
+		s0, s1, s2, s3 = s0+int32(a0), s1+int32(a1), s2+int32(a2), s3+int32(a3)
 	}
 	return [nr]int32{s0, s1, s2, s3}
 }
 
 // widenRunGo is ConvQViaF16's pack of one such column panel: step l is
-// the nr-byte run at src[off[l]:], each byte widened through lut. panel
-// holds len(off) steps.
-func widenRunGo(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32) {
+// the run at src[off[l]:], nr bytes sw apart, each byte widened through
+// lut. panel holds len(off) steps.
+func widenRunGo(panel [][nr]float32, src []uint8, off []int32, lut *[256]float32, sw int) {
 	for l, o := range off[:len(panel)] {
-		run := src[o : o+nr : o+nr]
-		panel[l] = [nr]float32{lut[run[0]], lut[run[1]], lut[run[2]], lut[run[3]]}
+		run := src[o:][:3*sw+1]
+		panel[l] = [nr]float32{lut[run[0]], lut[run[sw]], lut[run[2*sw]], lut[run[3*sw]]}
 	}
 }
 

@@ -420,7 +420,8 @@ func checkPoolWalk(t *testing.T, it int, l *Pool, in *tensor.Tensor, c0, c1 int)
 					}
 					i := outShape.Index(n, c, oy, ox)
 					if fout.Data[i] != wantF || hout.Data[i] != wantH || qout.Data[i] != wantQ {
-						t.Fatalf("case %d %+v in %v channels [%d,%d) out %d: f32 %v/%v f16 %v/%v q %d/%d", it, *l, in.Shape, c0, c1, i,
+						t.Fatalf("case %d max %v k%dx%d s%dx%d p%dx%d global %v in %v channels [%d,%d) out %d: f32 %v/%v f16 %v/%v q %d/%d",
+							it, l.Max, l.KH, l.KW, l.StrideH, l.StrideW, l.PadH, l.PadW, l.Global, in.Shape, c0, c1, i,
 							fout.Data[i], wantF, hout.Data[i], wantH, qout.Data[i], wantQ)
 					}
 				}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"sync"
 
+	"mulayer/internal/cpu"
 	"mulayer/internal/f16"
+	"mulayer/internal/gemm"
 	"mulayer/internal/tensor"
 )
 
@@ -23,6 +25,8 @@ type Pool struct {
 	Global           bool // window covers the whole input plane
 	CountIncludePad  bool // average denominator includes padding taps
 	QI               QuantInfo
+
+	masks gemm.PackCache[[2]int, poolMasks] // max passes by input (H, W)
 }
 
 // Name implements Layer.
@@ -161,11 +165,11 @@ func (l *Pool) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) 
 	if in.Params != out.Params {
 		panic("nn: pooling requires matching input/output quantization params on " + l.LayerName)
 	}
-	w := l.walk(in.Shape)
 	if l.Max {
-		w.maxQ(in, out, c0, c1)
+		l.maxQ(in, out, c0, c1)
 		return
 	}
+	w := l.walk(in.Shape)
 	zp := int32(in.Params.ZeroPoint)
 	for n := 0; n < in.Shape.N; n++ {
 		for c := c0; c < c1; c++ {
@@ -191,59 +195,69 @@ func (l *Pool) ForwardQ(ins []*tensor.QTensor, out *tensor.QTensor, c0, c1 int) 
 	}
 }
 
-// poolScratch holds the rows maxQ folds vertical windows into.
+// poolScratch holds the folded block and pooled windows of maxQ.
 var poolScratch = sync.Pool{New: func() any { return new([]uint8) }}
 
+// poolVector selects the AVX2 body of the max passes (pool_amd64.s),
+// chosen once from the host CPU. It computes maxRunGo's results bit for
+// bit; tests clear it to run the Go body alone.
+var poolVector = cpu.AVX2
+
 // maxQ is ForwardQ's max path. Max is separable and exact in any order,
-// so instead of a window walk per output it takes two passes over bytes:
-// the input rows of each vertical window are folded into one row of
-// pooled scratch (slideMax, eight lanes per uint64), then each output
-// takes the max of its horizontal window of that row. Folding rows first
-// runs the horizontal pass on output rows only, never on input rows a
-// stride skips. Windows are clamped to the input, so padding taps are
-// never visited; a window that is all padding yields 0, the empty max.
-func (w poolWalk) maxQ(in, out *tensor.QTensor, c0, c1 int) {
+// so it takes two passes over the whole channel block [c0,c1) of each
+// batch element, which is contiguous: at each input position a vertical
+// pass takes the max of the kh rows of the window whose top-left tap is
+// padH rows and padW columns before it, and a horizontal pass the max of
+// kw of those. Each pass is one run over the block (maxPass), so its
+// vectors are as long as the block, not a row. Windows are clamped to
+// the plane, and 0 is the identity of an unsigned max, so a clamped
+// window equals the full window over a zero-padded plane: a tap is
+// masked to 0 where it leaves its plane (or row) instead of the edge
+// windows being redone. A same-shaped pool writes the horizontal pass
+// straight into out. Any other keeps the rows an output row reads before
+// the horizontal pass (keepRows) and then picks every sw-th column
+// (pick). The masks are built once per input shape and cached on the
+// layer.
+func (l *Pool) maxQ(in, out *tensor.QTensor, c0, c1 int) {
+	w := l.walk(in.Shape)
+	m := l.masks.Get([2]int{w.inH, w.inW}, w.maxPasses)
 	buf := poolScratch.Get().(*[]uint8)
 	defer poolScratch.Put(buf)
-	oh, ow, hw := out.Shape.H, out.Shape.W, w.inH*w.inW
-	xa, xb := w.interiorCols(ow)
 	for n := 0; n < in.Shape.N; n++ {
-		// The channel range of one batch element is contiguous.
 		ilo, ihi := in.Shape.ChannelSpan(n, c0, c1)
 		olo, ohi := out.Shape.ChannelSpan(n, c0, c1)
 		src, dst := in.Data[ilo:ihi], out.Data[olo:ohi]
 		if w.same() {
-			w.maxSame(src, dst, grow(buf, len(src)))
+			v := grow(buf, len(src))
+			m.v.run(v, src)
+			m.h.run(dst, v)
 			continue
 		}
-		v := grow(buf, w.inW)
-		for r := 0; r < len(dst)/ow; r++ {
-			plane, row := src[r/oh*hw:][:hw], dst[r*ow:(r+1)*ow]
-			y0, y1 := w.rows(r % oh)
-			slideMax(v, plane[y0*w.inW:], w.inW, y1-y0)
-			for ox := 0; ox < xa; ox++ {
-				x0, x1 := w.cols(ox)
-				row[ox] = maxOf(v[x0:x1])
-			}
-			if xa < xb {
-				maxWindows(row[xa:xb], v[xa*w.sw-w.padW:], w.sw, w.kw)
-			}
-			for ox := xb; ox < ow; ox++ {
-				x0, x1 := w.cols(ox)
-				row[ox] = maxOf(v[x0:x1])
-			}
+		vh := grow(buf, 2*len(src))
+		v, h := vh[:len(src)], vh[len(src):]
+		m.v.run(v, src)
+		rows := w.inH
+		if w.sh > 1 {
+			rows = w.keepRows(v, out.Shape.H)
 		}
+		k := len(src) / (w.inH * w.inW) * rows * w.inW
+		m.h.run(h[:k], v[:k])
+		w.pick(dst, h, src, out.Shape.H, out.Shape.W, rows)
 	}
 }
 
-// interiorCols returns the output columns [xa, xb) of an ow-wide output
-// whose windows lie wholly inside the input row.
-func (w poolWalk) interiorCols(ow int) (xa, xb int) {
-	xa = min(ow, (w.padW+w.sw-1)/w.sw)
-	if r := w.inW + w.padW - w.kw; r >= 0 {
-		xb = min(ow, r/w.sw+1)
+// keepRows moves the rows of v an output row reads, every sh-th up to
+// the plane's last, to the front of v in place, plane after plane, and
+// returns how many rows each plane keeps: the horizontal pass then runs
+// on those rows only.
+func (w poolWalk) keepRows(v []uint8, oh int) int {
+	hw, keep := w.inH*w.inW, min(oh, (w.inH-1)/w.sh+1)
+	for p := 0; p < len(v)/hw; p++ {
+		for oy := 0; oy < keep; oy++ {
+			copy(v[(p*keep+oy)*w.inW:][:w.inW], v[p*hw+oy*w.sh*w.inW:])
+		}
 	}
-	return xa, max(xa, xb)
+	return keep
 }
 
 // same reports a stride-1 window centred on its output (kh = 2·padH+1,
@@ -253,45 +267,168 @@ func (w poolWalk) same() bool {
 	return w.sh == 1 && w.sw == 1 && w.kh == 2*w.padH+1 && w.kw == 2*w.padW+1
 }
 
-// maxSame pools a block of whole same-shaped planes. Input row y's
-// vertical window is rows y−padH … y+padH, so away from a plane's top
-// and bottom edges the vertical pass is one slideMax over the whole block
-// with a step of one row, and away from a row's ends the horizontal pass
-// is one slideMax over the folded block with a step of one byte. The rows
-// and columns within pad of an edge, whose reads crossed into a
-// neighbouring row or plane, are then redone from their clamped windows,
-// one edge line at a time across the whole block: an edge row has the
-// same window in every plane, an edge column in every row. v is scratch
-// of len(src).
-func (w poolWalk) maxSame(src, dst, v []uint8) {
+// pick fills the oh×ow output planes dst from h, which holds rows rows
+// of each plane: row oy is the pooled windows of output row oy, the one
+// whose top-left tap is (y − padH, x − padW) at its column x. Output
+// (oy, ox) is that row's column ox·sw. When the rows are the output rows
+// and each is ow·sw wide, that is every sw-th byte of h. An output whose
+// position lies past the plane's last row or column (a padding wider
+// than half the window) has no h entry and is taken from its clamped
+// window in src.
+func (w poolWalk) pick(dst, h, src []uint8, oh, ow, rows int) {
 	hw := w.inH * w.inW
-	if lo, hi := w.padH*w.inW, len(src)-w.padH*w.inW; lo < hi {
-		slideMax(v[lo:hi], src[lo-w.padH*w.inW:], w.inW, w.kh)
+	yIn, xIn := min(oh, (w.inH-1)/w.sh+1), min(ow, (w.inW-1)/w.sw+1)
+	if rows == oh && yIn == oh && xIn == ow && ow*w.sw == w.inW {
+		pickCols(dst, h, w.sw)
+		return
 	}
-	edges(w.inH, w.padH, func(y int) {
-		y0, y1 := w.rows(y)
-		for p := 0; p < len(src); p += hw {
-			slideMax(v[p+y*w.inW:][:w.inW], src[p+y0*w.inW:], w.inW, y1-y0)
+	for p := 0; p < len(dst)/(oh*ow); p++ {
+		for oy := 0; oy < oh; oy++ {
+			row, ox := dst[(p*oh+oy)*ow:][:ow], 0
+			if oy < yIn {
+				pickCols(row[:xIn], h[(p*rows+oy)*w.inW:][:w.inW], w.sw)
+				ox = xIn
+			}
+			for ; ox < ow; ox++ {
+				y0, y1 := w.rows(oy)
+				x0, x1 := w.cols(ox)
+				var m uint8
+				for y := y0; y < y1; y++ {
+					m = max(m, maxOf(src[p*hw+y*w.inW:][x0:x1]))
+				}
+				row[ox] = m
+			}
 		}
-	})
-	if lo, hi := w.padW, len(src)-w.padW; lo < hi {
-		slideMax(dst[lo:hi], v[lo-w.padW:], 1, w.kw)
 	}
-	edges(w.inW, w.padW, func(x int) {
-		x0, x1 := w.cols(x)
-		for r := 0; r < len(src); r += w.inW {
-			dst[r+x] = maxOf(v[r+x0 : r+x1])
-		}
-	})
 }
 
-// edges calls fn for each index of [0, n) within pad of either end.
-func edges(n, pad int, fn func(i int)) {
-	for i := 0; i < min(pad, n); i++ {
-		fn(i)
+// pickCols sets row[j] to hr[j·sw]; at sw = 2 it takes four even bytes
+// of a word at a time.
+func pickCols(row, hr []uint8, sw int) {
+	switch sw {
+	case 1:
+		copy(row, hr)
+		return
+	case 2:
+		for len(row) >= 4 && len(hr) >= 8 {
+			x := binary.LittleEndian.Uint64(hr) & 0x00ff00ff00ff00ff
+			x = (x | x>>8) & 0x0000ffff0000ffff
+			binary.LittleEndian.PutUint32(row, uint32(x|x>>16))
+			row, hr = row[4:], hr[8:]
+		}
 	}
-	for i := max(pad, n-pad); i < n; i++ {
-		fn(i)
+	for j := range row {
+		row[j] = hr[j*sw]
+	}
+}
+
+// poolMasks are the two passes of one max-pool geometry on one input
+// shape.
+type poolMasks struct{ v, h maxPass }
+
+// maxPasses builds the vertical pass (taps a row apart, masked by the
+// row within the plane) and the horizontal pass (taps a byte apart,
+// masked by the column within the row).
+func (w poolWalk) maxPasses() *poolMasks {
+	return &poolMasks{
+		v: newMaxPass(w.kh, w.padH, w.inW, w.inH, w.inH*w.inW),
+		h: newMaxPass(w.kw, w.padW, 1, w.inW, w.inW),
+	}
+}
+
+// maxPass is one pass of maxQ over a block of whole planes: element i is
+// the max over taps t of src[i+shift+off[t]], each masked to 0 where the
+// tap leaves its plane or row. Tap t's mask is row t of mask, period+32
+// bytes long: byte p < period+32 is 0xff when the tap is inside at block
+// position ≡ p (mod period), 0 when not. The pattern repeats every cycle
+// bytes (a plane or a row); period is the smallest multiple of cycle of
+// at least 32, so a 32-byte vector read at any phase below period lies
+// inside the row. off is ascending from 0.
+type maxPass struct {
+	off          []int
+	shift, reach int // the least tap offset, and the greatest minus it
+	mask         []uint8
+	period       int
+}
+
+// newMaxPass is the pass of a k-tap window with pad taps before its
+// position, its taps unit bytes apart: tap t at position i reads the
+// element (t − pad) units away, inside when 0 ≤ u(i) + t − pad < size
+// for u(i) = (i mod cycle)/unit.
+func newMaxPass(k, pad, unit, size, cycle int) maxPass {
+	period := cycle * ((32 + cycle - 1) / cycle)
+	ps := maxPass{off: make([]int, k), shift: -pad * unit, reach: (k - 1) * unit, mask: make([]uint8, k*(period+32)), period: period}
+	for t := range ps.off {
+		ps.off[t] = t * unit
+		row := ps.mask[t*(period+32) : (t+1)*(period+32)]
+		for p := range row {
+			if u := p%cycle/unit + t - pad; u >= 0 && u < size {
+				row[p] = 0xff
+			}
+		}
+	}
+	return ps
+}
+
+// run sets dst[i], for every i of the block, to the masked max of its
+// taps in src, len(src) == len(dst). Elements whose taps all lie inside
+// the block run as one maxRun; those at the block's two ends, some of
+// whose taps fall outside it, have those taps masked anyway and run
+// them as 0.
+func (ps *maxPass) run(dst, src []uint8) {
+	n := len(dst)
+	lo := min(n, max(0, -ps.shift))
+	hi := max(lo, n-ps.shift-ps.reach)
+	ps.edge(dst, src, 0, lo)
+	if lo < hi {
+		body, phase := dst[lo:hi], lo%ps.period
+		from := src[lo+ps.shift:]
+		if !maxRunVector(body, from, ps.off, ps.mask, ps.period, phase) {
+			maxRunGo(body, from, ps.off, ps.mask, ps.period, phase)
+		}
+	}
+	ps.edge(dst, src, hi, n)
+}
+
+// edge runs elements [i0, i1) of the block tap by tap, reading a tap
+// outside src as 0.
+func (ps *maxPass) edge(dst, src []uint8, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		var m uint8
+		for t, o := range ps.off {
+			if j := i + ps.shift + o; j >= 0 && j < len(src) {
+				m = max(m, src[j]&ps.mask[t*(ps.period+32)+i%ps.period])
+			}
+		}
+		dst[i] = m
+	}
+}
+
+// maxRunGo is the portable body of a pass, eight lanes per uint64 word:
+// dst[i] = max over t of src[i+off[t]] & mask[t·(period+32) + (phase+i)
+// mod period]. src must hold len(dst) + off[len(off)−1] bytes.
+func maxRunGo(dst, src []uint8, off []int, mask []uint8, period, phase int) {
+	stride := period + 32
+	i, p := 0, phase
+	for ; i+8 <= len(dst); i += 8 {
+		var m uint64
+		for t, o := range off {
+			m = maxBytes(m, binary.LittleEndian.Uint64(src[i+o:])&binary.LittleEndian.Uint64(mask[t*stride+p:]))
+		}
+		binary.LittleEndian.PutUint64(dst[i:], m)
+		if p += 8; p >= period {
+			p -= period
+		}
+	}
+	for ; i < len(dst); i++ {
+		var m uint8
+		for t, o := range off {
+			m = max(m, src[i+o]&mask[t*stride+p])
+		}
+		dst[i] = m
+		if p++; p == period {
+			p = 0
+		}
 	}
 }
 
@@ -313,46 +450,6 @@ func maxOf(b []uint8) uint8 {
 		m = max(m, uint32(x))
 	}
 	return uint8(m)
-}
-
-// maxWindows stores in row[j] the largest byte of v[j·stride:][:k].
-func maxWindows(row, v []uint8, stride, k int) {
-	if k == 3 { // the zoo's pooling window, unrolled
-		for j := range row {
-			t := v[j*stride:][:3]
-			row[j] = uint8(max(uint32(t[0]), uint32(t[1]), uint32(t[2])))
-		}
-		return
-	}
-	for j := range row {
-		row[j] = maxOf(v[j*stride:][:k])
-	}
-}
-
-// slideMax sets dst[i] to the largest of src[i], src[i+step], …,
-// src[i+(k−1)·step] — 0 when k is 0 — eight bytes per uint64 word.
-func slideMax(dst, src []uint8, step, k int) {
-	if k == 0 {
-		clear(dst)
-		return
-	}
-	span := k * step
-	src = src[:len(dst)+span-step]
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		m := binary.LittleEndian.Uint64(src[i:])
-		for d := step; d < span; d += step {
-			m = maxBytes(m, binary.LittleEndian.Uint64(src[i+d:]))
-		}
-		binary.LittleEndian.PutUint64(dst[i:], m)
-	}
-	for ; i < len(dst); i++ {
-		m := uint32(src[i])
-		for d := step; d < span; d += step {
-			m = max(m, uint32(src[i+d]))
-		}
-		dst[i] = uint8(m)
-	}
 }
 
 // maxBytes is the lanewise unsigned max of two words of eight bytes,

@@ -201,6 +201,31 @@ func (c *CounterVec) write(w io.Writer) {
 	}
 }
 
+// CounterFunc exposes counters another component keeps, read at scrape
+// time: one series per value of one label, fn returning their counts in
+// the order of values.
+type CounterFunc struct {
+	nm, hp, label string
+	values        []string
+	fn            func() []int64
+}
+
+// NewCounterFunc registers a callback-backed counter family.
+func NewCounterFunc(r *Registry, name, help, label string, values []string, fn func() []int64) *CounterFunc {
+	c := &CounterFunc{nm: name, hp: help, label: label, values: values, fn: fn}
+	r.register(c)
+	return c
+}
+
+func (c *CounterFunc) name() string { return c.nm }
+func (c *CounterFunc) help() string { return c.hp }
+func (c *CounterFunc) kind() string { return "counter" }
+func (c *CounterFunc) write(w io.Writer) {
+	for i, n := range c.fn() {
+		fmt.Fprintf(w, "%s%s %d\n", c.nm, labelSet([]string{c.label}, c.values[i:i+1]), n)
+	}
+}
+
 // Gauge is a value that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64
